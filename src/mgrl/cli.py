@@ -153,7 +153,7 @@ def cmd_eval(args) -> int:
                           seed=derive_seed(cfg.seed, "eval"))
     traj_path = os.path.join(cfg.output_dir, TRAJECTORY_FILE)
     write_trajectory_csv(res.trajectory, traj_path)
-    rep = resilience_report(res.trajectory)
+    rep = resilience_report(res.trajectory, cfg.env.reward_weights)
     mode = "stochastic" if args.stochastic else "deterministic"
     print(f"evaluated {ck_path} ({mode}, {args.episodes} episode(s))")
     print(f"  resilience index {rep.ri:.4f}  "
@@ -214,7 +214,7 @@ def cmd_report(args) -> int:
 
     stats = read_train_metrics_csv(required["training metrics"])
     traj = read_trajectory_csv(required["evaluation trajectory"])
-    rep = resilience_report(traj)
+    rep = resilience_report(traj, cfg.env.reward_weights)
     hours = len(traj) * cfg.scenario.step_hours
     throughput = battery_throughput(traj.p_ch, traj.p_dis,
                                     cfg.scenario.step_hours)

@@ -4,7 +4,16 @@ Hourly decision process over a fixed scenario: the agent picks normalized
 battery charge/discharge requests plus three raw allocation weights; the
 environment applies battery limits, splits the resulting supply across the
 priority tiers via a softmax of the weights, and pays a reward equal to one
-minus the priority-weighted shortage fraction.
+minus the priority-weighted shortage fraction (:func:`resilience_index` of
+the step; the episode resilience index is the same formula over episode
+totals).
+
+The environment is one pure function, :func:`step`, over plain floats: a
+scenario hour from :func:`scenario_rows`, the battery SOC and the action.
+Rollout loops own the episode state.  Every episode starts at t = 0 with a
+SOC drawn by :meth:`EnvConfig.initial_soc` and runs the full scenario
+horizon; parallel training envs advance in lockstep on one shared clock, so
+they all finish and restart together.
 
 Conventions (documented, not configurable):
   * Negative charge/discharge action halves mean "no request"; only the
@@ -71,121 +80,43 @@ class EnvConfig:
             return (self.soc_min, self.soc_max)
         return self.init_soc_range
 
-
-@dataclass(frozen=True)
-class EnvState:
-    """Observation at one step: battery SOC, the three tier loads, renewable
-    generation, and net power (generation minus total load)."""
-
-    t: int
-    soc: float
-    loads_now: tuple[float, float, float]
-    p_re_now: float
-    p_net_now: float
-
-    def features(self) -> np.ndarray:
-        l1, l2, l3 = self.loads_now
-        return np.array([self.soc, l1, l2, l3, self.p_re_now, self.p_net_now])
+    def initial_soc(self, rng: np.random.Generator) -> float:
+        """Episode-start SOC, uniform over the init range."""
+        lo, hi = self.soc_range()
+        return float(rng.uniform(lo, hi)) if hi > lo else lo
 
 
-@dataclass(frozen=True)
-class ActionVector:
-    a_ch: float
-    a_dis: float
-    w_raw: tuple[float, float, float]
+def scenario_rows(scn: Scenario) -> tuple[tuple[float, ...], ...]:
+    """The scenario as one row per hour: (l1, l2, l3, p_re, p_net).
 
-    @staticmethod
-    def from_array(a) -> "ActionVector":
-        """Clamp a length-5 vector into [-1, 1] and unpack it."""
-        if len(a) != N_ACTIONS:
-            raise ValueError(f"expected {N_ACTIONS} action components, got {len(a)}")
-        c = [min(max(float(x), -1.0), 1.0) for x in a]
-        return ActionVector(a_ch=c[0], a_dis=c[1], w_raw=(c[2], c[3], c[4]))
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    next_state: EnvState
-    reward: float
-    p_ch: float
-    p_dis: float
-    p_supply: float
-    allocations: tuple[float, float, float]
-    imbalances: tuple[float, float, float]
-    shortages: tuple[float, float, float]
-    done: bool
-
-
-def _state_at(scn: Scenario, t: int, soc: float) -> EnvState:
-    # Past the last row (terminal state) the exogenous series are frozen.
-    row = min(t, scn.horizon - 1)
-    l1, l2, l3 = scn.loads[row]
-    p_re = float(scn.p_re[row])
-    loads = (float(l1), float(l2), float(l3))
-    return EnvState(t=t, soc=soc, loads_now=loads, p_re_now=p_re,
-                    p_net_now=p_re - (loads[0] + loads[1] + loads[2]))
-
-
-def reset(cfg: EnvConfig, scn: Scenario, seed: int) -> EnvState:
-    """Start an episode: SOC uniform over the init range, clock at step 0."""
-    if scn.horizon < 1:
-        raise ValueError("cannot reset on an empty scenario")
-    lo, hi = cfg.soc_range()
-    soc = float(np.random.default_rng(seed).uniform(lo, hi)) if hi > lo else lo
-    return _state_at(scn, 0, soc)
-
-
-def normalize_weights(w_raw) -> tuple[float, float, float]:
-    """Softmax of the three raw weights, max-subtracted for stability."""
-    w = [float(x) for x in w_raw]
-    if not all(math.isfinite(x) for x in w):
-        raise ValueError(f"non-finite allocation weights: {w}")
-    m = max(w)
-    e = [math.exp(x - m) for x in w]
-    s = e[0] + e[1] + e[2]
-    return (e[0] / s, e[1] / s, e[2] / s)
-
-
-def apply_battery(state: EnvState, act: ActionVector,
-                  cfg: EnvConfig) -> tuple[float, float, float]:
-    """Resolve battery requests into feasible flows and the next SOC.
-
-    Returns (p_ch, p_dis, soc_next).  Requests are clamped, never rejected:
-    mutual exclusion by the sign of net power, then the converter rating,
-    the SOC-headroom caps, and the surplus/deficit caps.
+    A row is the exogenous part of that hour's observation; prefixed with
+    the SOC it is the feature vector, in FEATURE_NAMES order.
     """
-    p_ch_req = max(0.0, act.a_ch) * cfg.p_conv_kw
-    p_dis_req = max(0.0, act.a_dis) * cfg.p_conv_kw
-
-    if state.p_net_now >= 0:
-        p_dis_req = 0.0
-    else:
-        p_ch_req = 0.0
-
-    headroom_ch = max(0.0, cfg.soc_max - state.soc) * cfg.e_max_kwh / cfg.eta_ch
-    headroom_dis = max(0.0, state.soc - cfg.soc_min) * cfg.e_max_kwh * cfg.eta_dis
-    p_ch = min(p_ch_req, cfg.p_conv_kw, headroom_ch, max(0.0, state.p_net_now))
-    p_dis = min(p_dis_req, cfg.p_conv_kw, headroom_dis, max(0.0, -state.p_net_now))
-
-    soc_next = state.soc + (cfg.eta_ch * p_ch - p_dis / cfg.eta_dis) / cfg.e_max_kwh
-    # The caps already hold the update inside the band; the clip only absorbs
-    # last-ULP rounding so the bound is exact.
-    soc_next = min(max(soc_next, cfg.soc_min), cfg.soc_max)
-    return p_ch, p_dis, soc_next
+    if scn.horizon < 1:
+        raise ValueError("cannot run an episode on an empty scenario")
+    return tuple((l1, l2, l3, p_re, p_re - (l1 + l2 + l3))
+                 for (l1, l2, l3), p_re in zip(scn.loads.tolist(),
+                                               scn.p_re.tolist()))
 
 
-def allocate_power(p_supply: float, w_hat, loads
-                   ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """Split supply across tiers by weight; report imbalances and shortages."""
-    allocations = tuple(w * p_supply for w in w_hat)
-    imbalances = tuple(a - l for a, l in zip(allocations, loads))
-    shortages = tuple(-min(0.0, d) for d in imbalances)
-    return allocations, imbalances, shortages
+def load_totals(rows) -> tuple[float, float, float]:
+    """Per-tier load summed hour by hour over a full episode of ``rows``."""
+    s1 = s2 = s3 = 0.0
+    for l1, l2, l3, _, _ in rows:
+        s1 += l1
+        s2 += l2
+        s3 += l3
+    return s1, s2, s3
 
 
-def step_reward(shortages, loads, cfg: EnvConfig) -> float:
-    """One minus the priority-weighted shortage fraction, in [0, 1]."""
-    w1, w2, w3 = cfg.reward_weights
+def resilience_index(shortages, loads, weights) -> float:
+    """One minus the priority-weighted shortage fraction, in [0, 1].
+
+    Per-step shortages and loads give the step reward; episode totals give
+    the episode resilience index.  Zero weighted demand maps to 1: a grid
+    with no demand cannot have failed to serve it.
+    """
+    w1, w2, w3 = weights
     demand = w1 * loads[0] + w2 * loads[1] + w3 * loads[2]
     if demand == 0.0:
         return 1.0
@@ -193,29 +124,53 @@ def step_reward(shortages, loads, cfg: EnvConfig) -> float:
     return 1.0 - unmet / demand
 
 
-def step(cfg: EnvConfig, scn: Scenario, state: EnvState,
-         action: ActionVector) -> StepOutcome:
-    """Advance one hour: battery, supply split, reward, next observation."""
-    if state.t >= scn.horizon:
-        raise ValueError(f"episode already finished at t={state.t} "
-                         f"(horizon {scn.horizon})")
-    w_hat = normalize_weights(action.w_raw)
-    p_ch, p_dis, soc_next = apply_battery(state, action, cfg)
-    p_supply = state.p_re_now + p_dis - p_ch
-    allocations, imbalances, shortages = allocate_power(
-        p_supply, w_hat, state.loads_now)
-    reward = step_reward(shortages, state.loads_now, cfg)
-    done = state.t + 1 == scn.horizon
-    return StepOutcome(
-        next_state=_state_at(scn, state.t + 1, soc_next),
-        reward=reward, p_ch=p_ch, p_dis=p_dis, p_supply=p_supply,
-        allocations=allocations, imbalances=imbalances, shortages=shortages,
-        done=done)
+def step(cfg: EnvConfig, row, soc: float, action):
+    """Advance one hour from SOC ``soc`` at scenario row ``row``.
+
+    ``action`` is (a_ch, a_dis, w1, w2, w3), each in [-1, 1] as the policy
+    clips them; allocation weights must be finite.  Battery requests
+    are clamped, never rejected: mutual exclusion by the sign of net power,
+    then the converter rating, the SOC-headroom caps, and the
+    surplus/deficit caps.  Supply is split across the tiers by the softmax
+    of the raw weights (max-subtracted for stability).
+
+    Returns (soc_next, p_ch, p_dis, p_supply, allocations, imbalances,
+    shortages, reward), the three per-tier values as tuples.
+    """
+    l1, l2, l3, p_re, p_net = row
+    a_ch, a_dis, w1, w2, w3 = action
+    if not (math.isfinite(w1) and math.isfinite(w2) and math.isfinite(w3)):
+        raise ValueError(f"non-finite allocation weights: {[w1, w2, w3]}")
+    m = max(w1, w2, w3)
+    e1, e2, e3 = math.exp(w1 - m), math.exp(w2 - m), math.exp(w3 - m)
+    s = e1 + e2 + e3
+
+    p_ch_req = max(0.0, a_ch) * cfg.p_conv_kw
+    p_dis_req = max(0.0, a_dis) * cfg.p_conv_kw
+    if p_net >= 0:
+        p_dis_req = 0.0
+    else:
+        p_ch_req = 0.0
+    headroom_ch = max(0.0, cfg.soc_max - soc) * cfg.e_max_kwh / cfg.eta_ch
+    headroom_dis = max(0.0, soc - cfg.soc_min) * cfg.e_max_kwh * cfg.eta_dis
+    p_ch = min(p_ch_req, cfg.p_conv_kw, headroom_ch, max(0.0, p_net))
+    p_dis = min(p_dis_req, cfg.p_conv_kw, headroom_dis, max(0.0, -p_net))
+    soc_next = soc + (cfg.eta_ch * p_ch - p_dis / cfg.eta_dis) / cfg.e_max_kwh
+    # The caps already hold the update inside the band; the clip only absorbs
+    # last-ULP rounding so the bound is exact.
+    soc_next = min(max(soc_next, cfg.soc_min), cfg.soc_max)
+
+    p_supply = p_re + p_dis - p_ch
+    alloc = (e1 / s * p_supply, e2 / s * p_supply, e3 / s * p_supply)
+    imb = (alloc[0] - l1, alloc[1] - l2, alloc[2] - l3)
+    short = (-min(0.0, imb[0]), -min(0.0, imb[1]), -min(0.0, imb[2]))
+    reward = resilience_index(short, (l1, l2, l3), cfg.reward_weights)
+    return soc_next, p_ch, p_dis, p_supply, alloc, imb, short, reward
 
 
 @dataclass
 class EpisodeSummary:
-    """Aggregates computed when an episode terminates."""
+    """Aggregates of one finished episode."""
 
     reward_sum: float
     ri: float
@@ -223,58 +178,11 @@ class EpisodeSummary:
     steps: int
 
 
-class MicrogridEnv:
-    """Stateful wrapper around the pure step functions for rollout loops.
-
-    Tracks the running episode's reward and shortage/load totals so the
-    termination summary (episode resilience index and normalized final
-    reward, maximum T + 1) is available without re-walking the trajectory.
-    """
-
-    def __init__(self, cfg: EnvConfig, scn: Scenario,
-                 rng: np.random.Generator | int):
-        cfg.validate()
-        self.cfg = cfg
-        self.scn = scn
-        self.rng = np.random.default_rng(rng)
-        self.state: EnvState | None = None
-        self._reset_accumulators()
-
-    def _reset_accumulators(self) -> None:
-        self._reward_sum = 0.0
-        self._shortage_sums = [0.0, 0.0, 0.0]
-        self._load_sums = [0.0, 0.0, 0.0]
-        self._steps = 0
-
-    def reset(self) -> EnvState:
-        lo, hi = self.cfg.soc_range()
-        soc = float(self.rng.uniform(lo, hi)) if hi > lo else lo
-        self.state = _state_at(self.scn, 0, soc)
-        self._reset_accumulators()
-        return self.state
-
-    def step(self, action) -> StepOutcome:
-        if self.state is None:
-            raise RuntimeError("call reset() before step()")
-        act = action if isinstance(action, ActionVector) \
-            else ActionVector.from_array(action)
-        out = step(self.cfg, self.scn, self.state, act)
-        self._reward_sum += out.reward
-        for i in range(3):
-            self._shortage_sums[i] += out.shortages[i]
-            self._load_sums[i] += self.state.loads_now[i]
-        self._steps += 1
-        self.state = out.next_state
-        return out
-
-    def episode_summary(self) -> EpisodeSummary:
-        """Summary of the episode so far (call at done for full-episode RI)."""
-        w1, w2, w3 = self.cfg.reward_weights
-        demand = (w1 * self._load_sums[0] + w2 * self._load_sums[1]
-                  + w3 * self._load_sums[2])
-        unmet = (w1 * self._shortage_sums[0] + w2 * self._shortage_sums[1]
-                 + w3 * self._shortage_sums[2])
-        ri = 1.0 if demand == 0.0 else 1.0 - unmet / demand
-        norm = (self._reward_sum + ri) / (self._steps + 1) if self._steps else 1.0
-        return EpisodeSummary(reward_sum=self._reward_sum, ri=ri,
-                              reward_final_norm=norm, steps=self._steps)
+def summarize_episode(cfg: EnvConfig, reward_sum: float, shortage_sums,
+                      load_sums, steps: int) -> EpisodeSummary:
+    """Episode RI over the tier totals, and the normalized final reward:
+    the per-step rewards plus the RI bonus over their maximum, steps + 1."""
+    ri = resilience_index(shortage_sums, load_sums, cfg.reward_weights)
+    return EpisodeSummary(reward_sum=reward_sum, ri=ri,
+                          reward_final_norm=(reward_sum + ri) / (steps + 1),
+                          steps=steps)

@@ -1,7 +1,8 @@
 """Episode-level resilience and asset metrics.
 
 Everything in here is a pure function over logged trajectories or
-training statistics: the priority-weighted resilience index, battery
+training statistics: the resilience report (the priority-weighted index
+of :func:`mgrl.env.resilience_index` over a trajectory), battery
 throughput and lifespan accounting, convergence summaries of the
 learning curve, and the CSV round-trip for the training metrics log.
 """
@@ -13,26 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import PRIORITY_WEIGHTS
+from . import env
 from .ppo import TrainStats
 from .trajectory import Trajectory
 
 HOURS_PER_YEAR = 8760.0
 EXCEEDS_CALENDAR = "exceeds rated calendar life"
-
-
-def resilience_index(shortage_sums, load_sums,
-                     weights=PRIORITY_WEIGHTS) -> float:
-    """1 minus the priority-weighted unserved-over-demanded energy ratio.
-
-    A grid with no demand at all cannot have failed to serve it, so zero
-    total weighted load maps to a perfect index.
-    """
-    num = sum(w * s for w, s in zip(weights, shortage_sums))
-    den = sum(w * l for w, l in zip(weights, load_sums))
-    if den <= 0.0:
-        return 1.0
-    return 1.0 - num / den
 
 
 @dataclass(frozen=True)
@@ -43,11 +30,13 @@ class ResilienceReport:
     rewards: np.ndarray
 
 
-def resilience_report(traj: Trajectory) -> ResilienceReport:
+def resilience_report(traj: Trajectory, weights) -> ResilienceReport:
+    """Episode RI of a logged trajectory under the tier ``weights``."""
     sh = tuple(float(v) for v in traj.shortages.sum(axis=0))
     ld = tuple(float(v) for v in traj.loads.sum(axis=0))
-    return ResilienceReport(ri=resilience_index(sh, ld), shortage_sums=sh,
-                            load_sums=ld, rewards=traj.reward.copy())
+    return ResilienceReport(ri=env.resilience_index(sh, ld, weights),
+                            shortage_sums=sh, load_sums=ld,
+                            rewards=traj.reward.copy())
 
 
 def battery_throughput(p_ch, p_dis, step_hours: float = 1.0) -> float:

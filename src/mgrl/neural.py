@@ -234,20 +234,6 @@ def sample_action(p: GaussianPolicy, s, rng: np.random.Generator) -> ActionSampl
     return ActionSample(action=action, preclip=preclip, log_prob=lp)
 
 
-def log_prob_and_entropy(p: GaussianPolicy, s, a_preclip
-                         ) -> tuple[np.ndarray, float]:
-    """Log density of given pre-clip actions plus the policy entropy."""
-    a, _ = _as_batch(a_preclip)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite pre-clip actions")
-    mean, log_std = forward_policy(p, s)
-    lp = gaussian_log_prob(np.atleast_2d(mean), log_std, a)
-    ent = gaussian_entropy(log_std)
-    if np.asarray(s).ndim == 1:
-        return lp[0], ent
-    return lp, ent
-
-
 # ---------------------------------------------------------------------------
 # Parameter flattening shared by the optimizer and checkpoints
 

@@ -1,9 +1,10 @@
 """Proximal policy optimization for the microgrid dispatch task.
 
 The trainer is deliberately self-contained: rollouts come from a small
-ensemble of simulator instances, advantages use generalized advantage
-estimation, and updates apply the clipped surrogate objective with
-analytic gradients through the numpy networks in :mod:`mgrl.neural`.
+ensemble of lockstep episodes over :func:`mgrl.env.step`, advantages use
+generalized advantage estimation, and updates apply the clipped surrogate
+objective with analytic gradients through the numpy networks in
+:mod:`mgrl.neural`.
 
 Training optimizes the per-step reward stream only; the episode-level
 resilience bonus enters the normalized episode score that is *reported*
@@ -14,9 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import EnvConfig, EpisodeSummary, MicrogridEnv, N_ACTIONS, N_FEATURES
+from .env import (
+    EnvConfig,
+    EpisodeSummary,
+    N_ACTIONS,
+    N_FEATURES,
+    load_totals,
+    scenario_rows,
+    step,
+    summarize_episode,
+)
 from .neural import (
-    LOG_2PI,
     LOG_STD_MAX,
     LOG_STD_MIN,
     GaussianPolicy,
@@ -26,6 +35,7 @@ from .neural import (
     forward_policy,
     forward_value,
     gaussian_entropy,
+    gaussian_log_prob,
     make_policy,
     make_value,
     mlp_backward,
@@ -181,25 +191,53 @@ def obs_stats_from_scenario(
     return mean, scale
 
 
+class EnvBatch:
+    """Per-run state of the training envs, which run in lockstep.
+
+    All envs share the scenario clock ``t``: every episode starts at t = 0
+    and runs the full horizon, so the envs finish together and each then
+    draws a fresh SOC from its own reset stream ``rngs[i]``.  The reward
+    and shortage sums belong to the running episodes.
+    """
+
+    def __init__(self, cfg: EnvConfig, scn: Scenario, n_envs: int,
+                 seed: int):
+        cfg.validate()
+        self.cfg = cfg
+        self.rows = scenario_rows(scn)
+        self.load_sums = load_totals(self.rows)
+        self.rngs = [derive_rng(seed, f"env-{i}") for i in range(n_envs)]
+        self.reset()
+
+    def reset(self) -> None:
+        self.t = 0
+        self.soc = [self.cfg.initial_soc(rng) for rng in self.rngs]
+        self.reward_sums = [0.0] * len(self.rngs)
+        self.shortage_sums = [[0.0, 0.0, 0.0] for _ in self.rngs]
+
+    def observations(self) -> np.ndarray:
+        """(n_envs, N_FEATURES) observations at the shared clock."""
+        obs = np.empty((len(self.soc), N_FEATURES))
+        obs[:, 0] = self.soc
+        obs[:, 1:] = self.rows[self.t]
+        return obs
+
+
 def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
-                     envs: list[MicrogridEnv], n_steps: int,
+                     envs: EnvBatch, n_steps: int,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Advance every env in lockstep until exactly n_steps transitions exist.
 
-    Envs that finish an episode are reset in place and their summary kept,
-    so a buffer may span several (possibly partial) episodes per env.
+    Finished episodes are summarized and restarted in place, so a buffer
+    may span several (possibly partial) episodes per env.
     """
-    n_envs = len(envs)
+    n_envs = len(envs.rngs)
     if n_envs == 0:
         raise ValueError("need at least one environment")
     if n_steps % n_envs != 0:
         raise ValueError(
             f"n_steps ({n_steps}) must be divisible by n_envs ({n_envs})")
     steps = n_steps // n_envs
-
-    for env in envs:
-        if env.state is None:
-            env.reset()
 
     states = np.empty((steps, n_envs, N_FEATURES))
     actions = np.empty((steps, n_envs, N_ACTIONS))
@@ -210,22 +248,31 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
     summaries: list[EpisodeSummary] = []
 
     for t in range(steps):
-        obs = np.stack([env.state.features() for env in envs])
+        obs = states[t] = envs.observations()
         sample = sample_action(policy, obs, rng)
         values[t] = forward_value(value, obs)
-        states[t] = obs
         actions[t] = sample.preclip
         log_probs[t] = sample.log_prob
-        for i, env in enumerate(envs):
-            outcome = env.step(sample.action[i])
-            rewards[t, i] = outcome.reward
-            if outcome.done:
-                dones[t, i] = 1.0
-                summaries.append(env.episode_summary())
-                env.reset()
+        row = envs.rows[envs.t]
+        for i, action in enumerate(sample.action.tolist()):
+            envs.soc[i], *_, short, reward = step(envs.cfg, row, envs.soc[i],
+                                                  action)
+            rewards[t, i] = reward
+            envs.reward_sums[i] += reward
+            sums = envs.shortage_sums[i]
+            sums[0] += short[0]
+            sums[1] += short[1]
+            sums[2] += short[2]
+        envs.t += 1
+        if envs.t == len(envs.rows):
+            dones[t] = 1.0
+            summaries += [summarize_episode(envs.cfg, r, sh, envs.load_sums,
+                                            envs.t)
+                          for r, sh in zip(envs.reward_sums,
+                                           envs.shortage_sums)]
+            envs.reset()
 
-    obs = np.stack([env.state.features() for env in envs])
-    bootstrap = forward_value(value, obs)
+    bootstrap = forward_value(value, envs.observations())
     return RolloutBuffer(states=states, actions=actions, log_probs=log_probs,
                          rewards=rewards, values=values, dones=dones,
                          bootstrap=np.asarray(bootstrap, dtype=np.float64),
@@ -260,13 +307,19 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
     return adv, adv + v
 
 
-def clipped_policy_loss(log_probs_new: np.ndarray, log_probs_old: np.ndarray,
-                        advantages: np.ndarray, clip_eps: float) -> float:
-    """PPO clipped surrogate; advantages are assumed already normalized."""
-    ratio = np.exp(log_probs_new - log_probs_old)
+def clipped_policy_loss(ratio: np.ndarray, advantages: np.ndarray,
+                        clip_eps: float) -> tuple[float, float, np.ndarray]:
+    """PPO clipped surrogate loss over probability ratios.
+
+    Returns (loss, clip fraction, unclipped): ``unclipped`` is 1.0 where
+    the min() picks the unclipped branch (ties included), the only rows
+    through which the loss depends on the ratio.
+    """
     surr1 = ratio * advantages
     surr2 = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
-    return float(-np.mean(np.minimum(surr1, surr2)))
+    loss = float(-np.mean(np.minimum(surr1, surr2)))
+    clip_frac = float(np.mean(np.abs(ratio - 1.0) > clip_eps))
+    return loss, clip_frac, (surr1 <= surr2).astype(np.float64)
 
 
 def value_loss(values_pred: np.ndarray, returns: np.ndarray) -> float:
@@ -308,15 +361,9 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
 
     mean, cache = policy_mean_cached(policy, obs)
     log_std = policy.clamped_log_std()
-    sigma = np.exp(log_std)
-    z = (act - mean) / sigma
-    lp_new = (-0.5 * np.sum(z * z, axis=1) - np.sum(log_std)
-              - 0.5 * len(log_std) * LOG_2PI)
-    ratio = np.exp(lp_new - lp_old)
-    surr1 = ratio * adv
-    surr2 = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv
-    pol_loss = float(-np.mean(np.minimum(surr1, surr2)))
-    clip_frac = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_eps))
+    ratio = np.exp(gaussian_log_prob(mean, log_std, act) - lp_old)
+    pol_loss, clip_frac, unclipped = clipped_policy_loss(ratio, adv,
+                                                         cfg.clip_eps)
 
     vals, vcache = value_cached(value, obs)
     val_loss = value_loss(vals, ret)
@@ -328,7 +375,8 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     if not with_grads:
         return report
 
-    unclipped = (surr1 <= surr2).astype(np.float64)
+    sigma = np.exp(log_std)
+    z = (act - mean) / sigma
     g_lp = -(adv * ratio * unclipped) / n          # d total / d lp_new
     g_mean = g_lp[:, None] * (z / sigma)
     g_log_std = np.sum(g_lp[:, None] * (z * z - 1.0), axis=0) - cfg.c2
@@ -342,12 +390,6 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     vgw, vgb, _ = mlp_backward(value.net, vcache, g_val)
     report.value_grads = [*vgw, *vgb]
     return report
-
-
-def make_envs(env_cfg: EnvConfig, scn: Scenario, n_envs: int,
-              seed: int) -> list[MicrogridEnv]:
-    return [MicrogridEnv(env_cfg, scn, derive_rng(seed, f"env-{i}"))
-            for i in range(n_envs)]
 
 
 def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
@@ -367,7 +409,7 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
     value = make_value(N_FEATURES, cfg.hidden_sizes,
                        derive_rng(cfg.seed, "value-init"),
                        obs_mean, obs_scale)
-    envs = make_envs(env_cfg, scn, cfg.n_envs, cfg.seed)
+    envs = EnvBatch(env_cfg, scn, cfg.n_envs, cfg.seed)
     rollout_rng = derive_rng(cfg.seed, "rollout")
     shuffle_rng = derive_rng(cfg.seed, "minibatch")
 
@@ -426,60 +468,55 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
     return TrainResult(policy=policy, value=value, stats=stats)
 
 
-def run_episode(policy: GaussianPolicy, env: MicrogridEnv,
-                deterministic: bool = True,
-                rng: np.random.Generator | None = None,
-                ) -> tuple[EpisodeSummary, Trajectory]:
-    """Play one full episode and record it step by step."""
-    if not deterministic and rng is None:
-        raise ValueError("stochastic rollout needs an rng")
-    state = env.reset()
-    cols: dict[str, list] = {k: [] for k in
-                             ("soc", "p_re", "loads", "p_ch", "p_dis",
-                              "p_supply", "alloc", "imb", "sh", "reward")}
-    done = False
-    while not done:
-        if deterministic:
-            mean, _ = forward_policy(policy, state.features())
-            action = np.clip(mean, -1.0, 1.0)
-        else:
-            action = sample_action(policy, state.features(), rng).action
-        out = env.step(action)
-        cols["soc"].append(state.soc)
-        cols["p_re"].append(state.p_re_now)
-        cols["loads"].append(state.loads_now)
-        cols["p_ch"].append(out.p_ch)
-        cols["p_dis"].append(out.p_dis)
-        cols["p_supply"].append(out.p_supply)
-        cols["alloc"].append(out.allocations)
-        cols["imb"].append(out.imbalances)
-        cols["sh"].append(out.shortages)
-        cols["reward"].append(out.reward)
-        state = out.next_state
-        done = out.done
-    traj = Trajectory(
-        soc=np.array(cols["soc"]), p_re=np.array(cols["p_re"]),
-        loads=np.array(cols["loads"]), p_ch=np.array(cols["p_ch"]),
-        p_dis=np.array(cols["p_dis"]), p_supply=np.array(cols["p_supply"]),
-        allocations=np.array(cols["alloc"]),
-        imbalances=np.array(cols["imb"]), shortages=np.array(cols["sh"]),
-        reward=np.array(cols["reward"]))
-    return env.episode_summary(), traj
-
-
 def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
                     scn: Scenario, n_episodes: int = 1,
                     deterministic: bool = True, seed: int = 0) -> EvalResult:
-    """Score a policy over n_episodes; the first episode is kept in full."""
+    """Score a policy over n_episodes; the first episode is kept in full.
+
+    Deterministic episodes act on the clipped policy mean; stochastic ones
+    sample from the episode's own action stream.
+    """
     if n_episodes <= 0:
         raise ValueError(f"n_episodes must be positive, got {n_episodes}")
+    env_cfg.validate()
+    rows = scenario_rows(scn)
+    load_sums = load_totals(rows)
+    horizon = len(rows)
     summaries = []
     first_traj = None
     for ep in range(n_episodes):
-        env = MicrogridEnv(env_cfg, scn, derive_rng(seed, f"eval-reset-{ep}"))
+        soc = env_cfg.initial_soc(derive_rng(seed, f"eval-reset-{ep}"))
         rng = derive_rng(seed, f"eval-action-{ep}")
-        summary, traj = run_episode(policy, env, deterministic, rng)
-        summaries.append(summary)
+        traj = Trajectory(
+            soc=np.empty(horizon), p_re=np.empty(horizon),
+            loads=np.empty((horizon, 3)), p_ch=np.empty(horizon),
+            p_dis=np.empty(horizon), p_supply=np.empty(horizon),
+            allocations=np.empty((horizon, 3)),
+            imbalances=np.empty((horizon, 3)),
+            shortages=np.empty((horizon, 3)), reward=np.empty(horizon))
+        reward_sum = 0.0
+        sh_sums = [0.0, 0.0, 0.0]
+        for t, row in enumerate(rows):
+            obs = np.array((soc, *row))
+            if deterministic:
+                action = np.clip(forward_policy(policy, obs)[0], -1.0, 1.0)
+            else:
+                action = sample_action(policy, obs, rng).action
+            (soc_next, traj.p_ch[t], traj.p_dis[t], traj.p_supply[t],
+             traj.allocations[t], traj.imbalances[t], short,
+             reward) = step(env_cfg, row, soc, action.tolist())
+            traj.soc[t] = soc
+            traj.p_re[t] = row[3]
+            traj.loads[t] = row[:3]
+            traj.shortages[t] = short
+            traj.reward[t] = reward
+            reward_sum += reward
+            sh_sums[0] += short[0]
+            sh_sums[1] += short[1]
+            sh_sums[2] += short[2]
+            soc = soc_next
+        summaries.append(summarize_episode(env_cfg, reward_sum, sh_sums,
+                                           load_sums, horizon))
         if first_traj is None:
             first_traj = traj
     return EvalResult(

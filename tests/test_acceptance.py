@@ -17,14 +17,16 @@ import numpy as np
 from mgrl.cli import main as cli_main
 from mgrl.env import (
     EnvConfig,
-    MicrogridEnv,
     N_ACTIONS,
     N_FEATURES,
-    normalize_weights,
-    step_reward,
+    PRIORITY_WEIGHTS,
+    load_totals,
+    resilience_index,
+    scenario_rows,
+    step,
 )
 from mgrl.explain import ExplainConfig, FeatureStats, explain_action, explain_step, proximity_weights
-from mgrl.metrics import estimate_battery_life, resilience_index
+from mgrl.metrics import estimate_battery_life
 from mgrl.neural import (
     forward_policy,
     gaussian_log_prob,
@@ -84,23 +86,44 @@ class _Criterion:
         return False
 
 
+# Zero loads and one kW of generation: with the battery idle, step splits
+# the supply into exactly the softmax weights it applies.
+UNIT_SUPPLY_ROW = (0.0, 0.0, 0.0, 1.0, 1.0)
+
+
 def random_action_rollout(n_steps, seed=0, horizon=720):
-    """Yield (state_before, action, outcome) over uniformly random actions."""
+    """Yield (row, action, step outcome) over uniformly random actions,
+    restarting full-horizon episodes from t = 0 as the rollout loops do."""
     scn = synth_cyclone_scenario(ScenarioConfig(horizon_steps=horizon,
                                                 cyclone_window=(
                                                     horizon // 2,
                                                     min(horizon, horizon // 2 + 48)),
                                                 rng_seed=seed))
-    env = MicrogridEnv(EnvConfig(), scn, derive_rng(seed, "acc-reset"))
+    cfg = EnvConfig()
+    rows = scenario_rows(scn)
+    reset_rng = derive_rng(seed, "acc-reset")
     act_rng = derive_rng(seed, "acc-action")
-    env.reset()
-    for _ in range(n_steps):
-        state = env.state
+    for k in range(n_steps):
+        t = k % len(rows)
+        if t == 0:
+            soc = cfg.initial_soc(reset_rng)
         action = act_rng.uniform(-1.0, 1.0, N_ACTIONS)
-        out = env.step(action)
-        yield state, action, out
-        if out.done:
-            env.reset()
+        out = step(cfg, rows[t], soc, action.tolist())
+        yield rows[t], action, out
+        soc = out[0]
+
+
+def episode_ri(cfg, rows, reset_rng, act):
+    """RI of one full-horizon episode through step; act(obs) -> action."""
+    soc = cfg.initial_soc(reset_rng)
+    shortage_sums = [0.0, 0.0, 0.0]
+    for row in rows:
+        soc, *_, short, _ = step(cfg, row, soc,
+                                 act(np.array((soc, *row))).tolist())
+        for i in range(3):
+            shortage_sums[i] += short[i]
+    return resilience_index(shortage_sums, load_totals(rows),
+                            cfg.reward_weights)
 
 
 def test_criterion_01_soc_safety(capsys):
@@ -109,8 +132,8 @@ def test_criterion_01_soc_safety(capsys):
         t0 = time.time()
         lo, hi = math.inf, -math.inf
         violations = 0
-        for state, _, out in random_action_rollout(100_000, seed=0):
-            soc = out.next_state.soc
+        for _, _, out in random_action_rollout(100_000, seed=0):
+            soc = out[0]
             lo, hi = min(lo, soc), max(hi, soc)
             if not 0.2 <= soc <= 0.9:
                 violations += 1
@@ -124,15 +147,17 @@ def test_criterion_02_step_identities(capsys):
     with _Criterion(capsys, 2, "per-step physics identities") as c:
         worst_alloc, worst_softmax = 0.0, 0.0
         ok = True
-        for state, action, out in random_action_rollout(10_000, seed=1):
-            if out.p_ch * out.p_dis != 0.0:
+        cfg = EnvConfig()
+        for row, action, out in random_action_rollout(10_000, seed=1):
+            _, p_ch, p_dis, p_supply, allocations, *_ = out
+            if p_ch * p_dis != 0.0:
                 ok = False
-            if out.p_supply != state.p_re_now + out.p_dis - out.p_ch:
+            if p_supply != row[3] + p_dis - p_ch:
                 ok = False
-            rel = abs(sum(out.allocations) - out.p_supply) / \
-                max(1.0, abs(out.p_supply))
+            rel = abs(sum(allocations) - p_supply) / max(1.0, abs(p_supply))
             worst_alloc = max(worst_alloc, rel)
-            w = normalize_weights(tuple(action[2:5]))
+            w = step(cfg, UNIT_SUPPLY_ROW, 0.5,
+                     (0.0, 0.0, *action[2:5].tolist()))[4]
             worst_softmax = max(worst_softmax, abs(sum(w) - 1.0))
         ok = ok and worst_alloc <= 1e-9 and worst_softmax <= 1e-12
         c.result(ok, f"alloc err {worst_alloc:.2e} (<=1e-9), "
@@ -164,10 +189,11 @@ def test_criterion_03_reward_accounting(capsys):
             (7 * ld_sum[0] + 2 * ld_sum[1] + ld_sum[2])
         ri_err = abs(ri_brute - ev.summaries[0].ri)
 
-        hand = (step_reward((0.0, 10.0, 10.0), (10.0, 10.0, 10.0),
-                            EnvConfig()) == 0.7
+        hand = (resilience_index((0.0, 10.0, 10.0), (10.0, 10.0, 10.0),
+                                 EnvConfig().reward_weights) == 0.7
                 and resilience_index((10.0, 10.0, 10.0),
-                                     (50.0, 50.0, 50.0)) == 0.8)
+                                     (50.0, 50.0, 50.0),
+                                     PRIORITY_WEIGHTS) == 0.8)
         c.result(worst <= 1e-12 and ri_err <= 1e-12 and hand,
                  f"max reward err {worst:.2e}, RI err {ri_err:.2e}, "
                  f"hand cases 0.7/0.8 exact")
@@ -252,10 +278,8 @@ def test_criterion_05_gae_oracle(capsys):
 def test_criterion_06_clip_unit_cases(capsys):
     """Hand evaluations of the clipped surrogate at eps = 0.2."""
     with _Criterion(capsys, 6, "surrogate clipping unit cases") as c:
-        up = clipped_policy_loss(np.array([math.log(1.3)]), np.zeros(1),
-                                 np.ones(1), 0.2)
-        dn = clipped_policy_loss(np.array([math.log(0.5)]), np.zeros(1),
-                                 -np.ones(1), 0.2)
+        up, _, _ = clipped_policy_loss(np.array([1.3]), np.ones(1), 0.2)
+        dn, _, _ = clipped_policy_loss(np.array([0.5]), -np.ones(1), 0.2)
         c.result(up == -1.2 and dn == 0.8,
                  "(1.3, +1) -> 1.2 and (0.5, -1) -> -0.8, exact")
 
@@ -287,31 +311,22 @@ def test_criterion_07_learning_smoke(capsys):
         trained = evaluate_policy(res_b.policy, env_cfg, scn,
                                   n_episodes=5, seed=0).ri
 
+        rows = scenario_rows(scn)
         rand_rng = derive_rng(0, "acc-random-policy")
-        random_ris = []
-        for ep in range(5):
-            env = MicrogridEnv(env_cfg, scn,
-                               derive_rng(0, f"acc-random-reset-{ep}"))
-            env.reset()
-            done = False
-            while not done:
-                done = env.step(rand_rng.uniform(-1, 1, N_ACTIONS)).done
-            random_ris.append(env.episode_summary().ri)
-        random_ri = float(np.mean(random_ris))
+        random_ri = float(np.mean([
+            episode_ri(env_cfg, rows, derive_rng(0, f"acc-random-reset-{ep}"),
+                       lambda obs: rand_rng.uniform(-1, 1, N_ACTIONS))
+            for ep in range(5)]))
 
-        idle_ris = []
-        for ep in range(5):
-            env = MicrogridEnv(env_cfg, scn,
-                               derive_rng(0, f"acc-idle-reset-{ep}"))
-            env.reset()
-            done = False
-            while not done:
-                a, _ = forward_policy(res_b.policy, env.state.features())
-                a = np.clip(a, -1.0, 1.0)
-                a[0] = a[1] = -1.0  # battery forced idle
-                done = env.step(a).done
-            idle_ris.append(env.episode_summary().ri)
-        idle_ri = float(np.mean(idle_ris))
+        def idle(obs):
+            a = np.clip(forward_policy(res_b.policy, obs)[0], -1.0, 1.0)
+            a[0] = a[1] = -1.0  # battery forced idle
+            return a
+
+        idle_ri = float(np.mean([
+            episode_ri(env_cfg, rows, derive_rng(0, f"acc-idle-reset-{ep}"),
+                       idle)
+            for ep in range(5)]))
 
         dt = time.time() - t0
         soft = "met" if trained >= 0.95 else "not met"

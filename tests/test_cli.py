@@ -5,7 +5,11 @@ import pytest
 
 import mgrl.cli as cli
 from mgrl.cli import main
-from mgrl.ppo import TrainingDivergedError
+from mgrl.config import load_run_config
+from mgrl.neural import load_checkpoint
+from mgrl.ppo import TrainingDivergedError, evaluate_policy
+from mgrl.scenario import load_scenario_csv
+from mgrl.seeding import derive_seed
 from mgrl.trajectory import read_trajectory_csv
 
 TINY_CONF = """\
@@ -247,6 +251,26 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert "training metrics" in err
         assert "evaluation trajectory" in err
+
+    def test_report_ri_uses_configured_reward_weights(self, tmp_path):
+        """report.csv's RI is the episode RI evaluate_policy computes under
+        the configured tier weights, not under the defaults."""
+        conf = tmp_path / "weights.conf"
+        conf.write_text(TINY_CONF + "env.reward_weights = 10, 1, 0.1\n")
+        out = str(tmp_path / "out")
+        run_pipeline(str(conf), out)
+        assert run("report", "--config", str(conf), "--out", out) == 0
+        lines = open(os.path.join(out, "report.csv")).read().splitlines()
+        report = dict(line.split(",", 1) for line in lines[1:])
+
+        cfg = load_run_config(str(conf), output_override=out)
+        policy, _ = load_checkpoint(os.path.join(out, "checkpoint_final.json"))
+        scn = load_scenario_csv(os.path.join(out, "scenario.csv"))
+        ev = evaluate_policy(policy, cfg.env, scn,
+                             seed=derive_seed(cfg.seed, "eval"))
+        assert cfg.env.reward_weights == (10.0, 1.0, 0.1)
+        assert abs(float(report["resilience_index"])
+                   - ev.summaries[0].ri) <= 1e-12
 
     def test_report_is_idempotent(self, conf, tmp_path):
         out = str(tmp_path / "out")

@@ -6,23 +6,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgrl.env import (
-    ActionVector,
     EnvConfig,
-    EnvState,
-    MicrogridEnv,
-    allocate_power,
-    apply_battery,
-    normalize_weights,
-    reset,
+    PRIORITY_WEIGHTS,
+    resilience_index,
+    scenario_rows,
     step,
-    step_reward,
 )
+from mgrl.neural import make_policy, make_value
+from mgrl.ppo import EnvBatch, collect_rollouts, evaluate_policy
 from mgrl.scenario import Scenario, ScenarioConfig, synth_cyclone_scenario
 
+IDLE = (0.0, 0.0, 0.0, 0.0, 0.0)
 
-def make_state(soc=0.5, loads=(30.0, 20.0, 10.0), p_re=100.0, t=0):
-    return EnvState(t=t, soc=soc, loads_now=loads, p_re_now=p_re,
-                    p_net_now=p_re - sum(loads))
+
+def make_row(loads=(30.0, 20.0, 10.0), p_re=100.0):
+    return (*loads, p_re, p_re - sum(loads))
+
+
+def battery(soc, row, a_ch, a_dis, cfg=EnvConfig()):
+    """(p_ch, p_dis, soc_next) of one step with equal allocation weights."""
+    soc_next, p_ch, p_dis, *_ = step(cfg, row, soc, (a_ch, a_dis, 0, 0, 0))
+    return p_ch, p_dis, soc_next
+
+
+def softmax(w_raw):
+    """Allocation of one unit of supply to zero loads: the softmax weights
+    that step applies, exactly (each share is multiplied by 1.0)."""
+    unit = make_row(loads=(0.0, 0.0, 0.0), p_re=1.0)
+    return step(EnvConfig(), unit, 0.5, (0.0, 0.0, *w_raw))[4]
+
+
+def allocate(p_supply, w_raw, loads):
+    """(allocations, imbalances, shortages) with the battery idle."""
+    out = step(EnvConfig(), make_row(loads, p_supply), 0.5,
+               (0.0, 0.0, *w_raw))
+    assert out[3] == p_supply
+    return out[4], out[5], out[6]
 
 
 def small_scenario(horizon=24, seed=0):
@@ -53,140 +72,123 @@ class TestEnvConfig:
 class TestReset:
     def test_degenerate_range_is_exact(self):
         cfg = EnvConfig(init_soc_range=(0.5, 0.5))
-        state = reset(cfg, small_scenario(), seed=42)
-        assert state.soc == 0.5
-        assert state.t == 0
+        assert cfg.initial_soc(np.random.default_rng(42)) == 0.5
 
     def test_net_power_from_scenario_row(self):
         scn = Scenario(p_re=np.array([100.0]),
                        loads=np.array([[30.0, 20.0, 10.0]]))
-        state = reset(EnvConfig(), scn, seed=0)
-        assert state.p_net_now == 40.0
-        assert state.p_re_now == 100.0
+        assert scenario_rows(scn) == ((30.0, 20.0, 10.0, 100.0, 40.0),)
 
     def test_same_seed_same_state(self):
-        scn = small_scenario()
-        assert reset(EnvConfig(), scn, 7) == reset(EnvConfig(), scn, 7)
+        cfg = EnvConfig()
+        assert (cfg.initial_soc(np.random.default_rng(7))
+                == cfg.initial_soc(np.random.default_rng(7)))
 
     def test_soc_within_init_range(self):
         cfg = EnvConfig(init_soc_range=(0.3, 0.4))
         for seed in range(20):
-            assert 0.3 <= reset(cfg, small_scenario(), seed).soc <= 0.4
+            assert 0.3 <= cfg.initial_soc(np.random.default_rng(seed)) <= 0.4
 
     def test_empty_scenario_rejected(self):
         scn = Scenario(p_re=np.empty(0), loads=np.empty((0, 3)))
         with pytest.raises(ValueError):
-            reset(EnvConfig(), scn, 0)
+            scenario_rows(scn)
 
 
 class TestNormalizeWeights:
     def test_symmetry(self):
-        assert normalize_weights((0.0, 0.0, 0.0)) == (1 / 3, 1 / 3, 1 / 3)
+        assert softmax((0.0, 0.0, 0.0)) == (1 / 3, 1 / 3, 1 / 3)
 
     def test_known_values(self):
-        w = normalize_weights((1.0, 0.0, -1.0))
+        w = softmax((1.0, 0.0, -1.0))
         np.testing.assert_allclose(w, (0.66524, 0.24473, 0.09003), atol=1e-5)
 
     @given(st.floats(-30.0, 30.0))
     def test_shift_invariance(self, c):
-        assert normalize_weights((c, c, c)) == (1 / 3, 1 / 3, 1 / 3)
+        assert softmax((c, c, c)) == (1 / 3, 1 / 3, 1 / 3)
 
     @given(st.tuples(*[st.floats(-30.0, 30.0)] * 3))
     def test_sums_to_one_and_positive(self, w_raw):
-        w = normalize_weights(w_raw)
+        w = softmax(w_raw)
         assert all(x > 0 for x in w)
         assert abs(sum(w) - 1.0) <= 1e-12
 
     @given(st.tuples(*[st.floats(-1e3, 1e3)] * 3))
     def test_wide_inputs_still_sum_to_one(self, w_raw):
-        w = normalize_weights(w_raw)
+        w = softmax(w_raw)
         assert all(x >= 0 for x in w)
         assert abs(sum(w) - 1.0) <= 1e-12
 
     def test_extreme_inputs_stay_finite(self):
-        w = normalize_weights((700.0, -700.0, 0.0))
+        w = softmax((700.0, -700.0, 0.0))
         assert all(math.isfinite(x) for x in w)
         assert abs(sum(w) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("bad", [(math.nan, 0, 0), (0, math.inf, 0)])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
-            normalize_weights(bad)
+            step(EnvConfig(), make_row(), 0.5, (0.0, 0.0, *bad))
 
 
 class TestApplyBattery:
     def test_full_charge_hand_case(self):
-        state = make_state(soc=0.5, loads=(0.0, 0.0, 0.0), p_re=200.0)
-        act = ActionVector(a_ch=1.0, a_dis=0.0, w_raw=(0, 0, 0))
-        p_ch, p_dis, soc = apply_battery(state, act, EnvConfig())
+        row = make_row(loads=(0.0, 0.0, 0.0), p_re=200.0)
+        p_ch, p_dis, soc = battery(0.5, row, 1.0, 0.0)
         assert p_ch == 52.0
         assert p_dis == 0.0
         assert soc == 0.5 + 0.9 * 52.0 / 780.0  # = 0.56 exactly
 
     def test_full_discharge_hand_case(self):
-        state = make_state(soc=0.5, loads=(200.0, 0.0, 0.0), p_re=0.0)
-        act = ActionVector(a_ch=0.0, a_dis=1.0, w_raw=(0, 0, 0))
-        p_ch, p_dis, soc = apply_battery(state, act, EnvConfig())
+        row = make_row(loads=(200.0, 0.0, 0.0), p_re=0.0)
+        p_ch, p_dis, soc = battery(0.5, row, 0.0, 1.0)
         assert p_dis == 52.0
         assert p_ch == 0.0
         assert soc == 0.5 - (52.0 / 0.95) / 780.0  # ~ 0.42982
 
     def test_idle_is_fixed_point(self):
-        state = make_state(soc=0.37)
-        act = ActionVector(a_ch=0.0, a_dis=0.0, w_raw=(0, 0, 0))
-        p_ch, p_dis, soc = apply_battery(state, act, EnvConfig())
-        assert (p_ch, p_dis, soc) == (0.0, 0.0, 0.37)
+        assert battery(0.37, make_row(), 0.0, 0.0) == (0.0, 0.0, 0.37)
 
     def test_negative_actions_request_nothing(self):
-        state = make_state()
-        act = ActionVector(a_ch=-0.5, a_dis=-1.0, w_raw=(0, 0, 0))
-        p_ch, p_dis, _ = apply_battery(state, act, EnvConfig())
+        p_ch, p_dis, _ = battery(0.5, make_row(), -0.5, -1.0)
         assert (p_ch, p_dis) == (0.0, 0.0)
 
     def test_full_battery_cannot_charge(self):
-        state = make_state(soc=0.9, loads=(0.0, 0.0, 0.0), p_re=100.0)
-        act = ActionVector(a_ch=1.0, a_dis=0.0, w_raw=(0, 0, 0))
-        p_ch, _, soc = apply_battery(state, act, EnvConfig())
+        row = make_row(loads=(0.0, 0.0, 0.0), p_re=100.0)
+        p_ch, _, soc = battery(0.9, row, 1.0, 0.0)
         assert p_ch == 0.0
         assert soc == 0.9
 
     def test_empty_battery_cannot_discharge(self):
-        state = make_state(soc=0.2, loads=(100.0, 0.0, 0.0), p_re=0.0)
-        act = ActionVector(a_ch=0.0, a_dis=1.0, w_raw=(0, 0, 0))
-        _, p_dis, soc = apply_battery(state, act, EnvConfig())
+        row = make_row(loads=(100.0, 0.0, 0.0), p_re=0.0)
+        _, p_dis, soc = battery(0.2, row, 0.0, 1.0)
         assert p_dis == 0.0
         assert soc == 0.2
 
     def test_surplus_caps_charging(self):
-        state = make_state(soc=0.5, loads=(90.0, 0.0, 0.0), p_re=100.0)
-        act = ActionVector(a_ch=1.0, a_dis=0.0, w_raw=(0, 0, 0))
-        p_ch, _, _ = apply_battery(state, act, EnvConfig())
+        row = make_row(loads=(90.0, 0.0, 0.0), p_re=100.0)
+        p_ch, _, _ = battery(0.5, row, 1.0, 0.0)
         assert p_ch == 10.0
 
     def test_deficit_caps_discharging(self):
-        state = make_state(soc=0.5, loads=(110.0, 0.0, 0.0), p_re=100.0)
-        act = ActionVector(a_ch=0.0, a_dis=1.0, w_raw=(0, 0, 0))
-        _, p_dis, _ = apply_battery(state, act, EnvConfig())
+        row = make_row(loads=(110.0, 0.0, 0.0), p_re=100.0)
+        _, p_dis, _ = battery(0.5, row, 0.0, 1.0)
         assert p_dis == 10.0
 
     def test_mutual_exclusion_by_net_sign(self):
-        cfg = EnvConfig()
-        both = ActionVector(a_ch=1.0, a_dis=1.0, w_raw=(0, 0, 0))
-        surplus = make_state(soc=0.5, loads=(10.0, 0.0, 0.0), p_re=100.0)
-        p_ch, p_dis, _ = apply_battery(surplus, both, cfg)
+        surplus = make_row(loads=(10.0, 0.0, 0.0), p_re=100.0)
+        p_ch, p_dis, _ = battery(0.5, surplus, 1.0, 1.0)
         assert p_ch > 0.0 and p_dis == 0.0
-        deficit = make_state(soc=0.5, loads=(100.0, 0.0, 0.0), p_re=10.0)
-        p_ch, p_dis, _ = apply_battery(deficit, both, cfg)
+        deficit = make_row(loads=(100.0, 0.0, 0.0), p_re=10.0)
+        p_ch, p_dis, _ = battery(0.5, deficit, 1.0, 1.0)
         assert p_ch == 0.0 and p_dis > 0.0
-        balanced = make_state(soc=0.5, loads=(50.0, 0.0, 0.0), p_re=50.0)
-        p_ch, p_dis, _ = apply_battery(balanced, both, cfg)
+        balanced = make_row(loads=(50.0, 0.0, 0.0), p_re=50.0)
+        p_ch, p_dis, _ = battery(0.5, balanced, 1.0, 1.0)
         assert p_ch == 0.0 and p_dis == 0.0
 
     def test_headroom_charges_exactly_to_max(self):
         cfg = EnvConfig()
-        state = make_state(soc=0.89, loads=(0.0, 0.0, 0.0), p_re=200.0)
-        act = ActionVector(a_ch=1.0, a_dis=0.0, w_raw=(0, 0, 0))
-        p_ch, _, soc = apply_battery(state, act, cfg)
+        row = make_row(loads=(0.0, 0.0, 0.0), p_re=200.0)
+        p_ch, _, soc = battery(0.89, row, 1.0, 0.0, cfg)
         assert 0.0 < p_ch < cfg.p_conv_kw
         assert soc == cfg.soc_max
 
@@ -197,9 +199,8 @@ class TestApplyBattery:
     def test_flows_feasible_and_soc_reproducible(self, soc, a_ch, a_dis,
                                                  p_re, load):
         cfg = EnvConfig()
-        state = make_state(soc=soc, loads=(load, 0.0, 0.0), p_re=p_re)
-        act = ActionVector(a_ch=a_ch, a_dis=a_dis, w_raw=(0, 0, 0))
-        p_ch, p_dis, soc_next = apply_battery(state, act, cfg)
+        row = make_row(loads=(load, 0.0, 0.0), p_re=p_re)
+        p_ch, p_dis, soc_next = battery(soc, row, a_ch, a_dis, cfg)
         assert p_ch >= 0.0 and p_dis >= 0.0
         assert p_ch * p_dis == 0.0
         assert cfg.soc_min <= soc_next <= cfg.soc_max
@@ -210,20 +211,19 @@ class TestApplyBattery:
 
 class TestAllocatePower:
     def test_hand_case(self):
-        alloc, imb, short = allocate_power(100.0, (0.5, 0.3, 0.2),
-                                           (60.0, 20.0, 20.0))
-        assert alloc == (50.0, 30.0, 20.0)
-        assert imb == (-10.0, 10.0, 0.0)
-        assert short == (10.0, 0.0, 0.0)
+        alloc, imb, short = allocate(90.0, (0.0, 0.0, 0.0),
+                                     (60.0, 20.0, 10.0))
+        assert alloc == (30.0, 30.0, 30.0)
+        assert imb == (-30.0, 10.0, 20.0)
+        assert short == (30.0, 0.0, 0.0)
 
     def test_zero_supply_shorts_everything(self):
-        _, _, short = allocate_power(0.0, (1 / 3, 1 / 3, 1 / 3),
-                                     (5.0, 6.0, 7.0))
+        _, _, short = allocate(0.0, (0.0, 0.0, 0.0), (5.0, 6.0, 7.0))
         assert short == (5.0, 6.0, 7.0)
 
     def test_exact_match_has_no_shortage(self):
-        alloc, imb, short = allocate_power(100.0, (0.6, 0.2, 0.2),
-                                           (60.0, 20.0, 20.0))
+        alloc, imb, short = allocate(90.0, (0.0, 0.0, 0.0),
+                                     (30.0, 30.0, 30.0))
         assert short == (0.0, 0.0, 0.0)
         assert imb == (0.0, 0.0, 0.0)
 
@@ -232,8 +232,7 @@ class TestAllocatePower:
            loads=st.tuples(*[st.floats(0, 200)] * 3))
     @settings(max_examples=200)
     def test_allocations_sum_to_supply(self, p_supply, w, loads):
-        w_hat = normalize_weights(w)
-        alloc, imb, short = allocate_power(p_supply, w_hat, loads)
+        alloc, imb, short = allocate(p_supply, w, loads)
         assert abs(sum(alloc) - p_supply) <= 1e-9 * max(1.0, p_supply)
         for a, l, i, s in zip(alloc, loads, imb, short):
             assert i == a - l
@@ -243,25 +242,28 @@ class TestAllocatePower:
 
 class TestStepReward:
     def test_no_shortage_is_one(self):
-        assert step_reward((0.0, 0.0, 0.0), (5.0, 5.0, 5.0), EnvConfig()) == 1.0
+        row = make_row(loads=(5.0, 5.0, 5.0), p_re=300.0)
+        assert step(EnvConfig(), row, 0.5, IDLE)[7] == 1.0
 
     def test_total_shortage_is_zero(self):
-        loads = (10.0, 20.0, 30.0)
-        assert step_reward(loads, loads, EnvConfig()) == 0.0
+        row = make_row(loads=(10.0, 20.0, 30.0), p_re=0.0)
+        assert step(EnvConfig(), row, 0.2, (0.0, 1.0, 0.0, 0.0, 0.0))[7] == 0.0
 
     def test_weighted_hand_case(self):
-        r = step_reward((0.0, 10.0, 10.0), (10.0, 10.0, 10.0), EnvConfig())
+        r = resilience_index((0.0, 10.0, 10.0), (10.0, 10.0, 10.0),
+                             EnvConfig().reward_weights)
         assert r == 0.7  # 1 - (2*10 + 1*10)/100, exact in binary floats
 
     def test_all_zero_loads_convention(self):
-        assert step_reward((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), EnvConfig()) == 1.0
+        row = make_row(loads=(0.0, 0.0, 0.0), p_re=0.0)
+        assert step(EnvConfig(), row, 0.5, IDLE)[7] == 1.0
 
     @given(loads=st.tuples(*[st.floats(0, 100)] * 3),
            fracs=st.tuples(*[st.floats(0, 1)] * 3))
     @settings(max_examples=200)
     def test_bounded(self, loads, fracs):
         shorts = tuple(f * l for f, l in zip(fracs, loads))
-        r = step_reward(shorts, loads, EnvConfig())
+        r = resilience_index(shorts, loads, PRIORITY_WEIGHTS)
         assert 0.0 <= r <= 1.0
 
 
@@ -269,82 +271,52 @@ class TestStep:
     def test_balanced_zero_action_rewards_one(self):
         """Generation exactly covers loads and weights match shares."""
         loads = (50.0, 30.0, 20.0)
-        scn = Scenario(p_re=np.array([100.0, 100.0]),
-                       loads=np.array([loads, loads]))
-        state = reset(EnvConfig(init_soc_range=(0.5, 0.5)), scn, 0)
         # Raw weights whose softmax equals the load shares.
         w_raw = tuple(math.log(l / 100.0) for l in loads)
-        out = step(EnvConfig(), scn, state,
-                   ActionVector(a_ch=0.0, a_dis=0.0, w_raw=w_raw))
-        assert out.reward == pytest.approx(1.0, abs=1e-12)
-        assert out.next_state.soc == 0.5
+        out = step(EnvConfig(), make_row(loads, 100.0), 0.5,
+                   (0.0, 0.0, *w_raw))
+        assert out[7] == pytest.approx(1.0, abs=1e-12)
+        assert out[0] == 0.5
 
     def test_no_resources_rewards_zero(self):
-        scn = Scenario(p_re=np.array([0.0]),
-                       loads=np.array([[40.0, 10.0, 5.0]]))
-        state = reset(EnvConfig(init_soc_range=(0.2, 0.2)), scn, 0)
-        out = step(EnvConfig(), scn, state,
-                   ActionVector(a_ch=0.0, a_dis=1.0, w_raw=(0, 0, 0)))
-        assert out.p_dis == 0.0
-        assert out.reward == 0.0
-        assert out.done
+        row = make_row(loads=(40.0, 10.0, 5.0), p_re=0.0)
+        _, _, p_dis, _, _, _, _, reward = step(
+            EnvConfig(), row, 0.2, (0.0, 1.0, 0.0, 0.0, 0.0))
+        assert p_dis == 0.0
+        assert reward == 0.0
 
     def test_supply_identity_and_done(self):
         scn = small_scenario(horizon=3)
         cfg = EnvConfig()
-        state = reset(cfg, scn, 0)
+        rows = scenario_rows(scn)
+        soc = 0.5
         rng = np.random.default_rng(0)
-        for t in range(3):
-            out = step(cfg, scn, state,
-                       ActionVector.from_array(rng.uniform(-1, 1, 5)))
-            assert out.p_supply == state.p_re_now + out.p_dis - out.p_ch
-            assert out.done == (t == 2)
-            state = out.next_state
-        with pytest.raises(ValueError, match="finished"):
-            step(cfg, scn, state,
-                 ActionVector(a_ch=0.0, a_dis=0.0, w_raw=(0, 0, 0)))
-
-    def test_terminal_state_freezes_series(self):
-        scn = small_scenario(horizon=2)
-        cfg = EnvConfig()
-        state = reset(cfg, scn, 0)
-        out = step(cfg, scn, state,
-                   ActionVector(a_ch=0.0, a_dis=0.0, w_raw=(0, 0, 0)))
-        out = step(cfg, scn, out.next_state,
-                   ActionVector(a_ch=0.0, a_dis=0.0, w_raw=(0, 0, 0)))
-        assert out.next_state.t == 2
-        assert out.next_state.p_re_now == scn.p_re[1]
+        for row in rows:
+            soc, p_ch, p_dis, p_supply, *_ = step(
+                cfg, row, soc, tuple(rng.uniform(-1, 1, 5)))
+            assert p_supply == row[3] + p_dis - p_ch
+        # An episode is the row table: there is no hour past the horizon.
+        assert len(rows) == 3
+        with pytest.raises(IndexError):
+            rows[3]
 
 
 class TestMicrogridEnv:
-    def test_step_before_reset_raises(self):
-        env = MicrogridEnv(EnvConfig(), small_scenario(),
-                           np.random.default_rng(0))
-        with pytest.raises(RuntimeError):
-            env.step(np.zeros(5))
+    """Episode accounting of the rollout loops over step."""
 
     def test_summary_matches_brute_force(self):
         """Accumulated episode stats equal a from-scratch recomputation."""
         scn = small_scenario(horizon=30, seed=2)
         cfg = EnvConfig()
-        env = MicrogridEnv(cfg, scn, np.random.default_rng(5))
-        env.reset()
-        rng = np.random.default_rng(6)
-        rewards, shortages, loads = [], [], []
-        done = False
-        while not done:
-            state = env.state
-            out = env.step(rng.uniform(-1, 1, 5))
-            rewards.append(out.reward)
-            shortages.append(out.shortages)
-            loads.append(state.loads_now)
-            done = out.done
-        summary = env.episode_summary()
+        policy = make_policy(6, 5, (8,), np.random.default_rng(5))
+        ev = evaluate_policy(policy, cfg, scn, deterministic=False, seed=6)
+        summary, traj = ev.summaries[0], ev.trajectory
 
-        sh = np.array(shortages).sum(axis=0)
-        ld = np.array(loads).sum(axis=0)
+        sh = traj.shortages.sum(axis=0)
+        ld = traj.loads.sum(axis=0)
         w = np.array(cfg.reward_weights)
         ri = 1.0 - (w @ sh) / (w @ ld)
+        rewards = traj.reward.tolist()
         assert summary.steps == 30
         assert abs(summary.reward_sum - sum(rewards)) <= 1e-12
         assert abs(summary.ri - ri) <= 1e-12
@@ -353,23 +325,20 @@ class TestMicrogridEnv:
 
     def test_reset_clears_accumulators(self):
         scn = small_scenario(horizon=5)
-        env = MicrogridEnv(EnvConfig(), scn, np.random.default_rng(0))
-        env.reset()
-        for _ in range(5):
-            env.step(np.zeros(5))
-        first = env.episode_summary()
-        env.reset()
-        for _ in range(5):
-            env.step(np.zeros(5))
-        second = env.episode_summary()
+        policy = make_policy(6, 5, (8,), np.random.default_rng(0))
+        value = make_value(6, (8,), np.random.default_rng(1))
+        envs = EnvBatch(EnvConfig(), scn, 1, seed=0)
+        buf = collect_rollouts(policy, value, envs, 10,
+                               np.random.default_rng(2))
+        first, second = buf.episode_summaries
         assert second.steps == first.steps == 5
+        assert second.reward_sum == pytest.approx(buf.rewards[5:, 0].sum(),
+                                                  abs=1e-12)
 
     def test_normalized_reward_in_unit_interval(self):
         scn = small_scenario(horizon=12, seed=9)
-        env = MicrogridEnv(EnvConfig(), scn, np.random.default_rng(1))
-        env.reset()
-        rng = np.random.default_rng(2)
-        done = False
-        while not done:
-            done = env.step(rng.uniform(-1, 1, 5)).done
-        assert 0.0 <= env.episode_summary().reward_final_norm <= 1.0
+        policy = make_policy(6, 5, (8,), np.random.default_rng(1))
+        ev = evaluate_policy(policy, EnvConfig(), scn, n_episodes=3,
+                             deterministic=False, seed=2)
+        for summary in ev.summaries:
+            assert 0.0 <= summary.reward_final_norm <= 1.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mgrl.env import PRIORITY_WEIGHTS, resilience_index
 from mgrl.ppo import TrainStats
 from mgrl.metrics import (
     EXCEEDS_CALENDAR,
@@ -11,7 +12,6 @@ from mgrl.metrics import (
     battery_throughput,
     estimate_battery_life,
     read_train_metrics_csv,
-    resilience_index,
     resilience_report,
     reward_curve_summary,
     write_train_metrics_csv,
@@ -23,30 +23,35 @@ class TestResilienceIndex:
     def test_weighted_hand_case(self):
         # weighted shortage 7*10+2*10+10 = 100 over weighted load
         # 7*50+2*50+50 = 500: exactly 0.8
-        assert resilience_index((10.0, 10.0, 10.0), (50.0, 50.0, 50.0)) == 0.8
+        assert resilience_index((10.0, 10.0, 10.0), (50.0, 50.0, 50.0),
+                                PRIORITY_WEIGHTS) == 0.8
 
     def test_no_shortage_is_perfect(self):
-        assert resilience_index((0.0, 0.0, 0.0), (10.0, 20.0, 30.0)) == 1.0
+        assert resilience_index((0.0, 0.0, 0.0), (10.0, 20.0, 30.0),
+                                PRIORITY_WEIGHTS) == 1.0
 
     def test_total_shortage_is_zero(self):
         loads = (12.0, 7.0, 3.0)
-        assert resilience_index(loads, loads) == 0.0
+        assert resilience_index(loads, loads, PRIORITY_WEIGHTS) == 0.0
 
     def test_zero_demand_is_perfect(self):
-        assert resilience_index((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)) == 1.0
+        assert resilience_index((0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                PRIORITY_WEIGHTS) == 1.0
 
     def test_monotone_in_each_shortage(self):
         loads = (40.0, 40.0, 40.0)
-        base = resilience_index((5.0, 5.0, 5.0), loads)
+        base = resilience_index((5.0, 5.0, 5.0), loads, PRIORITY_WEIGHTS)
         for tier in range(3):
             worse = [5.0, 5.0, 5.0]
             worse[tier] += 1.0
-            assert resilience_index(tuple(worse), loads) < base
+            assert resilience_index(tuple(worse), loads,
+                                    PRIORITY_WEIGHTS) < base
 
     def test_priority_ordering_of_equal_energy_shortfalls(self):
         loads = (40.0, 40.0, 40.0)
         tier_hit = [resilience_index(tuple(10.0 if i == t else 0.0
-                                           for i in range(3)), loads)
+                                           for i in range(3)), loads,
+                                     PRIORITY_WEIGHTS)
                     for t in range(3)]
         # losing essential load must hurt more than business, business
         # more than agricultural
@@ -60,7 +65,7 @@ class TestResilienceIndex:
 class TestResilienceReport:
     def test_matches_trajectory_brute_force(self):
         traj = make_trajectory(steps=25, seed=11)
-        rep = resilience_report(traj)
+        rep = resilience_report(traj, PRIORITY_WEIGHTS)
         sh = traj.shortages.sum(axis=0)
         ld = traj.loads.sum(axis=0)
         want = 1.0 - (7 * sh[0] + 2 * sh[1] + sh[2]) / \
@@ -69,9 +74,18 @@ class TestResilienceReport:
         assert rep.shortage_sums == tuple(sh)
         assert rep.load_sums == tuple(ld)
 
+    def test_uses_the_given_weights(self):
+        traj = make_trajectory(steps=25, seed=11)
+        w = np.array([10.0, 1.0, 0.1])
+        want = 1.0 - (w @ traj.shortages.sum(axis=0)) / \
+            (w @ traj.loads.sum(axis=0))
+        rep = resilience_report(traj, tuple(w))
+        assert rep.ri == pytest.approx(want, abs=1e-12)
+        assert rep.ri != resilience_report(traj, PRIORITY_WEIGHTS).ri
+
     def test_rewards_are_copied(self):
         traj = make_trajectory(steps=5)
-        rep = resilience_report(traj)
+        rep = resilience_report(traj, PRIORITY_WEIGHTS)
         rep.rewards[0] = -99.0
         assert traj.reward[0] != -99.0
 

@@ -19,7 +19,6 @@ from mgrl.neural import (
     gaussian_entropy,
     gaussian_log_prob,
     load_checkpoint,
-    log_prob_and_entropy,
     make_policy,
     make_value,
     mlp_backward,
@@ -158,23 +157,10 @@ class TestGaussianHead:
         b = sample_action(p, s, np.random.default_rng(11))
         np.testing.assert_array_equal(a.preclip, b.preclip)
 
-    def test_log_prob_and_entropy_consistent(self):
-        rng = np.random.default_rng(12)
-        p = make_policy(4, 3, (6,), rng)
-        s = rng.standard_normal((5, 4))
-        a = rng.standard_normal((5, 3))
-        lp, ent = log_prob_and_entropy(p, s, a)
-        mean, log_std = forward_policy(p, s)
-        np.testing.assert_allclose(lp, gaussian_log_prob(mean, log_std, a),
-                                   rtol=1e-14)
-        assert ent == gaussian_entropy(log_std)
-
     def test_non_finite_inputs_rejected(self):
         p = make_policy(2, 2, (4,), np.random.default_rng(0))
         with pytest.raises(ValueError):
             forward_policy(p, np.array([np.nan, 0.0]))
-        with pytest.raises(ValueError):
-            log_prob_and_entropy(p, np.zeros(2), np.array([np.inf, 0.0]))
 
 
 class TestObservationNormalization:

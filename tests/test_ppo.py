@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mgrl.env import EnvConfig, N_ACTIONS, N_FEATURES
+from mgrl.env import EnvConfig, N_ACTIONS, N_FEATURES, scenario_rows, step
 from mgrl.neural import (
     forward_policy,
     forward_value,
@@ -13,6 +13,7 @@ from mgrl.neural import (
     value_params,
 )
 from mgrl.ppo import (
+    EnvBatch,
     PpoConfig,
     RolloutBuffer,
     TrainingDivergedError,
@@ -20,10 +21,8 @@ from mgrl.ppo import (
     collect_rollouts,
     compute_gae,
     evaluate_policy,
-    make_envs,
     obs_stats_from_scenario,
     ppo_loss_and_grads,
-    run_episode,
     total_loss,
     train,
     value_loss,
@@ -137,22 +136,23 @@ class TestComputeGae:
 class TestLossHelpers:
     def test_clip_hand_case_positive_advantage(self):
         # ratio 1.3, advantage +1: objective min(1.3, 1.2) = 1.2 exactly.
-        lp_new = np.array([math.log(1.3)])
-        loss = clipped_policy_loss(lp_new, np.zeros(1), np.ones(1),
-                                   clip_eps=0.2)
+        loss, clip_frac, unclipped = clipped_policy_loss(
+            np.array([1.3]), np.ones(1), clip_eps=0.2)
         assert loss == -1.2
+        assert clip_frac == 1.0 and unclipped[0] == 0.0
 
     def test_clip_hand_case_negative_advantage(self):
         # ratio 0.5, advantage -1: objective min(-0.5, -0.8) = -0.8 exactly.
-        lp_new = np.array([math.log(0.5)])
-        loss = clipped_policy_loss(lp_new, np.zeros(1), -np.ones(1),
-                                   clip_eps=0.2)
+        loss, clip_frac, unclipped = clipped_policy_loss(
+            np.array([0.5]), -np.ones(1), clip_eps=0.2)
         assert loss == 0.8
+        assert clip_frac == 1.0 and unclipped[0] == 0.0
 
     def test_unclipped_region_is_plain_surrogate(self):
-        lp_new = np.array([math.log(1.1)])
-        loss = clipped_policy_loss(lp_new, np.zeros(1), np.array([2.0]), 0.2)
+        loss, clip_frac, unclipped = clipped_policy_loss(
+            np.array([1.1]), np.array([2.0]), 0.2)
         assert loss == pytest.approx(-2.0 * 1.1, rel=1e-12)
+        assert clip_frac == 0.0 and unclipped[0] == 1.0
 
     def test_value_loss_is_mean_squared_error(self):
         assert value_loss(np.array([1.0, 3.0]), np.array([0.0, 1.0])) == 2.5
@@ -199,9 +199,9 @@ class TestPpoLossAndGrads:
 
         mean, log_std = forward_policy(policy, batch["states"])
         lp_new = gaussian_log_prob(mean, log_std, batch["actions"])
-        assert rep.policy_loss == pytest.approx(
-            clipped_policy_loss(lp_new, batch["log_probs"],
-                                batch["advantages"], cfg.clip_eps), rel=1e-12)
+        loss, _, _ = clipped_policy_loss(np.exp(lp_new - batch["log_probs"]),
+                                         batch["advantages"], cfg.clip_eps)
+        assert rep.policy_loss == pytest.approx(loss, rel=1e-12)
         vals = forward_value(value, batch["states"])
         assert rep.value_loss == pytest.approx(
             value_loss(vals, batch["returns"]), rel=1e-12)
@@ -319,7 +319,7 @@ class TestCollectRollouts:
         rng = np.random.default_rng(seed)
         policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng)
         value = make_value(N_FEATURES, (8,), rng)
-        envs = make_envs(env_cfg, scn, n_envs, seed=0)
+        envs = EnvBatch(env_cfg, scn, n_envs, seed=0)
         return policy, value, envs
 
     def test_shapes_and_episode_accounting(self):
@@ -352,8 +352,40 @@ class TestCollectRollouts:
         with pytest.raises(ValueError):
             collect_rollouts(policy, value, envs, 7,
                              np.random.default_rng(0))
+        no_envs = EnvBatch(EnvConfig(), small_scenario(), 0, seed=0)
         with pytest.raises(ValueError):
-            collect_rollouts(policy, value, [], 4, np.random.default_rng(0))
+            collect_rollouts(policy, value, no_envs, 4,
+                             np.random.default_rng(0))
+
+    def test_episode_summaries_match_replay_through_step(self):
+        """Each finished episode, replayed from its stored clipped actions
+        through step, gives the RI and normalized reward collected."""
+        cfg = EnvConfig()
+        policy, value, envs = self.make_parts(horizon=5, n_envs=3)
+        rows = scenario_rows(small_scenario(horizon=5))
+        buf = collect_rollouts(policy, value, envs, 36,
+                               np.random.default_rng(8))
+        actions = np.clip(buf.actions, -1.0, 1.0)
+        w = np.array(cfg.reward_weights)
+        replayed = []
+        for start in range(0, 10, 5):  # two whole episodes in 12 steps
+            for i in range(3):
+                soc = buf.states[start, i, 0]
+                rewards, shortages, loads = [], [], []
+                for t, row in enumerate(rows):
+                    assert buf.states[start + t, i, 0] == soc
+                    soc, *_, short, reward = step(
+                        cfg, row, soc, tuple(actions[start + t, i]))
+                    rewards.append(reward)
+                    shortages.append(short)
+                    loads.append(row[:3])
+                ri = 1.0 - (w @ np.sum(shortages, axis=0)) / \
+                    (w @ np.sum(loads, axis=0))
+                replayed.append((ri, (sum(rewards) + ri) / (len(rows) + 1)))
+        assert len(buf.episode_summaries) == len(replayed) == 6
+        for summary, (ri, norm) in zip(buf.episode_summaries, replayed):
+            assert abs(summary.ri - ri) <= 1e-12
+            assert abs(summary.reward_final_norm - norm) <= 1e-12
 
 
 class TestObsStats:
@@ -439,12 +471,15 @@ class TestEvaluation:
         assert len(ev.trajectory) == 10
         assert len(ev.summaries) == 1
 
-    def test_stochastic_rollout_requires_rng(self):
+    def test_stochastic_episode_follows_its_action_stream(self):
         policy = self.trained()
         scn = small_scenario()
-        env = make_envs(EnvConfig(), scn, 1, seed=0)[0]
-        with pytest.raises(ValueError):
-            run_episode(policy, env, deterministic=False)
+        a, b, c = (evaluate_policy(policy, EnvConfig(), scn,
+                                   deterministic=False, seed=seed)
+                   for seed in (3, 3, 4))
+        np.testing.assert_array_equal(a.trajectory.reward,
+                                      b.trajectory.reward)
+        assert not np.array_equal(a.trajectory.reward, c.trajectory.reward)
 
     def test_bad_episode_count_rejected(self):
         with pytest.raises(ValueError):

@@ -213,7 +213,10 @@ def cmd_report(args) -> int:
         raise UserError("missing required artifacts: " + ", ".join(missing))
 
     stats = read_train_metrics_csv(required["training metrics"])
-    traj = read_trajectory_csv(required["evaluation trajectory"])
+    try:
+        traj = read_trajectory_csv(required["evaluation trajectory"])
+    except ValueError as exc:
+        raise UserError(str(exc)) from exc
     rep = resilience_report(traj, cfg.env.reward_weights)
     hours = len(traj) * cfg.scenario.step_hours
     throughput = battery_throughput(traj.p_ch, traj.p_dis,

@@ -1,9 +1,12 @@
 """Local linear explanations of the trained actor.
 
 For one state the pipeline perturbs the features, queries the actor's
-deterministic mean output for a chosen action dimension, weights the
-samples by proximity to the explained state, and fits a weighted ridge
-surrogate.  The surrogate yields two views per feature:
+deterministic mean output, weights the samples by proximity to the
+explained state, and fits a weighted ridge surrogate per explained
+action dimension.  All explained dims of one state share one
+perturbation cloud, one actor forward, one set of proximity weights and
+one normal matrix; only the right-hand side and the solve are per dim.
+The surrogate yields two views per feature:
 
 * ``coefficients`` — local slopes of the actor output in raw feature
   units (how the output would move if the feature moved);
@@ -115,8 +118,8 @@ class SurrogateFit:
 
 
 def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
-                  weights: np.ndarray,
-                  ridge_strength: float) -> SurrogateFit:
+                  weights: np.ndarray, ridge_strength: float
+                  ) -> SurrogateFit | tuple[SurrogateFit, ...]:
     """Weighted ridge regression via normal equations.
 
     The design is standardized by its own weighted mean/std, which makes
@@ -124,6 +127,9 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
     symmetric positive-definite system for any positive ridge.  Weights
     are normalized to sum to one, so duplicating the whole sample set
     changes nothing.
+
+    ``targets`` of shape (n,) give one fit; (n, k) give one fit per
+    column, all from the same standardized design and normal matrix.
     """
     z_raw = np.asarray(samples, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -139,10 +145,9 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
     sd = np.maximum(np.sqrt(var), 1e-9)
     z = (z_raw - mu) / sd
 
-    y_bar = float(omega @ y)
-    a = (z * omega[:, None]).T @ z
+    zw = z * omega[:, None]
+    a = zw.T @ z
     a[np.diag_indices_from(a)] += ridge_strength
-    rhs = (z * omega[:, None]).T @ (y - y_bar)
     # An exactly collinear design without ridge rounds to a tiny but
     # nonzero pivot, so LAPACK happily returns garbage; reject by
     # conditioning instead of waiting for a zero pivot.
@@ -152,17 +157,22 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
             f"surrogate system is singular or ill-conditioned "
             f"(cond={cond:.2e}, ridge_strength={ridge_strength}); "
             f"increase ridge_strength")
-    beta = np.linalg.solve(a, rhs)
 
-    resid = y - y_bar - z @ beta
-    ss_res = float(omega @ resid ** 2)
-    ss_tot = float(omega @ (y - y_bar) ** 2)
-    r2 = 1.0 if ss_tot <= 1e-18 else 1.0 - ss_res / ss_tot
-
-    coef_raw = beta / sd
-    intercept = y_bar - float(coef_raw @ mu)
-    return SurrogateFit(intercept=intercept, coefficients=coef_raw,
-                        coef_std=beta, r2=r2)
+    fits = []
+    # One solve per column: a multi-column LAPACK solve need not round
+    # like the single-column one.
+    for y_j in (y[:, None] if y.ndim == 1 else y).T:
+        y_bar = float(omega @ y_j)
+        beta = np.linalg.solve(a, zw.T @ (y_j - y_bar))
+        resid = y_j - y_bar - z @ beta
+        ss_res = float(omega @ resid ** 2)
+        ss_tot = float(omega @ (y_j - y_bar) ** 2)
+        r2 = 1.0 if ss_tot <= 1e-18 else 1.0 - ss_res / ss_tot
+        coef_raw = beta / sd
+        intercept = y_bar - float(coef_raw @ mu)
+        fits.append(SurrogateFit(intercept=intercept, coefficients=coef_raw,
+                                 coef_std=beta, r2=r2))
+    return fits[0] if y.ndim == 1 else tuple(fits)
 
 
 @dataclass(frozen=True)
@@ -186,55 +196,68 @@ class Explanation:
         return order
 
 
-def explain_action(policy_fn, x: np.ndarray, action_dim: int,
-                   cfg: ExplainConfig, stats: FeatureStats) -> Explanation:
-    """Explain one scalar actor output at one state.
+def explain_action(policy_fn, x: np.ndarray, action_dims: tuple[int, ...],
+                   cfg: ExplainConfig,
+                   stats: FeatureStats) -> tuple[Explanation, ...]:
+    """Explain several scalar actor outputs at one state.
 
     Args:
         policy_fn: a GaussianPolicy, or any callable mapping an (n, 6)
-            state matrix to an (n,) vector of target values — the latter
-            keeps the fitter testable against known functions.
+            state matrix to target values, (n,) for a single dim or
+            (n, k) for k dims — the latter keeps the fitter testable
+            against known functions.
         x: the state to explain, 6 features.
-        action_dim: which actor output to explain (0 = charge intent,
+        action_dims: which actor outputs to explain (0 = charge intent,
             1 = discharge intent, 2-4 = priority weights).
         stats: feature statistics from the evaluation trajectory.
+
+    Returns one Explanation per entry of ``action_dims``, in order.
     """
     cfg.validate()
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (N_FEATURES,):
         raise ValueError(f"instance must have {N_FEATURES} features")
-    if not 0 <= action_dim < len(ACTION_NAMES):
-        raise ValueError(f"action_dim out of range: {action_dim}")
+    if not action_dims or not all(0 <= d < len(ACTION_NAMES)
+                                  for d in action_dims):
+        raise ValueError(f"action_dims out of range: {action_dims}")
 
     rng = np.random.default_rng(cfg.seed)
     z = perturb(x, stats, cfg.n_samples, cfg.perturb_scale, rng)
     if isinstance(policy_fn, GaussianPolicy):
         mean, _ = forward_policy(policy_fn, z)
-        y = mean[:, action_dim]
+        # take() returns C order: with two or more dims each target
+        # column is strided like ``mean[:, d]``, so its dot products
+        # round exactly as a one-dim fit of ``mean[:, d]`` would.
+        y = np.take(mean, action_dims, axis=1)
     else:
         y = np.asarray(policy_fn(z), dtype=np.float64)
+        if y.ndim == 1:
+            y = y[:, None]
+    if y.shape != (cfg.n_samples, len(action_dims)):
+        raise ValueError(f"targets have shape {y.shape}, expected "
+                         f"{(cfg.n_samples, len(action_dims))}")
     w = proximity_weights(x, z, stats, cfg.kernel_sigma)
 
-    fit = fit_surrogate(z, y, w, cfg.ridge_strength)
-    keep = sorted(range(N_FEATURES),
-                  key=lambda i: (-abs(fit.coef_std[i]), i))[:cfg.top_k]
-    coefficients = np.zeros(N_FEATURES)
-    if cfg.top_k < N_FEATURES:
-        sub = fit_surrogate(z[:, keep], y, w, cfg.ridge_strength)
-        coefficients[keep] = sub.coefficients
-        intercept, r2 = sub.intercept, sub.r2
-    else:
-        coefficients[:] = fit.coefficients
-        intercept, r2 = fit.intercept, fit.r2
-
-    contributions = coefficients * (x - stats.mean)
-    return Explanation(
-        instance=x.copy(), action_dim=action_dim,
-        action_name=ACTION_NAMES[action_dim],
-        feature_names=FEATURE_NAMES, intercept=intercept,
-        coefficients=coefficients, contributions=contributions,
-        reference=stats.mean.copy(), fidelity=r2,
-        low_fidelity=r2 < LOW_FIDELITY_THRESHOLD, n_samples=cfg.n_samples)
+    out = []
+    for d, y_d, fit in zip(action_dims, y.T,
+                           fit_surrogate(z, y, w, cfg.ridge_strength)):
+        keep = sorted(range(N_FEATURES),
+                      key=lambda i: (-abs(fit.coef_std[i]), i))[:cfg.top_k]
+        coefficients = np.zeros(N_FEATURES)
+        if cfg.top_k < N_FEATURES:
+            fit = fit_surrogate(z[:, keep], y_d, w, cfg.ridge_strength)
+            coefficients[keep] = fit.coefficients
+        else:
+            coefficients[:] = fit.coefficients
+        out.append(Explanation(
+            instance=x.copy(), action_dim=d, action_name=ACTION_NAMES[d],
+            feature_names=FEATURE_NAMES, intercept=fit.intercept,
+            coefficients=coefficients,
+            contributions=coefficients * (x - stats.mean),
+            reference=stats.mean.copy(), fidelity=fit.r2,
+            low_fidelity=fit.r2 < LOW_FIDELITY_THRESHOLD,
+            n_samples=cfg.n_samples))
+    return tuple(out)
 
 
 def explain_step(policy: GaussianPolicy, traj: Trajectory, t: int,
@@ -246,8 +269,8 @@ def explain_step(policy: GaussianPolicy, traj: Trajectory, t: int,
             f"step {t} outside trajectory of length {len(traj)}")
     stats = FeatureStats.from_trajectory(traj, env_cfg)
     x = traj.states()[t]
-    return {name: explain_action(policy, x, dim, cfg, stats)
-            for name, dim in (("charge", 0), ("discharge", 1))}
+    return {e.action_name: e
+            for e in explain_action(policy, x, (0, 1), cfg, stats)}
 
 
 # ---------------------------------------------------------------------------

@@ -71,15 +71,40 @@ def write_trajectory_csv(traj: Trajectory, path: str | os.PathLike) -> None:
 
 
 def read_trajectory_csv(path: str | os.PathLike) -> Trajectory:
+    """Parse a trajectory CSV; bad input raises ValueError naming the
+    file, the 1-based data row and the column."""
+    width = len(CSV_HEADER)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, []))
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected trajectory header {header!r}")
-        rows = [[float(c) for c in row] for row in reader]
-    a = np.array(rows, dtype=np.float64).reshape(-1, len(CSV_HEADER))
+        rows = []
+        for n, row in enumerate(reader, start=1):
+            if len(row) != width:
+                where = (f"column {CSV_HEADER[len(row)]} missing"
+                         if len(row) < width else
+                         f"extra fields after column {CSV_HEADER[-1]}")
+                raise ValueError(f"{path}: data row {n}: {where} "
+                                 f"({len(row)} fields, expected {width})")
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError:
+                for name, cell in zip(CSV_HEADER, row):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ValueError(f"{path}: data row {n}, column "
+                                         f"{name}: not a number: {cell!r}"
+                                         ) from None
+    a = np.array(rows, dtype=np.float64).reshape(-1, width)
+    if not np.isfinite(a).all():
+        r, c = np.argwhere(~np.isfinite(a))[0]
+        raise ValueError(f"{path}: data row {r + 1}, column {CSV_HEADER[c]}: "
+                         f"non-finite value {float(a[r, c])!r}")
     return Trajectory(
         soc=a[:, 1], p_re=a[:, 2], loads=a[:, 3:6],
         p_ch=a[:, 6], p_dis=a[:, 7], p_supply=a[:, 8],
         allocations=a[:, 9:12], imbalances=a[:, 12:15],
         shortages=a[:, 15:18], reward=a[:, 18])
+

@@ -355,8 +355,8 @@ def test_criterion_08_surrogate_oracle(capsys):
         def actor(z):
             return 2.0 * z[:, 1] - 3.0 * z[:, 5] + 1.0
 
-        e = explain_action(actor, np.full(6, 0.5), 0,
-                           ExplainConfig(seed=0), stats)
+        e, = explain_action(actor, np.full(6, 0.5), (0,),
+                            ExplainConfig(seed=0), stats)
         coef_ok = (abs(e.coefficients[1] - 2.0) / 2.0 < 0.01
                    and abs(e.coefficients[5] + 3.0) / 3.0 < 0.01
                    and np.all(np.abs(

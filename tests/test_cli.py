@@ -281,6 +281,36 @@ class TestReportCommand:
         assert first == open(os.path.join(out, "report.csv"), "rb").read()
 
 
+class TestTrajectoryBoundary:
+    """A corrupt trajectory.csv is bad input (exit 1) for every command
+    that reads it, and the message names the file, row and column."""
+
+    @staticmethod
+    def corrupt(path, edit):
+        lines = open(path).read().splitlines()
+        fields = lines[4].split(",")  # data row 4
+        lines[4] = ",".join(edit(fields))
+        open(path, "w").write("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("command", [("explain", "--step", "1"),
+                                         ("report",)],
+                             ids=["explain", "report"])
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda f: [f[0], "nan", *f[2:]], "column soc"),
+        (lambda f: f[:-2], "column sh3 missing"),
+    ], ids=["nan-soc", "ragged-row"])
+    def test_corrupt_trajectory_is_user_error(self, conf, tmp_path, capsys,
+                                              command, edit, detail):
+        out = str(tmp_path / "out")
+        run_pipeline(conf, out)
+        self.corrupt(os.path.join(out, "trajectory.csv"), edit)
+        capsys.readouterr()
+        assert run(*command, "--config", conf, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "trajectory.csv: data row 4" in err
+        assert detail in err
+
+
 class TestParserBasics:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

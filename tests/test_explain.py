@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mgrl.env import EnvConfig, FEATURE_NAMES
+from mgrl.neural import forward_policy
 from mgrl.explain import (
     CSV_HEADER,
     ExplainConfig,
@@ -199,7 +200,8 @@ class TestExplainAction:
     def test_linear_oracle_recovered_through_pipeline(self):
         stats = flat_stats(mean=1.0)
         x = np.full(6, 2.0)
-        e = explain_action(linear_oracle, x, 1, ExplainConfig(seed=0), stats)
+        e, = explain_action(linear_oracle, x, (1,), ExplainConfig(seed=0),
+                            stats)
         assert abs(e.coefficients[1] - 2.0) / 2.0 < 0.01
         assert abs(e.coefficients[5] + 3.0) / 3.0 < 0.01
         assert e.fidelity > 0.999
@@ -212,8 +214,8 @@ class TestExplainAction:
         stats = flat_stats()
         x = np.zeros(6)
         x[0] = 1.5
-        e = explain_action(lambda z: z[:, 0], x, 0,
-                           ExplainConfig(seed=1), stats)
+        e, = explain_action(lambda z: z[:, 0], x, (0,),
+                            ExplainConfig(seed=1), stats)
         assert e.ranked_features()[0] == 0
         assert e.coefficients[0] == pytest.approx(1.0, abs=0.01)
         assert np.all(np.abs(np.delete(e.coefficients, 0)) < 0.01)
@@ -221,8 +223,8 @@ class TestExplainAction:
     def test_top_k_keeps_strongest_features_only(self):
         stats = flat_stats(mean=1.0)
         x = np.full(6, 2.5)
-        e = explain_action(linear_oracle, x, 0,
-                           ExplainConfig(seed=2, top_k=2), stats)
+        e, = explain_action(linear_oracle, x, (0,),
+                            ExplainConfig(seed=2, top_k=2), stats)
         nonzero = set(np.nonzero(e.coefficients)[0])
         assert nonzero == {1, 5}
         assert abs(e.coefficients[1] - 2.0) / 2.0 < 0.01
@@ -230,8 +232,10 @@ class TestExplainAction:
     def test_same_seed_reproduces_explanation(self):
         stats = flat_stats()
         x = np.linspace(-1, 1, 6)
-        a = explain_action(linear_oracle, x, 0, ExplainConfig(seed=3), stats)
-        b = explain_action(linear_oracle, x, 0, ExplainConfig(seed=3), stats)
+        a, = explain_action(linear_oracle, x, (0,), ExplainConfig(seed=3),
+                            stats)
+        b, = explain_action(linear_oracle, x, (0,), ExplainConfig(seed=3),
+                            stats)
         np.testing.assert_array_equal(a.coefficients, b.coefficients)
         assert a.fidelity == b.fidelity
 
@@ -247,9 +251,9 @@ class TestExplainAction:
 
         errors = []
         for sigma in (4.0, 2.0, 1.0, 0.5):
-            e = explain_action(curved, x, 0,
-                               ExplainConfig(seed=4, kernel_sigma=sigma),
-                               stats)
+            e, = explain_action(curved, x, (0,),
+                                ExplainConfig(seed=4, kernel_sigma=sigma),
+                                stats)
             g_at_x = e.intercept + float(e.coefficients @ x)
             errors.append(abs(g_at_x - 1.5 ** 2))
         assert errors == sorted(errors, reverse=True)
@@ -258,18 +262,24 @@ class TestExplainAction:
     def test_noise_targets_flag_low_fidelity(self):
         stats = flat_stats()
         rng = np.random.default_rng(8)
-        e = explain_action(lambda z: rng.standard_normal(len(z)),
-                           np.zeros(6), 0, ExplainConfig(seed=5), stats)
+        e, = explain_action(lambda z: rng.standard_normal(len(z)),
+                            np.zeros(6), (0,), ExplainConfig(seed=5), stats)
         assert e.low_fidelity
         assert "WARNING" in explanation_text(e)
 
     def test_input_validation(self):
         stats = flat_stats()
         with pytest.raises(ValueError):
-            explain_action(linear_oracle, np.zeros(4), 0,
+            explain_action(linear_oracle, np.zeros(4), (0,),
                            ExplainConfig(), stats)
         with pytest.raises(ValueError):
-            explain_action(linear_oracle, np.zeros(6), 9,
+            explain_action(linear_oracle, np.zeros(6), (9,),
+                           ExplainConfig(), stats)
+        with pytest.raises(ValueError):
+            explain_action(linear_oracle, np.zeros(6), (),
+                           ExplainConfig(), stats)
+        with pytest.raises(ValueError, match="shape"):  # one column, 2 dims
+            explain_action(linear_oracle, np.zeros(6), (0, 1),
                            ExplainConfig(), stats)
 
 
@@ -289,6 +299,60 @@ class TestExplainStep:
         assert out["discharge"].action_dim == 1
         assert out["charge"].action_name == "charge"
 
+    @pytest.mark.parametrize("top_k", [6, 3])
+    def test_matches_per_dim_reference_bitwise(self, top_k):
+        """One shared cloud, forward and normal matrix give exactly what a
+        separate perturb/forward/weights/fit per dim gives."""
+        policy, traj = self.make_policy_and_traj()
+        cfg = ExplainConfig(seed=0, top_k=top_k)
+        out = explain_step(policy, traj, 3, EnvConfig(), cfg)
+
+        stats = FeatureStats.from_trajectory(traj, EnvConfig())
+        x = traj.states()[3]
+        for name, dim in (("charge", 0), ("discharge", 1)):
+            z = perturb(x, stats, cfg.n_samples, cfg.perturb_scale,
+                        np.random.default_rng(cfg.seed))
+            y = forward_policy(policy, z)[0][:, dim]
+            w = proximity_weights(x, z, stats, cfg.kernel_sigma)
+            fit = fit_surrogate(z, y, w, cfg.ridge_strength)
+            coefficients = np.zeros(6)
+            keep = sorted(range(6), key=lambda i: (-abs(fit.coef_std[i]), i))
+            if top_k < 6:
+                fit = fit_surrogate(z[:, keep[:top_k]], y, w,
+                                    cfg.ridge_strength)
+                coefficients[keep[:top_k]] = fit.coefficients
+            else:
+                coefficients[:] = fit.coefficients
+            e = out[name]
+            np.testing.assert_array_equal(e.coefficients, coefficients)
+            np.testing.assert_array_equal(e.intercept, fit.intercept)
+            np.testing.assert_array_equal(e.fidelity, fit.r2)
+            np.testing.assert_array_equal(e.contributions,
+                                          coefficients * (x - stats.mean))
+        assert np.count_nonzero(out["charge"].coefficients) == top_k
+
+    @pytest.mark.parametrize("top_k", [6, 3])
+    def test_two_column_callable_matches_single_dim_calls(self, top_k):
+        # The single-dim callables return column views, so each target
+        # has the same memory stride (and dot-product rounding) in both.
+        def both(z):
+            return np.column_stack([linear_oracle(z), z[:, 0] * z[:, 2]])
+
+        stats = flat_stats(mean=0.5)
+        x = np.linspace(-1.0, 1.0, 6)
+        cfg = ExplainConfig(seed=7, n_samples=800, top_k=top_k)
+        pair = explain_action(both, x, (0, 1), cfg, stats)
+        for j, e in enumerate(pair):
+            single, = explain_action(lambda z: both(z)[:, j], x, (j,), cfg,
+                                     stats)
+            assert e.action_dim == single.action_dim == j
+            np.testing.assert_array_equal(e.coefficients,
+                                          single.coefficients)
+            np.testing.assert_array_equal(e.contributions,
+                                          single.contributions)
+            assert e.intercept == single.intercept
+            assert e.fidelity == single.fidelity
+
     def test_step_bounds_checked(self):
         policy, traj = self.make_policy_and_traj()
         with pytest.raises(ValueError):
@@ -302,7 +366,7 @@ class TestRendering:
         stats = flat_stats(mean=1.0)
         x = np.full(6, 2.0)
         cfg = ExplainConfig(seed=6, n_samples=500, **cfg_overrides)
-        return explain_action(linear_oracle, x, 1, cfg, stats)
+        return explain_action(linear_oracle, x, (1,), cfg, stats)[0]
 
     def test_svg_is_wellformed_xml(self):
         root = ET.fromstring(explanation_svg(self.make_explanation()))

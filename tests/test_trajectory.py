@@ -99,6 +99,28 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="header"):
             read_trajectory_csv(path)
 
+    @staticmethod
+    def write_with_row(path, n, edit):
+        """Valid 3-step file whose 1-based data row n is edited."""
+        write_trajectory_csv(make_trajectory(steps=3), path)
+        lines = path.read_text().splitlines()
+        lines[n] = ",".join(edit(lines[n].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda f: [*f[:2], "abc", *f[3:]],
+         "data row 2, column p_re: not a number: 'abc'"),
+        (lambda f: [*f[:2], "inf", *f[3:]],
+         "data row 2, column p_re: non-finite value inf"),
+        (lambda f: [*f, "0.0"],
+         "data row 2: extra fields after column reward"),
+    ], ids=["non-numeric", "non-finite", "extra-field"])
+    def test_bad_row_names_row_and_column(self, tmp_path, edit, detail):
+        path = tmp_path / "traj.csv"
+        self.write_with_row(path, 2, edit)
+        with pytest.raises(ValueError, match=f"traj.csv: {detail}"):
+            read_trajectory_csv(path)
+
     def test_empty_body_round_trips(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text(",".join(CSV_HEADER) + "\n")

@@ -29,15 +29,11 @@ from .metrics import (
 )
 from .neural import CheckpointError, load_checkpoint, save_checkpoint
 from .ppo import TrainingDivergedError, evaluate_policy, train
-from .scenario import (
-    ScenarioFormatError,
-    load_scenario_csv,
-    synth_cyclone_scenario,
-    validate_scenario,
-    write_scenario_csv,
-)
+from .scenario import (load_scenario_csv, synth_cyclone_scenario,
+                       write_scenario_csv)
 from .seeding import derive_seed
 from .svg import line_chart
+from .table import TableError
 from .trajectory import read_trajectory_csv, write_trajectory_csv
 
 EXIT_OK = 0
@@ -87,10 +83,6 @@ def _load_policy(cfg: RunConfig, explicit: str | None):
 def cmd_scenario(args) -> int:
     cfg = _load(args)
     scn = synth_cyclone_scenario(cfg.scenario)
-    problems = validate_scenario(scn)
-    if problems:
-        raise RuntimeError("generated scenario failed validation: "
-                           + "; ".join(problems))
     _ensure_dir(cfg.output_dir)
     path = os.path.join(cfg.output_dir, SCENARIO_FILE)
     write_scenario_csv(scn, path)
@@ -173,10 +165,7 @@ def cmd_explain(args) -> int:
     if not os.path.exists(traj_path):
         raise UserError(f"trajectory file not found: {traj_path} "
                         f"(produce one with 'mgrl eval')")
-    try:
-        traj = read_trajectory_csv(traj_path)
-    except ValueError as exc:
-        raise UserError(str(exc)) from exc
+    traj = read_trajectory_csv(traj_path)
     if args.step is not None:
         if not 0 <= args.step < len(traj):
             raise UserError(f"step {args.step} outside trajectory "
@@ -213,10 +202,9 @@ def cmd_report(args) -> int:
         raise UserError("missing required artifacts: " + ", ".join(missing))
 
     stats = read_train_metrics_csv(required["training metrics"])
-    try:
-        traj = read_trajectory_csv(required["evaluation trajectory"])
-    except ValueError as exc:
-        raise UserError(str(exc)) from exc
+    traj = read_trajectory_csv(required["evaluation trajectory"])
+    if not len(traj):
+        raise UserError(f"{required['evaluation trajectory']}: no data rows")
     rep = resilience_report(traj, cfg.env.reward_weights)
     hours = len(traj) * cfg.scenario.step_hours
     throughput = battery_throughput(traj.p_ch, traj.p_dis,
@@ -393,8 +381,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, ConfigError, ScenarioFormatError,
-            CheckpointError) as exc:
+    except (UserError, ConfigError, TableError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
     except BrokenPipeError:

@@ -7,15 +7,15 @@ throughput and lifespan accounting, convergence summaries of the
 learning curve, and the CSV round-trip for the training metrics log.
 """
 
-import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import env
 from .ppo import TrainStats
+from .table import Layout
 from .trajectory import Trajectory
 
 HOURS_PER_YEAR = 8760.0
@@ -139,31 +139,18 @@ def reward_curve_summary(updates, rewards, window: int = 10,
 
 TRAIN_CSV_HEADER = ("update", "mean_reward_norm", "RI", "policy_loss",
                     "value_loss", "entropy", "clip_frac")
+LAYOUT = Layout("metrics", TRAIN_CSV_HEADER)
 
 
 def write_train_metrics_csv(stats: list[TrainStats],
                             path: str | os.PathLike) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TRAIN_CSV_HEADER) + "\n")
-        for s in stats:
-            fh.write(f"{s.update},{s.mean_reward_norm!r},{s.ri!r},"
-                     f"{s.policy_loss!r},{s.value_loss!r},{s.entropy!r},"
-                     f"{s.clip_frac!r}\n")
+    LAYOUT.write(path, [s.update for s in stats],
+                 [astuple(s)[1:] for s in stats])
 
 
 def read_train_metrics_csv(path: str | os.PathLike) -> list[TrainStats]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, []))
-        if header != TRAIN_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected metrics header {header!r}")
-        out = []
-        for row in reader:
-            if len(row) != len(TRAIN_CSV_HEADER):
-                raise ValueError(f"{path}: ragged metrics row {row!r}")
-            out.append(TrainStats(
-                update=int(row[0]), mean_reward_norm=float(row[1]),
-                ri=float(row[2]), policy_loss=float(row[3]),
-                value_loss=float(row[4]), entropy=float(row[5]),
-                clip_frac=float(row[6])))
-    return out
+    """Parse a metrics CSV; a malformed table raises ValueError naming the
+    file, the 1-based data row and the column.  Float cells are not
+    range-checked: mean_reward_norm and RI stay NaN until an episode ends."""
+    return [TrainStats(int(update), *rest)
+            for update, *rest in LAYOUT.read(path).tolist()]

@@ -80,9 +80,10 @@ def mlp_forward(m: Mlp, x: np.ndarray) -> tuple[np.ndarray, list]:
     h = x
     last = len(m.weights) - 1
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-        h = h @ w + b
+        h = h @ w  # a fresh array, so the bias and tanh can go in place
+        h += b
         if i < last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         inputs.append(h)
     return h, inputs
 

@@ -10,12 +10,12 @@ All series are stored as float64 kW at a fixed 1-hour step, so kW and
 kWh-per-step are numerically interchangeable.
 """
 
-import csv
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .table import Layout, TableError
 
 CSV_COLUMNS = ("t", "p_re", "l1", "l2", "l3")
 
@@ -38,8 +38,12 @@ _SUNSET_HOUR = 18
 _STORM_GUST_FACTOR = 2.2
 
 
-class ScenarioFormatError(ValueError):
+class ScenarioFormatError(TableError):
     """Raised when a scenario CSV violates the documented schema."""
+
+
+LAYOUT = Layout("scenario", CSV_COLUMNS, row="row {i}", column="column {!r}",
+                error=ScenarioFormatError, strip_header=True)
 
 
 @dataclass(frozen=True)
@@ -153,75 +157,24 @@ def load_scenario_csv(path: str | os.PathLike) -> Scenario:
 
     Raises ScenarioFormatError naming the offending row and column on a
     malformed header, ragged row, non-numeric entry, negative or non-finite
-    value, or an out-of-order ``t`` index.
+    value, or an out-of-order ``t`` index, and naming the file when it
+    has no data rows.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ScenarioFormatError(f"{path}: empty file, expected header "
-                                      f"{','.join(CSV_COLUMNS)}") from None
-        if tuple(h.strip() for h in header) != CSV_COLUMNS:
-            raise ScenarioFormatError(
-                f"{path}: malformed header {header!r}, expected {','.join(CSV_COLUMNS)}")
-
-        p_re: list[float] = []
-        loads: list[tuple[float, float, float]] = []
-        for i, row in enumerate(reader):
-            if len(row) != 5:
-                raise ScenarioFormatError(
-                    f"{path}: row {i}: expected 5 fields, got {len(row)}")
-            values = []
-            for col, cell in zip(CSV_COLUMNS, row):
-                try:
-                    values.append(int(cell) if col == "t" else float(cell))
-                except ValueError:
-                    raise ScenarioFormatError(
-                        f"{path}: row {i}, column {col!r}: "
-                        f"not a number: {cell!r}") from None
-            if values[0] != i:
-                raise ScenarioFormatError(
-                    f"{path}: row {i}, column 't': expected {i}, got {values[0]} "
-                    f"(rows must be sorted with no gaps)")
-            for col, v in zip(CSV_COLUMNS[1:], values[1:]):
-                if not math.isfinite(v):
-                    raise ScenarioFormatError(
-                        f"{path}: row {i}, column {col!r}: non-finite value")
-                if v < 0:
-                    raise ScenarioFormatError(
-                        f"{path}: row {i}, column {col!r}: negative value {v}")
-            p_re.append(values[1])
-            loads.append((values[2], values[3], values[4]))
-
-    return Scenario(p_re=np.array(p_re), loads=np.array(loads).reshape(-1, 3))
+    a = LAYOUT.read(path)
+    if not len(a):
+        raise ScenarioFormatError(f"{path}: no data rows, expected one "
+                                  f"per hour after the header")
+    bad = np.flatnonzero(a[:, 0] != np.arange(len(a)))
+    if len(bad):
+        i = int(bad[0])
+        LAYOUT.fail(path, i, "t", f"expected {i}, got {int(a[i, 0])} "
+                                  f"(rows must be sorted with no gaps)")
+    LAYOUT.reject(path, a, ~np.isfinite(a), "non-finite value {!r}")
+    LAYOUT.reject(path, a, a < 0, "negative value {!r}")
+    return Scenario(p_re=a[:, 1].copy(), loads=a[:, 2:].copy())
 
 
 def write_scenario_csv(scn: Scenario, path: str | os.PathLike) -> None:
     """Write a scenario in the CSV schema, round-tripping floats exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for t in range(scn.horizon):
-            l1, l2, l3 = (float(v) for v in scn.loads[t])
-            fh.write(f"{t},{float(scn.p_re[t])!r},{l1!r},{l2!r},{l3!r}\n")
-
-
-def validate_scenario(scn: Scenario) -> list[str]:
-    """Return one entry per invariant violation; empty list iff valid."""
-    report: list[str] = []
-    if scn.loads.ndim != 2 or scn.loads.shape[1] != 3:
-        report.append(f"loads must have shape (horizon, 3), got {scn.loads.shape}")
-        return report
-    if len(scn.loads) != len(scn.p_re):
-        report.append(f"length mismatch: p_re has {len(scn.p_re)} steps, "
-                      f"loads has {len(scn.loads)}")
-    for t in np.flatnonzero(~np.isfinite(scn.p_re)):
-        report.append(f"p_re[{t}] non-finite")
-    for t in np.flatnonzero(np.isfinite(scn.p_re) & (scn.p_re < 0)):
-        report.append(f"p_re[{t}] negative ({scn.p_re[t]})")
-    for t, i in zip(*np.where(~np.isfinite(scn.loads))):
-        report.append(f"loads[{t},{i}] non-finite")
-    finite = np.isfinite(scn.loads)
-    for t, i in zip(*np.where(finite & (scn.loads < 0))):
-        report.append(f"loads[{t},{i}] negative ({scn.loads[t, i]})")
-    return report
+    LAYOUT.write(path, range(scn.horizon),
+                 np.column_stack([scn.p_re, scn.loads]))

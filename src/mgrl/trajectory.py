@@ -7,15 +7,20 @@ imbalances and shortages, and the step reward.  Floats are written with
 repr so a read-back reproduces the numbers exactly.
 """
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .table import Layout
+
 CSV_HEADER = ("t", "soc", "p_re", "l1", "l2", "l3", "p_ch", "p_dis",
               "p_supply", "alloc1", "alloc2", "alloc3",
               "imb1", "imb2", "imb3", "sh1", "sh2", "sh3", "reward")
+LAYOUT = Layout("trajectory", CSV_HEADER)
+# Only the imbalances may be negative; SOC and reward are fractions.
+_NON_NEGATIVE = ~np.isin(CSV_HEADER, ("imb1", "imb2", "imb3"))
+_FRACTION = np.isin(CSV_HEADER, ("soc", "reward"))
 
 MODE_FLOW_EPS_KW = 1e-6
 
@@ -59,52 +64,23 @@ class Trajectory:
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for t in range(len(traj)):
-            row = [t, traj.soc[t], traj.p_re[t], *traj.loads[t],
-                   traj.p_ch[t], traj.p_dis[t], traj.p_supply[t],
-                   *traj.allocations[t], *traj.imbalances[t],
-                   *traj.shortages[t], traj.reward[t]]
-            fh.write(",".join(repr(float(v)) if i else str(int(v))
-                              for i, v in enumerate(row)) + "\n")
+    LAYOUT.write(path, range(len(traj)), np.column_stack(
+        [traj.soc, traj.p_re, traj.loads, traj.p_ch, traj.p_dis,
+         traj.p_supply, traj.allocations, traj.imbalances, traj.shortages,
+         traj.reward]))
 
 
 def read_trajectory_csv(path: str | os.PathLike) -> Trajectory:
     """Parse a trajectory CSV; bad input raises ValueError naming the
-    file, the 1-based data row and the column."""
-    width = len(CSV_HEADER)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, []))
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected trajectory header {header!r}")
-        rows = []
-        for n, row in enumerate(reader, start=1):
-            if len(row) != width:
-                where = (f"column {CSV_HEADER[len(row)]} missing"
-                         if len(row) < width else
-                         f"extra fields after column {CSV_HEADER[-1]}")
-                raise ValueError(f"{path}: data row {n}: {where} "
-                                 f"({len(row)} fields, expected {width})")
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                for name, cell in zip(CSV_HEADER, row):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise ValueError(f"{path}: data row {n}, column "
-                                         f"{name}: not a number: {cell!r}"
-                                         ) from None
-    a = np.array(rows, dtype=np.float64).reshape(-1, width)
-    if not np.isfinite(a).all():
-        r, c = np.argwhere(~np.isfinite(a))[0]
-        raise ValueError(f"{path}: data row {r + 1}, column {CSV_HEADER[c]}: "
-                         f"non-finite value {float(a[r, c])!r}")
+    file, the 1-based data row and the column: a malformed table, a
+    non-finite value, a negative flow, load, allocation or shortage, or
+    an SOC or reward outside [0, 1]."""
+    a = LAYOUT.read(path)
+    LAYOUT.reject(path, a, ~np.isfinite(a), "non-finite value {!r}")
+    LAYOUT.reject(path, a, (a < 0) & _NON_NEGATIVE, "negative value {!r}")
+    LAYOUT.reject(path, a, (a > 1) & _FRACTION, "value {!r} above 1")
     return Trajectory(
         soc=a[:, 1], p_re=a[:, 2], loads=a[:, 3:6],
         p_ch=a[:, 6], p_dis=a[:, 7], p_supply=a[:, 8],
         allocations=a[:, 9:12], imbalances=a[:, 12:15],
         shortages=a[:, 15:18], reward=a[:, 18])
-

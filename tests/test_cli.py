@@ -281,16 +281,18 @@ class TestReportCommand:
         assert first == open(os.path.join(out, "report.csv"), "rb").read()
 
 
+def corrupt(path, edit, n=4):
+    """Rewrite the 1-based data row n of a CSV artifact through edit."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[n] = ",".join(edit(lines[n].split(",")))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 class TestTrajectoryBoundary:
     """A corrupt trajectory.csv is bad input (exit 1) for every command
     that reads it, and the message names the file, row and column."""
-
-    @staticmethod
-    def corrupt(path, edit):
-        lines = open(path).read().splitlines()
-        fields = lines[4].split(",")  # data row 4
-        lines[4] = ",".join(edit(fields))
-        open(path, "w").write("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("command", [("explain", "--step", "1"),
                                          ("report",)],
@@ -303,12 +305,70 @@ class TestTrajectoryBoundary:
                                               command, edit, detail):
         out = str(tmp_path / "out")
         run_pipeline(conf, out)
-        self.corrupt(os.path.join(out, "trajectory.csv"), edit)
+        corrupt(os.path.join(out, "trajectory.csv"), edit)
         capsys.readouterr()
         assert run(*command, "--config", conf, "--out", out) == 1
         err = capsys.readouterr().err
         assert "trajectory.csv: data row 4" in err
         assert detail in err
+
+    @pytest.mark.parametrize("command, edit, detail", [
+        (("report",), lambda f: [*f[:6], "-1.5", *f[7:]],
+         "column p_ch: negative value -1.5"),
+        (("explain", "--step", "1"), lambda f: [f[0], "7.0", *f[2:]],
+         "column soc: value 7.0 above 1"),
+    ], ids=["negative-p_ch-report", "soc-above-1-explain"])
+    def test_physically_impossible_value_is_user_error(
+            self, conf, tmp_path, capsys, command, edit, detail):
+        out = str(tmp_path / "out")
+        run_pipeline(conf, out)
+        corrupt(os.path.join(out, "trajectory.csv"), edit)
+        capsys.readouterr()
+        assert run(*command, "--config", conf, "--out", out) == 1
+        assert f"trajectory.csv: data row 4, {detail}" in \
+            capsys.readouterr().err
+
+    def test_header_only_trajectory_report_is_user_error(self, conf, tmp_path,
+                                                         capsys):
+        out = str(tmp_path / "out")
+        run_pipeline(conf, out)
+        path = os.path.join(out, "trajectory.csv")
+        with open(path) as fh:
+            header = fh.readline()
+        with open(path, "w") as fh:
+            fh.write(header)
+        capsys.readouterr()
+        assert run("report", "--config", conf, "--out", out) == 1
+        assert "trajectory.csv: no data rows" in capsys.readouterr().err
+
+
+class TestMetricsBoundary:
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda f: [*f[:2], "abc", *f[3:]],
+         "data row 2, column RI: not a number: 'abc'"),
+        (lambda f: f[:-2], "data row 2: column entropy missing"),
+    ], ids=["non-numeric", "ragged-row"])
+    def test_corrupt_metrics_report_is_user_error(self, conf, tmp_path,
+                                                  capsys, edit, detail):
+        out = str(tmp_path / "out")
+        run_pipeline(conf, out)
+        corrupt(os.path.join(out, "metrics.csv"), edit, n=2)
+        capsys.readouterr()
+        assert run("report", "--config", conf, "--out", out) == 1
+        assert f"metrics.csv: {detail}" in capsys.readouterr().err
+
+
+class TestScenarioBoundary:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_header_only_scenario_is_user_error(self, conf, tmp_path, capsys,
+                                                command):
+        out = str(tmp_path / "out")
+        run_pipeline(conf, out, through="train")
+        with open(os.path.join(out, "scenario.csv"), "w") as fh:
+            fh.write("t,p_re,l1,l2,l3\n")
+        capsys.readouterr()
+        assert run(command, "--config", conf, "--out", out) == 1
+        assert "scenario.csv: no data rows" in capsys.readouterr().err
 
 
 class TestParserBasics:

@@ -3,12 +3,10 @@ import pytest
 
 from mgrl.scenario import (
     CSV_COLUMNS,
-    Scenario,
     ScenarioConfig,
     ScenarioFormatError,
     load_scenario_csv,
     synth_cyclone_scenario,
-    validate_scenario,
     write_scenario_csv,
 )
 
@@ -41,7 +39,7 @@ class TestSynthCycloneScenario:
         assert np.all(np.isfinite(scn.p_re))
         assert np.all(scn.p_re >= 0)
         assert np.all(scn.loads >= 0)
-        assert validate_scenario(scn) == []
+        assert np.all(np.isfinite(scn.loads))
 
     def test_deterministic_per_seed(self):
         a = synth_cyclone_scenario(ScenarioConfig(rng_seed=3))
@@ -152,24 +150,3 @@ class TestScenarioCsv:
         path.write_text("t,p_re,l1,l2,l3\n0,1,1,1,1\n2,1,1,1,1\n")
         with pytest.raises(ScenarioFormatError, match="row 1"):
             load_scenario_csv(path)
-
-
-class TestValidateScenario:
-    def test_flags_negative_and_non_finite(self):
-        scn = Scenario(p_re=np.array([1.0, -2.0, np.nan]),
-                       loads=np.array([[1.0, 1.0, 1.0],
-                                       [np.inf, 1.0, -3.0],
-                                       [1.0, 1.0, 1.0]]))
-        report = validate_scenario(scn)
-        assert any("p_re[1] negative" in r for r in report)
-        assert any("p_re[2] non-finite" in r for r in report)
-        assert any("loads[1,0] non-finite" in r for r in report)
-        assert any("loads[1,2] negative" in r for r in report)
-
-    def test_length_mismatch(self):
-        scn = Scenario(p_re=np.zeros(2), loads=np.zeros((3, 3)))
-        assert any("length mismatch" in r for r in validate_scenario(scn))
-
-    def test_clean_scenario_passes(self):
-        assert validate_scenario(synth_cyclone_scenario(
-            ScenarioConfig(horizon_steps=24, cyclone_window=(6, 18)))) == []

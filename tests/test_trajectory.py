@@ -13,10 +13,11 @@ def make_trajectory(steps=6, seed=0):
     rng = np.random.default_rng(seed)
     flows = rng.uniform(0.0, 30.0, (steps, 2))
     surplus = rng.random(steps) < 0.5
-    p_ch = np.where(surplus, flows[:, 0], 0.0)
-    p_dis = np.where(surplus, 0.0, flows[:, 1])
     loads = rng.uniform(0.0, 60.0, (steps, 3))
     p_re = rng.uniform(0.0, 150.0, steps)
+    # Charging never exceeds generation, so supply stays non-negative.
+    p_ch = np.where(surplus, np.minimum(flows[:, 0], p_re), 0.0)
+    p_dis = np.where(surplus, 0.0, flows[:, 1])
     p_supply = p_re + p_dis - p_ch
     alloc = p_supply[:, None] * np.array([0.5, 0.3, 0.2])
     imb = alloc - loads

@@ -136,6 +136,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.episodes < 1:
+        raise UserError(f"--episodes must be at least 1, got {args.episodes}")
     cfg = _load(args)
     (policy, _value), ck_path = _load_policy(cfg, args.checkpoint)
     scn, _ = _load_scenario(cfg, args.scenario)

@@ -67,9 +67,9 @@ class EnvConfig:
         if self.e_max_kwh <= 0 or self.p_conv_kw <= 0:
             raise ValueError("e_max_kwh and p_conv_kw must be > 0")
         w1, w2, w3 = self.reward_weights
-        if not w1 > w2 > w3:
-            raise ValueError(f"reward_weights must be strictly decreasing, "
-                             f"got {self.reward_weights}")
+        if not w1 > w2 > w3 >= 0.0:
+            raise ValueError(f"reward_weights must be strictly decreasing "
+                             f"and non-negative, got {self.reward_weights}")
         lo, hi = self.soc_range()
         if not self.soc_min <= lo <= hi <= self.soc_max:
             raise ValueError(f"init_soc_range {self.init_soc_range} must lie "

@@ -74,33 +74,71 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-def mlp_forward(m: Mlp, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Forward pass on a (B, n_in) batch; cache holds each layer's input."""
+def mlp_forward(m: Mlp, x: np.ndarray, outs: list | None = None,
+                scratch: list | None = None) -> tuple[np.ndarray, list]:
+    """Forward pass on a (B, n_in) batch; cache holds each layer's input.
+
+    With ``outs`` (one array of at least B rows per layer) and ``scratch``
+    (flat arrays of at least B x the widest layer, given together) layer i
+    writes its output into the first B rows of ``outs[i]`` and allocates
+    nothing; without them each layer output is a fresh array.
+    """
     inputs = [x]
     h = x
     last = len(m.weights) - 1
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-        h = h @ w  # a fresh array, so the bias and tanh can go in place
-        h += b
+        if outs is None:
+            h = h @ w  # a fresh array, so the bias and tanh can go in place
+            h += b
+        else:
+            h = np.matmul(h, w, out=outs[i][:len(x)])
+            # Tile the bias first: a broadcast add allocates an iteration
+            # buffer of up to 64 KiB inside NumPy.
+            bias = _rows(scratch, 0, *h.shape)
+            np.copyto(bias, b)
+            h += bias
         if i < last:
             np.tanh(h, out=h)
         inputs.append(h)
     return h, inputs
 
 
-def mlp_backward(m: Mlp, cache: list, gy: np.ndarray
-                 ) -> tuple[list, list, np.ndarray]:
-    """Exact reverse-mode pass: returns (weight grads, bias grads, input grad)."""
-    gw = [None] * len(m.weights)
-    gb = [None] * len(m.biases)
+def mlp_backward(m: Mlp, cache: list, gy: np.ndarray,
+                 grads: list | None = None, scratch: list | None = None,
+                 input_grad: bool = True
+                 ) -> tuple[list, list, np.ndarray | None]:
+    """Exact reverse-mode pass: returns (weight grads, bias grads, input grad).
+
+    ``grads`` ([*weight grads, *bias grads], shaped like the parameters)
+    receives the parameter gradients, and ``scratch`` (three flat arrays of
+    at least B x the widest layer) the backpropagated gradient and tanh';
+    without them fresh arrays are allocated.  With ``input_grad``
+    False the layer-0 input gradient is skipped and returned as None.
+    """
+    n_layers = len(m.weights)
+    gw = [None] * n_layers if grads is None else grads[:n_layers]
+    gb = [None] * n_layers if grads is None else grads[n_layers:]
+    n = len(gy)
     g = gy
-    for i in range(len(m.weights) - 1, -1, -1):
-        gw[i] = cache[i].T @ g
-        gb[i] = g.sum(axis=0)
-        g = g @ m.weights[i].T
-        if i > 0:
-            g = g * (1.0 - cache[i] ** 2)  # tanh' through the hidden output
+    for i in range(n_layers - 1, -1, -1):
+        gw[i] = np.matmul(cache[i].T, g, out=gw[i])
+        gb[i] = np.sum(g, axis=0, out=gb[i])
+        if i == 0 and not input_grad:
+            return gw, gb, None
+        width = m.weights[i].shape[0]
+        g = np.matmul(g, m.weights[i].T, out=_rows(scratch, i % 2, n, width))
+        if i > 0:  # tanh' through the hidden output
+            d = np.square(cache[i], out=_rows(scratch, 2, n, width))
+            np.subtract(1.0, d, out=d)
+            g *= d
     return gw, gb, g
+
+
+def _rows(scratch: list | None, j: int, n: int, width: int):
+    """(n, width) C-order view at the front of scratch[j]; None allocates."""
+    if scratch is None:
+        return None
+    return scratch[j][:n * width].reshape(n, width)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +205,9 @@ def _norm_vec(v, n: int, default: float) -> np.ndarray:
     return v.copy()
 
 
-def _normalize(x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    return (x - mean) / scale
+def normalize(net: GaussianPolicy | ValueNet, x: np.ndarray) -> np.ndarray:
+    """The network's input: raw state features under its fixed affine map."""
+    return (x - net.obs_mean) / net.obs_scale
 
 
 def forward_policy(p: GaussianPolicy, s) -> tuple[np.ndarray, np.ndarray]:
@@ -176,16 +215,8 @@ def forward_policy(p: GaussianPolicy, s) -> tuple[np.ndarray, np.ndarray]:
     x, single = _as_batch(s)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite state features")
-    mean, _ = mlp_forward(p.trunk, _normalize(x, p.obs_mean, p.obs_scale))
+    mean, _ = mlp_forward(p.trunk, normalize(p, x))
     return (mean[0] if single else mean), p.clamped_log_std()
-
-
-def policy_mean_cached(p: GaussianPolicy, s: np.ndarray
-                       ) -> tuple[np.ndarray, list]:
-    """Batch-only forward that keeps the cache for a later backward pass."""
-    mean, cache = mlp_forward(
-        p.trunk, _normalize(s, p.obs_mean, p.obs_scale))
-    return mean, cache
 
 
 def forward_value(v: ValueNet, s) -> np.ndarray | float:
@@ -193,13 +224,8 @@ def forward_value(v: ValueNet, s) -> np.ndarray | float:
     x, single = _as_batch(s)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite state features")
-    out, _ = mlp_forward(v.net, _normalize(x, v.obs_mean, v.obs_scale))
+    out, _ = mlp_forward(v.net, normalize(v, x))
     return float(out[0, 0]) if single else out[:, 0]
-
-
-def value_cached(v: ValueNet, s: np.ndarray) -> tuple[np.ndarray, list]:
-    out, cache = mlp_forward(v.net, _normalize(s, v.obs_mean, v.obs_scale))
-    return out[:, 0], cache
 
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray,
@@ -247,6 +273,33 @@ def value_params(v: ValueNet) -> list:
     return [*v.net.weights, *v.net.biases]
 
 
+def flat_views(flat: np.ndarray, like: list) -> list:
+    """Consecutive views into a flat vector, shaped like the arrays of like."""
+    views, lo = [], 0
+    for a in like:
+        views.append(flat[lo:lo + a.size].reshape(a.shape))
+        lo += a.size
+    return views
+
+
+def pack_params(policy: GaussianPolicy, value: ValueNet) -> np.ndarray:
+    """Move both networks' parameters into one flat vector and return it.
+
+    Every weight, bias and the log-std become views into the vector, in
+    ``policy_params + value_params`` order, so those lists stay live and
+    one vector operation updates all of them.
+    """
+    params = policy_params(policy) + value_params(value)
+    flat = np.concatenate([a.ravel() for a in params])
+    views = iter(flat_views(flat, params))
+    policy.trunk.weights = [next(views) for _ in policy.trunk.weights]
+    policy.trunk.biases = [next(views) for _ in policy.trunk.biases]
+    policy.log_std = next(views)
+    value.net.weights = [next(views) for _ in value.net.weights]
+    value.net.biases = [next(views) for _ in value.net.biases]
+    return flat
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -260,29 +313,47 @@ class AdamState:
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
+    scratch: list = field(default_factory=list)  # two arrays per parameter
 
 
 def adam_init(params: list, lr: float) -> AdamState:
     return AdamState(lr=lr,
                      m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params])
+                     v=[np.zeros_like(p) for p in params],
+                     scratch=[(np.empty_like(p), np.empty_like(p))
+                              for p in params])
 
 
 def adam_step(params: list, grads: list, state: AdamState) -> None:
-    """Standard bias-corrected Adam update, applied to params in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
+    """Standard bias-corrected Adam update, applied to params in place.
+
+    The temporaries live in ``state.scratch``, so a step allocates nothing.
+    """
+    if not len(params) == len(grads) == len(state.m) == len(state.scratch):
         raise ValueError("parameter/gradient/state length mismatch")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (t, u) in zip(params, grads, state.m, state.v,
+                                  state.scratch):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match "
                              f"parameter shape {p.shape}")
-        m += (1.0 - b1) * (g - m)
-        v += (1.0 - b2) * (g * g - v)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.subtract(g, m, out=t)  # m += (1 - b1) * (g - m)
+        t *= 1.0 - b1
+        m += t
+        np.multiply(g, g, out=t)  # v += (1 - b2) * (g * g - v)
+        t -= v
+        t *= 1.0 - b2
+        v += t
+        np.divide(m, bc1, out=t)  # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        t *= state.lr
+        np.divide(v, bc2, out=u)
+        np.sqrt(u, out=u)
+        u += state.eps
+        t /= u
+        p -= t
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .neural import (
     ValueNet,
     adam_init,
     adam_step,
+    flat_views,
     forward_policy,
     forward_value,
     gaussian_entropy,
@@ -39,10 +40,11 @@ from .neural import (
     make_policy,
     make_value,
     mlp_backward,
-    policy_mean_cached,
+    mlp_forward,
+    normalize,
+    pack_params,
     policy_params,
     sample_action,
-    value_cached,
     value_params,
 )
 from .scenario import Scenario
@@ -342,30 +344,68 @@ class LossReport:
     value_grads: list[np.ndarray] | None = None
 
 
+class UpdateWorkspace:
+    """Preallocated arrays for :func:`ppo_loss_and_grads` on up to ``rows``
+    minibatch rows: each network's layer outputs, backward scratch shared by
+    both networks, and one flat gradient vector ``grad`` laid out like the
+    parameter vector of :func:`mgrl.neural.pack_params`.
+    """
+
+    def __init__(self, policy: GaussianPolicy, value: ValueNet, rows: int):
+        p_params = policy_params(policy)
+        params = p_params + value_params(value)
+        self.grad = np.empty(sum(a.size for a in params))
+        views = flat_views(self.grad, params)
+        self.policy_grads = views[:len(p_params)]
+        self.value_grads = views[len(p_params):]
+        self.policy_outs = [np.empty((rows, k))
+                            for k in policy.trunk.sizes[1:]]
+        self.value_outs = [np.empty((rows, k)) for k in value.net.sizes[1:]]
+        width = max(*policy.trunk.sizes, *value.net.sizes)
+        self.scratch = [np.empty(rows * width) for _ in range(3)]
+
+
+def net_inputs(policy: GaussianPolicy, value: ValueNet,
+               states: np.ndarray) -> dict[str, np.ndarray]:
+    """The actor's and critic's normalized inputs for a batch of states."""
+    return {"policy_x": normalize(policy, states),
+            "value_x": normalize(value, states)}
+
+
 def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
                        batch: dict[str, np.ndarray], cfg: PpoConfig,
-                       with_grads: bool = True) -> LossReport:
+                       with_grads: bool = True,
+                       ws: UpdateWorkspace | None = None) -> LossReport:
     """Evaluate the PPO objective on a minibatch, with analytic gradients.
 
-    Gradients follow the same parameter order as ``policy_params`` /
-    ``value_params``.  The min() in the surrogate routes gradient to the
-    unclipped branch on ties, and the log-std gradient is gated to zero
-    wherever the clamp is active.
+    ``batch`` holds raw ``states`` or, as :func:`train` passes it, the
+    :func:`net_inputs` of them.  Every activation and gradient goes into
+    the workspace ``ws``, a fresh one sized to the batch when not given;
+    the returned gradients are views into ``ws.grad``, in the order of
+    ``policy_params`` / ``value_params``.  The min() in the surrogate
+    routes gradient to the unclipped branch on ties, and the log-std
+    gradient is gated to zero wherever the clamp is active.
     """
-    obs = batch["states"]
+    if "policy_x" not in batch:
+        batch = {**batch, **net_inputs(policy, value, batch["states"])}
     act = batch["actions"]
     lp_old = batch["log_probs"]
     adv = batch["advantages"]
     ret = batch["returns"]
-    n = obs.shape[0]
+    n = act.shape[0]
+    if ws is None:
+        ws = UpdateWorkspace(policy, value, n)
 
-    mean, cache = policy_mean_cached(policy, obs)
+    mean, cache = mlp_forward(policy.trunk, batch["policy_x"], ws.policy_outs,
+                              ws.scratch)
     log_std = policy.clamped_log_std()
     ratio = np.exp(gaussian_log_prob(mean, log_std, act) - lp_old)
     pol_loss, clip_frac, unclipped = clipped_policy_loss(ratio, adv,
                                                          cfg.clip_eps)
 
-    vals, vcache = value_cached(value, obs)
+    out, vcache = mlp_forward(value.net, batch["value_x"], ws.value_outs,
+                               ws.scratch)
+    vals = out[:, 0]
     val_loss = value_loss(vals, ret)
     entropy = gaussian_entropy(log_std)
     total = total_loss(pol_loss, val_loss, entropy, cfg.c1, cfg.c2)
@@ -378,17 +418,20 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     sigma = np.exp(log_std)
     z = (act - mean) / sigma
     g_lp = -(adv * ratio * unclipped) / n          # d total / d lp_new
-    g_mean = g_lp[:, None] * (z / sigma)
     g_log_std = np.sum(g_lp[:, None] * (z * z - 1.0), axis=0) - cfg.c2
+    z /= sigma
+    g_mean = g_lp[:, None] * z                     # z / sigma by now
     clamp_open = ((policy.log_std > LOG_STD_MIN)
                   & (policy.log_std < LOG_STD_MAX)).astype(np.float64)
-    g_log_std = g_log_std * clamp_open
-    gw, gb, _ = mlp_backward(policy.trunk, cache, g_mean)
-    report.policy_grads = [*gw, *gb, g_log_std]
+    np.multiply(g_log_std, clamp_open, out=ws.policy_grads[-1])
+    mlp_backward(policy.trunk, cache, g_mean, ws.policy_grads[:-1],
+                 ws.scratch, input_grad=False)
+    report.policy_grads = ws.policy_grads
 
     g_val = (cfg.c1 * 2.0 * (vals - ret) / n)[:, None]
-    vgw, vgb, _ = mlp_backward(value.net, vcache, g_val)
-    report.value_grads = [*vgw, *vgb]
+    mlp_backward(value.net, vcache, g_val, ws.value_grads, ws.scratch,
+                 input_grad=False)
+    report.value_grads = ws.value_grads
     return report
 
 
@@ -399,6 +442,12 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
     ``checkpoint_fn(update, policy, value, stats)`` is invoked after each
     completed update when given.  Raises TrainingDivergedError the moment
     any loss component stops being finite.
+
+    Both networks' parameters live in one flat vector (see
+    :func:`mgrl.neural.pack_params`) that one Adam step per minibatch
+    updates.  Activations and gradients go into one preallocated
+    :class:`UpdateWorkspace`, so a minibatch allocates only the loss
+    head's (B,) and (B, N_ACTIONS) temporaries.
     """
     cfg.validate()
     env_cfg.validate()
@@ -413,10 +462,12 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
     rollout_rng = derive_rng(cfg.seed, "rollout")
     shuffle_rng = derive_rng(cfg.seed, "minibatch")
 
-    p_params = policy_params(policy)
-    v_params = value_params(value)
-    p_opt = adam_init(p_params, cfg.learning_rate)
-    v_opt = adam_init(v_params, cfg.learning_rate)
+    params = [pack_params(policy, value)]
+    opt = adam_init(params, cfg.learning_rate)
+    ws = UpdateWorkspace(policy, value,
+                         min(cfg.minibatch_size, cfg.rollout_steps))
+    grads = [ws.grad]
+    shuffled = None
 
     stats: list[TrainStats] = []
     last_reward_norm = float("nan")
@@ -429,16 +480,21 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
         buf.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
         buf.returns = ret
         flat = buf.flattened()
+        flat.update(net_inputs(policy, value, flat.pop("states")))
+        if shuffled is None:
+            shuffled = {k: np.empty_like(a) for k, a in flat.items()}
         n = buf.n_transitions
 
         parts = np.zeros(5)  # total, policy, value, entropy, clip_frac
         n_batches = 0
         for _ in range(cfg.epochs_per_update):
             perm = shuffle_rng.permutation(n)
+            for k, a in flat.items():
+                np.take(a, perm, axis=0, out=shuffled[k])
             for lo in range(0, n, cfg.minibatch_size):
-                idx = perm[lo:lo + cfg.minibatch_size]
-                batch = {k: a[idx] for k, a in flat.items()}
-                rep = ppo_loss_and_grads(policy, value, batch, cfg)
+                batch = {k: a[lo:lo + cfg.minibatch_size]
+                         for k, a in shuffled.items()}
+                rep = ppo_loss_and_grads(policy, value, batch, cfg, ws=ws)
                 if not np.isfinite(rep.total):
                     raise TrainingDivergedError(
                         f"non-finite loss at update {update}",
@@ -446,8 +502,7 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
                                     "policy_loss": rep.policy_loss,
                                     "value_loss": rep.value_loss,
                                     "entropy": rep.entropy})
-                adam_step(p_params, rep.policy_grads, p_opt)
-                adam_step(v_params, rep.value_grads, v_opt)
+                adam_step(params, grads, opt)
                 parts += (rep.total, rep.policy_loss, rep.value_loss,
                           rep.entropy, rep.clip_frac)
                 n_batches += 1

@@ -174,6 +174,14 @@ class TestEvalCommand:
         assert run("eval", "--config", conf, "--out", out,
                    "--episodes", "3") == 0
 
+    @pytest.mark.parametrize("episodes", ["0", "-2"])
+    def test_non_positive_episodes_is_user_error(self, conf, tmp_path,
+                                                 capsys, episodes):
+        out = str(tmp_path / "out")
+        assert run("eval", "--config", conf, "--out", out,
+                   "--episodes", episodes) == 1
+        assert "--episodes" in capsys.readouterr().err
+
 
 class TestExplainCommand:
     def test_explicit_step_writes_all_renderings(self, conf, tmp_path,

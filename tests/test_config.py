@@ -86,6 +86,17 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError):
             build_run_config({"run.rated_cycles": "0"})
 
+    @pytest.mark.parametrize("weights", ["1, -1, -5", "2, 1, -0.5"])
+    def test_negative_reward_weights_rejected(self, weights):
+        # Negative weights push step rewards above 1, which the trajectory
+        # reader behind explain and report then refuses.
+        with pytest.raises(ConfigError, match="reward_weights"):
+            build_run_config({"env.reward_weights": weights})
+
+    def test_zero_lowest_reward_weight_accepted(self):
+        cfg = build_run_config({"env.reward_weights": "2, 1, 0"})
+        assert cfg.env.reward_weights == (2.0, 1.0, 0.0)
+
 
 class TestSeedFanOut:
     def test_master_seed_derives_component_seeds(self):

@@ -62,6 +62,7 @@ class TestEnvConfig:
         dict(e_max_kwh=0.0),
         dict(p_conv_kw=-1.0),
         dict(reward_weights=(1.0, 2.0, 3.0)),
+        dict(reward_weights=(1.0, -1.0, -5.0)),
         dict(init_soc_range=(0.1, 0.5)),
     ])
     def test_rejects_bad_fields(self, kwargs):

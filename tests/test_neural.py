@@ -106,6 +106,29 @@ class TestMlpForwardBackward:
             x.ravel()[i] = orig
             assert rel_err((up - dn) / (2 * h), gx.ravel()[i]) < 1e-4
 
+    def test_buffers_give_the_allocating_result_bit_for_bit(self):
+        """Taller NaN-filled buffers, as a short last minibatch sees them."""
+        rng = np.random.default_rng(5)
+        m = mlp_init([3, 7, 5, 2], rng, out_gain=0.7)
+        x = rng.standard_normal((6, 3))
+        gy = rng.standard_normal((6, 2))
+        y, cache = mlp_forward(m, x)
+        gw, gb, gx = mlp_backward(m, cache, gy)
+
+        outs = [np.full((9, k), np.nan) for k in m.sizes[1:]]
+        scratch = [np.full(9 * 7, np.nan) for _ in range(3)]
+        grads = [np.full_like(p, np.nan) for p in [*m.weights, *m.biases]]
+        y2, cache2 = mlp_forward(m, x, outs, scratch)
+        np.testing.assert_array_equal(y2, y)
+        assert y2.base is outs[-1]
+        gw2, gb2, gx2 = mlp_backward(m, cache2, gy, grads, scratch)
+        for got, want in zip([*gw2, *gb2, gx2], [*gw, *gb, gx]):
+            np.testing.assert_array_equal(got, want)
+        assert all(a is b for a, b in zip([*gw2, *gb2], grads))
+
+        *_, skipped = mlp_backward(m, cache, gy, input_grad=False)
+        assert skipped is None
+
 
 class TestGaussianHead:
     def test_log_prob_matches_scipy(self):

@@ -1,15 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mgrl.env import EnvConfig, N_ACTIONS, N_FEATURES, scenario_rows, step
 from mgrl.neural import (
+    adam_init,
+    adam_step,
     forward_policy,
     forward_value,
     gaussian_entropy,
     gaussian_log_prob,
+    load_checkpoint,
+    make_policy,
+    make_value,
+    pack_params,
     policy_params,
+    save_checkpoint,
     value_params,
 )
 from mgrl.ppo import (
@@ -17,10 +25,12 @@ from mgrl.ppo import (
     PpoConfig,
     RolloutBuffer,
     TrainingDivergedError,
+    UpdateWorkspace,
     clipped_policy_loss,
     collect_rollouts,
     compute_gae,
     evaluate_policy,
+    net_inputs,
     obs_stats_from_scenario,
     ppo_loss_and_grads,
     total_loss,
@@ -276,6 +286,71 @@ class TestPpoLossAndGrads:
         np.testing.assert_allclose(rep.policy_grads[-1],
                                    np.full(N_ACTIONS, -cfg.c2), atol=1e-12)
 
+    def test_workspace_call_equals_allocating_call(self):
+        """The minibatches train() feeds a 40-row rollout at minibatch 16:
+        two full ones and a short last one, through one 16-row workspace
+        on packed parameters, with inputs normalized once up front."""
+        policy, value = self.make_nets()
+        pack_params(policy, value)
+        cfg = tiny_config(rollout_steps=40, minibatch_size=16)
+        rollout = self.make_batch(policy, value, n=40)
+        inputs = net_inputs(policy, value, rollout["states"])
+        ws = UpdateWorkspace(policy, value, cfg.minibatch_size)
+        ws.grad[:] = np.nan  # stale contents must never leak through
+        for lo in range(0, 40, cfg.minibatch_size):
+            raw = {k: a[lo:lo + cfg.minibatch_size]
+                   for k, a in rollout.items()}
+            batch = {k: a[lo:lo + cfg.minibatch_size]
+                     for k, a in inputs.items()}
+            batch.update((k, a) for k, a in raw.items() if k != "states")
+            want = ppo_loss_and_grads(policy, value, raw, cfg)
+            got = ppo_loss_and_grads(policy, value, batch, cfg, ws=ws)
+            for part in ("total", "policy_loss", "value_loss", "entropy",
+                         "clip_frac"):
+                assert getattr(got, part) == getattr(want, part)
+            for g, w in zip(got.policy_grads + got.value_grads,
+                            want.policy_grads + want.value_grads):
+                np.testing.assert_array_equal(g, w)
+
+    def test_workspace_gradients_are_views_of_one_vector(self):
+        policy, value = self.make_nets()
+        ws = UpdateWorkspace(policy, value, 24)
+        rep = ppo_loss_and_grads(policy, value, self.make_batch(policy, value),
+                                 tiny_config(), ws=ws)
+        grads = rep.policy_grads + rep.value_grads
+        assert all(g.base is ws.grad for g in grads)
+        assert sum(g.size for g in grads) == ws.grad.size
+        np.testing.assert_array_equal(
+            np.concatenate([g.ravel() for g in grads]), ws.grad)
+
+    def test_minibatch_update_allocates_no_activation(self):
+        """After one warm-up call, a 256-row loss/grad plus Adam step on
+        6 -> 64 -> 64 -> 5 nets raises the traced peak by < 64 KiB; one
+        256 x 64 float64 activation alone is 128 KiB."""
+        rng = np.random.default_rng(7)
+        policy = make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng)
+        value = make_value(N_FEATURES, (64, 64), rng)
+        params = [pack_params(policy, value)]
+        opt = adam_init(params, 3e-4)
+        ws = UpdateWorkspace(policy, value, 256)
+        raw = self.make_batch(policy, value, n=256)
+        batch = {**net_inputs(policy, value, raw.pop("states")), **raw}
+        cfg = PpoConfig()
+
+        def update():
+            ppo_loss_and_grads(policy, value, batch, cfg, ws=ws)
+            adam_step(params, [ws.grad], opt)
+
+        update()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            update()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 64 * 1024
+
 
 class TestRolloutBuffer:
     def make_buffer(self, steps=4, n_envs=3):
@@ -436,10 +511,25 @@ class TestTrain:
         b = train(tiny_config(seed=1), EnvConfig(), small_scenario())
         assert a.stats != b.stats
 
+    def test_params_live_in_one_vector_and_round_trip(self, tmp_path):
+        res = train(tiny_config(), EnvConfig(), small_scenario(horizon=5))
+        params = policy_params(res.policy) + value_params(res.value)
+        flat = params[0].base
+        assert flat is not None and flat.ndim == 1
+        assert all(p.base is flat for p in params)
+        assert sum(p.size for p in params) == flat.size
+        save_checkpoint(res.policy, res.value, tmp_path / "ck.json")
+        policy, value = load_checkpoint(tmp_path / "ck.json")
+        for a, b in zip(params, policy_params(policy) + value_params(value)):
+            np.testing.assert_array_equal(a, b)
+        s = np.random.default_rng(8).standard_normal((3, N_FEATURES))
+        np.testing.assert_array_equal(forward_policy(res.policy, s)[0],
+                                      forward_policy(policy, s)[0])
+
     def test_divergence_raises_with_diagnostic(self, monkeypatch):
         import mgrl.ppo as ppo_mod
 
-        def poisoned(policy, value, batch, cfg, with_grads=True):
+        def poisoned(policy, value, batch, cfg, with_grads=True, ws=None):
             return ppo_mod.LossReport(total=math.nan, policy_loss=math.nan,
                                       value_loss=1.0, entropy=1.0,
                                       clip_frac=0.0)

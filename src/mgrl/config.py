@@ -14,6 +14,7 @@ via :func:`mgrl.seeding.derive_seed`; explicitly configured sub-seeds
 win over the derived ones.
 """
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -56,13 +57,20 @@ class RunConfig:
                 f"run.rated_cycles must be positive, got {self.rated_cycles}")
 
 
+def _finite(raw: str) -> float:
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+    return x
+
+
 def _float_pair_or_none(raw: str):
     if raw.strip().lower() == "none":
         return None
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
         raise ValueError("expected two comma-separated numbers or 'none'")
-    return (float(parts[0]), float(parts[1]))
+    return (_finite(parts[0]), _finite(parts[1]))
 
 
 def _int_pair(raw: str):
@@ -92,9 +100,10 @@ def _coerce(key: str, raw: str, default):
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
-        return float(raw)
+        return _finite(raw)
     if isinstance(default, tuple):
-        elem = type(default[0]) if default else float
+        elem = (_finite if not default or isinstance(default[0], float)
+                else type(default[0]))
         return tuple(elem(p.strip()) for p in raw.split(","))
     return raw.strip()
 

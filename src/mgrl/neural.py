@@ -12,9 +12,11 @@ correctness against central finite differences is the load-bearing test.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .env import N_ACTIONS, N_FEATURES
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -160,10 +162,6 @@ class GaussianPolicy:
     obs_mean: np.ndarray
     obs_scale: np.ndarray
 
-    @property
-    def n_actions(self) -> int:
-        return self.trunk.sizes[-1]
-
     def clamped_log_std(self) -> np.ndarray:
         return np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
 
@@ -306,54 +304,49 @@ def pack_params(policy: GaussianPolicy, value: ValueNet) -> np.ndarray:
 
 @dataclass
 class AdamState:
+    """Moments of one flat parameter vector, plus two scratch vectors of
+    its size so that a step allocates nothing."""
+
     lr: float
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    scratch: list = field(default_factory=list)  # two arrays per parameter
 
 
-def adam_init(params: list, lr: float) -> AdamState:
-    return AdamState(lr=lr,
-                     m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params],
-                     scratch=[(np.empty_like(p), np.empty_like(p))
-                              for p in params])
+def adam_init(theta: np.ndarray, lr: float) -> AdamState:
+    return AdamState(lr=lr, m=np.zeros_like(theta), v=np.zeros_like(theta),
+                     scratch=(np.empty_like(theta), np.empty_like(theta)))
 
 
-def adam_step(params: list, grads: list, state: AdamState) -> None:
-    """Standard bias-corrected Adam update, applied to params in place.
-
-    The temporaries live in ``state.scratch``, so a step allocates nothing.
-    """
-    if not len(params) == len(grads) == len(state.m) == len(state.scratch):
-        raise ValueError("parameter/gradient/state length mismatch")
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """Standard bias-corrected Adam update, applied to theta in place."""
+    if not theta.shape == grad.shape == state.m.shape:
+        raise ValueError(f"gradient shape {grad.shape} and Adam state shape "
+                         f"{state.m.shape} must match parameter shape "
+                         f"{theta.shape}")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for p, g, m, v, (t, u) in zip(params, grads, state.m, state.v,
-                                  state.scratch):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match "
-                             f"parameter shape {p.shape}")
-        np.subtract(g, m, out=t)  # m += (1 - b1) * (g - m)
-        t *= 1.0 - b1
-        m += t
-        np.multiply(g, g, out=t)  # v += (1 - b2) * (g * g - v)
-        t -= v
-        t *= 1.0 - b2
-        v += t
-        np.divide(m, bc1, out=t)  # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        t *= state.lr
-        np.divide(v, bc2, out=u)
-        np.sqrt(u, out=u)
-        u += state.eps
-        t /= u
-        p -= t
+    m, v, (t, u) = state.m, state.v, state.scratch
+    np.subtract(grad, m, out=t)  # m += (1 - b1) * (g - m)
+    t *= 1.0 - b1
+    m += t
+    np.multiply(grad, grad, out=t)  # v += (1 - b2) * (g * g - v)
+    t -= v
+    t *= 1.0 - b2
+    v += t
+    np.divide(m, bc1, out=t)  # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    t *= state.lr
+    np.divide(v, bc2, out=u)
+    np.sqrt(u, out=u)
+    u += state.eps
+    t /= u
+    theta -= t
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +359,38 @@ def _mlp_to_json(m: Mlp) -> dict:
             "biases": [b.tolist() for b in m.biases]}
 
 
-def _mlp_from_json(d: dict) -> Mlp:
-    m = Mlp(weights=[np.array(w, dtype=np.float64) for w in d["weights"]],
-            biases=[np.array(b, dtype=np.float64) for b in d["biases"]])
-    if m.sizes != list(d["sizes"]):
-        raise CheckpointError(f"stored sizes {d['sizes']} do not match "
-                              f"weight shapes {m.sizes}")
-    return m
+def _floats(name: str, value, shape: tuple) -> np.ndarray:
+    """A stored field as a finite float64 array of the given shape."""
+    try:
+        a = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise CheckpointError(f"{name} is not a rectangular array of "
+                              f"numbers") from None
+    if a.shape != shape:
+        raise CheckpointError(f"{name} has shape {a.shape}; the stored "
+                              f"sizes give {shape}")
+    if not np.all(np.isfinite(a)):
+        raise CheckpointError(f"{name} holds a non-finite value")
+    return a
+
+
+def _mlp_from_json(d: dict, name: str) -> tuple[Mlp, np.ndarray, np.ndarray]:
+    """A net's layers and input normalization, checked against the stored
+    layer sizes."""
+    sizes = d["sizes"]
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    if not len(d["weights"]) == len(d["biases"]) == len(shapes) > 0:
+        raise CheckpointError(f"{name} needs one weight matrix and one bias "
+                              f"per layer of the stored sizes {sizes}")
+    m = Mlp(weights=[_floats(f"{name}.weights[{i}]", w, s)
+                     for i, (w, s) in enumerate(zip(d["weights"], shapes))],
+            biases=[_floats(f"{name}.biases[{i}]", b, s[1:])
+                    for i, (b, s) in enumerate(zip(d["biases"], shapes))])
+    obs_mean, obs_scale = (_floats(f"{name}.{key}", d[key], (sizes[0],))
+                           for key in ("obs_mean", "obs_scale"))
+    if np.any(obs_scale <= 0.0):
+        raise CheckpointError(f"{name}.obs_scale holds a non-positive value")
+    return m, obs_mean, obs_scale
 
 
 def save_checkpoint(policy: GaussianPolicy, value: ValueNet,
@@ -408,15 +426,21 @@ def load_checkpoint(path: str | os.PathLike
                               f"{doc.get('version')}")
     try:
         pd, vd = doc["policy"], doc["value"]
-        policy = GaussianPolicy(
-            trunk=_mlp_from_json(pd),
-            log_std=np.array(pd["log_std"], dtype=np.float64),
-            obs_mean=np.array(pd["obs_mean"], dtype=np.float64),
-            obs_scale=np.array(pd["obs_scale"], dtype=np.float64))
-        value = ValueNet(
-            net=_mlp_from_json(vd),
-            obs_mean=np.array(vd["obs_mean"], dtype=np.float64),
-            obs_scale=np.array(vd["obs_scale"], dtype=np.float64))
+        trunk, p_mean, p_scale = _mlp_from_json(pd, "policy")
+        net, v_mean, v_scale = _mlp_from_json(vd, "value")
+        # The critic's input width is free: only the actor is pinned to
+        # the environment's features and actions.
+        if (trunk.sizes[0], trunk.sizes[-1]) != (N_FEATURES, N_ACTIONS):
+            raise CheckpointError(f"policy.sizes {trunk.sizes} does not map "
+                                  f"{N_FEATURES} features to {N_ACTIONS} "
+                                  f"actions")
+        if net.sizes[-1] != 1:
+            raise CheckpointError(f"value.sizes {net.sizes} does not end in "
+                                  f"one output")
+        log_std = _floats("policy.log_std", pd["log_std"], (N_ACTIONS,))
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing field {exc}") from None
-    return policy, value
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    return (GaussianPolicy(trunk, log_std, p_mean, p_scale),
+            ValueNet(net, v_mean, v_scale))

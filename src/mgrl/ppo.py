@@ -116,10 +116,9 @@ class PpoConfig:
 class RolloutBuffer:
     """One rollout worth of transitions, time-major over the env ensemble.
 
-    Shapes are ``(T, n_envs, ...)`` until :meth:`flattened`, which returns
-    C-order flattened views suitable for minibatching.  ``bootstrap`` holds
-    the critic value of each env's state after the final stored step, used
-    to close off truncated episodes in the advantage recursion.
+    ``bootstrap`` holds the critic value of each env's state after the
+    final stored step, used to close off truncated episodes in the
+    advantage recursion.
     """
 
     states: np.ndarray        # (T, n_envs, N_FEATURES)
@@ -130,23 +129,6 @@ class RolloutBuffer:
     dones: np.ndarray         # (T, n_envs) 1.0 where the episode ended
     bootstrap: np.ndarray     # (n_envs,)
     episode_summaries: list[EpisodeSummary] = field(default_factory=list)
-    advantages: np.ndarray | None = None
-    returns: np.ndarray | None = None
-
-    @property
-    def n_transitions(self) -> int:
-        return self.rewards.size
-
-    def flattened(self) -> dict[str, np.ndarray]:
-        if self.advantages is None or self.returns is None:
-            raise ValueError("advantages not computed yet")
-        return {
-            "states": self.states.reshape(-1, N_FEATURES),
-            "actions": self.actions.reshape(-1, N_ACTIONS),
-            "log_probs": self.log_probs.reshape(-1),
-            "advantages": self.advantages.reshape(-1),
-            "returns": self.returns.reshape(-1),
-        }
 
 
 @dataclass(frozen=True)
@@ -340,8 +322,6 @@ class LossReport:
     value_loss: float
     entropy: float
     clip_frac: float
-    policy_grads: list[np.ndarray] | None = None
-    value_grads: list[np.ndarray] | None = None
 
 
 class UpdateWorkspace:
@@ -365,36 +345,25 @@ class UpdateWorkspace:
         self.scratch = [np.empty(rows * width) for _ in range(3)]
 
 
-def net_inputs(policy: GaussianPolicy, value: ValueNet,
-               states: np.ndarray) -> dict[str, np.ndarray]:
-    """The actor's and critic's normalized inputs for a batch of states."""
-    return {"policy_x": normalize(policy, states),
-            "value_x": normalize(value, states)}
-
-
 def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
                        batch: dict[str, np.ndarray], cfg: PpoConfig,
-                       with_grads: bool = True,
-                       ws: UpdateWorkspace | None = None) -> LossReport:
+                       ws: UpdateWorkspace,
+                       with_grads: bool = True) -> LossReport:
     """Evaluate the PPO objective on a minibatch, with analytic gradients.
 
-    ``batch`` holds raw ``states`` or, as :func:`train` passes it, the
-    :func:`net_inputs` of them.  Every activation and gradient goes into
-    the workspace ``ws``, a fresh one sized to the batch when not given;
-    the returned gradients are views into ``ws.grad``, in the order of
-    ``policy_params`` / ``value_params``.  The min() in the surrogate
-    routes gradient to the unclipped branch on ties, and the log-std
-    gradient is gated to zero wherever the clamp is active.
+    ``batch`` holds the actor's and critic's normalized inputs
+    (``policy_x``, ``value_x``) next to ``actions``, ``log_probs``,
+    ``advantages`` and ``returns``.  Every activation and gradient goes
+    into the workspace ``ws``; with ``with_grads`` the gradient of the
+    total loss fills ``ws.grad``.  The min() in the surrogate routes
+    gradient to the unclipped branch on ties, and the log-std gradient is
+    gated to zero wherever the clamp is active.
     """
-    if "policy_x" not in batch:
-        batch = {**batch, **net_inputs(policy, value, batch["states"])}
     act = batch["actions"]
     lp_old = batch["log_probs"]
     adv = batch["advantages"]
     ret = batch["returns"]
     n = act.shape[0]
-    if ws is None:
-        ws = UpdateWorkspace(policy, value, n)
 
     mean, cache = mlp_forward(policy.trunk, batch["policy_x"], ws.policy_outs,
                               ws.scratch)
@@ -426,12 +395,9 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     np.multiply(g_log_std, clamp_open, out=ws.policy_grads[-1])
     mlp_backward(policy.trunk, cache, g_mean, ws.policy_grads[:-1],
                  ws.scratch, input_grad=False)
-    report.policy_grads = ws.policy_grads
-
     g_val = (cfg.c1 * 2.0 * (vals - ret) / n)[:, None]
     mlp_backward(value.net, vcache, g_val, ws.value_grads, ws.scratch,
                  input_grad=False)
-    report.value_grads = ws.value_grads
     return report
 
 
@@ -462,28 +428,29 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
     rollout_rng = derive_rng(cfg.seed, "rollout")
     shuffle_rng = derive_rng(cfg.seed, "minibatch")
 
-    params = [pack_params(policy, value)]
-    opt = adam_init(params, cfg.learning_rate)
-    ws = UpdateWorkspace(policy, value,
-                         min(cfg.minibatch_size, cfg.rollout_steps))
-    grads = [ws.grad]
+    n = cfg.rollout_steps
+    theta = pack_params(policy, value)
+    opt = adam_init(theta, cfg.learning_rate)
+    ws = UpdateWorkspace(policy, value, min(cfg.minibatch_size, n))
     shuffled = None
 
     stats: list[TrainStats] = []
     last_reward_norm = float("nan")
     last_ri = float("nan")
     for update in range(cfg.total_updates):
-        buf = collect_rollouts(policy, value, envs, cfg.rollout_steps,
-                               rollout_rng)
+        buf = collect_rollouts(policy, value, envs, n, rollout_rng)
         adv, ret = compute_gae(buf.rewards, buf.values, buf.dones,
                                buf.bootstrap, cfg.gamma, cfg.gae_lambda)
-        buf.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
-        buf.returns = ret
-        flat = buf.flattened()
-        flat.update(net_inputs(policy, value, flat.pop("states")))
+        states = buf.states.reshape(n, N_FEATURES)
+        flat = {"actions": buf.actions.reshape(n, N_ACTIONS),
+                "log_probs": buf.log_probs.reshape(n),
+                "advantages": ((adv - adv.mean())
+                               / (adv.std() + 1e-8)).reshape(n),
+                "returns": ret.reshape(n),
+                "policy_x": normalize(policy, states),
+                "value_x": normalize(value, states)}
         if shuffled is None:
             shuffled = {k: np.empty_like(a) for k, a in flat.items()}
-        n = buf.n_transitions
 
         parts = np.zeros(5)  # total, policy, value, entropy, clip_frac
         n_batches = 0
@@ -494,7 +461,7 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
             for lo in range(0, n, cfg.minibatch_size):
                 batch = {k: a[lo:lo + cfg.minibatch_size]
                          for k, a in shuffled.items()}
-                rep = ppo_loss_and_grads(policy, value, batch, cfg, ws=ws)
+                rep = ppo_loss_and_grads(policy, value, batch, cfg, ws)
                 if not np.isfinite(rep.total):
                     raise TrainingDivergedError(
                         f"non-finite loss at update {update}",
@@ -502,7 +469,7 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
                                     "policy_loss": rep.policy_loss,
                                     "value_loss": rep.value_loss,
                                     "entropy": rep.entropy})
-                adam_step(params, grads, opt)
+                adam_step(theta, ws.grad, opt)
                 parts += (rep.total, rep.policy_loss, rep.value_loss,
                           rep.entropy, rep.clip_frac)
                 n_batches += 1

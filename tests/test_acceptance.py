@@ -32,21 +32,18 @@ from mgrl.neural import (
     gaussian_log_prob,
     make_policy,
     make_value,
-    policy_params,
-    value_params,
 )
 from mgrl.ppo import (
     PpoConfig,
     clipped_policy_loss,
     compute_gae,
     evaluate_policy,
-    ppo_loss_and_grads,
     train,
 )
 from mgrl.scenario import Scenario, ScenarioConfig, synth_cyclone_scenario
 from mgrl.seeding import derive_rng
 
-from test_ppo import gae_brute_force
+from test_ppo import fd_max_rel_err, gae_brute_force, loss_batch
 
 
 class _Criterion:
@@ -199,7 +196,7 @@ def test_criterion_03_reward_accounting(capsys):
                  f"hand cases 0.7/0.8 exact")
 
 
-def make_safe_batch(policy, rng, n=8):
+def make_safe_batch(policy, value, rng, n=8):
     """Minibatch whose ratios sit >=0.03 from both clip kinks."""
     obs = rng.standard_normal((n, N_FEATURES))
     mean, log_std = forward_policy(policy, obs)
@@ -207,21 +204,19 @@ def make_safe_batch(policy, rng, n=8):
     bands = np.array([[0.55, 0.77], [0.83, 1.17], [1.23, 1.65]])
     pick = bands[rng.integers(0, 3, n)]
     ratio = rng.uniform(pick[:, 0], pick[:, 1])
-    return {
-        "states": obs,
-        "actions": act,
-        "log_probs": gaussian_log_prob(mean, log_std, act) - np.log(ratio),
-        "advantages": rng.standard_normal(n),
-        "returns": rng.standard_normal(n),
-    }
+    return loss_batch(
+        policy, value, obs, actions=act,
+        log_probs=gaussian_log_prob(mean, log_std, act) - np.log(ratio),
+        advantages=rng.standard_normal(n), returns=rng.standard_normal(n))
 
 
 def test_criterion_04_gradient_correctness(capsys):
-    """Analytic PPO gradients vs central differences on 100 random nets."""
+    """Analytic PPO gradients vs central differences on 100 random nets,
+    on packed parameters through one reused workspace per net, the path
+    train() takes."""
     with _Criterion(capsys, 4, "loss gradients match finite differences") as c:
         t0 = time.time()
         cfg = PpoConfig()
-        h = 1e-5
         max_err = 0.0
         for trial in range(100):
             rng = derive_rng(4, f"acc-grad-{trial}")
@@ -230,28 +225,9 @@ def test_criterion_04_gradient_correctness(capsys):
             policy = make_policy(N_FEATURES, N_ACTIONS, hidden, rng,
                                  init_log_std=float(rng.uniform(-1.0, 0.5)))
             value = make_value(N_FEATURES, hidden, rng)
-            batch = make_safe_batch(policy, rng)
-            rep = ppo_loss_and_grads(policy, value, batch, cfg)
-
-            def total():
-                return ppo_loss_and_grads(policy, value, batch, cfg,
-                                          with_grads=False).total
-
-            for params, grads in ((policy_params(policy), rep.policy_grads),
-                                  (value_params(value), rep.value_grads)):
-                for param, grad in zip(params, grads):
-                    fp, fg = param.reshape(-1), grad.reshape(-1)
-                    for i in range(fp.size):
-                        orig = fp[i]
-                        fp[i] = orig + h
-                        up = total()
-                        fp[i] = orig - h
-                        dn = total()
-                        fp[i] = orig
-                        fd = (up - dn) / (2.0 * h)
-                        err = abs(fd - fg[i]) / max(abs(fd), abs(fg[i]),
-                                                    1e-6)
-                        max_err = max(max_err, err)
+            batch = make_safe_batch(policy, value, rng)
+            max_err = max(max_err, fd_max_rel_err(policy, value, batch, cfg,
+                                                  h=1e-5))
         dt = time.time() - t0
         c.result(max_err < 1e-4 and dt < 60.0,
                  f"max rel err {max_err:.2e} over 100 nets, {dt:.1f}s")

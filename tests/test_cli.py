@@ -12,6 +12,8 @@ from mgrl.scenario import load_scenario_csv
 from mgrl.seeding import derive_seed
 from mgrl.trajectory import read_trajectory_csv
 
+from test_config import NON_FINITE
+
 TINY_CONF = """\
 run.seed = 3
 scenario.horizon_steps = 24
@@ -63,6 +65,15 @@ class TestConfigCommand:
         bad.write_text("ppo.nosuchfield = 1\n")
         assert run("config", "--config", str(bad)) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", NON_FINITE)
+    def test_non_finite_value_is_user_error(self, tmp_path, capsys, key,
+                                            value):
+        bad = tmp_path / "bad.conf"
+        bad.write_text(f"{key} = {value}\n")
+        assert run("config", "--config", str(bad)) == 1
+        assert f"bad value for {key}: expected a finite number" in \
+            capsys.readouterr().err
 
 
 class TestScenarioCommand:
@@ -377,6 +388,67 @@ class TestScenarioBoundary:
         capsys.readouterr()
         assert run(command, "--config", conf, "--out", out) == 1
         assert "scenario.csv: no data rows" in capsys.readouterr().err
+
+
+def edit_checkpoint(path, edit):
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc["policy"], doc["value"])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def _set(d, key, value):
+    d[key] = value
+
+
+def _resize_output(d, width):
+    """Keep the net consistent but give it ``width`` outputs, by cutting
+    or repeating the columns of its last layer."""
+    d["weights"][-1] = [(row * width)[:width] for row in d["weights"][-1]]
+    d["biases"][-1] = (d["biases"][-1] * width)[:width]
+    d["sizes"][-1] = width
+
+
+class TestCheckpointBoundary:
+    """A corrupt checkpoint is bad input (exit 1) for every command that
+    reads it, and the message names the file and the field."""
+
+    @pytest.mark.parametrize("command",
+                             [("eval",), ("explain", "--step", "1")],
+                             ids=["eval", "explain"])
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda p, v: _set(p["weights"][0][2], 3, float("nan")),
+         "policy.weights[0] holds a non-finite value"),
+        (lambda p, v: _set(p["weights"], 1, p["weights"][1][:-1]),
+         "policy.weights[1] has shape (7, 5)"),
+        (lambda p, v: _set(p["biases"], 0, p["biases"][0][:1]),
+         "policy.biases[0] has shape (1,)"),
+        (lambda p, v: _set(p["weights"][0], 2, p["weights"][0][2][:-1]),
+         "policy.weights[0] is not a rectangular array"),
+        (lambda p, v: _resize_output(p, 4),
+         "policy.sizes [6, 8, 4] does not map 6 features to 5 actions"),
+        (lambda p, v: _set(p, "log_std", p["log_std"][:3]),
+         "policy.log_std has shape (3,)"),
+        (lambda p, v: _set(p, "obs_mean", p["obs_mean"][:4]),
+         "policy.obs_mean has shape (4,)"),
+        (lambda p, v: _set(v, "obs_scale", v["obs_scale"][:5]),
+         "value.obs_scale has shape (5,)"),
+        (lambda p, v: _resize_output(v, 2),
+         "value.sizes [6, 8, 2] does not end in one output"),
+        (lambda p, v: _set(p["obs_scale"], 0, 0.0),
+         "policy.obs_scale holds a non-positive value"),
+    ], ids=["nan-weight", "mis-chained-layer", "short-bias", "ragged-weight",
+            "policy-width", "short-log_std", "short-obs_mean",
+            "short-value-obs_scale", "value-output-width", "zero-obs_scale"])
+    def test_corrupt_checkpoint_is_user_error(self, conf, tmp_path, capsys,
+                                              command, edit, detail):
+        out = str(tmp_path / "out")
+        run_pipeline(conf, out)
+        edit_checkpoint(os.path.join(out, "checkpoint_final.json"), edit)
+        capsys.readouterr()
+        assert run(*command, "--config", conf, "--out", out) == 1
+        assert f"checkpoint_final.json: {detail}" in capsys.readouterr().err
 
 
 class TestParserBasics:

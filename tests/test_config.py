@@ -9,6 +9,23 @@ from mgrl.config import (
 )
 from mgrl.seeding import derive_seed
 
+# Non-finite values that each section's own validation lets through: NaN
+# fails every comparison, and inf passes "positive" and "non-negative".
+NON_FINITE = [
+    ("explain.kernel_sigma", "nan"),
+    ("explain.ridge_strength", "nan"),
+    ("explain.perturb_scale", "inf"),
+    ("env.e_max_kwh", "nan"),
+    ("env.p_conv_kw", "inf"),
+    ("env.reward_weights", "inf, 2, 1"),
+    ("ppo.learning_rate", "nan"),
+    ("ppo.c2", "inf"),
+    ("run.rated_cycles", "nan"),
+    ("scenario.solar_capacity_kw", "nan"),
+    ("scenario.step_hours", "inf"),
+    ("scenario.base_loads_kw", "30, -inf, 12"),
+]
+
 
 class TestParseConfigText:
     def test_basic_assignments(self):
@@ -92,6 +109,11 @@ class TestBuildRunConfig:
         # reader behind explain and report then refuses.
         with pytest.raises(ConfigError, match="reward_weights"):
             build_run_config({"env.reward_weights": weights})
+
+    @pytest.mark.parametrize("key, value", NON_FINITE)
+    def test_non_finite_value_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"{key}: expected a finite"):
+            build_run_config({key: value})
 
     def test_zero_lowest_reward_weight_accepted(self):
         cfg = build_run_config({"env.reward_weights": "2, 1, 0"})

@@ -227,43 +227,41 @@ class TestAdam:
     def test_matches_hand_rolled_reference(self):
         """Two steps against an independent textbook implementation."""
         rng = np.random.default_rng(16)
-        params = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
-        ref = [p.copy() for p in params]
-        state = adam_init(params, lr=0.05)
-        m = [np.zeros_like(p) for p in ref]
-        v = [np.zeros_like(p) for p in ref]
+        theta = rng.standard_normal(8)
+        ref = theta.copy()
+        state = adam_init(theta, lr=0.05)
+        m = np.zeros_like(ref)
+        v = np.zeros_like(ref)
         for t in (1, 2):
-            grads = [rng.standard_normal(p.shape) for p in params]
-            adam_step(params, grads, state)
-            for i, g in enumerate(grads):
-                m[i] = 0.9 * m[i] + 0.1 * g
-                v[i] = 0.999 * v[i] + 0.001 * g * g
-                mhat = m[i] / (1.0 - 0.9 ** t)
-                vhat = v[i] / (1.0 - 0.999 ** t)
-                ref[i] -= 0.05 * mhat / (np.sqrt(vhat) + 1e-8)
-            for got, want in zip(params, ref):
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+            g = rng.standard_normal(theta.shape)
+            adam_step(theta, g, state)
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            mhat = m / (1.0 - 0.9 ** t)
+            vhat = v / (1.0 - 0.999 ** t)
+            ref -= 0.05 * mhat / (np.sqrt(vhat) + 1e-8)
+            np.testing.assert_allclose(theta, ref, rtol=1e-12, atol=1e-15)
 
     def test_first_step_is_signed_lr(self):
-        params = [np.array([1.0, -1.0])]
-        state = adam_init(params, lr=0.01)
-        adam_step(params, [np.array([0.5, -2.0])], state)
-        np.testing.assert_allclose(params[0], [1.0 - 0.01, -1.0 + 0.01],
+        theta = np.array([1.0, -1.0])
+        state = adam_init(theta, lr=0.01)
+        adam_step(theta, np.array([0.5, -2.0]), state)
+        np.testing.assert_allclose(theta, [1.0 - 0.01, -1.0 + 0.01],
                                    rtol=1e-7)
 
     def test_updates_in_place(self):
         p = np.zeros(3)
-        state = adam_init([p], lr=0.1)
-        adam_step([p], [np.ones(3)], state)
+        state = adam_init(p, lr=0.1)
+        adam_step(p, np.ones(3), state)
         assert np.all(p != 0.0)
 
     def test_shape_mismatch_rejected(self):
-        p = np.zeros((2, 2))
-        state = adam_init([p], lr=0.1)
+        p = np.zeros(4)
+        state = adam_init(p, lr=0.1)
         with pytest.raises(ValueError):
-            adam_step([p], [np.zeros(3)], state)
-        with pytest.raises(ValueError):
-            adam_step([p, p], [np.zeros((2, 2))], state)
+            adam_step(p, np.zeros(3), state)
+        with pytest.raises(ValueError):  # state sized for another vector
+            adam_step(np.zeros(5), np.zeros(5), state)
 
 
 class TestParamViews:

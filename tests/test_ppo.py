@@ -15,6 +15,7 @@ from mgrl.neural import (
     load_checkpoint,
     make_policy,
     make_value,
+    normalize,
     pack_params,
     policy_params,
     save_checkpoint,
@@ -23,14 +24,12 @@ from mgrl.neural import (
 from mgrl.ppo import (
     EnvBatch,
     PpoConfig,
-    RolloutBuffer,
     TrainingDivergedError,
     UpdateWorkspace,
     clipped_policy_loss,
     collect_rollouts,
     compute_gae,
     evaluate_policy,
-    net_inputs,
     obs_stats_from_scenario,
     ppo_loss_and_grads,
     total_loss,
@@ -172,10 +171,42 @@ class TestLossHelpers:
             pytest.approx(1.0 + 1.0 - 0.03, abs=1e-15)
 
 
+def loss_batch(policy, value, states, **rest):
+    """The batch ppo_loss_and_grads takes: both nets' normalized inputs
+    plus the actions, old log-probs, advantages and returns in ``rest``."""
+    return {"policy_x": normalize(policy, states),
+            "value_x": normalize(value, states), **rest}
+
+
+def fd_max_rel_err(policy, value, batch, cfg, h=1e-5):
+    """Largest relative error between the analytic gradient and central
+    differences of the total loss, over every entry of the packed
+    parameter vector, with every call through one reused workspace."""
+    theta = pack_params(policy, value)
+    ws = UpdateWorkspace(policy, value, len(batch["actions"]))
+    ppo_loss_and_grads(policy, value, batch, cfg, ws)
+    grad = ws.grad.copy()
+    worst = 0.0
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        up = ppo_loss_and_grads(policy, value, batch, cfg, ws,
+                                with_grads=False).total
+        theta[i] = orig - h
+        dn = ppo_loss_and_grads(policy, value, batch, cfg, ws,
+                                with_grads=False).total
+        theta[i] = orig
+        fd = (up - dn) / (2 * h)
+        worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]),
+                                                   1e-6))
+    return worst
+
+
 class TestPpoLossAndGrads:
     def make_batch(self, policy, value, n=24, seed=2):
-        """Batch whose ratios sit safely away from the clip kinks, so the
-        objective is smooth at every finite-difference evaluation."""
+        """(states, loss batch) whose ratios sit safely away from the clip
+        kinks, so the objective is smooth at every finite-difference
+        evaluation."""
         rng = np.random.default_rng(seed)
         obs = rng.standard_normal((n, N_FEATURES))
         mean, log_std = forward_policy(policy, obs)
@@ -185,48 +216,55 @@ class TestPpoLossAndGrads:
         pick = bands[rng.integers(0, 3, n)]
         ratio = rng.uniform(pick[:, 0], pick[:, 1])
         lp_old = lp_now - np.log(ratio)
-        return {
-            "states": obs,
-            "actions": act,
-            "log_probs": lp_old,
-            "advantages": rng.standard_normal(n),
-            "returns": rng.standard_normal(n),
-        }
+        return obs, loss_batch(policy, value, obs, actions=act,
+                               log_probs=lp_old,
+                               advantages=rng.standard_normal(n),
+                               returns=rng.standard_normal(n))
 
     def make_nets(self, seed=3, init_log_std=-0.3):
-        from mgrl.neural import make_policy, make_value
         rng = np.random.default_rng(seed)
         policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng,
                              init_log_std=init_log_std)
         value = make_value(N_FEATURES, (8,), rng)
         return policy, value
 
+    def grad_ws(self, policy, value, batch, cfg=None):
+        """ws.grad after one call, with the policy and value views."""
+        ws = UpdateWorkspace(policy, value, len(batch["actions"]))
+        ppo_loss_and_grads(policy, value, batch, cfg or tiny_config(), ws)
+        return ws
+
     def test_parts_match_helpers(self):
         policy, value = self.make_nets()
-        batch = self.make_batch(policy, value)
+        states, batch = self.make_batch(policy, value)
         cfg = tiny_config()
-        rep = ppo_loss_and_grads(policy, value, batch, cfg, with_grads=False)
+        ws = UpdateWorkspace(policy, value, len(states))
+        ws.grad[:] = np.nan
+        rep = ppo_loss_and_grads(policy, value, batch, cfg, ws,
+                                 with_grads=False)
 
-        mean, log_std = forward_policy(policy, batch["states"])
+        mean, log_std = forward_policy(policy, states)
         lp_new = gaussian_log_prob(mean, log_std, batch["actions"])
         loss, _, _ = clipped_policy_loss(np.exp(lp_new - batch["log_probs"]),
                                          batch["advantages"], cfg.clip_eps)
         assert rep.policy_loss == pytest.approx(loss, rel=1e-12)
-        vals = forward_value(value, batch["states"])
+        vals = forward_value(value, states)
         assert rep.value_loss == pytest.approx(
             value_loss(vals, batch["returns"]), rel=1e-12)
         assert rep.entropy == gaussian_entropy(log_std)
         assert rep.total == pytest.approx(
             total_loss(rep.policy_loss, rep.value_loss, rep.entropy,
                        cfg.c1, cfg.c2), rel=1e-12)
-        assert rep.policy_grads is None and rep.value_grads is None
+        assert np.all(np.isnan(ws.grad))  # no gradient pass ran
 
     def test_clip_frac_counts_clipped_ratios(self):
         policy, value = self.make_nets()
         cfg = tiny_config()
-        batch = self.make_batch(policy, value, n=40)
-        rep = ppo_loss_and_grads(policy, value, batch, cfg, with_grads=False)
-        mean, log_std = forward_policy(policy, batch["states"])
+        states, batch = self.make_batch(policy, value, n=40)
+        rep = ppo_loss_and_grads(policy, value, batch, cfg,
+                                 UpdateWorkspace(policy, value, 40),
+                                 with_grads=False)
+        mean, log_std = forward_policy(policy, states)
         lp_new = gaussian_log_prob(mean, log_std, batch["actions"])
         ratio = np.exp(lp_new - batch["log_probs"])
         want = np.mean(np.abs(ratio - 1.0) > cfg.clip_eps)
@@ -236,88 +274,57 @@ class TestPpoLossAndGrads:
         """Analytic PPO gradients vs central differences, h = 1e-5."""
         policy, value = self.make_nets()
         cfg = tiny_config()
-        batch = self.make_batch(policy, value)
+        states, batch = self.make_batch(policy, value)
 
-        mean, log_std = forward_policy(policy, batch["states"])
+        mean, log_std = forward_policy(policy, states)
         ratio = np.exp(gaussian_log_prob(mean, log_std, batch["actions"])
                        - batch["log_probs"])
         assert np.abs(np.abs(ratio - 1.0) - cfg.clip_eps).min() > 2e-2
-
-        rep = ppo_loss_and_grads(policy, value, batch, cfg)
-        h = 1e-5
-
-        def check(params, grads):
-            for param, grad in zip(params, grads):
-                flat_p = param.reshape(-1)
-                flat_g = grad.reshape(-1)
-                for i in range(flat_p.size):
-                    orig = flat_p[i]
-                    flat_p[i] = orig + h
-                    up = ppo_loss_and_grads(policy, value, batch, cfg,
-                                            with_grads=False).total
-                    flat_p[i] = orig - h
-                    dn = ppo_loss_and_grads(policy, value, batch, cfg,
-                                            with_grads=False).total
-                    flat_p[i] = orig
-                    fd = (up - dn) / (2 * h)
-                    err = abs(fd - flat_g[i]) / max(abs(fd), abs(flat_g[i]),
-                                                    1e-6)
-                    assert err < 1e-4
-
-        check(policy_params(policy), rep.policy_grads)
-        check(value_params(value), rep.value_grads)
+        assert fd_max_rel_err(policy, value, batch, cfg) < 1e-4
 
     def test_log_std_gradient_gated_at_clamp(self):
         policy, value = self.make_nets(init_log_std=-10.0)  # below the clamp
-        cfg = tiny_config()
-        batch = self.make_batch(policy, value)
-        rep = ppo_loss_and_grads(policy, value, batch, cfg)
-        np.testing.assert_array_equal(rep.policy_grads[-1],
+        ws = self.grad_ws(policy, value, self.make_batch(policy, value)[1])
+        np.testing.assert_array_equal(ws.policy_grads[-1],
                                       np.zeros(N_ACTIONS))
 
     def test_entropy_bonus_pushes_log_std_up(self):
         policy, value = self.make_nets()
         cfg = tiny_config()
-        batch = self.make_batch(policy, value)
+        _, batch = self.make_batch(policy, value)
         batch["advantages"] = np.zeros_like(batch["advantages"])
-        rep = ppo_loss_and_grads(policy, value, batch, cfg)
+        ws = self.grad_ws(policy, value, batch, cfg)
         # With zero advantages the surrogate term vanishes and only the
         # entropy bonus acts on log_std: d total / d log_std = -c2.
-        np.testing.assert_allclose(rep.policy_grads[-1],
+        np.testing.assert_allclose(ws.policy_grads[-1],
                                    np.full(N_ACTIONS, -cfg.c2), atol=1e-12)
 
     def test_workspace_call_equals_allocating_call(self):
         """The minibatches train() feeds a 40-row rollout at minibatch 16:
-        two full ones and a short last one, through one 16-row workspace
-        on packed parameters, with inputs normalized once up front."""
+        two full ones and a short last one.  Through one reused 16-row
+        workspace they give the same losses and gradients as through a
+        fresh workspace of exactly each minibatch's size."""
         policy, value = self.make_nets()
         pack_params(policy, value)
         cfg = tiny_config(rollout_steps=40, minibatch_size=16)
-        rollout = self.make_batch(policy, value, n=40)
-        inputs = net_inputs(policy, value, rollout["states"])
+        _, rollout = self.make_batch(policy, value, n=40)
         ws = UpdateWorkspace(policy, value, cfg.minibatch_size)
         ws.grad[:] = np.nan  # stale contents must never leak through
         for lo in range(0, 40, cfg.minibatch_size):
-            raw = {k: a[lo:lo + cfg.minibatch_size]
-                   for k, a in rollout.items()}
             batch = {k: a[lo:lo + cfg.minibatch_size]
-                     for k, a in inputs.items()}
-            batch.update((k, a) for k, a in raw.items() if k != "states")
-            want = ppo_loss_and_grads(policy, value, raw, cfg)
-            got = ppo_loss_and_grads(policy, value, batch, cfg, ws=ws)
+                     for k, a in rollout.items()}
+            fresh = UpdateWorkspace(policy, value, len(batch["actions"]))
+            want = ppo_loss_and_grads(policy, value, batch, cfg, fresh)
+            got = ppo_loss_and_grads(policy, value, batch, cfg, ws)
             for part in ("total", "policy_loss", "value_loss", "entropy",
                          "clip_frac"):
                 assert getattr(got, part) == getattr(want, part)
-            for g, w in zip(got.policy_grads + got.value_grads,
-                            want.policy_grads + want.value_grads):
-                np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(ws.grad, fresh.grad)
 
     def test_workspace_gradients_are_views_of_one_vector(self):
         policy, value = self.make_nets()
-        ws = UpdateWorkspace(policy, value, 24)
-        rep = ppo_loss_and_grads(policy, value, self.make_batch(policy, value),
-                                 tiny_config(), ws=ws)
-        grads = rep.policy_grads + rep.value_grads
+        ws = self.grad_ws(policy, value, self.make_batch(policy, value)[1])
+        grads = ws.policy_grads + ws.value_grads
         assert all(g.base is ws.grad for g in grads)
         assert sum(g.size for g in grads) == ws.grad.size
         np.testing.assert_array_equal(
@@ -330,16 +337,15 @@ class TestPpoLossAndGrads:
         rng = np.random.default_rng(7)
         policy = make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng)
         value = make_value(N_FEATURES, (64, 64), rng)
-        params = [pack_params(policy, value)]
-        opt = adam_init(params, 3e-4)
+        theta = pack_params(policy, value)
+        opt = adam_init(theta, 3e-4)
         ws = UpdateWorkspace(policy, value, 256)
-        raw = self.make_batch(policy, value, n=256)
-        batch = {**net_inputs(policy, value, raw.pop("states")), **raw}
+        _, batch = self.make_batch(policy, value, n=256)
         cfg = PpoConfig()
 
         def update():
-            ppo_loss_and_grads(policy, value, batch, cfg, ws=ws)
-            adam_step(params, [ws.grad], opt)
+            ppo_loss_and_grads(policy, value, batch, cfg, ws)
+            adam_step(theta, ws.grad, opt)
 
         update()
         tracemalloc.start()
@@ -350,40 +356,6 @@ class TestPpoLossAndGrads:
         finally:
             tracemalloc.stop()
         assert peak - before < 64 * 1024
-
-
-class TestRolloutBuffer:
-    def make_buffer(self, steps=4, n_envs=3):
-        rng = np.random.default_rng(4)
-        buf = RolloutBuffer(
-            states=rng.standard_normal((steps, n_envs, N_FEATURES)),
-            actions=rng.standard_normal((steps, n_envs, N_ACTIONS)),
-            log_probs=rng.standard_normal((steps, n_envs)),
-            rewards=rng.standard_normal((steps, n_envs)),
-            values=rng.standard_normal((steps, n_envs)),
-            dones=np.zeros((steps, n_envs)),
-            bootstrap=rng.standard_normal(n_envs))
-        return buf
-
-    def test_flatten_requires_advantages(self):
-        with pytest.raises(ValueError):
-            self.make_buffer().flattened()
-
-    def test_flatten_is_time_major_row_order(self):
-        buf = self.make_buffer()
-        buf.advantages = buf.rewards.copy()
-        buf.returns = buf.values.copy()
-        flat = buf.flattened()
-        assert flat["states"].shape == (12, N_FEATURES)
-        for t in range(4):
-            for i in range(3):
-                k = t * 3 + i
-                np.testing.assert_array_equal(flat["states"][k],
-                                              buf.states[t, i])
-                assert flat["advantages"][k] == buf.advantages[t, i]
-
-    def test_n_transitions(self):
-        assert self.make_buffer(steps=5, n_envs=2).n_transitions == 10
 
 
 class TestCollectRollouts:
@@ -529,7 +501,7 @@ class TestTrain:
     def test_divergence_raises_with_diagnostic(self, monkeypatch):
         import mgrl.ppo as ppo_mod
 
-        def poisoned(policy, value, batch, cfg, with_grads=True, ws=None):
+        def poisoned(policy, value, batch, cfg, ws, with_grads=True):
             return ppo_mod.LossReport(total=math.nan, policy_loss=math.nan,
                                       value_loss=1.0, entropy=1.0,
                                       clip_frac=0.0)

@@ -10,10 +10,13 @@ totals).
 
 The environment is one pure function, :func:`step`, over plain floats: a
 scenario hour from :func:`scenario_rows`, the battery SOC and the action.
-Rollout loops own the episode state.  Every episode starts at t = 0 with a
-SOC drawn by :meth:`EnvConfig.initial_soc` and runs the full scenario
-horizon; parallel training envs advance in lockstep on one shared clock, so
-they all finish and restart together.
+:func:`step_batch` is the same hour on arrays, for many SOCs and actions
+at once.  Rollout loops own the episode state.  Every episode starts at
+t = 0 with a SOC drawn by :meth:`EnvConfig.initial_soc` and runs the full
+scenario horizon; parallel training envs advance in lockstep on one shared
+clock, so they all finish and restart together.  Training rollouts step
+all envs at once through :func:`step_batch`; evaluation runs one episode
+at a time through :func:`step`.
 
 Conventions (documented, not configurable):
   * Negative charge/discharge action halves mean "no request"; only the
@@ -166,6 +169,58 @@ def step(cfg: EnvConfig, row, soc: float, action):
     short = (-min(0.0, imb[0]), -min(0.0, imb[1]), -min(0.0, imb[2]))
     reward = resilience_index(short, (l1, l2, l3), cfg.reward_weights)
     return soc_next, p_ch, p_dis, p_supply, alloc, imb, short, reward
+
+
+def step_batch(cfg: EnvConfig, row, soc: np.ndarray, action: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`step` for n envs at the same scenario hour, on arrays.
+
+    ``soc`` has shape (n,) and values in [soc_min, soc_max]; ``action`` has
+    shape (n, N_ACTIONS), clipped as for :func:`step`.  Returns (soc_next
+    (n,), shortages (n, 3), rewards (n,)), bit for bit what :func:`step`
+    returns per env: each element goes through the operations of
+    :func:`step` in the same order (``np.where`` keeps the zero signs and
+    NaN handling of its ``max``/``min``), and the softmax uses ``math.exp``,
+    whose results ``np.exp`` does not always match.
+    """
+    l1, l2, l3, p_re, p_net = row
+    w = action[:, 2:]
+    if not np.isfinite(w).all():
+        bad = w[~np.isfinite(w).all(axis=1)][0].tolist()
+        raise ValueError(f"non-finite allocation weights: {bad}")
+    m = np.maximum(np.maximum(w[:, 0], w[:, 1]), w[:, 2])
+    # A spread wider than the float range gives offset -inf and share 0.0,
+    # as in step, whose float subtraction overflows without a warning.
+    with np.errstate(over="ignore"):
+        offsets = (w - m[:, None]).ravel().tolist()
+    e = np.fromiter(map(math.exp, offsets), float, len(offsets))
+    e = e.reshape(w.shape)
+    s = e[:, 0] + e[:, 1] + e[:, 2]
+
+    # Every env sees the same p_net, so one side of the mutual exclusion
+    # holds for all of them and the other flow is exactly 0.0, as in step.
+    charging = p_net >= 0
+    a = action[:, 0] if charging else action[:, 1]
+    req = np.where(a > 0.0, a, 0.0) * cfg.p_conv_kw
+    if charging:
+        headroom = (np.maximum(cfg.soc_max - soc, 0.0) * cfg.e_max_kwh
+                    / cfg.eta_ch)
+        cap = max(0.0, p_net)
+    else:
+        headroom = (np.maximum(soc - cfg.soc_min, 0.0) * cfg.e_max_kwh
+                    * cfg.eta_dis)
+        cap = max(0.0, -p_net)
+    flow = np.minimum(np.minimum(np.minimum(req, cfg.p_conv_kw), headroom),
+                      cap)
+    p_ch, p_dis = (flow, 0.0) if charging else (0.0, flow)
+    soc_next = soc + (cfg.eta_ch * p_ch - p_dis / cfg.eta_dis) / cfg.e_max_kwh
+    soc_next = np.minimum(np.maximum(soc_next, cfg.soc_min), cfg.soc_max)
+
+    p_supply = p_re + p_dis - p_ch
+    imb = e / s[:, None] * p_supply[:, None] - (l1, l2, l3)
+    short = -np.where(imb < 0.0, imb, 0.0)
+    reward = resilience_index(short.T, (l1, l2, l3), cfg.reward_weights)
+    return soc_next, short, np.full(soc.shape, reward)
 
 
 @dataclass

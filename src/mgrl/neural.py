@@ -259,6 +259,26 @@ def sample_action(p: GaussianPolicy, s, rng: np.random.Generator) -> ActionSampl
     return ActionSample(action=action, preclip=preclip, log_prob=lp)
 
 
+def sample_with_value(p: GaussianPolicy, v: ValueNet, s: np.ndarray,
+                      z: np.ndarray, preclip: np.ndarray,
+                      log_prob: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """One rollout hour of a (B, N_FEATURES) state batch through both nets.
+
+    Fills ``preclip`` with mean + exp(log_std) * z for the given standard
+    normal draws ``z``, ``log_prob`` with its log-density and ``value``
+    with the critic's estimates, the same numbers as :func:`sample_action`
+    and :func:`forward_value`; returns the clipped actions.
+    """
+    if not np.isfinite(s).all():
+        raise ValueError("non-finite state features")
+    mean, _ = mlp_forward(p.trunk, normalize(p, s))
+    log_std = p.clamped_log_std()
+    preclip[:] = mean + np.exp(log_std) * z
+    log_prob[:] = gaussian_log_prob(mean, log_std, preclip)
+    value[:] = mlp_forward(v.net, normalize(v, s))[0][:, 0]
+    return np.clip(preclip, -1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Parameter flattening shared by the optimizer and checkpoints
 
@@ -377,7 +397,14 @@ def _floats(name: str, value, shape: tuple) -> np.ndarray:
 def _mlp_from_json(d: dict, name: str) -> tuple[Mlp, np.ndarray, np.ndarray]:
     """A net's layers and input normalization, checked against the stored
     layer sizes."""
+    if not isinstance(d, dict):
+        raise CheckpointError(f"{name} is not an object")
     sizes = d["sizes"]
+    if not (isinstance(sizes, list) and all(type(k) is int for k in sizes)):
+        raise CheckpointError(f"{name}.sizes is not a list of integers")
+    for key in ("weights", "biases"):
+        if not isinstance(d[key], list):
+            raise CheckpointError(f"{name}.{key} is not a list")
     shapes = list(zip(sizes[:-1], sizes[1:]))
     if not len(d["weights"]) == len(d["biases"]) == len(shapes) > 0:
         raise CheckpointError(f"{name} needs one weight matrix and one bias "

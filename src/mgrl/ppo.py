@@ -1,10 +1,11 @@
 """Proximal policy optimization for the microgrid dispatch task.
 
 The trainer is deliberately self-contained: rollouts come from a small
-ensemble of lockstep episodes over :func:`mgrl.env.step`, advantages use
-generalized advantage estimation, and updates apply the clipped surrogate
-objective with analytic gradients through the numpy networks in
-:mod:`mgrl.neural`.
+ensemble of lockstep episodes that :func:`mgrl.env.step_batch` advances
+together, advantages use generalized advantage estimation, and updates
+apply the clipped surrogate objective with analytic gradients through the
+numpy networks in :mod:`mgrl.neural`.  Evaluation runs one episode at a
+time through :func:`mgrl.env.step`.
 
 Training optimizes the per-step reward stream only; the episode-level
 resilience bonus enters the normalized episode score that is *reported*
@@ -23,6 +24,7 @@ from .env import (
     load_totals,
     scenario_rows,
     step,
+    step_batch,
     summarize_episode,
 )
 from .neural import (
@@ -45,6 +47,7 @@ from .neural import (
     pack_params,
     policy_params,
     sample_action,
+    sample_with_value,
     value_params,
 )
 from .scenario import Scenario
@@ -180,8 +183,9 @@ class EnvBatch:
 
     All envs share the scenario clock ``t``: every episode starts at t = 0
     and runs the full horizon, so the envs finish together and each then
-    draws a fresh SOC from its own reset stream ``rngs[i]``.  The reward
-    and shortage sums belong to the running episodes.
+    draws a fresh SOC from its own reset stream ``rngs[i]``.  The SOCs
+    (n_envs,) and the reward (n_envs,) and shortage (n_envs, 3) sums of
+    the running episodes are arrays.
     """
 
     def __init__(self, cfg: EnvConfig, scn: Scenario, n_envs: int,
@@ -194,17 +198,18 @@ class EnvBatch:
         self.reset()
 
     def reset(self) -> None:
+        n = len(self.rngs)
         self.t = 0
-        self.soc = [self.cfg.initial_soc(rng) for rng in self.rngs]
-        self.reward_sums = [0.0] * len(self.rngs)
-        self.shortage_sums = [[0.0, 0.0, 0.0] for _ in self.rngs]
+        self.soc = np.array([self.cfg.initial_soc(rng) for rng in self.rngs])
+        self.reward_sums = np.zeros(n)
+        self.shortage_sums = np.zeros((n, 3))
 
-    def observations(self) -> np.ndarray:
-        """(n_envs, N_FEATURES) observations at the shared clock."""
-        obs = np.empty((len(self.soc), N_FEATURES))
-        obs[:, 0] = self.soc
-        obs[:, 1:] = self.rows[self.t]
-        return obs
+    def observe(self, out: np.ndarray) -> np.ndarray:
+        """Write the (n_envs, N_FEATURES) observations at the shared clock
+        into ``out`` and return it."""
+        out[:, 0] = self.soc
+        out[:, 1:] = self.rows[self.t]
+        return out
 
 
 def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
@@ -212,8 +217,10 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Advance every env in lockstep until exactly n_steps transitions exist.
 
-    Finished episodes are summarized and restarted in place, so a buffer
-    may span several (possibly partial) episodes per env.
+    Each hour is one :func:`mgrl.neural.sample_with_value` call and one
+    :func:`mgrl.env.step_batch` call over all envs.  Finished episodes are
+    summarized and restarted in place, so a buffer may span several
+    (possibly partial) episodes per env.
     """
     n_envs = len(envs.rngs)
     if n_envs == 0:
@@ -230,33 +237,28 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
     values = np.empty((steps, n_envs))
     dones = np.zeros((steps, n_envs))
     summaries: list[EpisodeSummary] = []
+    # One draw for the whole rollout: the same numbers, in the same order,
+    # as one (n_envs, N_ACTIONS) draw per hour.
+    z = rng.standard_normal((steps, n_envs, N_ACTIONS))
 
     for t in range(steps):
-        obs = states[t] = envs.observations()
-        sample = sample_action(policy, obs, rng)
-        values[t] = forward_value(value, obs)
-        actions[t] = sample.preclip
-        log_probs[t] = sample.log_prob
-        row = envs.rows[envs.t]
-        for i, action in enumerate(sample.action.tolist()):
-            envs.soc[i], *_, short, reward = step(envs.cfg, row, envs.soc[i],
-                                                  action)
-            rewards[t, i] = reward
-            envs.reward_sums[i] += reward
-            sums = envs.shortage_sums[i]
-            sums[0] += short[0]
-            sums[1] += short[1]
-            sums[2] += short[2]
+        action = sample_with_value(policy, value, envs.observe(states[t]),
+                                   z[t], actions[t], log_probs[t], values[t])
+        envs.soc, short, rewards[t] = step_batch(
+            envs.cfg, envs.rows[envs.t], envs.soc, action)
+        envs.reward_sums += rewards[t]
+        envs.shortage_sums += short
         envs.t += 1
         if envs.t == len(envs.rows):
             dones[t] = 1.0
             summaries += [summarize_episode(envs.cfg, r, sh, envs.load_sums,
                                             envs.t)
-                          for r, sh in zip(envs.reward_sums,
-                                           envs.shortage_sums)]
+                          for r, sh in zip(envs.reward_sums.tolist(),
+                                           envs.shortage_sums.tolist())]
             envs.reset()
 
-    bootstrap = forward_value(value, envs.observations())
+    bootstrap = forward_value(value, envs.observe(np.empty((n_envs,
+                                                            N_FEATURES))))
     return RolloutBuffer(states=states, actions=actions, log_probs=log_probs,
                          rewards=rewards, values=values, dones=dones,
                          bootstrap=np.asarray(bootstrap, dtype=np.float64),

@@ -391,9 +391,10 @@ class TestScenarioBoundary:
 
 
 def edit_checkpoint(path, edit):
+    """Apply ``edit(policy, value, doc)`` to the checkpoint at ``path``."""
     with open(path) as fh:
         doc = json.load(fh)
-    edit(doc["policy"], doc["value"])
+    edit(doc["policy"], doc["value"], doc)
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
@@ -418,29 +419,36 @@ class TestCheckpointBoundary:
                              [("eval",), ("explain", "--step", "1")],
                              ids=["eval", "explain"])
     @pytest.mark.parametrize("edit, detail", [
-        (lambda p, v: _set(p["weights"][0][2], 3, float("nan")),
+        (lambda p, v, d: _set(p["weights"][0][2], 3, float("nan")),
          "policy.weights[0] holds a non-finite value"),
-        (lambda p, v: _set(p["weights"], 1, p["weights"][1][:-1]),
+        (lambda p, v, d: _set(p["weights"], 1, p["weights"][1][:-1]),
          "policy.weights[1] has shape (7, 5)"),
-        (lambda p, v: _set(p["biases"], 0, p["biases"][0][:1]),
+        (lambda p, v, d: _set(p["biases"], 0, p["biases"][0][:1]),
          "policy.biases[0] has shape (1,)"),
-        (lambda p, v: _set(p["weights"][0], 2, p["weights"][0][2][:-1]),
+        (lambda p, v, d: _set(p["weights"][0], 2, p["weights"][0][2][:-1]),
          "policy.weights[0] is not a rectangular array"),
-        (lambda p, v: _resize_output(p, 4),
+        (lambda p, v, d: _resize_output(p, 4),
          "policy.sizes [6, 8, 4] does not map 6 features to 5 actions"),
-        (lambda p, v: _set(p, "log_std", p["log_std"][:3]),
+        (lambda p, v, d: _set(p, "log_std", p["log_std"][:3]),
          "policy.log_std has shape (3,)"),
-        (lambda p, v: _set(p, "obs_mean", p["obs_mean"][:4]),
+        (lambda p, v, d: _set(p, "obs_mean", p["obs_mean"][:4]),
          "policy.obs_mean has shape (4,)"),
-        (lambda p, v: _set(v, "obs_scale", v["obs_scale"][:5]),
+        (lambda p, v, d: _set(v, "obs_scale", v["obs_scale"][:5]),
          "value.obs_scale has shape (5,)"),
-        (lambda p, v: _resize_output(v, 2),
+        (lambda p, v, d: _resize_output(v, 2),
          "value.sizes [6, 8, 2] does not end in one output"),
-        (lambda p, v: _set(p["obs_scale"], 0, 0.0),
+        (lambda p, v, d: _set(p["obs_scale"], 0, 0.0),
          "policy.obs_scale holds a non-positive value"),
+        (lambda p, v, d: _set(p, "sizes", 5),
+         "policy.sizes is not a list of integers"),
+        (lambda p, v, d: _set(d, "policy", []),
+         "policy is not an object"),
+        (lambda p, v, d: _set(v, "weights", 7),
+         "value.weights is not a list"),
     ], ids=["nan-weight", "mis-chained-layer", "short-bias", "ragged-weight",
             "policy-width", "short-log_std", "short-obs_mean",
-            "short-value-obs_scale", "value-output-width", "zero-obs_scale"])
+            "short-value-obs_scale", "value-output-width", "zero-obs_scale",
+            "int-sizes", "list-policy", "int-weights"])
     def test_corrupt_checkpoint_is_user_error(self, conf, tmp_path, capsys,
                                               command, edit, detail):
         out = str(tmp_path / "out")

@@ -11,6 +11,7 @@ from mgrl.env import (
     resilience_index,
     scenario_rows,
     step,
+    step_batch,
 )
 from mgrl.neural import make_policy, make_value
 from mgrl.ppo import EnvBatch, collect_rollouts, evaluate_policy
@@ -300,6 +301,99 @@ class TestStep:
         assert len(rows) == 3
         with pytest.raises(IndexError):
             rows[3]
+
+
+def bits(x):
+    """The IEEE bit patterns of a float or float array, so that zero signs
+    and NaN payloads count in a comparison."""
+    return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
+
+
+# Exact action edges (the clip bounds and both zeros) next to the interior;
+# step reads a NaN battery request as no request.
+UNIT = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), st.floats(-1, 1))
+REQUEST = st.one_of(UNIT, st.just(math.nan))
+
+
+@st.composite
+def batch_hours(draw, kind):
+    """(cfg, row, socs, actions) for step_batch: a scenario hour of the
+    given kind, 1-8 envs, SOCs at and inside the band edges, actions at
+    the clip edges and allocation weights of any finite spread."""
+    w3 = draw(st.floats(0, 10))
+    d2, d1 = draw(st.floats(1e-3, 10)), draw(st.floats(1e-3, 10))
+    cfg = EnvConfig(reward_weights=(w3 + d2 + d1, w3 + d2, w3))
+    cfg.validate()
+    if kind == "no-load":
+        loads = (0.0, 0.0, 0.0)
+    else:
+        loads = draw(st.tuples(*[st.one_of(st.just(0.0), st.floats(1, 500))]
+                               * 2, st.floats(1, 500)))
+    total = loads[0] + loads[1] + loads[2]
+    p_re = {"no-load": draw(st.floats(0, 300)),
+            "surplus": total + draw(st.floats(1e-6, 300)),
+            "balanced": total,
+            "deficit": total * draw(st.floats(0, 0.99))}[kind]
+    row = make_row(loads, p_re)
+    n = draw(st.integers(1, 8))
+    socs = draw(st.lists(st.one_of(st.sampled_from([cfg.soc_min,
+                                                    cfg.soc_max]),
+                                   st.floats(cfg.soc_min, cfg.soc_max)),
+                         min_size=n, max_size=n))
+    weight = st.one_of(UNIT, st.floats(allow_nan=False,
+                                       allow_infinity=False))
+    actions = draw(st.lists(st.tuples(REQUEST, REQUEST, weight, weight,
+                                      weight),
+                            min_size=n, max_size=n))
+    return cfg, row, socs, actions
+
+
+class TestStepBatch:
+    """step_batch is step on arrays: the same bits per env."""
+
+    @pytest.mark.parametrize("kind",
+                             ["no-load", "surplus", "balanced", "deficit"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_step_per_env(self, kind, data):
+        cfg, row, socs, actions = data.draw(batch_hours(kind))
+        assert {"no-load": row[:3] == (0.0, 0.0, 0.0),
+                "surplus": row[4] > 0.0,
+                "balanced": row[4] == 0.0,
+                "deficit": row[4] < 0.0}[kind]
+        soc_next, short, reward = step_batch(cfg, row, np.array(socs),
+                                             np.array(actions))
+        assert soc_next.shape == reward.shape == (len(socs),)
+        assert short.shape == (len(socs), 3)
+        for i, (soc, action) in enumerate(zip(socs, actions)):
+            ref = step(cfg, row, soc, action)
+            assert bits(soc_next[i]) == bits(ref[0])
+            assert bits(short[i]) == bits(ref[6])
+            assert bits(reward[i]) == bits(ref[7])
+
+    def test_weight_spread_beyond_float_range(self):
+        """An offset that overflows to -inf gives share 0.0 in both, and
+        step_batch warns no more than step (warnings fail the suite)."""
+        action = [0.0, 0.0, -1.7976931348623157e308, 1.7976931348623157e308,
+                  0.0]
+        ref = step(EnvConfig(), make_row(), 0.5, action)
+        soc_next, short, reward = step_batch(EnvConfig(), make_row(),
+                                             np.array([0.5]),
+                                             np.array([action]))
+        assert bits(short[0]) == bits(ref[6])
+        assert bits(reward[0]) == bits(ref[7])
+
+    @given(n=st.integers(1, 6), env=st.integers(0, 5), dim=st.integers(2, 4),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_weight_raises_like_step(self, n, env, dim, bad):
+        actions = np.zeros((n, 5))
+        actions[env % n, dim] = bad
+        with pytest.raises(ValueError) as scalar:
+            step(EnvConfig(), make_row(), 0.5, actions[env % n].tolist())
+        with pytest.raises(ValueError) as batch:
+            step_batch(EnvConfig(), make_row(), np.full(n, 0.5), actions)
+        assert str(batch.value) == str(scalar.value)
 
 
 class TestMicrogridEnv:

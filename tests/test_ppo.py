@@ -1,10 +1,19 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from mgrl.env import EnvConfig, N_ACTIONS, N_FEATURES, scenario_rows, step
+from mgrl.env import (
+    EnvConfig,
+    N_ACTIONS,
+    N_FEATURES,
+    load_totals,
+    scenario_rows,
+    step,
+    summarize_episode,
+)
 from mgrl.neural import (
     adam_init,
     adam_step,
@@ -18,6 +27,7 @@ from mgrl.neural import (
     normalize,
     pack_params,
     policy_params,
+    sample_action,
     save_checkpoint,
     value_params,
 )
@@ -37,6 +47,7 @@ from mgrl.ppo import (
     value_loss,
 )
 from mgrl.scenario import Scenario, ScenarioConfig, synth_cyclone_scenario
+from mgrl.seeding import derive_rng
 
 
 def small_scenario(horizon=10, seed=0):
@@ -358,6 +369,48 @@ class TestPpoLossAndGrads:
         assert peak - before < 64 * 1024
 
 
+def bits(x):
+    """IEEE bit patterns, so that a comparison sees every last bit."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
+    """collect_rollouts rebuilt from sample_action, forward_value and step.
+
+    The nets see the whole env batch each hour, as BLAS rounding depends on
+    the batch shape; step then advances one env at a time, and each env
+    keeps its own episode sums.
+    """
+    rows = scenario_rows(scn)
+    load_sums = load_totals(rows)
+    rngs = [derive_rng(seed, f"env-{i}") for i in range(n_envs)]
+    soc = [cfg.initial_soc(r) for r in rngs]
+    sums = [[0.0] * 4 for _ in range(n_envs)]  # reward, 3 tier shortages
+    hours, summaries, clock = [], [], 0
+    for _ in range(steps):
+        obs = np.array([(s, *rows[clock]) for s in soc])
+        sample = sample_action(policy, obs, rng)
+        rewards = []
+        for i, action in enumerate(sample.action.tolist()):
+            soc[i], *_, short, reward = step(cfg, rows[clock], soc[i], action)
+            rewards.append(reward)
+            for k, x in enumerate((reward, *short)):
+                sums[i][k] += x
+        clock += 1
+        done = clock == len(rows)
+        hours.append((obs, sample.preclip, sample.log_prob, rewards,
+                      forward_value(value, obs), [float(done)] * n_envs))
+        if done:
+            summaries += [summarize_episode(cfg, r, sh, load_sums, clock)
+                          for r, *sh in sums]
+            clock = 0
+            soc = [cfg.initial_soc(r) for r in rngs]
+            sums = [[0.0] * 4 for _ in range(n_envs)]
+    bootstrap = forward_value(value,
+                              np.array([(s, *rows[clock]) for s in soc]))
+    return [np.array(col) for col in zip(*hours)], bootstrap, summaries
+
+
 class TestCollectRollouts:
     def make_parts(self, horizon=5, n_envs=2, seed=5):
         from mgrl.neural import make_policy, make_value
@@ -433,6 +486,38 @@ class TestCollectRollouts:
         for summary, (ri, norm) in zip(buf.episode_summaries, replayed):
             assert abs(summary.ri - ri) <= 1e-12
             assert abs(summary.reward_final_norm - norm) <= 1e-12
+
+    @pytest.mark.parametrize("n_envs", [1, 3, 8])
+    def test_matches_scalar_reference_rollout(self, n_envs):
+        """Two 7-hour rollouts on a 5-hour scenario under non-default
+        reward weights, the second resuming mid-episode, are the
+        reference's 14 hours bit for bit: every buffer field, both
+        bootstraps and the episode summaries."""
+        cfg = EnvConfig(reward_weights=(4.0, 1.5, 0.25))
+        scn = small_scenario(horizon=5)
+        rng = np.random.default_rng(11)
+        policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng)
+        value = make_value(N_FEATURES, (8,), rng)
+        ref, ref_bootstrap, ref_summaries = reference_rollout(
+            policy, value, cfg, scn, n_envs, 3, 14, np.random.default_rng(12))
+        envs = EnvBatch(cfg, scn, n_envs, seed=3)
+        rollout_rng = np.random.default_rng(12)
+        bufs = [collect_rollouts(policy, value, envs, 7 * n_envs, rollout_rng)
+                for _ in range(2)]
+        for k, buf in enumerate(bufs):
+            fields = (buf.states, buf.actions, buf.log_probs, buf.rewards,
+                      buf.values, buf.dones)
+            for got, want in zip(fields, ref):
+                np.testing.assert_array_equal(bits(got),
+                                              bits(want[7 * k:7 * k + 7]))
+        np.testing.assert_array_equal(
+            bits(bufs[0].bootstrap), bits(forward_value(value, ref[0][7])))
+        np.testing.assert_array_equal(bits(bufs[1].bootstrap),
+                                      bits(ref_bootstrap))
+        got = [astuple(s) for buf in bufs for s in buf.episode_summaries]
+        assert len(got) == 2 * n_envs
+        np.testing.assert_array_equal(
+            bits(got), bits([astuple(s) for s in ref_summaries]))
 
 
 class TestObsStats:

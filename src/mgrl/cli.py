@@ -29,7 +29,7 @@ from .metrics import (
 )
 from .neural import CheckpointError, load_checkpoint, save_checkpoint
 from .ppo import TrainingDivergedError, evaluate_policy, train
-from .scenario import (load_scenario_csv, synth_cyclone_scenario,
+from .scenario import (STEP_HOURS, load_scenario_csv, synth_cyclone_scenario,
                        write_scenario_csv)
 from .seeding import derive_seed
 from .svg import line_chart
@@ -208,9 +208,8 @@ def cmd_report(args) -> int:
     if not len(traj):
         raise UserError(f"{required['evaluation trajectory']}: no data rows")
     rep = resilience_report(traj, cfg.env.reward_weights)
-    hours = len(traj) * cfg.scenario.step_hours
-    throughput = battery_throughput(traj.p_ch, traj.p_dis,
-                                    cfg.scenario.step_hours)
+    hours = len(traj) * STEP_HOURS
+    throughput = battery_throughput(traj.p_ch, traj.p_dis)
     life = estimate_battery_life(annualize_throughput(throughput, hours),
                                  rated_cycles=cfg.rated_cycles,
                                  e_max=cfg.env.e_max_kwh)

@@ -64,6 +64,8 @@ class ExplainConfig:
         if not 1 <= self.top_k <= N_FEATURES:
             raise ValueError(
                 f"top_k must lie in [1, {N_FEATURES}], got {self.top_k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -224,11 +226,10 @@ def explain_action(policy_fn, x: np.ndarray, action_dims: tuple[int, ...],
     rng = np.random.default_rng(cfg.seed)
     z = perturb(x, stats, cfg.n_samples, cfg.perturb_scale, rng)
     if isinstance(policy_fn, GaussianPolicy):
-        mean, _ = forward_policy(policy_fn, z)
         # take() returns C order: with two or more dims each target
-        # column is strided like ``mean[:, d]``, so its dot products
-        # round exactly as a one-dim fit of ``mean[:, d]`` would.
-        y = np.take(mean, action_dims, axis=1)
+        # column is strided like a column of the means, so its dot
+        # products round exactly as a one-dim fit of that column would.
+        y = np.take(forward_policy(policy_fn, z), action_dims, axis=1)
     else:
         y = np.asarray(policy_fn(z), dtype=np.float64)
         if y.ndim == 1:

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import env
 from .ppo import TrainStats
+from .scenario import STEP_HOURS
 from .table import Layout
 from .trajectory import Trajectory
 
@@ -27,7 +28,6 @@ class ResilienceReport:
     ri: float
     shortage_sums: tuple[float, float, float]
     load_sums: tuple[float, float, float]
-    rewards: np.ndarray
 
 
 def resilience_report(traj: Trajectory, weights) -> ResilienceReport:
@@ -35,15 +35,15 @@ def resilience_report(traj: Trajectory, weights) -> ResilienceReport:
     sh = tuple(float(v) for v in traj.shortages.sum(axis=0))
     ld = tuple(float(v) for v in traj.loads.sum(axis=0))
     return ResilienceReport(ri=env.resilience_index(sh, ld, weights),
-                            shortage_sums=sh, load_sums=ld,
-                            rewards=traj.reward.copy())
+                            shortage_sums=sh, load_sums=ld)
 
 
-def battery_throughput(p_ch, p_dis, step_hours: float = 1.0) -> float:
-    """Equivalent one-direction energy cycled: half of total in plus out."""
+def battery_throughput(p_ch, p_dis) -> float:
+    """Equivalent one-direction energy cycled: half of total in plus out,
+    for per-step powers over steps of :data:`mgrl.scenario.STEP_HOURS`."""
     p_ch = np.asarray(p_ch, dtype=np.float64)
     p_dis = np.asarray(p_dis, dtype=np.float64)
-    return float((p_ch.sum() + p_dis.sum()) * step_hours / 2.0)
+    return float((p_ch.sum() + p_dis.sum()) * STEP_HOURS / 2.0)
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,7 @@ def estimate_battery_life(annual_throughput_kwh: float,
 
 @dataclass(frozen=True)
 class CurveSummary:
-    updates: np.ndarray       # update indices the summary covers
     rolling_mean: np.ndarray
-    rolling_std: np.ndarray
     last_quartile_mean: float
     final_value: float        # last rolling mean
     converged_at: int         # update index; -1 when never inside the band
@@ -96,7 +94,7 @@ class CurveSummary:
 
 def reward_curve_summary(updates, rewards, window: int = 10,
                          band: float = 0.02) -> CurveSummary:
-    """Rolling statistics and a convergence point for a learning curve.
+    """Rolling mean and a convergence point for a learning curve.
 
     ``converged_at`` is the earliest update from which the rolling mean
     never again leaves a +-band (relative) envelope around its final
@@ -113,12 +111,8 @@ def reward_curve_summary(updates, rewards, window: int = 10,
 
     n = len(rewards)
     rolling_mean = np.empty(n)
-    rolling_std = np.empty(n)
     for i in range(n):
-        lo = max(0, i - window + 1)
-        seg = rewards[lo:i + 1]
-        rolling_mean[i] = seg.mean()
-        rolling_std[i] = seg.std()
+        rolling_mean[i] = rewards[max(0, i - window + 1):i + 1].mean()
     final = float(rolling_mean[-1])
     tol = band * max(abs(final), 1e-12)
     inside = np.abs(rolling_mean - final) <= tol
@@ -128,8 +122,7 @@ def reward_curve_summary(updates, rewards, window: int = 10,
             break
         converged = int(updates[i])
     quart = max(1, n // 4)
-    return CurveSummary(updates=updates.copy(), rolling_mean=rolling_mean,
-                        rolling_std=rolling_std,
+    return CurveSummary(rolling_mean=rolling_mean,
                         last_quartile_mean=float(rewards[-quart:].mean()),
                         final_value=final, converged_at=converged)
 

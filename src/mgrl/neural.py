@@ -69,13 +69,6 @@ def mlp_init(sizes, rng: np.random.Generator, out_gain: float = 1.0) -> Mlp:
     return Mlp(weights=weights, biases=biases)
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
 def mlp_forward(m: Mlp, x: np.ndarray, outs: list | None = None,
                 scratch: list | None = None) -> tuple[np.ndarray, list]:
     """Forward pass on a (B, n_in) batch; cache holds each layer's input.
@@ -176,31 +169,22 @@ class ValueNet:
 
 
 def make_policy(n_features: int, n_actions: int, hidden, rng,
-                obs_mean=None, obs_scale=None,
+                obs_mean, obs_scale,
                 init_log_std: float = 0.0) -> GaussianPolicy:
     sizes = [n_features, *hidden, n_actions]
     return GaussianPolicy(
         trunk=mlp_init(sizes, rng, out_gain=0.01),
         log_std=np.full(n_actions, float(init_log_std)),
-        obs_mean=_norm_vec(obs_mean, n_features, 0.0),
-        obs_scale=_norm_vec(obs_scale, n_features, 1.0))
+        obs_mean=np.array(obs_mean, dtype=np.float64).reshape(n_features),
+        obs_scale=np.array(obs_scale, dtype=np.float64).reshape(n_features))
 
 
-def make_value(n_features: int, hidden, rng,
-               obs_mean=None, obs_scale=None) -> ValueNet:
+def make_value(n_features: int, hidden, rng, obs_mean, obs_scale) -> ValueNet:
     sizes = [n_features, *hidden, 1]
-    return ValueNet(net=mlp_init(sizes, rng, out_gain=1.0),
-                    obs_mean=_norm_vec(obs_mean, n_features, 0.0),
-                    obs_scale=_norm_vec(obs_scale, n_features, 1.0))
-
-
-def _norm_vec(v, n: int, default: float) -> np.ndarray:
-    if v is None:
-        return np.full(n, default)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (n,):
-        raise ValueError(f"normalization vector must have shape ({n},), got {v.shape}")
-    return v.copy()
+    return ValueNet(
+        net=mlp_init(sizes, rng, out_gain=1.0),
+        obs_mean=np.array(obs_mean, dtype=np.float64).reshape(n_features),
+        obs_scale=np.array(obs_scale, dtype=np.float64).reshape(n_features))
 
 
 def normalize(net: GaussianPolicy | ValueNet, x: np.ndarray) -> np.ndarray:
@@ -208,22 +192,23 @@ def normalize(net: GaussianPolicy | ValueNet, x: np.ndarray) -> np.ndarray:
     return (x - net.obs_mean) / net.obs_scale
 
 
-def forward_policy(p: GaussianPolicy, s) -> tuple[np.ndarray, np.ndarray]:
-    """Action means and (clamped) log-std for one state or a batch."""
-    x, single = _as_batch(s)
-    if not np.all(np.isfinite(x)):
+def _net_input(net: GaussianPolicy | ValueNet, x: np.ndarray) -> np.ndarray:
+    """A (B, n_features) batch of raw states, checked and normalized."""
+    if x.ndim != 2:
+        raise ValueError(f"need a (B, n_features) state batch, got {x.shape}")
+    if not np.isfinite(x).all():
         raise ValueError("non-finite state features")
-    mean, _ = mlp_forward(p.trunk, normalize(p, x))
-    return (mean[0] if single else mean), p.clamped_log_std()
+    return normalize(net, x)
 
 
-def forward_value(v: ValueNet, s) -> np.ndarray | float:
-    """Critic estimate for one state (scalar) or a batch (vector)."""
-    x, single = _as_batch(s)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite state features")
-    out, _ = mlp_forward(v.net, normalize(v, x))
-    return float(out[0, 0]) if single else out[:, 0]
+def forward_policy(p: GaussianPolicy, x: np.ndarray) -> np.ndarray:
+    """(B, n_actions) action means for a (B, n_features) state batch."""
+    return mlp_forward(p.trunk, _net_input(p, x))[0]
+
+
+def forward_value(v: ValueNet, x: np.ndarray) -> np.ndarray:
+    """(B,) critic estimates for a (B, n_features) state batch."""
+    return mlp_forward(v.net, _net_input(v, x))[0][:, 0]
 
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray,
@@ -238,45 +223,20 @@ def gaussian_entropy(log_std: np.ndarray) -> float:
     return float(log_std.sum() + 0.5 * len(log_std) * (1.0 + LOG_2PI))
 
 
-@dataclass
-class ActionSample:
-    action: np.ndarray   # clipped to [-1, 1], what the environment executes
-    preclip: np.ndarray  # raw Gaussian draw, what the log-prob refers to
-    log_prob: np.ndarray
+def sample_action(p: GaussianPolicy, x: np.ndarray, z: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Actions for a (B, n_features) state batch and (B, n_actions)
+    standard normal draws ``z``.
 
-
-def sample_action(p: GaussianPolicy, s, rng: np.random.Generator) -> ActionSample:
-    """Draw mean + exp(log_std) * z, score it pre-clip, clip for the env."""
-    x, single = _as_batch(s)
-    mean, log_std = forward_policy(p, x)
-    z = rng.standard_normal(mean.shape)
-    preclip = mean + np.exp(log_std) * z
-    lp = gaussian_log_prob(mean, log_std, preclip)
-    action = np.clip(preclip, -1.0, 1.0)
-    if single:
-        return ActionSample(action=action[0], preclip=preclip[0],
-                            log_prob=lp[0])
-    return ActionSample(action=action, preclip=preclip, log_prob=lp)
-
-
-def sample_with_value(p: GaussianPolicy, v: ValueNet, s: np.ndarray,
-                      z: np.ndarray, preclip: np.ndarray,
-                      log_prob: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """One rollout hour of a (B, N_FEATURES) state batch through both nets.
-
-    Fills ``preclip`` with mean + exp(log_std) * z for the given standard
-    normal draws ``z``, ``log_prob`` with its log-density and ``value``
-    with the critic's estimates, the same numbers as :func:`sample_action`
-    and :func:`forward_value`; returns the clipped actions.
+    Returns (action, preclip, log_prob): the draw mean + exp(log_std) * z
+    clipped to [-1, 1] for the environment, the draw itself and its
+    (B,) log-density, which refers to the pre-clip draw.
     """
-    if not np.isfinite(s).all():
-        raise ValueError("non-finite state features")
-    mean, _ = mlp_forward(p.trunk, normalize(p, s))
+    mean = forward_policy(p, x)
     log_std = p.clamped_log_std()
-    preclip[:] = mean + np.exp(log_std) * z
-    log_prob[:] = gaussian_log_prob(mean, log_std, preclip)
-    value[:] = mlp_forward(v.net, normalize(v, s))[0][:, 0]
-    return np.clip(preclip, -1.0, 1.0)
+    preclip = mean + np.exp(log_std) * z
+    return (np.clip(preclip, -1.0, 1.0), preclip,
+            gaussian_log_prob(mean, log_std, preclip))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .neural import (
     pack_params,
     policy_params,
     sample_action,
-    sample_with_value,
     value_params,
 )
 from .scenario import Scenario
@@ -217,7 +216,8 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Advance every env in lockstep until exactly n_steps transitions exist.
 
-    Each hour is one :func:`mgrl.neural.sample_with_value` call and one
+    Each hour is one :func:`mgrl.neural.sample_action` call, one
+    :func:`mgrl.neural.forward_value` call and one
     :func:`mgrl.env.step_batch` call over all envs.  Finished episodes are
     summarized and restarted in place, so a buffer may span several
     (possibly partial) episodes per env.
@@ -242,8 +242,9 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
     z = rng.standard_normal((steps, n_envs, N_ACTIONS))
 
     for t in range(steps):
-        action = sample_with_value(policy, value, envs.observe(states[t]),
-                                   z[t], actions[t], log_probs[t], values[t])
+        obs = envs.observe(states[t])
+        action, actions[t], log_probs[t] = sample_action(policy, obs, z[t])
+        values[t] = forward_value(value, obs)
         envs.soc, short, rewards[t] = step_batch(
             envs.cfg, envs.rows[envs.t], envs.soc, action)
         envs.reward_sums += rewards[t]
@@ -261,8 +262,7 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
                                                             N_FEATURES))))
     return RolloutBuffer(states=states, actions=actions, log_probs=log_probs,
                          rewards=rewards, values=values, dones=dones,
-                         bootstrap=np.asarray(bootstrap, dtype=np.float64),
-                         episode_summaries=summaries)
+                         bootstrap=bootstrap, episode_summaries=summaries)
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
@@ -512,8 +512,8 @@ def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
         soc = env_cfg.initial_soc(derive_rng(seed, f"eval-reset-{ep}"))
         rng = derive_rng(seed, f"eval-action-{ep}")
         traj = Trajectory(
-            soc=np.empty(horizon), p_re=np.empty(horizon),
-            loads=np.empty((horizon, 3)), p_ch=np.empty(horizon),
+            soc=np.empty(horizon), p_re=scn.p_re.copy(),
+            loads=scn.loads.copy(), p_ch=np.empty(horizon),
             p_dis=np.empty(horizon), p_supply=np.empty(horizon),
             allocations=np.empty((horizon, 3)),
             imbalances=np.empty((horizon, 3)),
@@ -521,17 +521,16 @@ def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
         reward_sum = 0.0
         sh_sums = [0.0, 0.0, 0.0]
         for t, row in enumerate(rows):
-            obs = np.array((soc, *row))
+            obs = np.array([(soc, *row)])
             if deterministic:
-                action = np.clip(forward_policy(policy, obs)[0], -1.0, 1.0)
+                action = np.clip(forward_policy(policy, obs), -1.0, 1.0)
             else:
-                action = sample_action(policy, obs, rng).action
+                action, _, _ = sample_action(
+                    policy, obs, rng.standard_normal((1, N_ACTIONS)))
             (soc_next, traj.p_ch[t], traj.p_dis[t], traj.p_supply[t],
              traj.allocations[t], traj.imbalances[t], short,
-             reward) = step(env_cfg, row, soc, action.tolist())
+             reward) = step(env_cfg, row, soc, action[0].tolist())
             traj.soc[t] = soc
-            traj.p_re[t] = row[3]
-            traj.loads[t] = row[:3]
             traj.shortages[t] = short
             traj.reward[t] = reward
             reward_sum += reward

@@ -6,8 +6,9 @@ sources: a CSV file with real measurements, or the built-in synthetic
 generator that layers a tropical-storm disturbance (solar dimming, wind
 gusts followed by turbine cut-out) on top of ordinary diurnal profiles.
 
-All series are stored as float64 kW at a fixed 1-hour step, so kW and
-kWh-per-step are numerically interchangeable.
+All series are stored as float64 kW at a fixed one-hour step
+(:data:`STEP_HOURS`), so kW and kWh-per-step are numerically
+interchangeable.
 """
 
 import os
@@ -18,6 +19,10 @@ import numpy as np
 from .table import Layout, TableError
 
 CSV_COLUMNS = ("t", "p_re", "l1", "l2", "l3")
+
+# Hours per scenario row.  The generator, the environment step and the
+# battery accounting of the report all assume one hour; it is not a knob.
+STEP_HOURS = 1.0
 
 # Hour-of-day load shapes, normalised to mean 1 so base_loads_kw are true
 # per-tier mean powers.  Essential demand is near-flat with an evening peak,
@@ -51,7 +56,6 @@ class ScenarioConfig:
     """Knobs for the synthetic scenario generator."""
 
     horizon_steps: int = 720
-    step_hours: float = 1.0
     start_hour: int = 0  # hour of day at step 0
     solar_capacity_kw: float = 140.0
     wind_capacity_kw: float = 80.0
@@ -63,8 +67,6 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.horizon_steps < 1:
             raise ValueError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
-        if self.step_hours <= 0:
-            raise ValueError(f"step_hours must be > 0, got {self.step_hours}")
         if not 0 <= self.start_hour < 24:
             raise ValueError(f"start_hour must be in [0, 24), got {self.start_hour}")
         start, end = self.cyclone_window
@@ -80,6 +82,8 @@ class ScenarioConfig:
         if len(self.base_loads_kw) != 3 or any(b < 0 for b in self.base_loads_kw):
             raise ValueError(f"base_loads_kw must be three values >= 0, "
                              f"got {self.base_loads_kw}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from mgrl.ppo import (
 from mgrl.scenario import Scenario, ScenarioConfig, synth_cyclone_scenario
 from mgrl.seeding import derive_rng
 
+from test_neural import raw_inputs
 from test_ppo import fd_max_rel_err, gae_brute_force, loss_batch
 
 
@@ -165,7 +166,8 @@ def test_criterion_03_reward_accounting(capsys):
     """Brute-force reward/RI recomputation over a logged trajectory."""
     with _Criterion(capsys, 3, "reward and resilience accounting") as c:
         policy = make_policy(N_FEATURES, N_ACTIONS, (64, 64),
-                             derive_rng(3, "acc-policy"))
+                             derive_rng(3, "acc-policy"),
+                             *raw_inputs(N_FEATURES))
         scn = synth_cyclone_scenario(ScenarioConfig(rng_seed=3))
         ev = evaluate_policy(policy, EnvConfig(), scn, n_episodes=1, seed=3)
         traj = ev.trajectory
@@ -199,7 +201,7 @@ def test_criterion_03_reward_accounting(capsys):
 def make_safe_batch(policy, value, rng, n=8):
     """Minibatch whose ratios sit >=0.03 from both clip kinks."""
     obs = rng.standard_normal((n, N_FEATURES))
-    mean, log_std = forward_policy(policy, obs)
+    mean, log_std = forward_policy(policy, obs), policy.clamped_log_std()
     act = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
     bands = np.array([[0.55, 0.77], [0.83, 1.17], [1.23, 1.65]])
     pick = bands[rng.integers(0, 3, n)]
@@ -223,8 +225,10 @@ def test_criterion_04_gradient_correctness(capsys):
             hidden = tuple(int(rng.integers(3, 7))
                            for _ in range(int(rng.integers(1, 3))))
             policy = make_policy(N_FEATURES, N_ACTIONS, hidden, rng,
+                                 *raw_inputs(N_FEATURES),
                                  init_log_std=float(rng.uniform(-1.0, 0.5)))
-            value = make_value(N_FEATURES, hidden, rng)
+            value = make_value(N_FEATURES, hidden, rng,
+                               *raw_inputs(N_FEATURES))
             batch = make_safe_batch(policy, value, rng)
             max_err = max(max_err, fd_max_rel_err(policy, value, batch, cfg,
                                                   h=1e-5))
@@ -295,7 +299,8 @@ def test_criterion_07_learning_smoke(capsys):
             for ep in range(5)]))
 
         def idle(obs):
-            a = np.clip(forward_policy(res_b.policy, obs)[0], -1.0, 1.0)
+            a = np.clip(forward_policy(res_b.policy, obs[None])[0],
+                        -1.0, 1.0)
             a[0] = a[1] = -1.0  # battery forced idle
             return a
 

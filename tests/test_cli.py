@@ -75,6 +75,18 @@ class TestConfigCommand:
         assert f"bad value for {key}: expected a finite number" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("scenario.rng_seed", -1),
+                                            ("explain.seed", -3)])
+    def test_negative_seed_is_user_error(self, tmp_path, capsys, key, value):
+        """A seed that would reach np.random.default_rng is checked when
+        the config loads, before any command uses it."""
+        bad = tmp_path / "bad.conf"
+        bad.write_text(f"{key} = {value}\n")
+        out = str(tmp_path / "out")
+        assert run("scenario", "--config", str(bad), "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"{key.split('.')[1]} must be >= 0, got {value}" in err
+
 
 class TestScenarioCommand:
     def test_writes_scenario_csv(self, conf, tmp_path, capsys):

@@ -22,7 +22,7 @@ NON_FINITE = [
     ("ppo.c2", "inf"),
     ("run.rated_cycles", "nan"),
     ("scenario.solar_capacity_kw", "nan"),
-    ("scenario.step_hours", "inf"),
+    ("scenario.wind_capacity_kw", "inf"),
     ("scenario.base_loads_kw", "30, -inf, 12"),
 ]
 

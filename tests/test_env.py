@@ -17,6 +17,8 @@ from mgrl.neural import make_policy, make_value
 from mgrl.ppo import EnvBatch, collect_rollouts, evaluate_policy
 from mgrl.scenario import Scenario, ScenarioConfig, synth_cyclone_scenario
 
+from test_neural import raw_inputs
+
 IDLE = (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -403,7 +405,8 @@ class TestMicrogridEnv:
         """Accumulated episode stats equal a from-scratch recomputation."""
         scn = small_scenario(horizon=30, seed=2)
         cfg = EnvConfig()
-        policy = make_policy(6, 5, (8,), np.random.default_rng(5))
+        policy = make_policy(6, 5, (8,), np.random.default_rng(5),
+                             *raw_inputs(6))
         ev = evaluate_policy(policy, cfg, scn, deterministic=False, seed=6)
         summary, traj = ev.summaries[0], ev.trajectory
 
@@ -420,8 +423,9 @@ class TestMicrogridEnv:
 
     def test_reset_clears_accumulators(self):
         scn = small_scenario(horizon=5)
-        policy = make_policy(6, 5, (8,), np.random.default_rng(0))
-        value = make_value(6, (8,), np.random.default_rng(1))
+        policy = make_policy(6, 5, (8,), np.random.default_rng(0),
+                             *raw_inputs(6))
+        value = make_value(6, (8,), np.random.default_rng(1), *raw_inputs(6))
         envs = EnvBatch(EnvConfig(), scn, 1, seed=0)
         buf = collect_rollouts(policy, value, envs, 10,
                                np.random.default_rng(2))
@@ -432,7 +436,8 @@ class TestMicrogridEnv:
 
     def test_normalized_reward_in_unit_interval(self):
         scn = small_scenario(horizon=12, seed=9)
-        policy = make_policy(6, 5, (8,), np.random.default_rng(1))
+        policy = make_policy(6, 5, (8,), np.random.default_rng(1),
+                             *raw_inputs(6))
         ev = evaluate_policy(policy, EnvConfig(), scn, n_episodes=3,
                              deterministic=False, seed=2)
         for summary in ev.summaries:

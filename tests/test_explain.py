@@ -23,6 +23,8 @@ from mgrl.explain import (
     write_explanation_csv,
 )
 
+from test_neural import raw_inputs
+
 
 def flat_stats(mean=0.0, std=1.0):
     """Unbounded feature statistics for oracle tests."""
@@ -46,6 +48,7 @@ class TestExplainConfig:
         dict(ridge_strength=-1e-6),
         dict(top_k=0),
         dict(top_k=7),
+        dict(seed=-3),
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
@@ -287,7 +290,8 @@ class TestExplainStep:
     def make_policy_and_traj(self):
         from test_trajectory import make_trajectory
         from mgrl.neural import make_policy
-        policy = make_policy(6, 5, (8,), np.random.default_rng(9))
+        policy = make_policy(6, 5, (8,), np.random.default_rng(9),
+                             *raw_inputs(6))
         return policy, make_trajectory(steps=12, seed=2)
 
     def test_returns_charge_and_discharge_views(self):
@@ -312,7 +316,7 @@ class TestExplainStep:
         for name, dim in (("charge", 0), ("discharge", 1)):
             z = perturb(x, stats, cfg.n_samples, cfg.perturb_scale,
                         np.random.default_rng(cfg.seed))
-            y = forward_policy(policy, z)[0][:, dim]
+            y = forward_policy(policy, z)[:, dim]
             w = proximity_weights(x, z, stats, cfg.kernel_sigma)
             fit = fit_surrogate(z, y, w, cfg.ridge_strength)
             coefficients = np.zeros(6)

@@ -83,19 +83,10 @@ class TestResilienceReport:
         assert rep.ri == pytest.approx(want, abs=1e-12)
         assert rep.ri != resilience_report(traj, PRIORITY_WEIGHTS).ri
 
-    def test_rewards_are_copied(self):
-        traj = make_trajectory(steps=5)
-        rep = resilience_report(traj, PRIORITY_WEIGHTS)
-        rep.rewards[0] = -99.0
-        assert traj.reward[0] != -99.0
-
 
 class TestBatteryThroughput:
     def test_half_of_total_flow(self):
         assert battery_throughput([10.0, 0.0], [0.0, 20.0]) == 15.0
-
-    def test_step_hours_scaling(self):
-        assert battery_throughput([10.0], [10.0], step_hours=0.5) == 5.0
 
     def test_idle_battery_has_zero_throughput(self):
         assert battery_throughput(np.zeros(24), np.zeros(24)) == 0.0
@@ -149,7 +140,6 @@ class TestRewardCurveSummary:
         assert s.converged_at == 0
         assert s.final_value == 0.75
         assert s.last_quartile_mean == 0.75
-        np.testing.assert_array_equal(s.rolling_std, np.zeros(12))
 
     def test_rise_then_plateau(self):
         rewards = np.concatenate([np.zeros(5), np.ones(30)])

@@ -31,6 +31,11 @@ from mgrl.neural import (
 )
 
 
+def raw_inputs(n):
+    """An identity normalizer: (obs_mean, obs_scale) for n features."""
+    return np.zeros(n), np.ones(n)
+
+
 def rel_err(a, b, floor=1e-8):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
@@ -154,36 +159,56 @@ class TestGaussianHead:
         assert at_mean[0] > off[0]
 
     def test_log_std_clamped_in_forward(self):
+        """Sampling scales the draws by the clamped std."""
         rng = np.random.default_rng(5)
-        p = make_policy(2, 3, (4,), rng, init_log_std=10.0)
-        _, log_std = forward_policy(p, np.zeros(2))
-        assert np.all(log_std == LOG_STD_MAX)
-        p.log_std[:] = -50.0
-        _, log_std = forward_policy(p, np.zeros(2))
-        assert np.all(log_std == LOG_STD_MIN)
+        p = make_policy(2, 3, (4,), rng, *raw_inputs(2), init_log_std=10.0)
+        s, z = np.zeros((1, 2)), np.ones((1, 3))
+        for bound in (LOG_STD_MAX, LOG_STD_MIN):
+            assert np.all(p.clamped_log_std() == bound)
+            _, preclip, _ = sample_action(p, s, z)
+            np.testing.assert_allclose(
+                preclip, forward_policy(p, s) + math.exp(bound), rtol=1e-14)
+            p.log_std[:] = -50.0
 
     def test_sample_scored_before_clipping(self):
         rng = np.random.default_rng(6)
-        p = make_policy(3, 2, (8,), rng, init_log_std=1.5)
-        s = np.array([0.3, -0.2, 0.9])
-        out = sample_action(p, s, np.random.default_rng(7))
-        mean, log_std = forward_policy(p, s)
-        want_lp = gaussian_log_prob(mean[None, :], log_std,
-                                    out.preclip[None, :])[0]
-        assert out.log_prob == pytest.approx(want_lp, rel=1e-14)
-        np.testing.assert_array_equal(out.action, np.clip(out.preclip, -1, 1))
+        p = make_policy(3, 2, (8,), rng, *raw_inputs(3), init_log_std=1.5)
+        s = np.array([[0.3, -0.2, 0.9], [1.0, 0.5, -2.0]])
+        action, preclip, log_prob = sample_action(
+            p, s, np.random.default_rng(7).standard_normal((2, 2)))
+        want_lp = gaussian_log_prob(forward_policy(p, s),
+                                    p.clamped_log_std(), preclip)
+        np.testing.assert_allclose(log_prob, want_lp, rtol=1e-14)
+        assert np.abs(preclip).max() > 1.0  # some draws do get clipped
+        np.testing.assert_array_equal(action, np.clip(preclip, -1, 1))
 
     def test_sample_reproducible(self):
-        p = make_policy(3, 2, (8,), np.random.default_rng(8))
-        s = np.ones(3)
-        a = sample_action(p, s, np.random.default_rng(11))
-        b = sample_action(p, s, np.random.default_rng(11))
-        np.testing.assert_array_equal(a.preclip, b.preclip)
+        """The draw is mean + exp(log_std) * z for the caller's z."""
+        p = make_policy(3, 2, (8,), np.random.default_rng(8), *raw_inputs(3),
+                        init_log_std=-0.5)
+        s = np.ones((4, 3))
+        z = np.random.default_rng(11).standard_normal((4, 2))
+        a = sample_action(p, s, z)
+        b = sample_action(p, s, z.copy())
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(
+            a[1], forward_policy(p, s) + np.exp(p.clamped_log_std()) * z)
 
     def test_non_finite_inputs_rejected(self):
-        p = make_policy(2, 2, (4,), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            forward_policy(p, np.array([np.nan, 0.0]))
+        p = make_policy(2, 2, (4,), np.random.default_rng(0), *raw_inputs(2))
+        v = make_value(2, (4,), np.random.default_rng(0), *raw_inputs(2))
+        bad = np.array([[0.0, 1.0], [np.nan, 0.0]])
+        for call in (lambda: forward_policy(p, bad),
+                     lambda: forward_value(v, bad),
+                     lambda: sample_action(p, bad, np.zeros((2, 2)))):
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
+
+    def test_single_state_must_be_a_batch(self):
+        p = make_policy(2, 2, (4,), np.random.default_rng(0), *raw_inputs(2))
+        with pytest.raises(ValueError, match="state batch"):
+            forward_policy(p, np.zeros(2))
 
 
 class TestObservationNormalization:
@@ -195,32 +220,37 @@ class TestObservationNormalization:
                         obs_scale=obs_scale)
         raw = GaussianPolicy(trunk=p.trunk, log_std=p.log_std,
                              obs_mean=np.zeros(2), obs_scale=np.ones(2))
-        x = np.array([12.0, 3.0])
-        got, _ = forward_policy(p, x)
-        want, _ = forward_policy(raw, (x - obs_mean) / obs_scale)
-        np.testing.assert_array_equal(got, want)
+        x = np.array([[12.0, 3.0]])
+        np.testing.assert_array_equal(
+            forward_policy(p, x),
+            forward_policy(raw, (x - obs_mean) / obs_scale))
 
     def test_value_normalizes_inputs(self):
         rng = np.random.default_rng(14)
         v = make_value(3, (5,), rng, obs_mean=np.array([1.0, 2.0, 3.0]),
                        obs_scale=np.array([1.0, 2.0, 0.5]))
-        raw = make_value(3, (5,), np.random.default_rng(14))
-        assert forward_value(v, np.array([1.0, 2.0, 3.0])) == \
-            pytest.approx(forward_value(raw, np.zeros(3)), rel=1e-14)
+        raw = make_value(3, (5,), np.random.default_rng(14), *raw_inputs(3))
+        np.testing.assert_allclose(
+            forward_value(v, np.array([[1.0, 2.0, 3.0]])),
+            forward_value(raw, np.zeros((1, 3))), rtol=1e-14)
 
     def test_bad_normalization_shape_rejected(self):
         with pytest.raises(ValueError):
             make_policy(3, 2, (4,), np.random.default_rng(0),
-                        obs_mean=np.zeros(4))
+                        obs_mean=np.zeros(4), obs_scale=np.ones(3))
+        with pytest.raises(ValueError):
+            make_value(3, (4,), np.random.default_rng(0),
+                       obs_mean=np.zeros(3), obs_scale=np.ones(2))
 
     def test_value_scalar_vs_batch(self):
-        v = make_value(2, (4,), np.random.default_rng(15))
-        s = np.array([0.4, -0.1])
+        """One state is a one-row batch: its (1,) value is the value of
+        that state in any larger batch."""
+        v = make_value(2, (4,), np.random.default_rng(15), *raw_inputs(2))
+        s = np.array([[0.4, -0.1]])
         single = forward_value(v, s)
-        batch = forward_value(v, np.stack([s, s]))
-        assert isinstance(single, float)
-        assert batch.shape == (2,)
-        assert batch[0] == single == batch[1]
+        batch = forward_value(v, np.concatenate([s, s]))
+        assert single.shape == (1,) and batch.shape == (2,)
+        assert batch[0] == single[0] == batch[1]
 
 
 class TestAdam:
@@ -266,14 +296,14 @@ class TestAdam:
 
 class TestParamViews:
     def test_policy_params_are_live_views(self):
-        p = make_policy(3, 2, (4,), np.random.default_rng(17))
+        p = make_policy(3, 2, (4,), np.random.default_rng(17), *raw_inputs(3))
         params = policy_params(p)
         assert params[-1] is p.log_std
         params[0][0, 0] = 123.0
         assert p.trunk.weights[0][0, 0] == 123.0
 
     def test_value_params_cover_all_layers(self):
-        v = make_value(3, (4, 4), np.random.default_rng(18))
+        v = make_value(3, (4, 4), np.random.default_rng(18), *raw_inputs(3))
         assert len(value_params(v)) == 2 * len(v.net.weights)
 
 
@@ -304,9 +334,9 @@ class TestCheckpoints:
         p, v = self.make_pair(seed=20)
         save_checkpoint(p, v, tmp_path / "ck.json")
         p2, _ = load_checkpoint(tmp_path / "ck.json")
-        s = np.random.default_rng(21).standard_normal(6)
-        np.testing.assert_array_equal(forward_policy(p, s)[0],
-                                      forward_policy(p2, s)[0])
+        s = np.random.default_rng(21).standard_normal((1, 6))
+        np.testing.assert_array_equal(forward_policy(p, s),
+                                      forward_policy(p2, s))
 
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -49,6 +49,8 @@ from mgrl.ppo import (
 from mgrl.scenario import Scenario, ScenarioConfig, synth_cyclone_scenario
 from mgrl.seeding import derive_rng
 
+from test_neural import raw_inputs
+
 
 def small_scenario(horizon=10, seed=0):
     return synth_cyclone_scenario(ScenarioConfig(
@@ -220,7 +222,7 @@ class TestPpoLossAndGrads:
         evaluation."""
         rng = np.random.default_rng(seed)
         obs = rng.standard_normal((n, N_FEATURES))
-        mean, log_std = forward_policy(policy, obs)
+        mean, log_std = forward_policy(policy, obs), policy.clamped_log_std()
         act = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
         lp_now = gaussian_log_prob(mean, log_std, act)
         bands = np.array([[0.55, 0.77], [0.83, 1.17], [1.23, 1.65]])
@@ -235,8 +237,9 @@ class TestPpoLossAndGrads:
     def make_nets(self, seed=3, init_log_std=-0.3):
         rng = np.random.default_rng(seed)
         policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng,
+                             *raw_inputs(N_FEATURES),
                              init_log_std=init_log_std)
-        value = make_value(N_FEATURES, (8,), rng)
+        value = make_value(N_FEATURES, (8,), rng, *raw_inputs(N_FEATURES))
         return policy, value
 
     def grad_ws(self, policy, value, batch, cfg=None):
@@ -254,7 +257,8 @@ class TestPpoLossAndGrads:
         rep = ppo_loss_and_grads(policy, value, batch, cfg, ws,
                                  with_grads=False)
 
-        mean, log_std = forward_policy(policy, states)
+        mean, log_std = forward_policy(policy, states), \
+            policy.clamped_log_std()
         lp_new = gaussian_log_prob(mean, log_std, batch["actions"])
         loss, _, _ = clipped_policy_loss(np.exp(lp_new - batch["log_probs"]),
                                          batch["advantages"], cfg.clip_eps)
@@ -275,7 +279,8 @@ class TestPpoLossAndGrads:
         rep = ppo_loss_and_grads(policy, value, batch, cfg,
                                  UpdateWorkspace(policy, value, 40),
                                  with_grads=False)
-        mean, log_std = forward_policy(policy, states)
+        mean, log_std = forward_policy(policy, states), \
+            policy.clamped_log_std()
         lp_new = gaussian_log_prob(mean, log_std, batch["actions"])
         ratio = np.exp(lp_new - batch["log_probs"])
         want = np.mean(np.abs(ratio - 1.0) > cfg.clip_eps)
@@ -287,7 +292,8 @@ class TestPpoLossAndGrads:
         cfg = tiny_config()
         states, batch = self.make_batch(policy, value)
 
-        mean, log_std = forward_policy(policy, states)
+        mean, log_std = forward_policy(policy, states), \
+            policy.clamped_log_std()
         ratio = np.exp(gaussian_log_prob(mean, log_std, batch["actions"])
                        - batch["log_probs"])
         assert np.abs(np.abs(ratio - 1.0) - cfg.clip_eps).min() > 2e-2
@@ -346,8 +352,9 @@ class TestPpoLossAndGrads:
         6 -> 64 -> 64 -> 5 nets raises the traced peak by < 64 KiB; one
         256 x 64 float64 activation alone is 128 KiB."""
         rng = np.random.default_rng(7)
-        policy = make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng)
-        value = make_value(N_FEATURES, (64, 64), rng)
+        policy = make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng,
+                             *raw_inputs(N_FEATURES))
+        value = make_value(N_FEATURES, (64, 64), rng, *raw_inputs(N_FEATURES))
         theta = pack_params(policy, value)
         opt = adam_init(theta, 3e-4)
         ws = UpdateWorkspace(policy, value, 256)
@@ -378,8 +385,9 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
     """collect_rollouts rebuilt from sample_action, forward_value and step.
 
     The nets see the whole env batch each hour, as BLAS rounding depends on
-    the batch shape; step then advances one env at a time, and each env
-    keeps its own episode sums.
+    the batch shape, with that hour's (n_envs, N_ACTIONS) standard normal
+    draws; step then advances one env at a time, and each env keeps its own
+    episode sums.
     """
     rows = scenario_rows(scn)
     load_sums = load_totals(rows)
@@ -389,16 +397,17 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
     hours, summaries, clock = [], [], 0
     for _ in range(steps):
         obs = np.array([(s, *rows[clock]) for s in soc])
-        sample = sample_action(policy, obs, rng)
+        actions, preclip, log_prob = sample_action(
+            policy, obs, rng.standard_normal((n_envs, N_ACTIONS)))
         rewards = []
-        for i, action in enumerate(sample.action.tolist()):
+        for i, action in enumerate(actions.tolist()):
             soc[i], *_, short, reward = step(cfg, rows[clock], soc[i], action)
             rewards.append(reward)
             for k, x in enumerate((reward, *short)):
                 sums[i][k] += x
         clock += 1
         done = clock == len(rows)
-        hours.append((obs, sample.preclip, sample.log_prob, rewards,
+        hours.append((obs, preclip, log_prob, rewards,
                       forward_value(value, obs), [float(done)] * n_envs))
         if done:
             summaries += [summarize_episode(cfg, r, sh, load_sums, clock)
@@ -413,12 +422,12 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
 
 class TestCollectRollouts:
     def make_parts(self, horizon=5, n_envs=2, seed=5):
-        from mgrl.neural import make_policy, make_value
         scn = small_scenario(horizon=horizon)
         env_cfg = EnvConfig()
         rng = np.random.default_rng(seed)
-        policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng)
-        value = make_value(N_FEATURES, (8,), rng)
+        policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng,
+                             *raw_inputs(N_FEATURES))
+        value = make_value(N_FEATURES, (8,), rng, *raw_inputs(N_FEATURES))
         envs = EnvBatch(env_cfg, scn, n_envs, seed=0)
         return policy, value, envs
 
@@ -442,10 +451,28 @@ class TestCollectRollouts:
             np.testing.assert_allclose(
                 buf.values[t], forward_value(value, buf.states[t]),
                 rtol=1e-12)
-            mean, log_std = forward_policy(policy, buf.states[t])
             np.testing.assert_allclose(
                 buf.log_probs[t],
-                gaussian_log_prob(mean, log_std, buf.actions[t]), rtol=1e-12)
+                gaussian_log_prob(forward_policy(policy, buf.states[t]),
+                                  policy.clamped_log_std(), buf.actions[t]),
+                rtol=1e-12)
+
+    def test_goes_through_the_public_batch_calls(self, monkeypatch):
+        """One sample_action and one forward_value call per hour on the
+        (n_envs, N_FEATURES) observations, plus one bootstrap call."""
+        import mgrl.ppo as ppo_mod
+
+        calls = {"sample_action": [], "forward_value": []}
+        for name in calls:
+            def counted(net, x, *rest, _name=name,
+                        _fn=getattr(ppo_mod, name)):
+                calls[_name].append(x.shape)
+                return _fn(net, x, *rest)
+            monkeypatch.setattr(ppo_mod, name, counted)
+        policy, value, envs = self.make_parts(horizon=5, n_envs=3)
+        collect_rollouts(policy, value, envs, 21, np.random.default_rng(4))
+        assert calls["sample_action"] == [(3, N_FEATURES)] * 7
+        assert calls["forward_value"] == [(3, N_FEATURES)] * 8
 
     def test_divisibility_enforced(self):
         policy, value, envs = self.make_parts(n_envs=2)
@@ -496,8 +523,9 @@ class TestCollectRollouts:
         cfg = EnvConfig(reward_weights=(4.0, 1.5, 0.25))
         scn = small_scenario(horizon=5)
         rng = np.random.default_rng(11)
-        policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng)
-        value = make_value(N_FEATURES, (8,), rng)
+        policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng,
+                             *raw_inputs(N_FEATURES))
+        value = make_value(N_FEATURES, (8,), rng, *raw_inputs(N_FEATURES))
         ref, ref_bootstrap, ref_summaries = reference_rollout(
             policy, value, cfg, scn, n_envs, 3, 14, np.random.default_rng(12))
         envs = EnvBatch(cfg, scn, n_envs, seed=3)
@@ -580,8 +608,8 @@ class TestTrain:
         for a, b in zip(params, policy_params(policy) + value_params(value)):
             np.testing.assert_array_equal(a, b)
         s = np.random.default_rng(8).standard_normal((3, N_FEATURES))
-        np.testing.assert_array_equal(forward_policy(res.policy, s)[0],
-                                      forward_policy(policy, s)[0])
+        np.testing.assert_array_equal(forward_policy(res.policy, s),
+                                      forward_policy(policy, s))
 
     def test_divergence_raises_with_diagnostic(self, monkeypatch):
         import mgrl.ppo as ppo_mod

@@ -17,7 +17,7 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("kwargs,fragment", [
         (dict(horizon_steps=0), "horizon_steps"),
-        (dict(step_hours=0.0), "step_hours"),
+        (dict(rng_seed=-1), "rng_seed"),
         (dict(start_hour=24), "start_hour"),
         (dict(cyclone_window=(400, 300)), "cyclone_window"),
         (dict(cyclone_window=(0, 1000)), "cyclone_window"),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, config_summary, load_run_config
-from .explain import explain_step, render_explanation
+from .explain import SurrogateFitError, explain_step, render_explanation
 from .metrics import (
     annualize_throughput,
     battery_throughput,
@@ -33,7 +33,7 @@ from .scenario import (STEP_HOURS, load_scenario_csv, synth_cyclone_scenario,
                        write_scenario_csv)
 from .seeding import derive_seed
 from .svg import line_chart
-from .table import TableError
+from .table import TableError, write_text
 from .trajectory import read_trajectory_csv, write_trajectory_csv
 
 EXIT_OK = 0
@@ -54,10 +54,6 @@ class UserError(Exception):
 def _load(args) -> RunConfig:
     return load_run_config(args.config, seed_override=args.seed,
                            output_override=args.out)
-
-
-def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
 
 
 def _load_scenario(cfg: RunConfig, explicit: str | None):
@@ -83,7 +79,6 @@ def _load_policy(cfg: RunConfig, explicit: str | None):
 def cmd_scenario(args) -> int:
     cfg = _load(args)
     scn = synth_cyclone_scenario(cfg.scenario)
-    _ensure_dir(cfg.output_dir)
     path = os.path.join(cfg.output_dir, SCENARIO_FILE)
     write_scenario_csv(scn, path)
     lo, hi = cfg.scenario.cyclone_window
@@ -99,7 +94,6 @@ def cmd_scenario(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load(args)
     scn, scn_path = _load_scenario(cfg, args.scenario)
-    _ensure_dir(cfg.output_dir)
     total = cfg.ppo.total_updates
     report_every = max(1, total // 10) if total else 1
 
@@ -119,9 +113,7 @@ def cmd_train(args) -> int:
         result = train(cfg.ppo, cfg.env, scn, checkpoint_fn=on_update)
     except TrainingDivergedError as exc:
         diag_path = os.path.join(cfg.output_dir, DIAGNOSTIC_FILE)
-        with open(diag_path, "w", encoding="utf-8") as fh:
-            json.dump(exc.diagnostic, fh, indent=2)
-            fh.write("\n")
+        write_text(diag_path, json.dumps(exc.diagnostic, indent=2) + "\n")
         print(f"error: {exc} (diagnostic written to {diag_path})",
               file=sys.stderr)
         return EXIT_INTERNAL_ERROR
@@ -141,7 +133,6 @@ def cmd_eval(args) -> int:
     cfg = _load(args)
     (policy, _value), ck_path = _load_policy(cfg, args.checkpoint)
     scn, _ = _load_scenario(cfg, args.scenario)
-    _ensure_dir(cfg.output_dir)
     res = evaluate_policy(policy, cfg.env, scn, n_episodes=args.episodes,
                           deterministic=not args.stochastic,
                           seed=derive_seed(cfg.seed, "eval"))
@@ -150,11 +141,12 @@ def cmd_eval(args) -> int:
     rep = resilience_report(res.trajectory, cfg.env.reward_weights)
     mode = "stochastic" if args.stochastic else "deterministic"
     print(f"evaluated {ck_path} ({mode}, {args.episodes} episode(s))")
-    print(f"  resilience index {rep.ri:.4f}  "
-          f"normalized episode reward {res.mean_reward_norm:.4f}")
+    print(f"  mean resilience index {res.ri:.4f}  "
+          f"mean normalized episode reward {res.mean_reward_norm:.4f}")
     for tier, (short, load) in enumerate(zip(rep.shortage_sums,
                                              rep.load_sums), start=1):
-        print(f"  tier {tier}: shortage {short:.1f} / load {load:.1f} kWh")
+        print(f"  episode 1, tier {tier}: shortage {short:.1f} / "
+              f"load {load:.1f} kWh")
     print(f"wrote {traj_path}")
     return EXIT_OK
 
@@ -178,7 +170,6 @@ def cmd_explain(args) -> int:
         if t < 0:
             raise UserError(
                 f"no {args.mode!r} step found in {traj_path}")
-    _ensure_dir(cfg.output_dir)
     explanations = explain_step(policy, traj, t, cfg.env, cfg.explain)
     print(f"explaining step {t} (battery mode: {traj.mode_at(t)})")
     for name, expl in explanations.items():
@@ -242,8 +233,7 @@ def cmd_report(args) -> int:
             "Normalized episode reward per update", x_label="update",
             y_label="reward", hlines=(1.0,), y_range=(0.0, 1.05))
     for name, svg in charts.items():
-        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        write_text(os.path.join(out, name), svg)
 
     explanation_files = sorted(
         os.path.basename(p)
@@ -266,10 +256,8 @@ def cmd_report(args) -> int:
                  ("last_quartile_mean_reward",
                   repr(curve.last_quartile_mean))]
     csv_path = os.path.join(out, "report.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("key,value\n")
-        for key, val in rows:
-            fh.write(f"{key},{val}\n")
+    write_text(csv_path, "key,value\n" + "".join(f"{key},{val}\n"
+                                                for key, val in rows))
 
     lines = [f"Run report: {cfg.run_id}", "",
              f"Resilience index: {rep.ri:.4f}"]
@@ -295,8 +283,7 @@ def cmd_report(args) -> int:
         lines += [f"  {name}" for name in explanation_files]
     lines += ["", "Charts: " + ", ".join(sorted(charts))]
     txt_path = os.path.join(out, "report.txt")
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(txt_path, "\n".join(lines) + "\n")
 
     print("\n".join(lines))
     print(f"\nwrote {txt_path}")
@@ -382,7 +369,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, ConfigError, TableError, CheckpointError) as exc:
+    except (UserError, ConfigError, TableError, CheckpointError,
+            SurrogateFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
     except BrokenPipeError:

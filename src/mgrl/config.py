@@ -23,6 +23,7 @@ from .explain import ExplainConfig
 from .ppo import PpoConfig
 from .scenario import ScenarioConfig
 from .seeding import derive_seed
+from .table import read_text
 
 
 class ConfigError(ValueError):
@@ -90,13 +91,6 @@ _SPECIAL_PARSERS = {
 def _coerce(key: str, raw: str, default):
     if key in _SPECIAL_PARSERS:
         return _SPECIAL_PARSERS[key](raw)
-    if isinstance(default, bool):
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected boolean, got {raw!r}")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -193,15 +187,8 @@ def load_run_config(path: str | os.PathLike | None,
                     seed_override: int | None = None,
                     output_override: str | None = None) -> RunConfig:
     """RunConfig from a file (or pure defaults when path is None)."""
-    entries: dict[str, str] = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {os.fspath(path)}: "
-                              f"{exc.strerror}") from exc
-        entries = parse_config_text(text, source=os.fspath(path))
+    entries = {} if path is None else parse_config_text(
+        read_text(path), source=os.fspath(path))
     return build_run_config(entries, seed_override, output_override)
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from .env import ACTION_NAMES, EnvConfig, FEATURE_NAMES, N_FEATURES
 from .neural import GaussianPolicy, forward_policy
 from .svg import bar_chart
+from .table import write_text
 from .trajectory import Trajectory
 
 STD_FLOOR = 1e-6
@@ -55,9 +56,9 @@ class ExplainConfig:
         if self.kernel_sigma <= 0.0:
             raise ValueError(
                 f"kernel_sigma must be positive, got {self.kernel_sigma}")
-        if self.perturb_scale < 0.0:
+        if self.perturb_scale <= 0.0:
             raise ValueError(
-                f"perturb_scale must be non-negative, got {self.perturb_scale}")
+                f"perturb_scale must be positive, got {self.perturb_scale}")
         if self.ridge_strength < 0.0:
             raise ValueError(
                 f"ridge_strength must be non-negative, got {self.ridge_strength}")
@@ -280,12 +281,10 @@ def explain_step(policy: GaussianPolicy, traj: Trajectory, t: int,
 CSV_HEADER = ("feature", "coefficient", "instance_value")
 
 
-def write_explanation_csv(e: Explanation, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for i in e.ranked_features():
-            fh.write(f"{e.feature_names[i]},{float(e.coefficients[i])!r},"
-                     f"{float(e.instance[i])!r}\n")
+def explanation_csv(e: Explanation) -> str:
+    return "".join([",".join(CSV_HEADER) + "\n"] + [
+        f"{e.feature_names[i]},{float(e.coefficients[i])!r},"
+        f"{float(e.instance[i])!r}\n" for i in e.ranked_features()])
 
 
 def explanation_svg(e: Explanation) -> str:
@@ -319,12 +318,9 @@ def explanation_text(e: Explanation) -> str:
 def render_explanation(e: Explanation, base_path: str | os.PathLike
                        ) -> dict[str, str]:
     """Write SVG + CSV + text reports; returns the paths keyed by kind."""
-    base = os.fspath(base_path)
-    paths = {"svg": base + ".svg", "csv": base + ".csv",
-             "txt": base + ".txt"}
-    with open(paths["svg"], "w", encoding="utf-8") as fh:
-        fh.write(explanation_svg(e))
-    write_explanation_csv(e, paths["csv"])
-    with open(paths["txt"], "w", encoding="utf-8") as fh:
-        fh.write(explanation_text(e))
+    paths = {}
+    for kind, render in (("svg", explanation_svg), ("csv", explanation_csv),
+                         ("txt", explanation_text)):
+        paths[kind] = f"{os.fspath(base_path)}.{kind}"
+        write_text(paths[kind], render(e))
     return paths

@@ -86,19 +86,18 @@ def estimate_battery_life(annual_throughput_kwh: float,
 
 @dataclass(frozen=True)
 class CurveSummary:
-    rolling_mean: np.ndarray
     last_quartile_mean: float
-    final_value: float        # last rolling mean
     converged_at: int         # update index; -1 when never inside the band
 
 
 def reward_curve_summary(updates, rewards, window: int = 10,
                          band: float = 0.02) -> CurveSummary:
-    """Rolling mean and a convergence point for a learning curve.
+    """Last-quartile mean and a convergence point for a learning curve.
 
     ``converged_at`` is the earliest update from which the rolling mean
-    never again leaves a +-band (relative) envelope around its final
-    value; -1 if even the last point is outside.
+    (over the last ``window`` points, fewer at the start) never again
+    leaves a +-band (relative) envelope around its final value; -1 if
+    even the last point is outside.
     """
     updates = np.asarray(updates, dtype=np.int64)
     rewards = np.asarray(rewards, dtype=np.float64)
@@ -122,9 +121,8 @@ def reward_curve_summary(updates, rewards, window: int = 10,
             break
         converged = int(updates[i])
     quart = max(1, n // 4)
-    return CurveSummary(rolling_mean=rolling_mean,
-                        last_quartile_mean=float(rewards[-quart:].mean()),
-                        final_value=final, converged_at=converged)
+    return CurveSummary(last_quartile_mean=float(rewards[-quart:].mean()),
+                        converged_at=converged)
 
 
 # ---------------------------------------------------------------------------

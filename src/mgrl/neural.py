@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import N_ACTIONS, N_FEATURES
+from .table import read_text, write_text
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -394,18 +395,15 @@ def save_checkpoint(policy: GaussianPolicy, value: ValueNet,
                   "obs_mean": value.obs_mean.tolist(),
                   "obs_scale": value.obs_scale.tolist()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_text(path, json.dumps(doc) + "\n")
 
 
 def load_checkpoint(path: str | os.PathLike
                     ) -> tuple[GaussianPolicy, ValueNet]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:

@@ -349,17 +349,16 @@ class UpdateWorkspace:
 
 def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
                        batch: dict[str, np.ndarray], cfg: PpoConfig,
-                       ws: UpdateWorkspace,
-                       with_grads: bool = True) -> LossReport:
+                       ws: UpdateWorkspace) -> LossReport:
     """Evaluate the PPO objective on a minibatch, with analytic gradients.
 
     ``batch`` holds the actor's and critic's normalized inputs
     (``policy_x``, ``value_x``) next to ``actions``, ``log_probs``,
     ``advantages`` and ``returns``.  Every activation and gradient goes
-    into the workspace ``ws``; with ``with_grads`` the gradient of the
-    total loss fills ``ws.grad``.  The min() in the surrogate routes
-    gradient to the unclipped branch on ties, and the log-std gradient is
-    gated to zero wherever the clamp is active.
+    into the workspace ``ws``, and the gradient of the total loss fills
+    ``ws.grad``.  The min() in the surrogate routes gradient to the
+    unclipped branch on ties, and the log-std gradient is gated to zero
+    wherever the clamp is active.
     """
     act = batch["actions"]
     lp_old = batch["log_probs"]
@@ -383,9 +382,6 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     report = LossReport(total=total, policy_loss=pol_loss,
                         value_loss=val_loss, entropy=entropy,
                         clip_frac=clip_frac)
-    if not with_grads:
-        return report
-
     sigma = np.exp(log_std)
     z = (act - mean) / sigma
     g_lp = -(adv * ratio * unclipped) / n          # d total / d lp_new

@@ -47,8 +47,7 @@ class ScenarioFormatError(TableError):
     """Raised when a scenario CSV violates the documented schema."""
 
 
-LAYOUT = Layout("scenario", CSV_COLUMNS, row="row {i}", column="column {!r}",
-                error=ScenarioFormatError, strip_header=True)
+LAYOUT = Layout("scenario", CSV_COLUMNS, error=ScenarioFormatError)
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,10 @@ def synth_cyclone_scenario(cfg: ScenarioConfig) -> Scenario:
 def load_scenario_csv(path: str | os.PathLike) -> Scenario:
     """Read a scenario from CSV (schema: header ``t,p_re,l1,l2,l3``).
 
-    Raises ScenarioFormatError naming the offending row and column on a
-    malformed header, ragged row, non-numeric entry, negative or non-finite
-    value, or an out-of-order ``t`` index, and naming the file when it
-    has no data rows.
+    Raises ScenarioFormatError naming the offending data row and column
+    on a malformed header, ragged row, non-numeric entry, negative or
+    non-finite value, or an out-of-order ``t`` index, and naming the file
+    when it has no data rows.
     """
     a = LAYOUT.read(path)
     if not len(a):

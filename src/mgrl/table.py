@@ -1,10 +1,14 @@
-"""One reader and one writer for the CSV artifacts.
+"""The only code that opens a file, and the layout of the CSV artifacts.
 
-Scenario, trajectory and training-metrics files share one shape: a header
-naming the columns, then per row a decimal integer index and floats
+``read_text`` and ``write_text`` use UTF-8 with ``\\n`` line ends and raise
+``TableError`` naming a path that cannot be read, decoded or written.
+Scenario, trajectory and training-metrics CSVs share one ``Layout``: a
+header naming the columns, then per row a decimal integer index and floats
 written with repr, so a read-back reproduces every value bit for bit.
 """
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,27 +21,53 @@ def _parse(lines, **kw) -> np.ndarray:
 
 
 class TableError(ValueError):
-    """A CSV artifact breaks its layout; the message names the file, the
-    row and, for a bad cell, the column."""
+    """A file cannot be read or written, or breaks its CSV layout; the
+    message names the file and, for a bad line, its data row and column."""
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        detail = exc.strerror
+    except UnicodeDecodeError as exc:
+        detail = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    raise TableError(f"{path}: cannot read: {detail}")
+
+
+def write_text(path, text: str) -> None:
+    """Replace ``path`` by ``text`` via a sibling temp file renamed over it,
+    creating the directory.  A killed or failing process leaves the old
+    file or the new one, never a truncated one; there is no fsync, so a
+    power loss still can."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise TableError(f"{path}: cannot write: {exc.strerror}") from None
+        raise
 
 
 @dataclass(frozen=True)
 class Layout:
-    """The columns of one CSV artifact and how its errors name a place:
-    ``row`` formats a body line from its 0-based ``{i}`` or 1-based
-    ``{n}``, ``column`` formats a column name."""
+    """The columns of one CSV artifact; a bad line is named as
+    ``data row n, column c``, n counting from 1 after the header."""
 
     name: str
     columns: tuple[str, ...]
-    row: str = "data row {n}"
-    column: str = "column {}"
     error: type = TableError
-    strip_header: bool = False
 
     def fail(self, path, i, col, detail: str):
-        where = self.row.format(i=i, n=i + 1)
-        if col is not None:
-            where += ", " + self.column.format(col)
+        where = f"data row {i + 1}" + ("" if col is None
+                                       else f", column {col}")
         raise self.error(f"{path}: {where}: {detail}")
 
     def reject(self, path, table, bad, detail: str) -> None:
@@ -50,16 +80,14 @@ class Layout:
     def read(self, path) -> np.ndarray:
         """The body as a (rows, columns) float64 table, column 0 the index;
         a bad header, line, cell or index raises ``error``."""
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        lines = read_text(path).split("\n")
         if lines[-1] == "":
             lines.pop()
         if not lines:
             raise self.error(f"{path}: empty file, expected header "
                              f"{','.join(self.columns)}")
         header = tuple(lines[0].split(","))
-        if tuple(h.strip() if self.strip_header else h
-                 for h in header) != self.columns:
+        if tuple(h.strip() for h in header) != self.columns:
             raise self.error(f"{path}: unexpected {self.name} header "
                              f"{header!r}, expected {','.join(self.columns)}")
         body = lines[1:]
@@ -81,9 +109,9 @@ class Layout:
         for i, line in enumerate(body):
             cells = line.split(",") if line else []
             if len(cells) != width:
-                where = (f"{self.column.format(self.columns[len(cells)])} "
-                         f"missing" if len(cells) < width else "extra fields "
-                         f"after {self.column.format(self.columns[-1])}")
+                where = (f"column {self.columns[len(cells)]} missing"
+                         if len(cells) < width else
+                         f"extra fields after column {self.columns[-1]}")
                 self.fail(path, i, None, f"{where} (ragged row: "
                           f"{len(cells)} fields, expected {width})")
             for j, cell in enumerate(cells):
@@ -101,7 +129,6 @@ class Layout:
         """Header, then per row its ``index`` integer and repr'd floats."""
         rows = np.asarray(values, dtype=np.float64).reshape(
             len(index), len(self.columns) - 1).tolist()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.writelines([",".join(self.columns) + "\n"] + [
-                f"{t},{','.join(map(repr, row))}\n"
-                for t, row in zip(index, rows)])
+        write_text(path, "".join([",".join(self.columns) + "\n"] + [
+            f"{t},{','.join(map(repr, row))}\n"
+            for t, row in zip(index, rows)]))

@@ -205,6 +205,27 @@ class TestEvalCommand:
                    "--episodes", episodes) == 1
         assert "--episodes" in capsys.readouterr().err
 
+    def test_multi_episode_ri_is_the_mean(self, conf, tmp_path, capsys):
+        """With --episodes N the printed RI is the N-episode mean, like the
+        reward next to it; the tier lines are labelled as episode 1, the
+        episode trajectory.csv holds."""
+        out = str(tmp_path / "out")
+        run_pipeline(conf, out, through="train")
+        cfg = load_run_config(conf, output_override=out)
+        policy, _ = load_checkpoint(os.path.join(out, "checkpoint_final.json"))
+        scn = load_scenario_csv(os.path.join(out, "scenario.csv"))
+        ev = evaluate_policy(policy, cfg.env, scn, n_episodes=3,
+                             seed=derive_seed(cfg.seed, "eval"))
+        mean, first = f"{ev.ri:.4f}", f"{ev.summaries[0].ri:.4f}"
+        assert mean != first  # the two readings are told apart
+        capsys.readouterr()
+        assert run("eval", "--config", conf, "--out", out,
+                   "--episodes", "3") == 0
+        text = capsys.readouterr().out
+        assert f"mean resilience index {mean}" in text
+        assert first not in text
+        assert "episode 1, tier 1: shortage" in text
+
 
 class TestExplainCommand:
     def test_explicit_step_writes_all_renderings(self, conf, tmp_path,
@@ -241,6 +262,20 @@ class TestExplainCommand:
         run_pipeline(conf, out, through="train")
         assert run("explain", "--config", conf, "--out", out) == 1
         assert "mgrl eval" in capsys.readouterr().err
+
+    def test_collapsed_cloud_without_ridge_is_user_error(self, tmp_path,
+                                                          capsys):
+        """A perturbation cloud too small to spread the design and no ridge
+        give a singular surrogate: a setting to change, not a crash."""
+        conf = tmp_path / "ridge.conf"
+        conf.write_text(TINY_CONF + "explain.ridge_strength = 0\n"
+                        "explain.perturb_scale = 1e-300\n")
+        out = str(tmp_path / "out")
+        run_pipeline(str(conf), out)
+        capsys.readouterr()
+        assert run("explain", "--config", str(conf), "--out", out,
+                   "--step", "1") == 1
+        assert "increase ridge_strength" in capsys.readouterr().err
 
     def test_step_and_mode_are_mutually_exclusive(self, conf, tmp_path,
                                                   capsys):
@@ -310,6 +345,29 @@ class TestReportCommand:
         first = open(os.path.join(out, "report.csv"), "rb").read()
         assert run("report", "--config", conf, "--out", out) == 0
         assert first == open(os.path.join(out, "report.csv"), "rb").read()
+
+
+def test_every_artifact_is_written_atomically(tmp_path, monkeypatch):
+    """The whole scenario -> report chain, with os.replace recorded: every
+    file in the output directory arrived by an atomic rename."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(TINY_CONF + "run.checkpoint_every = 1\n")
+    out = tmp_path / "out"
+    renamed = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        renamed.append(os.fspath(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    for cmd in (["scenario"], ["train"], ["eval"], ["explain", "--step", "3"],
+                ["report"]):
+        assert run(*cmd, "--config", str(conf), "--out", str(out)) == 0
+    written = sorted(os.listdir(out))
+    assert len(written) == 16
+    assert written == sorted({os.path.basename(p) for p in renamed})
+    assert {os.path.dirname(p) for p in renamed} == {str(out)}
 
 
 def corrupt(path, edit, n=4):
@@ -469,6 +527,71 @@ class TestCheckpointBoundary:
         capsys.readouterr()
         assert run(*command, "--config", conf, "--out", out) == 1
         assert f"checkpoint_final.json: {detail}" in capsys.readouterr().err
+
+
+def _out_under_file(conf, tmp_path):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    return ["scenario", "--config", conf, "--out", str(out)], out
+
+
+def _input_is_dir(command, flag):
+    def setup(conf, tmp_path):
+        out = str(tmp_path / "out")
+        run_pipeline(conf, out)
+        (tmp_path / "a_dir").mkdir()
+        return [*command, "--config", conf, "--out", out,
+                flag, str(tmp_path / "a_dir")], tmp_path / "a_dir"
+    return setup
+
+
+def _trajectory_is_dir(conf, tmp_path):
+    out = tmp_path / "out"
+    run_pipeline(conf, str(out), through="train")
+    (out / "trajectory.csv").mkdir()
+    return ["eval", "--config", conf, "--out", str(out)], \
+        out / "trajectory.csv"
+
+
+def _bad_byte(name, command, through):
+    """A 0xff byte, never valid UTF-8, in the middle of an input file; the
+    file named ``run.conf`` is the config itself."""
+    def setup(conf, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(conf, str(out), through=through)
+        path = tmp_path / name if name == "run.conf" else out / name
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] + b"\xff"
+                         + data[len(data) // 2 + 1:])
+        return [*command, "--config", conf, "--out", str(out)], path
+    return setup
+
+
+class TestUnreadableOrUnwritablePath:
+    """A path that cannot be read, decoded or written is bad input: exit 1
+    with a message naming it, and no temp file left behind."""
+
+    @pytest.mark.parametrize("setup", [
+        _out_under_file,
+        _input_is_dir(("train",), "--scenario"),
+        _input_is_dir(("eval",), "--checkpoint"),
+        _input_is_dir(("explain", "--step", "1"), "--trajectory"),
+        _trajectory_is_dir,
+        _bad_byte("scenario.csv", ("train",), "scenario"),
+        _bad_byte("run.conf", ("config",), "scenario"),
+        _bad_byte("checkpoint_final.json", ("eval",), "train"),
+    ], ids=["out-under-file", "scenario-is-dir", "checkpoint-is-dir",
+            "trajectory-is-dir", "trajectory-out-is-dir", "scenario-0xff",
+            "config-0xff", "checkpoint-0xff"])
+    def test_exits_1_naming_the_path(self, conf, tmp_path, capsys, setup):
+        argv, path = setup(conf, tmp_path)
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}" in err and ": cannot " in err
+        assert "Traceback" not in err
+        assert not [f for _, _, files in os.walk(tmp_path) for f in files
+                    if f.endswith(".tmp")]
 
 
 class TestParserBasics:

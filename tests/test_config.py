@@ -8,6 +8,7 @@ from mgrl.config import (
     parse_config_text,
 )
 from mgrl.seeding import derive_seed
+from mgrl.table import TableError
 
 # Non-finite values that each section's own validation lets through: NaN
 # fails every comparison, and inf passes "positive" and "non-negative".
@@ -160,8 +161,8 @@ class TestLoadRunConfig:
         assert cfg.seed == 11
         assert cfg.ppo.total_updates == 5
 
-    def test_missing_file_is_config_error(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
+    def test_missing_file_is_read_error(self, tmp_path):
+        with pytest.raises(TableError, match="cannot read"):
             load_run_config(tmp_path / "nope.conf")
 
 

@@ -14,13 +14,13 @@ from mgrl.explain import (
     SurrogateFitError,
     explain_action,
     explain_step,
+    explanation_csv,
     explanation_svg,
     explanation_text,
     fit_surrogate,
     perturb,
     proximity_weights,
     render_explanation,
-    write_explanation_csv,
 )
 
 from test_neural import raw_inputs
@@ -49,6 +49,7 @@ class TestExplainConfig:
         dict(top_k=0),
         dict(top_k=7),
         dict(seed=-3),
+        dict(perturb_scale=0.0),
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
@@ -382,12 +383,9 @@ class TestRendering:
         root = ET.fromstring(explanation_svg(e))
         assert root.tag.endswith("svg")
 
-    def test_csv_round_trips_full_precision(self, tmp_path):
+    def test_csv_round_trips_full_precision(self):
         e = self.make_explanation()
-        path = tmp_path / "expl.csv"
-        write_explanation_csv(e, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(csv.reader(explanation_csv(e).splitlines()))
         assert tuple(rows[0]) == CSV_HEADER
         assert len(rows) == 7
         by_name = {r[0]: (float(r[1]), float(r[2])) for r in rows[1:]}
@@ -395,12 +393,9 @@ class TestRendering:
             assert by_name[name][0] == e.coefficients[i]
             assert by_name[name][1] == e.instance[i]
 
-    def test_csv_rows_ranked_by_contribution(self, tmp_path):
+    def test_csv_rows_ranked_by_contribution(self):
         e = self.make_explanation()
-        path = tmp_path / "expl.csv"
-        write_explanation_csv(e, path)
-        with open(path, newline="") as fh:
-            names = [r[0] for r in csv.reader(fh)][1:]
+        names = [r[0] for r in csv.reader(explanation_csv(e).splitlines())][1:]
         want = [FEATURE_NAMES[i] for i in e.ranked_features()]
         assert names == want
 

@@ -203,11 +203,9 @@ def fd_max_rel_err(policy, value, batch, cfg, h=1e-5):
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + h
-        up = ppo_loss_and_grads(policy, value, batch, cfg, ws,
-                                with_grads=False).total
+        up = ppo_loss_and_grads(policy, value, batch, cfg, ws).total
         theta[i] = orig - h
-        dn = ppo_loss_and_grads(policy, value, batch, cfg, ws,
-                                with_grads=False).total
+        dn = ppo_loss_and_grads(policy, value, batch, cfg, ws).total
         theta[i] = orig
         fd = (up - dn) / (2 * h)
         worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]),
@@ -253,9 +251,7 @@ class TestPpoLossAndGrads:
         states, batch = self.make_batch(policy, value)
         cfg = tiny_config()
         ws = UpdateWorkspace(policy, value, len(states))
-        ws.grad[:] = np.nan
-        rep = ppo_loss_and_grads(policy, value, batch, cfg, ws,
-                                 with_grads=False)
+        rep = ppo_loss_and_grads(policy, value, batch, cfg, ws)
 
         mean, log_std = forward_policy(policy, states), \
             policy.clamped_log_std()
@@ -270,15 +266,13 @@ class TestPpoLossAndGrads:
         assert rep.total == pytest.approx(
             total_loss(rep.policy_loss, rep.value_loss, rep.entropy,
                        cfg.c1, cfg.c2), rel=1e-12)
-        assert np.all(np.isnan(ws.grad))  # no gradient pass ran
 
     def test_clip_frac_counts_clipped_ratios(self):
         policy, value = self.make_nets()
         cfg = tiny_config()
         states, batch = self.make_batch(policy, value, n=40)
         rep = ppo_loss_and_grads(policy, value, batch, cfg,
-                                 UpdateWorkspace(policy, value, 40),
-                                 with_grads=False)
+                                 UpdateWorkspace(policy, value, 40))
         mean, log_std = forward_policy(policy, states), \
             policy.clamped_log_std()
         lp_new = gaussian_log_prob(mean, log_std, batch["actions"])
@@ -614,7 +608,7 @@ class TestTrain:
     def test_divergence_raises_with_diagnostic(self, monkeypatch):
         import mgrl.ppo as ppo_mod
 
-        def poisoned(policy, value, batch, cfg, ws, with_grads=True):
+        def poisoned(policy, value, batch, cfg, ws):
             return ppo_mod.LossReport(total=math.nan, policy_loss=math.nan,
                                       value_loss=1.0, entropy=1.0,
                                       clip_frac=0.0)

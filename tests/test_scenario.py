@@ -118,7 +118,7 @@ class TestScenarioCsv:
     def test_negative_value_names_row_and_column(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("t,p_re,l1,l2,l3\n0,5,1,1,1\n1,5,1,-5,1\n")
-        with pytest.raises(ScenarioFormatError, match=r"row 1.*'l2'"):
+        with pytest.raises(ScenarioFormatError, match="data row 2, column l2"):
             load_scenario_csv(path)
 
     def test_malformed_header(self, tmp_path):
@@ -136,17 +136,18 @@ class TestScenarioCsv:
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("t,p_re,l1,l2,l3\n0,1,1,1\n")
-        with pytest.raises(ScenarioFormatError, match="row 0"):
+        with pytest.raises(ScenarioFormatError, match="data row 1"):
             load_scenario_csv(path)
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("t,p_re,l1,l2,l3\n0,abc,1,1,1\n")
-        with pytest.raises(ScenarioFormatError, match=r"row 0.*'p_re'"):
+        with pytest.raises(ScenarioFormatError,
+                           match="data row 1, column p_re"):
             load_scenario_csv(path)
 
     def test_out_of_order_t(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("t,p_re,l1,l2,l3\n0,1,1,1,1\n2,1,1,1,1\n")
-        with pytest.raises(ScenarioFormatError, match="row 1"):
+        with pytest.raises(ScenarioFormatError, match="data row 2, column t"):
             load_scenario_csv(path)

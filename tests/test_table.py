@@ -23,6 +23,7 @@ from mgrl.scenario import (
     load_scenario_csv,
     write_scenario_csv,
 )
+from mgrl.table import TableError, read_text, write_text
 from mgrl.trajectory import (
     CSV_HEADER,
     Trajectory,
@@ -79,20 +80,21 @@ def read_metrics(path):
 
 
 # name: (columns, cell strategies after the index, writer, reader,
-#        minimum rows, index free (metrics) or 0..n-1, error type,
-#        row label of 0-based body line i, column label)
+#        minimum rows, index free (metrics) or 0..n-1, error type)
 ARTIFACTS = {
     "scenario": (CSV_COLUMNS, [NON_NEGATIVE] * 4, write_scenario,
-                 read_scenario, 1, False, ScenarioFormatError,
-                 lambda i: f"row {i}", lambda c: f"column {c!r}"),
+                 read_scenario, 1, False, ScenarioFormatError),
     "trajectory": (CSV_HEADER, [FRACTION] + [NON_NEGATIVE] * 10
                    + [ANY] * 3 + [NON_NEGATIVE] * 3 + [FRACTION],
-                   write_trajectory, read_trajectory, 0, False, ValueError,
-                   lambda i: f"data row {i + 1}", lambda c: f"column {c}"),
+                   write_trajectory, read_trajectory, 0, False, TableError),
     "metrics": (TRAIN_CSV_HEADER, [NULLABLE] * 2 + [ANY] * 4, write_metrics,
-                read_metrics, 0, True, ValueError,
-                lambda i: f"data row {i + 1}", lambda c: f"column {c}"),
+                read_metrics, 0, True, TableError),
 }
+
+
+def row(i):
+    """How every artifact names its 0-based body line i."""
+    return f"data row {i + 1}"
 
 
 def reference_bytes(columns, index, rows) -> bytes:
@@ -173,7 +175,7 @@ DEFECTS = (blank_line, hash_in_cell, trailing_comma, ragged_row,
     # NaN and inf are legal metrics values (no episode scored yet).
     if not (name == "metrics" and defect is non_finite)])
 def test_malformed_body_names_file_row_and_column(tmp_path, name, defect):
-    columns, _, write, read, _, _, error, row, column = ARTIFACTS[name]
+    columns, _, write, read, _, _, error = ARTIFACTS[name]
     path = tmp_path / f"{name}.csv"
     write(path, [0, 1, 2], np.full((3, len(columns) - 1), 0.5))
     read(path)
@@ -184,14 +186,82 @@ def test_malformed_body_names_file_row_and_column(tmp_path, name, defect):
         read(path)
     message = str(exc.value)
     assert f"{name}.csv: {row(1)}" in message  # the second data line
-    assert column(col) in message
+    assert f"column {col}" in message
 
 
 @pytest.mark.parametrize("name", ARTIFACTS)
 def test_blank_only_body_names_the_row(tmp_path, name):
-    columns, _, _, read, _, _, error, row, column = ARTIFACTS[name]
+    columns, _, _, read, _, _, error = ARTIFACTS[name]
     path = tmp_path / f"{name}.csv"
     path.write_text(",".join(columns) + "\n\n")
     with pytest.raises(error, match=f"{name}.csv: {row(0)}: "
-                                    f"{column(columns[0])} missing"):
+                                    f"column {columns[0]} missing"):
         read(path)
+
+
+@pytest.mark.parametrize("name", ARTIFACTS)
+def test_header_cells_are_stripped(tmp_path, name):
+    columns, _, write, read = ARTIFACTS[name][:4]
+    path = tmp_path / f"{name}.csv"
+    write(path, [0, 1], np.full((2, len(columns) - 1), 0.5))
+    want = read(path)
+    lines = path.read_text().split("\n")
+    lines[0] = ", ".join(columns) + " "
+    path.write_text("\n".join(lines))
+    back = read(path)
+    assert back[0] == want[0]
+    np.testing.assert_array_equal(back[1], want[1])
+
+
+class TestTextFiles:
+    """read_text and write_text, the only places a file is opened."""
+
+    def test_write_creates_the_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "f.txt"
+        write_text(path, "x\ny\n")
+        assert path.read_bytes() == b"x\ny\n"
+        assert read_text(path) == "x\ny\n"
+
+    def leftovers(self, tmp_path):
+        return sorted(p.name for p in tmp_path.iterdir())
+
+    def test_failed_encode_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_text(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text(path, "new\n" * 10000 + "\ud800")  # lone surrogate
+        assert path.read_bytes() == b"old\n"
+        assert self.leftovers(tmp_path) == ["f.txt"]
+
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.txt"
+        write_text(path, "old\n")
+
+        def failing_replace(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(TableError, match=f"{path}: cannot write: "
+                                             f"Permission denied"):
+            write_text(path, "new\n")
+        assert path.read_bytes() == b"old\n"
+        assert self.leftovers(tmp_path) == ["f.txt"]
+
+    def test_new_file_has_the_mode_open_gives(self, tmp_path):
+        """Not the 0600 of a mkstemp temp file."""
+        (tmp_path / "ref.txt").write_text("x")
+        write_text(tmp_path / "f.txt", "x")
+        assert os.stat(tmp_path / "f.txt").st_mode == \
+            os.stat(tmp_path / "ref.txt").st_mode
+
+    @pytest.mark.parametrize("data, detail", [
+        (b"ok\xffok", "not UTF-8 text (invalid start byte at byte 2)"),
+        (None, "No such file or directory"),
+    ], ids=["undecodable", "missing"])
+    def test_read_error_names_the_path(self, tmp_path, data, detail):
+        path = tmp_path / "f.txt"
+        if data is not None:
+            path.write_bytes(data)
+        with pytest.raises(TableError) as exc:
+            read_text(path)
+        assert str(exc.value) == f"{path}: cannot read: {detail}"

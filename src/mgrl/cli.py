@@ -33,7 +33,7 @@ from .scenario import (STEP_HOURS, load_scenario_csv, synth_cyclone_scenario,
                        write_scenario_csv)
 from .seeding import derive_seed
 from .svg import line_chart
-from .table import TableError, write_text
+from .table import TableError, make_dir, write_text
 from .trajectory import read_trajectory_csv, write_trajectory_csv
 
 EXIT_OK = 0
@@ -94,6 +94,7 @@ def cmd_scenario(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load(args)
     scn, scn_path = _load_scenario(cfg, args.scenario)
+    make_dir(cfg.output_dir)  # an unwritable --out fails before training
     total = cfg.ppo.total_updates
     report_every = max(1, total // 10) if total else 1
 
@@ -219,12 +220,10 @@ def cmd_report(args) -> int:
                          hlines=(cfg.env.soc_min, cfg.env.soc_max),
                          y_range=(0.0, 1.0))
     supply_svg = line_chart(
-        [("supplied", hours_axis, traj.p_supply),
-         ("tier 1", hours_axis, traj.allocations[:, 0]),
-         ("tier 2", hours_axis, traj.allocations[:, 1]),
-         ("tier 3", hours_axis, traj.allocations[:, 2])],
-        "Supplied power by priority tier", x_label="hour",
-        y_label="kW")
+        [("supplied", hours_axis, traj.p_supply)]
+        + [(f"tier {i + 1}", hours_axis, traj.allocations[:, i])
+           for i in range(3)],
+        "Supplied power by priority tier", x_label="hour", y_label="kW")
     charts = {"soc_trace.svg": soc_svg, "supply.svg": supply_svg}
     if stats:
         charts["reward_curve.svg"] = line_chart(
@@ -239,18 +238,15 @@ def cmd_report(args) -> int:
         os.path.basename(p)
         for p in glob.glob(os.path.join(out, "explain_*.svg")))
 
-    rows = [("run_id", cfg.run_id),
-            ("resilience_index", repr(rep.ri)),
-            ("shortage_tier1_kwh", repr(rep.shortage_sums[0])),
-            ("shortage_tier2_kwh", repr(rep.shortage_sums[1])),
-            ("shortage_tier3_kwh", repr(rep.shortage_sums[2])),
-            ("load_tier1_kwh", repr(rep.load_sums[0])),
-            ("load_tier2_kwh", repr(rep.load_sums[1])),
-            ("load_tier3_kwh", repr(rep.load_sums[2])),
-            ("battery_throughput_kwh", repr(throughput)),
-            ("annual_throughput_kwh", repr(life.annual_throughput_kwh)),
-            ("battery_life_estimate", life.describe()),
-            ("n_updates", str(len(stats)))]
+    rows = [("run_id", cfg.run_id), ("resilience_index", repr(rep.ri))]
+    rows += [(f"{kind}_tier{i}_kwh", repr(v))
+             for kind, sums in (("shortage", rep.shortage_sums),
+                                ("load", rep.load_sums))
+             for i, v in enumerate(sums, start=1)]
+    rows += [("battery_throughput_kwh", repr(throughput)),
+             ("annual_throughput_kwh", repr(life.annual_throughput_kwh)),
+             ("battery_life_estimate", life.describe()),
+             ("n_updates", str(len(stats)))]
     if curve is not None:
         rows += [("converged_at_update", str(curve.converged_at)),
                  ("last_quartile_mean_reward",

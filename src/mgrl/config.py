@@ -8,15 +8,17 @@ assignment per line, ``#`` comments, blank lines ignored::
     ppo.total_updates = 150
     scenario.base_loads_kw = 30, 24, 12
 
-Sections map onto the per-module config dataclasses.  A single master
-seed (``run.seed`` or ``--seed``) fans out to per-component sub-seeds
-via :func:`mgrl.seeding.derive_seed`; explicitly configured sub-seeds
-win over the derived ones.
+Sections map onto the per-module config dataclasses: their fields are the
+keys, and each field's type annotation says how its value reads (see
+:func:`_coerce`).  A single master seed (``run.seed`` or ``--seed``) fans
+out to per-component sub-seeds via :func:`mgrl.seeding.derive_seed`;
+explicitly configured sub-seeds win over the derived ones.
 """
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from typing import get_args, get_origin
 
 from .env import EnvConfig
 from .explain import ExplainConfig
@@ -43,10 +45,11 @@ class RunConfig:
     rated_cycles: float = 3000.0  # battery full cycles for lifespan estimate
 
     def validate(self) -> None:
-        self.scenario.validate()
-        self.env.validate()
-        self.ppo.validate()
-        self.explain.validate()
+        for section in _SECTIONS:
+            try:
+                getattr(self, section).validate()
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
         if not self.output_dir:
             raise ConfigError("run.output_dir must not be empty")
         if self.checkpoint_every < 0:
@@ -58,48 +61,29 @@ class RunConfig:
                 f"run.rated_cycles must be positive, got {self.rated_cycles}")
 
 
-def _finite(raw: str) -> float:
-    x = float(raw)
-    if not math.isfinite(x):
-        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
-    return x
-
-
-def _float_pair_or_none(raw: str):
-    if raw.strip().lower() == "none":
-        return None
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated numbers or 'none'")
-    return (_finite(parts[0]), _finite(parts[1]))
-
-
-def _int_pair(raw: str):
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated integers")
-    return (int(parts[0]), int(parts[1]))
-
-
-# Fields whose type cannot be inferred from their default value.
-_SPECIAL_PARSERS = {
-    "env.init_soc_range": _float_pair_or_none,
-    "scenario.cyclone_window": _int_pair,
-}
-
-
-def _coerce(key: str, raw: str, default):
-    if key in _SPECIAL_PARSERS:
-        return _SPECIAL_PARSERS[key](raw)
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return _finite(raw)
-    if isinstance(default, tuple):
-        elem = (_finite if not default or isinstance(default[0], float)
-                else type(default[0]))
-        return tuple(elem(p.strip()) for p in raw.split(","))
-    return raw.strip()
+def _coerce(tp, raw: str):
+    """``raw`` read as a value of the annotated field type ``tp``: str,
+    int, finite float, ``X | None`` (spelled ``none``) or a tuple given as
+    comma-separated values, of fixed length or ``tuple[T, ...]``."""
+    raw = raw.strip()
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        if raw.lower() == "none":
+            return None
+        tp = args[0]
+        args = get_args(tp)
+    if get_origin(tp) is tuple:
+        parts = raw.split(",")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(parts)
+        elif len(parts) != len(args):
+            raise ValueError(f"expected {len(args)} comma-separated values, "
+                             f"got {len(parts)}")
+        return tuple(map(_coerce, args, parts))
+    value = tp(raw)
+    if tp is float and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -117,16 +101,15 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return entries
 
 
-_SECTIONS = {
-    "scenario": ScenarioConfig,
-    "env": EnvConfig,
-    "ppo": PpoConfig,
-    "explain": ExplainConfig,
-}
-_RUN_KEYS = ("output_dir", "run_id", "seed", "checkpoint_every",
-             "rated_cycles")
+# section -> its dataclass: the RunConfig fields that are dataclasses
+_SECTIONS = {f.name: f.type for f in fields(RunConfig) if is_dataclass(f.type)}
+# section -> {key: annotated type}; "run" holds RunConfig's other fields
+_SCHEMA = {"run": {f.name: f.type for f in fields(RunConfig)
+                   if f.name not in _SECTIONS}}
+_SCHEMA.update({section: {f.name: f.type for f in fields(cls)}
+                for section, cls in _SECTIONS.items()})
 
-# config section -> (dataclass seed field, seed-derivation component name)
+# section -> its seed field, derived from run.seed under the section's name
 _SEED_FIELDS = {"scenario": "rng_seed", "ppo": "seed", "explain": "seed"}
 
 
@@ -134,73 +117,60 @@ def build_run_config(entries: dict[str, str],
                      seed_override: int | None = None,
                      output_override: str | None = None) -> RunConfig:
     """Assemble and validate a RunConfig from dotted-key assignments."""
-    section_kwargs: dict[str, dict] = {name: {} for name in _SECTIONS}
-    run_kwargs: dict = {}
+    kwargs: dict[str, dict] = {section: {} for section in _SCHEMA}
     for key, raw in entries.items():
-        section, _, field_name = key.partition(".")
-        if not field_name:
-            raise ConfigError(f"config key {key!r} is missing a section prefix")
-        if section == "run":
-            if field_name not in _RUN_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            default = RunConfig.__dataclass_fields__[field_name].default
-            try:
-                run_kwargs[field_name] = _coerce(key, raw, default)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {exc}") from exc
-            continue
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section in key {key!r}")
-        cls = _SECTIONS[section]
-        valid = {f.name for f in fields(cls)}
-        if field_name not in valid:
+        section, _, name = key.partition(".")
+        if name not in _SCHEMA.get(section, ()):
             raise ConfigError(f"unknown config key {key!r}")
-        default = getattr(cls(), field_name)
         try:
-            section_kwargs[section][field_name] = _coerce(key, raw, default)
+            kwargs[section][name] = _coerce(_SCHEMA[section][name], raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
 
+    run_kwargs = kwargs.pop("run")
     if seed_override is not None:
         run_kwargs["seed"] = int(seed_override)
     if output_override is not None:
         run_kwargs["output_dir"] = output_override
 
-    master = run_kwargs.get("seed", RunConfig.__dataclass_fields__["seed"].default)
+    master = run_kwargs.get("seed", RunConfig.seed)
     for section, seed_field in _SEED_FIELDS.items():
-        if seed_field not in section_kwargs[section]:
-            section_kwargs[section][seed_field] = derive_seed(master, section)
+        kwargs[section].setdefault(seed_field, derive_seed(master, section))
 
-    cfg = RunConfig(scenario=ScenarioConfig(**section_kwargs["scenario"]),
-                    env=EnvConfig(**section_kwargs["env"]),
-                    ppo=PpoConfig(**section_kwargs["ppo"]),
-                    explain=ExplainConfig(**section_kwargs["explain"]),
-                    **run_kwargs)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = RunConfig(**{section: cls(**kwargs[section])
+                       for section, cls in _SECTIONS.items()}, **run_kwargs)
+    cfg.validate()
     return cfg
 
 
 def load_run_config(path: str | os.PathLike | None,
                     seed_override: int | None = None,
                     output_override: str | None = None) -> RunConfig:
-    """RunConfig from a file (or pure defaults when path is None)."""
-    entries = {} if path is None else parse_config_text(
-        read_text(path), source=os.fspath(path))
-    return build_run_config(entries, seed_override, output_override)
+    """RunConfig from a file (or pure defaults when path is None); an
+    error in the file's keys or values names the file."""
+    if output_override == "":  # the one bad override, not the file's fault
+        raise ConfigError("--out must not be empty")
+    if path is None:
+        return build_run_config({}, seed_override, output_override)
+    source = os.fspath(path)
+    entries = parse_config_text(read_text(path), source=source)
+    try:
+        return build_run_config(entries, seed_override, output_override)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def config_summary(cfg: RunConfig) -> str:
-    """Human-readable dump of every effective setting."""
-    lines = [f"run.output_dir = {cfg.output_dir}",
-             f"run.run_id = {cfg.run_id}",
-             f"run.seed = {cfg.seed}",
-             f"run.checkpoint_every = {cfg.checkpoint_every}",
-             f"run.rated_cycles = {cfg.rated_cycles}"]
-    for section, sub in (("scenario", cfg.scenario), ("env", cfg.env),
-                         ("ppo", cfg.ppo), ("explain", cfg.explain)):
-        for f in fields(sub):
-            lines.append(f"{section}.{f.name} = {getattr(sub, f.name)}")
+    """Every effective setting, one ``section.key = value`` line each, in
+    the syntax :func:`_coerce` reads: the output is a config file that
+    builds the same RunConfig, unless a string value holds a ``#``, which
+    the reader takes for the start of a comment."""
+    lines = []
+    for section, keys in _SCHEMA.items():
+        owner = cfg if section == "run" else getattr(cfg, section)
+        for name in keys:
+            value = getattr(owner, name)
+            if isinstance(value, tuple):
+                value = ", ".join(map(str, value))
+            lines.append(f"{section}.{name} = {value}")
     return "\n".join(lines) + "\n"

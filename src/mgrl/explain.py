@@ -194,9 +194,8 @@ class Explanation:
 
     def ranked_features(self) -> list[int]:
         """Feature indices sorted by descending |contribution|."""
-        order = sorted(range(len(self.feature_names)),
-                       key=lambda i: (-abs(self.contributions[i]), i))
-        return order
+        return sorted(range(len(self.feature_names)),
+                      key=lambda i: (-abs(self.contributions[i]), i))
 
 
 def explain_action(policy_fn, x: np.ndarray, action_dims: tuple[int, ...],
@@ -245,12 +244,11 @@ def explain_action(policy_fn, x: np.ndarray, action_dims: tuple[int, ...],
                            fit_surrogate(z, y, w, cfg.ridge_strength)):
         keep = sorted(range(N_FEATURES),
                       key=lambda i: (-abs(fit.coef_std[i]), i))[:cfg.top_k]
-        coefficients = np.zeros(N_FEATURES)
+        coefficients = fit.coefficients
         if cfg.top_k < N_FEATURES:
             fit = fit_surrogate(z[:, keep], y_d, w, cfg.ridge_strength)
+            coefficients = np.zeros(N_FEATURES)
             coefficients[keep] = fit.coefficients
-        else:
-            coefficients[:] = fit.coefficients
         out.append(Explanation(
             instance=x.copy(), action_dim=d, action_name=ACTION_NAMES[d],
             feature_names=FEATURE_NAMES, intercept=fit.intercept,

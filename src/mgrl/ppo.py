@@ -169,8 +169,7 @@ def obs_stats_from_scenario(
     """
     soc_lo, soc_hi = env_cfg.soc_min, env_cfg.soc_max
     p_net = scn.p_re - scn.loads.sum(axis=1)
-    cols = [scn.loads[:, 0], scn.loads[:, 1], scn.loads[:, 2],
-            scn.p_re, p_net]
+    cols = [*scn.loads.T, scn.p_re, p_net]
     mean = np.array([0.5 * (soc_lo + soc_hi)] + [c.mean() for c in cols])
     scale = np.array([max(0.5 * (soc_hi - soc_lo), 1e-6)]
                      + [max(float(c.std()), 1e-6) for c in cols])

@@ -24,6 +24,14 @@ CSV_COLUMNS = ("t", "p_re", "l1", "l2", "l3")
 # battery accounting of the report all assume one hour; it is not a knob.
 STEP_HOURS = 1.0
 
+# Largest magnitude, in kW, of any power in a scenario or trajectory CSV:
+# 1 GW, far below where sums and squares of powers overflow.  A scenario
+# hour's total load is capped too: with the generation it bounds every flow
+# of the step, so eval's trajectory passes the cap.  ScenarioConfig.validate
+# refuses ratings and loads the generator could push past it.
+MAX_KW = 1e6
+KW_CAP = f"{{!r}} kW beyond the {MAX_KW:g} kW cap"
+
 # Hour-of-day load shapes, normalised to mean 1 so base_loads_kw are true
 # per-tier mean powers.  Essential demand is near-flat with an evening peak,
 # business demand follows working hours, agricultural demand is flat.
@@ -37,6 +45,7 @@ _AGRICULTURAL_SHAPE = np.ones(24)
 
 _LOAD_SHAPES = [s / s.mean() for s in
                 (_ESSENTIAL_SHAPE, _BUSINESS_SHAPE, _AGRICULTURAL_SHAPE)]
+_LOAD_NOISE = (0.9, 1.1)  # multiplicative, uniform
 
 _SUNRISE_HOUR = 6
 _SUNSET_HOUR = 18
@@ -48,6 +57,7 @@ class ScenarioFormatError(TableError):
 
 
 LAYOUT = Layout("scenario", CSV_COLUMNS, error=ScenarioFormatError)
+_KW = np.isin(CSV_COLUMNS, ("p_re", "l1", "l2", "l3"))
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,15 @@ class ScenarioConfig:
         if len(self.base_loads_kw) != 3 or any(b < 0 for b in self.base_loads_kw):
             raise ValueError(f"base_loads_kw must be three values >= 0, "
                              f"got {self.base_loads_kw}")
+        # Solar peaks at its capacity, wind is clipped to its own and a
+        # load at its base times its shape's peak and the top noise factor.
+        gen = self.solar_capacity_kw + self.wind_capacity_kw
+        load = sum(b * s.max() * _LOAD_NOISE[1]
+                   for b, s in zip(self.base_loads_kw, _LOAD_SHAPES))
+        if max(gen, load) > MAX_KW:
+            raise ValueError(f"solar_capacity_kw + wind_capacity_kw ({gen} "
+                             f"kW) and the summed tier peaks of base_loads_kw "
+                             f"({load} kW) must stay within {MAX_KW:g} kW")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
@@ -147,7 +166,7 @@ def synth_cyclone_scenario(cfg: ScenarioConfig) -> Scenario:
         wind[peak:end] = 0.0  # cut-out while the storm core passes
     wind = np.clip(wind, 0.0, cfg.wind_capacity_kw)
 
-    noise = rng.uniform(0.9, 1.1, size=(T, 3))
+    noise = rng.uniform(*_LOAD_NOISE, size=(T, 3))
     loads = np.empty((T, 3))
     for i, base in enumerate(cfg.base_loads_kw):
         loads[:, i] = base * _LOAD_SHAPES[i][hours] * noise[:, i]
@@ -160,8 +179,8 @@ def load_scenario_csv(path: str | os.PathLike) -> Scenario:
 
     Raises ScenarioFormatError naming the offending data row and column
     on a malformed header, ragged row, non-numeric entry, negative or
-    non-finite value, or an out-of-order ``t`` index, and naming the file
-    when it has no data rows.
+    non-finite value, a power or total load above :data:`MAX_KW`, or an
+    out-of-order ``t`` index, and naming the file when it has no data rows.
     """
     a = LAYOUT.read(path)
     if not len(a):
@@ -174,6 +193,12 @@ def load_scenario_csv(path: str | os.PathLike) -> Scenario:
                                   f"(rows must be sorted with no gaps)")
     LAYOUT.reject(path, a, ~np.isfinite(a), "non-finite value {!r}")
     LAYOUT.reject(path, a, a < 0, "negative value {!r}")
+    LAYOUT.reject(path, a, (a > MAX_KW) & _KW, KW_CAP)
+    total = a[:, 2:].sum(axis=1)
+    over = np.flatnonzero(total > MAX_KW)
+    if len(over):
+        LAYOUT.fail(path, over[0], None,
+                    "total load " + KW_CAP.format(float(total[over[0]])))
     return Scenario(p_re=a[:, 1].copy(), loads=a[:, 2:].copy())
 
 

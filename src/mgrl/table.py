@@ -37,14 +37,22 @@ def read_text(path) -> str:
     raise TableError(f"{path}: cannot read: {detail}")
 
 
+def make_dir(path) -> None:
+    """Create the directory ``path`` and its parents if missing."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise TableError(f"{path}: cannot write: {exc.strerror}") from None
+
+
 def write_text(path, text: str) -> None:
     """Replace ``path`` by ``text`` via a sibling temp file renamed over it,
     creating the directory.  A killed or failing process leaves the old
     file or the new one, never a truncated one; there is no fsync, so a
     power loss still can."""
+    make_dir(os.path.dirname(path) or ".")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

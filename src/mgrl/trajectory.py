@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scenario import KW_CAP, MAX_KW
 from .table import Layout
 
 CSV_HEADER = ("t", "soc", "p_re", "l1", "l2", "l3", "p_ch", "p_dis",
@@ -21,6 +22,7 @@ LAYOUT = Layout("trajectory", CSV_HEADER)
 # Only the imbalances may be negative; SOC and reward are fractions.
 _NON_NEGATIVE = ~np.isin(CSV_HEADER, ("imb1", "imb2", "imb3"))
 _FRACTION = np.isin(CSV_HEADER, ("soc", "reward"))
+_KW = ~np.isin(CSV_HEADER, ("t", "soc", "reward"))
 
 MODE_FLOW_EPS_KW = 1e-6
 
@@ -73,12 +75,13 @@ def write_trajectory_csv(traj: Trajectory, path: str | os.PathLike) -> None:
 def read_trajectory_csv(path: str | os.PathLike) -> Trajectory:
     """Parse a trajectory CSV; bad input raises ValueError naming the
     file, the 1-based data row and the column: a malformed table, a
-    non-finite value, a negative flow, load, allocation or shortage, or
-    an SOC or reward outside [0, 1]."""
+    non-finite value, a negative flow, load, allocation or shortage, an
+    SOC or reward outside [0, 1], or a power beyond ``MAX_KW`` kW."""
     a = LAYOUT.read(path)
     LAYOUT.reject(path, a, ~np.isfinite(a), "non-finite value {!r}")
     LAYOUT.reject(path, a, (a < 0) & _NON_NEGATIVE, "negative value {!r}")
     LAYOUT.reject(path, a, (a > 1) & _FRACTION, "value {!r} above 1")
+    LAYOUT.reject(path, a, (abs(a) > MAX_KW) & _KW, KW_CAP)
     return Trajectory(
         soc=a[:, 1], p_re=a[:, 2], loads=a[:, 3:6],
         p_ch=a[:, 6], p_dis=a[:, 7], p_supply=a[:, 8],

@@ -8,7 +8,7 @@ from mgrl.cli import main
 from mgrl.config import load_run_config
 from mgrl.neural import load_checkpoint
 from mgrl.ppo import TrainingDivergedError, evaluate_policy
-from mgrl.scenario import load_scenario_csv
+from mgrl.scenario import MAX_KW, load_scenario_csv
 from mgrl.seeding import derive_seed
 from mgrl.trajectory import read_trajectory_csv
 
@@ -66,6 +66,22 @@ class TestConfigCommand:
         assert run("config", "--config", str(bad)) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_out_names_the_flag(self, conf, capsys):
+        """An empty --out is the flag's fault, not the config file's."""
+        assert run("config", "--config", conf, "--out", "") == 1
+        assert capsys.readouterr().err == "error: --out must not be empty\n"
+
+    def test_output_is_a_config_file(self, conf, tmp_path, capsys):
+        """What ``config`` prints, fed back through --config, prints the
+        same again: every tuple and none reads back."""
+        assert run("config", "--config", conf) == 0
+        first = capsys.readouterr().out
+        echo = tmp_path / "echo.conf"
+        echo.write_text(first)
+        assert run("config", "--config", str(echo)) == 0
+        assert capsys.readouterr().out == first
+        assert "scenario.cyclone_window = 12, 18\n" in first
+
     @pytest.mark.parametrize("key, value", NON_FINITE)
     def test_non_finite_value_is_user_error(self, tmp_path, capsys, key,
                                             value):
@@ -89,6 +105,24 @@ class TestConfigCommand:
 
 
 class TestScenarioCommand:
+    @pytest.mark.parametrize("line, key", [
+        ("scenario.solar_capacity_kw = 2e6", "solar_capacity_kw"),
+        ("scenario.base_loads_kw = 5e5, 3e5, 1e5", "base_loads_kw"),
+    ], ids=["generation", "loads"])
+    def test_generator_beyond_the_kw_cap_is_config_error(
+            self, tmp_path, capsys, line, key):
+        """A config whose generator could write a power beyond the cap
+        fails at ``scenario``, naming the file and key, instead of
+        writing a scenario.csv that train and eval then refuse."""
+        bad = tmp_path / "bad.conf"
+        bad.write_text(TINY_CONF + line + "\n")
+        out = tmp_path / "out"
+        assert run("scenario", "--config", str(bad), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: scenario: ")
+        assert key in err and "must stay within 1e+06 kW" in err
+        assert not (out / "scenario.csv").exists()
+
     def test_writes_scenario_csv(self, conf, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert run("scenario", "--config", conf, "--out", out) == 0
@@ -127,6 +161,19 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "scenario file not found" in err
         assert "mgrl scenario" in err
+
+    def test_unwritable_out_fails_before_training(self, conf, tmp_path,
+                                                  capsys):
+        scenario = str(tmp_path / "scn" / "scenario.csv")
+        run_pipeline(conf, os.path.dirname(scenario), through="scenario")
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "sub")
+        capsys.readouterr()
+        assert run("train", "--config", conf, "--out", out,
+                   "--scenario", scenario) == 1
+        captured = capsys.readouterr()
+        assert f"error: {out}: cannot write: " in captured.err
+        assert "update 1/" not in captured.out
 
     def test_checkpoint_schedule(self, tmp_path):
         conf_path = tmp_path / "run.conf"
@@ -406,7 +453,14 @@ class TestTrajectoryBoundary:
          "column p_ch: negative value -1.5"),
         (("explain", "--step", "1"), lambda f: [f[0], "7.0", *f[2:]],
          "column soc: value 7.0 above 1"),
-    ], ids=["negative-p_ch-report", "soc-above-1-explain"])
+        (("explain", "--step", "2"), lambda f: [*f[:3], "1e300", *f[4:]],
+         "column l1: 1e+300 kW beyond the 1e+06 kW cap"),
+        (("report",), lambda f: [*f[:3], "1e300", *f[4:]],
+         "column l1: 1e+300 kW beyond the 1e+06 kW cap"),
+        (("report",), lambda f: [*f[:14], "-2e6", *f[15:]],
+         "column imb3: -2000000.0 kW beyond the 1e+06 kW cap"),
+    ], ids=["negative-p_ch-report", "soc-above-1-explain",
+            "huge-l1-explain", "huge-l1-report", "huge-imb3-report"])
     def test_physically_impossible_value_is_user_error(
             self, conf, tmp_path, capsys, command, edit, detail):
         out = str(tmp_path / "out")
@@ -429,6 +483,18 @@ class TestTrajectoryBoundary:
         capsys.readouterr()
         assert run("report", "--config", conf, "--out", out) == 1
         assert "trajectory.csv: no data rows" in capsys.readouterr().err
+
+    def test_powers_at_the_kw_cap_explain_and_report(self, conf, tmp_path):
+        out = str(tmp_path / "out")
+        run_pipeline(conf, out)
+        path = os.path.join(out, "trajectory.csv")
+        for n in (2, 3, 4):
+            corrupt(path, lambda f: [f[0], f[1], *[repr(MAX_KW)] * 10,
+                                     *[repr(-MAX_KW)] * 3,
+                                     *[repr(MAX_KW)] * 3, f[-1]], n=n)
+        assert run("explain", "--config", conf, "--out", out,
+                   "--step", "2") == 0
+        assert run("report", "--config", conf, "--out", out) == 0
 
 
 class TestMetricsBoundary:
@@ -458,6 +524,32 @@ class TestScenarioBoundary:
         capsys.readouterr()
         assert run(command, "--config", conf, "--out", out) == 1
         assert "scenario.csv: no data rows" in capsys.readouterr().err
+
+    def test_huge_load_is_user_error(self, conf, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        run_pipeline(conf, out, through="scenario")
+        corrupt(os.path.join(out, "scenario.csv"),
+                lambda f: [*f[:2], "1e308", *f[3:]])
+        capsys.readouterr()
+        assert run("train", "--config", conf, "--out", out) == 1
+        assert ("scenario.csv: data row 4, column l1: 1e+308 kW beyond the "
+                "1e+06 kW cap") in capsys.readouterr().err
+
+    def test_powers_at_the_kw_cap_run_the_pipeline(self, conf, tmp_path):
+        """Generation and total load at the cap in several hours: every
+        flow the env derives from them stays within it, so eval's
+        trajectory passes explain and report."""
+        out = str(tmp_path / "out")
+        run_pipeline(conf, out, through="scenario")
+        hours = {2: (MAX_KW, MAX_KW / 2, MAX_KW / 4, MAX_KW / 4),
+                 4: (0.0, MAX_KW, 0.0, 0.0),
+                 6: (MAX_KW, 0.0, 0.0, MAX_KW)}
+        for n, powers in hours.items():
+            corrupt(os.path.join(out, "scenario.csv"),
+                    lambda f, p=powers: [f[0], *map(repr, p)], n=n)
+        for cmd in (["train"], ["eval"], ["explain", "--step", "3"],
+                    ["report"]):
+            assert run(*cmd, "--config", conf, "--out", out) == 0, cmd
 
 
 def edit_checkpoint(path, edit):

@@ -27,6 +27,51 @@ NON_FINITE = [
     ("scenario.base_loads_kw", "30, -inf, 12"),
 ]
 
+# Every one of the 41 settable keys, each away from its default.
+EVERY_KEY = """\
+run.output_dir = runs/every
+run.run_id = every-key
+run.seed = 5
+run.checkpoint_every = 3
+run.rated_cycles = 4500
+scenario.horizon_steps = 96
+scenario.start_hour = 6
+scenario.solar_capacity_kw = 120.5
+scenario.wind_capacity_kw = 60
+scenario.base_loads_kw = 20, 15.5, 7
+scenario.cyclone_window = 40, 60
+scenario.cyclone_depression = 0.6
+scenario.rng_seed = 11
+env.soc_min = 0.15
+env.soc_max = 0.85
+env.eta_ch = 0.92
+env.eta_dis = 0.93
+env.e_max_kwh = 500
+env.p_conv_kw = 40
+env.reward_weights = 5, 2, 0.5
+env.init_soc_range = 0.3, 0.6
+ppo.gamma = 0.98
+ppo.gae_lambda = 0.9
+ppo.clip_eps = 0.1
+ppo.c1 = 0.4
+ppo.c2 = 0.02
+ppo.learning_rate = 1e-4
+ppo.rollout_steps = 64
+ppo.n_envs = 4
+ppo.minibatch_size = 16
+ppo.epochs_per_update = 3
+ppo.total_updates = 7
+ppo.hidden_sizes = 32, 16, 8
+ppo.init_log_std = -0.5
+ppo.seed = 21
+explain.n_samples = 400
+explain.kernel_sigma = 1.5
+explain.perturb_scale = 0.8
+explain.ridge_strength = 0.01
+explain.top_k = 4
+explain.seed = 31
+"""
+
 
 class TestParseConfigText:
     def test_basic_assignments(self):
@@ -95,6 +140,29 @@ class TestBuildRunConfig:
     def test_bad_value_names_the_key(self):
         with pytest.raises(ConfigError, match="ppo.total_updates"):
             build_run_config({"ppo.total_updates": "many"})
+
+    @pytest.mark.parametrize("key, value, want, got", [
+        ("env.reward_weights", "1, 2", 3, 2),
+        ("scenario.base_loads_kw", "1, 2", 3, 2),
+        ("scenario.cyclone_window", "1, 2, 3", 2, 3),
+        ("env.init_soc_range", "0.3", 2, 1),
+    ])
+    def test_wrong_length_tuple_names_the_key(self, key, value, want, got):
+        with pytest.raises(ConfigError, match=(
+                rf"^bad value for {key}: expected {want} comma-separated "
+                rf"values, got {got}$")):
+            build_run_config({key: value})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("ppo.n_envs", "0", "ppo: rollout_steps and n_envs must be positive"),
+        ("env.soc_min", "0.95", "env: need 0 < soc_min < soc_max <= 1"),
+        ("explain.top_k", "0", "explain: top_k must lie in [1, 6], got 0"),
+        ("scenario.start_hour", "24", "scenario: start_hour must be in"),
+    ])
+    def test_validation_error_names_the_section(self, key, value, message):
+        with pytest.raises(ConfigError) as exc:
+            build_run_config({key: value})
+        assert str(exc.value).startswith(message)
 
     def test_component_validation_becomes_config_error(self):
         with pytest.raises(ConfigError):
@@ -165,6 +233,18 @@ class TestLoadRunConfig:
         with pytest.raises(TableError, match="cannot read"):
             load_run_config(tmp_path / "nope.conf")
 
+    @pytest.mark.parametrize("line, message", [
+        ("ppo.total_updates = many", "bad value for ppo.total_updates: "),
+        ("env.soc_min = 0.95", "env: need 0 < soc_min < soc_max <= 1"),
+        ("ppo.nosuchfield = 1", "unknown config key 'ppo.nosuchfield'"),
+    ], ids=["bad-value", "bad-validation", "unknown-key"])
+    def test_error_names_the_file(self, tmp_path, line, message):
+        path = tmp_path / "run.conf"
+        path.write_text(f"run.seed = 1\n{line}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_run_config(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
 
 class TestConfigSummary:
     def test_lists_every_section(self):
@@ -179,3 +259,22 @@ class TestConfigSummary:
         cfg = build_run_config({"run.seed": "4"})
         text = config_summary(cfg)
         assert f"scenario.rng_seed = {derive_seed(4, 'scenario')}" in text
+
+    @pytest.mark.parametrize("text", [
+        "",
+        EVERY_KEY,
+        EVERY_KEY + "env.init_soc_range = none\nppo.hidden_sizes = 8\n",
+    ], ids=["defaults", "every-key", "every-key-none-one-layer"])
+    def test_output_reads_back_as_the_same_config(self, text):
+        cfg = build_run_config(parse_config_text(text))
+        summary = config_summary(cfg)
+        assert build_run_config(parse_config_text(summary)) == cfg
+        assert len(parse_config_text(summary)) == 41
+
+    def test_every_key_config_sets_every_key(self):
+        entries = parse_config_text(EVERY_KEY)
+        defaults = parse_config_text(config_summary(build_run_config({})))
+        assert entries.keys() == defaults.keys()
+        every = parse_config_text(
+            config_summary(build_run_config(entries)))
+        assert all(every[key] != defaults[key] for key in defaults)

@@ -3,6 +3,7 @@ import pytest
 
 from mgrl.scenario import (
     CSV_COLUMNS,
+    MAX_KW,
     ScenarioConfig,
     ScenarioFormatError,
     load_scenario_csv,
@@ -24,10 +25,28 @@ class TestScenarioConfig:
         (dict(cyclone_depression=1.5), "cyclone_depression"),
         (dict(solar_capacity_kw=-1.0), "capacities"),
         (dict(base_loads_kw=(1.0, -2.0, 3.0)), "base_loads_kw"),
+        (dict(solar_capacity_kw=2e6), "solar_capacity_kw"),
+        (dict(wind_capacity_kw=MAX_KW), "wind_capacity_kw"),
+        # Means summing to 0.9 MW peak above 1 MW: shapes times noise.
+        (dict(base_loads_kw=(5e5, 3e5, 1e5)), "base_loads_kw"),
     ])
     def test_rejects_bad_fields(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
             ScenarioConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generator_near_the_kw_cap_writes_a_readable_scenario(
+            self, tmp_path, seed):
+        """Ratings that pass validate give powers that the scenario
+        reader accepts: generation and hourly total load within MAX_KW."""
+        cfg = ScenarioConfig(solar_capacity_kw=MAX_KW - 80.0,
+                             wind_capacity_kw=80.0,
+                             base_loads_kw=(3e5, 2e5, 1.5e5), rng_seed=seed)
+        path = tmp_path / "scenario.csv"
+        write_scenario_csv(synth_cyclone_scenario(cfg), path)
+        scn = load_scenario_csv(path)
+        assert scn.p_re.max() <= MAX_KW
+        assert scn.loads.sum(axis=1).max() > 0.8 * MAX_KW
 
 
 class TestSynthCycloneScenario:

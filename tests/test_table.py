@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tempfile
 from dataclasses import astuple
 
@@ -18,6 +19,7 @@ from mgrl.metrics import (
 from mgrl.ppo import TrainStats
 from mgrl.scenario import (
     CSV_COLUMNS,
+    MAX_KW,
     Scenario,
     ScenarioFormatError,
     load_scenario_csv,
@@ -31,8 +33,8 @@ from mgrl.trajectory import (
     write_trajectory_csv,
 )
 
-EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 1e300,
-         -1e300)
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0,
+         MAX_KW / 3, MAX_KW, -MAX_KW, 1e300, -1e300)
 
 
 def cells(lo=-1e300, hi=1e300):
@@ -40,8 +42,12 @@ def cells(lo=-1e300, hi=1e300):
                      st.floats(lo, hi))
 
 
-ANY, NON_NEGATIVE, FRACTION = cells(), cells(0.0), cells(0.0, 1.0)
+ANY, FRACTION = cells(), cells(0.0, 1.0)
 NULLABLE = st.one_of(ANY, st.just(math.nan))
+# Powers stay within the readers' kW cap; a scenario's three loads within
+# a third of it each, so their total does too.
+KW, KW_NON_NEGATIVE = cells(-MAX_KW, MAX_KW), cells(0.0, MAX_KW)
+LOAD = cells(0.0, MAX_KW / 3)
 
 
 def write_scenario(path, index, table):
@@ -82,10 +88,10 @@ def read_metrics(path):
 # name: (columns, cell strategies after the index, writer, reader,
 #        minimum rows, index free (metrics) or 0..n-1, error type)
 ARTIFACTS = {
-    "scenario": (CSV_COLUMNS, [NON_NEGATIVE] * 4, write_scenario,
+    "scenario": (CSV_COLUMNS, [KW_NON_NEGATIVE] + [LOAD] * 3, write_scenario,
                  read_scenario, 1, False, ScenarioFormatError),
-    "trajectory": (CSV_HEADER, [FRACTION] + [NON_NEGATIVE] * 10
-                   + [ANY] * 3 + [NON_NEGATIVE] * 3 + [FRACTION],
+    "trajectory": (CSV_HEADER, [FRACTION] + [KW_NON_NEGATIVE] * 10
+                   + [KW] * 3 + [KW_NON_NEGATIVE] * 3 + [FRACTION],
                    write_trajectory, read_trajectory, 0, False, TableError),
     "metrics": (TRAIN_CSV_HEADER, [NULLABLE] * 2 + [ANY] * 4, write_metrics,
                 read_metrics, 0, True, TableError),
@@ -189,6 +195,36 @@ def test_malformed_body_names_file_row_and_column(tmp_path, name, defect):
     assert f"column {col}" in message
 
 
+@pytest.mark.parametrize("name, column, value", [
+    ("scenario", "p_re", math.nextafter(MAX_KW, math.inf)),
+    ("scenario", "l2", 1e300),
+    ("trajectory", "p_supply", 2 * MAX_KW),
+    ("trajectory", "imb3", -1e300),
+    ("trajectory", "sh1", math.nextafter(MAX_KW, math.inf)),
+])
+def test_power_beyond_the_kw_cap_names_file_row_and_column(
+        tmp_path, name, column, value):
+    columns, _, write, read, _, _, error = ARTIFACTS[name]
+    path = tmp_path / f"{name}.csv"
+    table = np.full((3, len(columns) - 1), 0.5)
+    table[1, columns.index(column) - 1] = value
+    write(path, [0, 1, 2], table)
+    with pytest.raises(error, match=re.escape(
+            f"{name}.csv: {row(1)}, column {column}: {value!r} kW beyond "
+            f"the 1e+06 kW cap")):
+        read(path)
+
+
+def test_scenario_total_load_beyond_the_kw_cap_names_the_row(tmp_path):
+    path = tmp_path / "scenario.csv"
+    loads = np.array([[0.5] * 3, [MAX_KW / 2] * 3])
+    write_scenario_csv(Scenario(p_re=np.zeros(2), loads=loads), path)
+    with pytest.raises(ScenarioFormatError, match=(
+            rf"scenario.csv: {row(1)}: total load 1500000.0 kW beyond the "
+            rf"1e\+06 kW cap$")):
+        load_scenario_csv(path)
+
+
 @pytest.mark.parametrize("name", ARTIFACTS)
 def test_blank_only_body_names_the_row(tmp_path, name):
     columns, _, _, read, _, _, error = ARTIFACTS[name]
@@ -221,6 +257,13 @@ class TestTextFiles:
         write_text(path, "x\ny\n")
         assert path.read_bytes() == b"x\ny\n"
         assert read_text(path) == "x\ny\n"
+
+    def test_directory_under_a_file_names_the_directory(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "sub" / "f.txt"
+        with pytest.raises(TableError, match=re.escape(
+                f"{path.parent}: cannot write: Not a directory")):
+            write_text(path, "x\n")
 
     def leftovers(self, tmp_path):
         return sorted(p.name for p in tmp_path.iterdir())

@@ -59,6 +59,11 @@ class RunConfig:
         if self.rated_cycles <= 0:
             raise ConfigError(
                 f"run.rated_cycles must be positive, got {self.rated_cycles}")
+        for key, value in _settings(self):
+            if isinstance(value, str) and "#" in value:
+                raise ConfigError(
+                    f"{key} must not contain '#', which a config file "
+                    f"reads as the start of a comment: got {value!r}")
 
 
 def _coerce(tp, raw: str):
@@ -108,6 +113,15 @@ _SCHEMA = {"run": {f.name: f.type for f in fields(RunConfig)
                    if f.name not in _SECTIONS}}
 _SCHEMA.update({section: {f.name: f.type for f in fields(cls)}
                 for section, cls in _SECTIONS.items()})
+
+
+def _settings(cfg: RunConfig):
+    """(``section.key``, value) of every setting, in schema order."""
+    for section, keys in _SCHEMA.items():
+        owner = cfg if section == "run" else getattr(cfg, section)
+        for name in keys:
+            yield f"{section}.{name}", getattr(owner, name)
+
 
 # section -> its seed field, derived from run.seed under the section's name
 _SEED_FIELDS = {"scenario": "rng_seed", "ppo": "seed", "explain": "seed"}
@@ -163,14 +177,10 @@ def load_run_config(path: str | os.PathLike | None,
 def config_summary(cfg: RunConfig) -> str:
     """Every effective setting, one ``section.key = value`` line each, in
     the syntax :func:`_coerce` reads: the output is a config file that
-    builds the same RunConfig, unless a string value holds a ``#``, which
-    the reader takes for the start of a comment."""
+    builds the same RunConfig."""
     lines = []
-    for section, keys in _SCHEMA.items():
-        owner = cfg if section == "run" else getattr(cfg, section)
-        for name in keys:
-            value = getattr(owner, name)
-            if isinstance(value, tuple):
-                value = ", ".join(map(str, value))
-            lines.append(f"{section}.{name} = {value}")
-    return "\n".join(lines) + "\n"
+    for key, value in _settings(cfg):
+        if isinstance(value, tuple):
+            value = ", ".join(map(str, value))
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)

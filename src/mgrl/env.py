@@ -89,6 +89,14 @@ class EnvConfig:
         return float(rng.uniform(lo, hi)) if hi > lo else lo
 
 
+def features(soc, loads: np.ndarray, p_re: np.ndarray) -> np.ndarray:
+    """(T, N_FEATURES) states in FEATURE_NAMES order from the SOC (per hour
+    or one for all hours), the (T, 3) loads and the (T,) generation: the
+    net energy column is p_re - (l1 + l2 + l3)."""
+    return np.column_stack([np.broadcast_to(soc, p_re.shape), loads, p_re,
+                            p_re - loads.sum(axis=1)])
+
+
 def scenario_rows(scn: Scenario) -> tuple[tuple[float, ...], ...]:
     """The scenario as one row per hour: (l1, l2, l3, p_re, p_net).
 
@@ -97,19 +105,13 @@ def scenario_rows(scn: Scenario) -> tuple[tuple[float, ...], ...]:
     """
     if scn.horizon < 1:
         raise ValueError("cannot run an episode on an empty scenario")
-    return tuple((l1, l2, l3, p_re, p_re - (l1 + l2 + l3))
-                 for (l1, l2, l3), p_re in zip(scn.loads.tolist(),
-                                               scn.p_re.tolist()))
+    return tuple(map(tuple,
+                     features(0.0, scn.loads, scn.p_re)[:, 1:].tolist()))
 
 
 def load_totals(rows) -> tuple[float, float, float]:
-    """Per-tier load summed hour by hour over a full episode of ``rows``."""
-    s1 = s2 = s3 = 0.0
-    for l1, l2, l3, _, _ in rows:
-        s1 += l1
-        s2 += l2
-        s3 += l3
-    return s1, s2, s3
+    """Per-tier load of a full episode of ``rows``, summed hour by hour."""
+    return tuple(np.cumsum(np.array(rows)[:, :3], axis=0)[-1].tolist())
 
 
 def resilience_index(shortages, loads, weights) -> float:

@@ -1,11 +1,11 @@
 """Local linear explanations of the trained actor.
 
-For one state the pipeline perturbs the features, queries the actor's
-deterministic mean output, weights the samples by proximity to the
-explained state, and fits a weighted ridge surrogate per explained
-action dimension.  All explained dims of one state share one
-perturbation cloud, one actor forward, one set of proximity weights and
-one normal matrix; only the right-hand side and the solve are per dim.
+For one state the pipeline perturbs the features, queries a target
+function of the states (the actor's deterministic mean output), weights
+the samples by proximity to the explained state, and fits a weighted
+ridge surrogate per explained action dimension.  All explained dims of
+one state share the perturbation cloud, target call, proximity weights
+and normal matrix; only the right-hand side and solve are per dim.
 The surrogate yields two views per feature:
 
 * ``coefficients`` — local slopes of the actor output in raw feature
@@ -198,19 +198,17 @@ class Explanation:
                       key=lambda i: (-abs(self.contributions[i]), i))
 
 
-def explain_action(policy_fn, x: np.ndarray, action_dims: tuple[int, ...],
+def explain_action(target_fn, x: np.ndarray, action_dims: tuple[int, ...],
                    cfg: ExplainConfig,
                    stats: FeatureStats) -> tuple[Explanation, ...]:
     """Explain several scalar actor outputs at one state.
 
     Args:
-        policy_fn: a GaussianPolicy, or any callable mapping an (n, 6)
-            state matrix to target values, (n,) for a single dim or
-            (n, k) for k dims — the latter keeps the fitter testable
-            against known functions.
+        target_fn: maps an (n, 6) state matrix to the (n, k) values of
+            the k explained outputs, or to (n,) values when k = 1.
         x: the state to explain, 6 features.
-        action_dims: which actor outputs to explain (0 = charge intent,
-            1 = discharge intent, 2-4 = priority weights).
+        action_dims: which actor outputs the k columns are (0 = charge
+            intent, 1 = discharge intent, 2-4 = priority weights).
         stats: feature statistics from the evaluation trajectory.
 
     Returns one Explanation per entry of ``action_dims``, in order.
@@ -225,15 +223,9 @@ def explain_action(policy_fn, x: np.ndarray, action_dims: tuple[int, ...],
 
     rng = np.random.default_rng(cfg.seed)
     z = perturb(x, stats, cfg.n_samples, cfg.perturb_scale, rng)
-    if isinstance(policy_fn, GaussianPolicy):
-        # take() returns C order: with two or more dims each target
-        # column is strided like a column of the means, so its dot
-        # products round exactly as a one-dim fit of that column would.
-        y = np.take(forward_policy(policy_fn, z), action_dims, axis=1)
-    else:
-        y = np.asarray(policy_fn(z), dtype=np.float64)
-        if y.ndim == 1:
-            y = y[:, None]
+    y = np.asarray(target_fn(z), dtype=np.float64)
+    if y.ndim == 1:
+        y = y[:, None]
     if y.shape != (cfg.n_samples, len(action_dims)):
         raise ValueError(f"targets have shape {y.shape}, expected "
                          f"{(cfg.n_samples, len(action_dims))}")
@@ -268,9 +260,12 @@ def explain_step(policy: GaussianPolicy, traj: Trajectory, t: int,
         raise ValueError(
             f"step {t} outside trajectory of length {len(traj)}")
     stats = FeatureStats.from_trajectory(traj, env_cfg)
-    x = traj.states()[t]
-    return {e.action_name: e
-            for e in explain_action(policy, x, (0, 1), cfg, stats)}
+    dims = (0, 1)
+    # take() returns C order: each target column is strided like a column
+    # of the means, so its dot products round as a one-dim fit would.
+    return {e.action_name: e for e in explain_action(
+        lambda z: np.take(forward_policy(policy, z), dims, axis=1),
+        traj.states()[t], dims, cfg, stats)}
 
 
 # ---------------------------------------------------------------------------

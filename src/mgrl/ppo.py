@@ -21,6 +21,7 @@ from .env import (
     EpisodeSummary,
     N_ACTIONS,
     N_FEATURES,
+    features,
     load_totals,
     scenario_rows,
     step,
@@ -168,8 +169,7 @@ def obs_stats_from_scenario(
     constant series cannot produce a degenerate normalizer.
     """
     soc_lo, soc_hi = env_cfg.soc_min, env_cfg.soc_max
-    p_net = scn.p_re - scn.loads.sum(axis=1)
-    cols = [*scn.loads.T, scn.p_re, p_net]
+    cols = features(0.0, scn.loads, scn.p_re)[:, 1:].T
     mean = np.array([0.5 * (soc_lo + soc_hi)] + [c.mean() for c in cols])
     scale = np.array([max(0.5 * (soc_hi - soc_lo), 1e-6)]
                      + [max(float(c.std()), 1e-6) for c in cols])
@@ -487,58 +487,54 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
     return TrainResult(policy=policy, value=value, stats=stats)
 
 
-def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
-                    scn: Scenario, n_episodes: int = 1,
-                    deterministic: bool = True, seed: int = 0) -> EvalResult:
-    """Score a policy over n_episodes; the first episode is kept in full.
-
-    Deterministic episodes act on the clipped policy mean; stochastic ones
-    sample from the episode's own action stream.
-    """
+def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
+                     n_episodes: int = 1, seed: int = 0) -> EvalResult:
+    """Score a policy, given as its action function, over n_episodes; the
+    first is kept in full.  Episode ``ep`` starts at the SOC drawn from
+    ``eval-reset-{ep}``, and each hour ``act(obs, rng)`` maps the (1, 6) raw
+    state and the ``eval-action-{ep}`` stream to the clipped (1, 5) action."""
     if n_episodes <= 0:
         raise ValueError(f"n_episodes must be positive, got {n_episodes}")
     env_cfg.validate()
     rows = scenario_rows(scn)
     load_sums = load_totals(rows)
-    horizon = len(rows)
     summaries = []
-    first_traj = None
     for ep in range(n_episodes):
         soc = env_cfg.initial_soc(derive_rng(seed, f"eval-reset-{ep}"))
         rng = derive_rng(seed, f"eval-action-{ep}")
-        traj = Trajectory(
-            soc=np.empty(horizon), p_re=scn.p_re.copy(),
-            loads=scn.loads.copy(), p_ch=np.empty(horizon),
-            p_dis=np.empty(horizon), p_supply=np.empty(horizon),
-            allocations=np.empty((horizon, 3)),
-            imbalances=np.empty((horizon, 3)),
-            shortages=np.empty((horizon, 3)), reward=np.empty(horizon))
-        reward_sum = 0.0
-        sh_sums = [0.0, 0.0, 0.0]
+        # Columns: soc, p_ch, p_dis, p_supply, alloc x3, imb x3, sh x3, reward
+        log = np.empty((len(rows), 14))
         for t, row in enumerate(rows):
-            obs = np.array([(soc, *row)])
-            if deterministic:
-                action = np.clip(forward_policy(policy, obs), -1.0, 1.0)
-            else:
-                action, _, _ = sample_action(
-                    policy, obs, rng.standard_normal((1, N_ACTIONS)))
-            (soc_next, traj.p_ch[t], traj.p_dis[t], traj.p_supply[t],
-             traj.allocations[t], traj.imbalances[t], short,
-             reward) = step(env_cfg, row, soc, action[0].tolist())
-            traj.soc[t] = soc
-            traj.shortages[t] = short
-            traj.reward[t] = reward
-            reward_sum += reward
-            sh_sums[0] += short[0]
-            sh_sums[1] += short[1]
-            sh_sums[2] += short[2]
+            action = act(np.array([(soc, *row)]), rng)
+            soc_next, *flows, alloc, imb, short, reward = step(
+                env_cfg, row, soc, action[0].tolist())
+            log[t] = (soc, *flows, *alloc, *imb, *short, reward)
             soc = soc_next
+        # cumsum adds hour by hour, in the order the episode accrues them.
+        *sh_sums, reward_sum = np.cumsum(log[:, 10:], axis=0)[-1].tolist()
         summaries.append(summarize_episode(env_cfg, reward_sum, sh_sums,
-                                           load_sums, horizon))
-        if first_traj is None:
-            first_traj = traj
+                                           load_sums, len(rows)))
+        if ep == 0:
+            traj = Trajectory(
+                soc=log[:, 0], p_re=scn.p_re.copy(), loads=scn.loads.copy(),
+                p_ch=log[:, 1], p_dis=log[:, 2], p_supply=log[:, 3],
+                allocations=log[:, 4:7], imbalances=log[:, 7:10],
+                shortages=log[:, 10:13], reward=log[:, 13])
     return EvalResult(
-        mean_reward_norm=float(np.mean([s.reward_final_norm
-                                        for s in summaries])),
-        ri=float(np.mean([s.ri for s in summaries])),
-        trajectory=first_traj, summaries=summaries)
+        float(np.mean([s.reward_final_norm for s in summaries])),
+        float(np.mean([s.ri for s in summaries])), traj, summaries)
+
+
+def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
+                    scn: Scenario, n_episodes: int = 1,
+                    deterministic: bool = True, seed: int = 0) -> EvalResult:
+    """:func:`evaluate_actions` on the clipped policy mean, or on samples
+    drawn from each episode's action stream when not ``deterministic``."""
+    if deterministic:
+        def act(obs, rng):
+            return np.clip(forward_policy(policy, obs), -1.0, 1.0)
+    else:
+        def act(obs, rng):
+            return sample_action(policy, obs,
+                                 rng.standard_normal((1, N_ACTIONS)))[0]
+    return evaluate_actions(act, env_cfg, scn, n_episodes, seed)

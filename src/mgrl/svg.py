@@ -111,10 +111,8 @@ def line_chart(series, title: str, x_label: str = "", y_label: str = "",
     if y_range is not None:
         y_lo, y_hi = map(float, y_range)
     else:
-        y_lo = min(min(ys.min() for _, _, ys in series), *hlines) \
-            if hlines else min(ys.min() for _, _, ys in series)
-        y_hi = max(max(ys.max() for _, _, ys in series), *hlines) \
-            if hlines else max(ys.max() for _, _, ys in series)
+        y_lo = min([ys.min() for _, _, ys in series] + list(hlines))
+        y_hi = max([ys.max() for _, _, ys in series] + list(hlines))
         pad = 0.05 * max(y_hi - y_lo, 1e-12)
         y_lo, y_hi = y_lo - pad, y_hi + pad
     x_span = max(x_hi - x_lo, 1e-12)

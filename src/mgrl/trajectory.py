@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .env import features
 from .scenario import KW_CAP, MAX_KW
 from .table import Layout
 
@@ -45,8 +46,7 @@ class Trajectory:
 
     def states(self) -> np.ndarray:
         """(T, 6) observation matrix: SOC, three loads, generation, net."""
-        p_net = self.p_re - self.loads.sum(axis=1)
-        return np.column_stack([self.soc, self.loads, self.p_re, p_net])
+        return features(self.soc, self.loads, self.p_re)
 
     def mode_at(self, t: int) -> str:
         if self.p_ch[t] > MODE_FLOW_EPS_KW:
@@ -59,10 +59,8 @@ class Trajectory:
         """First step operating in the given mode; -1 when none matches."""
         if mode not in ("idle", "charge", "discharge"):
             raise ValueError(f"unknown mode {mode!r}")
-        for t in range(len(self)):
-            if self.mode_at(t) == mode:
-                return t
-        return -1
+        return next((t for t in range(len(self)) if self.mode_at(t) == mode),
+                    -1)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | os.PathLike) -> None:

@@ -71,6 +71,14 @@ class TestConfigCommand:
         assert run("config", "--config", conf, "--out", "") == 1
         assert capsys.readouterr().err == "error: --out must not be empty\n"
 
+    @pytest.mark.parametrize("command", ["config", "train"])
+    def test_hash_in_out_is_user_error(self, conf, tmp_path, capsys,
+                                       command):
+        out = str(tmp_path / "x#y")
+        assert run(command, "--config", conf, "--out", out) == 1
+        assert "run.output_dir must not contain '#'" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_output_is_a_config_file(self, conf, tmp_path, capsys):
         """What ``config`` prints, fed back through --config, prints the
         same again: every tuple and none reads back."""

@@ -184,6 +184,16 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError, match=rf"{key}: expected a finite"):
             build_run_config({key: value})
 
+    @pytest.mark.parametrize("entries, out, key", [
+        ({}, "runs/a#1", "run.output_dir"),
+        ({"run.run_id": "a#b"}, None, "run.run_id"),
+    ])
+    def test_hash_in_a_string_names_the_key(self, entries, out, key):
+        """A '#' would not survive the config file ``config_summary``
+        writes: the reader takes it for the start of a comment."""
+        with pytest.raises(ConfigError, match=rf"^{key} must not contain"):
+            build_run_config(entries, output_override=out)
+
     def test_zero_lowest_reward_weight_accepted(self):
         cfg = build_run_config({"env.reward_weights": "2, 1, 0"})
         assert cfg.env.reward_weights == (2.0, 1.0, 0.0)

@@ -14,6 +14,7 @@ from mgrl.env import (
     step,
     summarize_episode,
 )
+from mgrl.metrics import resilience_report
 from mgrl.neural import (
     adam_init,
     adam_step,
@@ -39,6 +40,7 @@ from mgrl.ppo import (
     clipped_policy_loss,
     collect_rollouts,
     compute_gae,
+    evaluate_actions,
     evaluate_policy,
     obs_stats_from_scenario,
     ppo_loss_and_grads,
@@ -661,3 +663,40 @@ class TestEvaluation:
         traj = ev.trajectory
         for t in range(10):
             assert traj.mode_at(t) in ("charge", "discharge", "idle")
+
+
+def idle_action(obs, rng):
+    """Battery requests off, equal allocation weights."""
+    a = np.zeros((1, N_ACTIONS))
+    a[:, :2] = -1.0
+    return a
+
+
+class TestEvaluateActions:
+    def test_idle_battery_holds_soc_and_scores_the_report_ri(self):
+        env_cfg = EnvConfig()
+        ev = evaluate_actions(idle_action, env_cfg,
+                              small_scenario(horizon=24), seed=2)
+        traj = ev.trajectory
+        assert np.all(traj.p_ch == 0.0) and np.all(traj.p_dis == 0.0)
+        assert np.all(traj.soc == traj.soc[0])
+        rep = resilience_report(traj, env_cfg.reward_weights)
+        assert abs(ev.ri - rep.ri) <= 1e-12
+
+    def test_each_episode_acts_on_its_own_action_stream(self):
+        def draws(seed):
+            seen = []
+
+            def act(obs, rng):
+                seen.append(rng.random())
+                return idle_action(obs, rng)
+
+            evaluate_actions(act, EnvConfig(), small_scenario(horizon=4),
+                             n_episodes=3, seed=seed)
+            return seen
+
+        first = draws(5)
+        assert first == draws(5)
+        assert first == [x for ep in range(3) for x in
+                         derive_rng(5, f"eval-action-{ep}").random(4).tolist()]
+        assert len(set(first[::4])) == 3

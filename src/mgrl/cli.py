@@ -17,13 +17,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, config_summary, load_run_config
+from .env import summarize_episode
 from .explain import SurrogateFitError, explain_step, render_explanation
 from .metrics import (
     annualize_throughput,
     battery_throughput,
     estimate_battery_life,
     read_train_metrics_csv,
-    resilience_report,
     reward_curve_summary,
     write_train_metrics_csv,
 )
@@ -139,13 +139,13 @@ def cmd_eval(args) -> int:
                           seed=derive_seed(cfg.seed, "eval"))
     traj_path = os.path.join(cfg.output_dir, TRAJECTORY_FILE)
     write_trajectory_csv(res.trajectory, traj_path)
-    rep = resilience_report(res.trajectory, cfg.env.reward_weights)
+    first = res.summaries[0]
     mode = "stochastic" if args.stochastic else "deterministic"
     print(f"evaluated {ck_path} ({mode}, {args.episodes} episode(s))")
     print(f"  mean resilience index {res.ri:.4f}  "
           f"mean normalized episode reward {res.mean_reward_norm:.4f}")
-    for tier, (short, load) in enumerate(zip(rep.shortage_sums,
-                                             rep.load_sums), start=1):
+    for tier, (short, load) in enumerate(zip(first.shortage_kwh,
+                                             first.load_kwh), start=1):
         print(f"  episode 1, tier {tier}: shortage {short:.1f} / "
               f"load {load:.1f} kWh")
     print(f"wrote {traj_path}")
@@ -199,7 +199,8 @@ def cmd_report(args) -> int:
     traj = read_trajectory_csv(required["evaluation trajectory"])
     if not len(traj):
         raise UserError(f"{required['evaluation trajectory']}: no data rows")
-    rep = resilience_report(traj, cfg.env.reward_weights)
+    rep = summarize_episode(cfg.env, traj.loads, traj.shortages,
+                            traj.reward)
     hours = len(traj) * STEP_HOURS
     throughput = battery_throughput(traj.p_ch, traj.p_dis)
     life = estimate_battery_life(annualize_throughput(throughput, hours),
@@ -210,8 +211,7 @@ def cmd_report(args) -> int:
     finite = [(s.update, s.mean_reward_norm) for s in stats
               if np.isfinite(s.mean_reward_norm)]
     if len(finite) >= 2:
-        curve = reward_curve_summary([u for u, _ in finite],
-                                     [r for _, r in finite])
+        curve = reward_curve_summary(*zip(*finite))
 
     hours_axis = np.arange(len(traj))
     soc_svg = line_chart([("SOC", hours_axis, traj.soc)],
@@ -225,10 +225,9 @@ def cmd_report(args) -> int:
            for i in range(3)],
         "Supplied power by priority tier", x_label="hour", y_label="kW")
     charts = {"soc_trace.svg": soc_svg, "supply.svg": supply_svg}
-    if stats:
+    if finite:
         charts["reward_curve.svg"] = line_chart(
-            [("reward", np.array([s.update for s in stats]),
-              np.array([s.mean_reward_norm for s in stats]))],
+            [("reward", *zip(*finite))],
             "Normalized episode reward per update", x_label="update",
             y_label="reward", hlines=(1.0,), y_range=(0.0, 1.05))
     for name, svg in charts.items():
@@ -240,8 +239,8 @@ def cmd_report(args) -> int:
 
     rows = [("run_id", cfg.run_id), ("resilience_index", repr(rep.ri))]
     rows += [(f"{kind}_tier{i}_kwh", repr(v))
-             for kind, sums in (("shortage", rep.shortage_sums),
-                                ("load", rep.load_sums))
+             for kind, sums in (("shortage", rep.shortage_kwh),
+                                ("load", rep.load_kwh))
              for i, v in enumerate(sums, start=1)]
     rows += [("battery_throughput_kwh", repr(throughput)),
              ("annual_throughput_kwh", repr(life.annual_throughput_kwh)),
@@ -259,8 +258,8 @@ def cmd_report(args) -> int:
              f"Resilience index: {rep.ri:.4f}"]
     for tier in range(3):
         lines.append(f"  tier {tier + 1}: shortage "
-                     f"{rep.shortage_sums[tier]:.1f} kWh of "
-                     f"{rep.load_sums[tier]:.1f} kWh demanded")
+                     f"{rep.shortage_kwh[tier]:.1f} kWh of "
+                     f"{rep.load_kwh[tier]:.1f} kWh demanded")
     lines += ["",
               f"Battery throughput: {throughput:.1f} kWh/episode "
               f"({life.annual_throughput_kwh:.0f} kWh/year)",

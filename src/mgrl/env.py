@@ -5,8 +5,8 @@ battery charge/discharge requests plus three raw allocation weights; the
 environment applies battery limits, splits the resulting supply across the
 priority tiers via a softmax of the weights, and pays a reward equal to one
 minus the priority-weighted shortage fraction (:func:`resilience_index` of
-the step; the episode resilience index is the same formula over episode
-totals).
+the step; :func:`summarize_episode` sums an episode's hours and takes
+the same formula over its totals).
 
 The environment is one pure function, :func:`step`, over plain floats: a
 scenario hour from :func:`scenario_rows`, the battery SOC and the action.
@@ -107,11 +107,6 @@ def scenario_rows(scn: Scenario) -> tuple[tuple[float, ...], ...]:
         raise ValueError("cannot run an episode on an empty scenario")
     return tuple(map(tuple,
                      features(0.0, scn.loads, scn.p_re)[:, 1:].tolist()))
-
-
-def load_totals(rows) -> tuple[float, float, float]:
-    """Per-tier load of a full episode of ``rows``, summed hour by hour."""
-    return tuple(np.cumsum(np.array(rows)[:, :3], axis=0)[-1].tolist())
 
 
 def resilience_index(shortages, loads, weights) -> float:
@@ -225,21 +220,29 @@ def step_batch(cfg: EnvConfig, row, soc: np.ndarray, action: np.ndarray
     return soc_next, short, np.full(soc.shape, reward)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeSummary:
-    """Aggregates of one finished episode."""
+    """Aggregates of one episode, or of any run of its hours: the RI, the
+    normalized final reward and the per-tier shortage and load energy."""
 
-    reward_sum: float
     ri: float
     reward_final_norm: float
-    steps: int
+    shortage_kwh: tuple[float, float, float]
+    load_kwh: tuple[float, float, float]
 
 
-def summarize_episode(cfg: EnvConfig, reward_sum: float, shortage_sums,
-                      load_sums, steps: int) -> EpisodeSummary:
-    """Episode RI over the tier totals, and the normalized final reward:
-    the per-step rewards plus the RI bonus over their maximum, steps + 1."""
-    ri = resilience_index(shortage_sums, load_sums, cfg.reward_weights)
-    return EpisodeSummary(reward_sum=reward_sum, ri=ri,
-                          reward_final_norm=(reward_sum + ri) / (steps + 1),
-                          steps=steps)
+def summarize_episode(cfg: EnvConfig, loads, shortages,
+                      rewards) -> EpisodeSummary:
+    """Reduce an episode's (T, 3) loads, (T, 3) shortages and (T,) rewards.
+
+    The columns are summed hour by hour from 0.0: ``sum(axis=0)`` of one
+    C-order (T, 7) table adds row by row, where a 1-D ``sum`` of the
+    rewards alone would add pairwise.  The RI is :func:`resilience_index` of
+    the tier totals; the normalized final reward is the rewards plus the
+    RI bonus over their maximum, T + 1.
+    """
+    *sums, reward_sum = np.column_stack(
+        [loads, shortages, rewards]).sum(axis=0).tolist()
+    ri = resilience_index(sums[3:], sums[:3], cfg.reward_weights)
+    return EpisodeSummary(ri, (reward_sum + ri) / (len(rewards) + 1),
+                          tuple(sums[3:]), tuple(sums[:3]))

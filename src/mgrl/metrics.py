@@ -1,10 +1,10 @@
-"""Episode-level resilience and asset metrics.
+"""Asset and training metrics.
 
 Everything in here is a pure function over logged trajectories or
-training statistics: the resilience report (the priority-weighted index
-of :func:`mgrl.env.resilience_index` over a trajectory), battery
-throughput and lifespan accounting, convergence summaries of the
-learning curve, and the CSV round-trip for the training metrics log.
+training statistics: battery throughput and lifespan accounting,
+convergence summaries of the learning curve, and the CSV round-trip for
+the training metrics log.  An episode's resilience index comes from
+:func:`mgrl.env.summarize_episode`.
 """
 
 import math
@@ -13,29 +13,12 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from . import env
 from .ppo import TrainStats
 from .scenario import STEP_HOURS
 from .table import Layout
-from .trajectory import Trajectory
 
 HOURS_PER_YEAR = 8760.0
 EXCEEDS_CALENDAR = "exceeds rated calendar life"
-
-
-@dataclass(frozen=True)
-class ResilienceReport:
-    ri: float
-    shortage_sums: tuple[float, float, float]
-    load_sums: tuple[float, float, float]
-
-
-def resilience_report(traj: Trajectory, weights) -> ResilienceReport:
-    """Episode RI of a logged trajectory under the tier ``weights``."""
-    sh = tuple(float(v) for v in traj.shortages.sum(axis=0))
-    ld = tuple(float(v) for v in traj.loads.sum(axis=0))
-    return ResilienceReport(ri=env.resilience_index(sh, ld, weights),
-                            shortage_sums=sh, load_sums=ld)
 
 
 def battery_throughput(p_ch, p_dis) -> float:

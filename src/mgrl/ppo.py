@@ -22,7 +22,6 @@ from .env import (
     N_ACTIONS,
     N_FEATURES,
     features,
-    load_totals,
     scenario_rows,
     step,
     step_batch,
@@ -181,9 +180,9 @@ class EnvBatch:
 
     All envs share the scenario clock ``t``: every episode starts at t = 0
     and runs the full horizon, so the envs finish together and each then
-    draws a fresh SOC from its own reset stream ``rngs[i]``.  The SOCs
-    (n_envs,) and the reward (n_envs,) and shortage (n_envs, 3) sums of
-    the running episodes are arrays.
+    draws a fresh SOC from its own reset stream ``rngs[i]``.  The SOCs are
+    an (n_envs,) array, and the hour log of the running episodes holds
+    their (n_envs, horizon, 3) shortages and (n_envs, horizon) rewards.
     """
 
     def __init__(self, cfg: EnvConfig, scn: Scenario, n_envs: int,
@@ -191,16 +190,15 @@ class EnvBatch:
         cfg.validate()
         self.cfg = cfg
         self.rows = scenario_rows(scn)
-        self.load_sums = load_totals(self.rows)
+        self.loads = scn.loads
+        self.shortages = np.empty((n_envs, scn.horizon, 3))
+        self.rewards = np.empty((n_envs, scn.horizon))
         self.rngs = [derive_rng(seed, f"env-{i}") for i in range(n_envs)]
         self.reset()
 
     def reset(self) -> None:
-        n = len(self.rngs)
         self.t = 0
         self.soc = np.array([self.cfg.initial_soc(rng) for rng in self.rngs])
-        self.reward_sums = np.zeros(n)
-        self.shortage_sums = np.zeros((n, 3))
 
     def observe(self, out: np.ndarray) -> np.ndarray:
         """Write the (n_envs, N_FEATURES) observations at the shared clock
@@ -244,17 +242,14 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
         obs = envs.observe(states[t])
         action, actions[t], log_probs[t] = sample_action(policy, obs, z[t])
         values[t] = forward_value(value, obs)
-        envs.soc, short, rewards[t] = step_batch(
+        envs.soc, envs.shortages[:, envs.t], rewards[t] = step_batch(
             envs.cfg, envs.rows[envs.t], envs.soc, action)
-        envs.reward_sums += rewards[t]
-        envs.shortage_sums += short
+        envs.rewards[:, envs.t] = rewards[t]
         envs.t += 1
         if envs.t == len(envs.rows):
             dones[t] = 1.0
-            summaries += [summarize_episode(envs.cfg, r, sh, envs.load_sums,
-                                            envs.t)
-                          for r, sh in zip(envs.reward_sums.tolist(),
-                                           envs.shortage_sums.tolist())]
+            summaries += [summarize_episode(envs.cfg, envs.loads, sh, r)
+                          for sh, r in zip(envs.shortages, envs.rewards)]
             envs.reset()
 
     bootstrap = forward_value(value, envs.observe(np.empty((n_envs,
@@ -497,7 +492,6 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
         raise ValueError(f"n_episodes must be positive, got {n_episodes}")
     env_cfg.validate()
     rows = scenario_rows(scn)
-    load_sums = load_totals(rows)
     summaries = []
     for ep in range(n_episodes):
         soc = env_cfg.initial_soc(derive_rng(seed, f"eval-reset-{ep}"))
@@ -510,10 +504,8 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
                 env_cfg, row, soc, action[0].tolist())
             log[t] = (soc, *flows, *alloc, *imb, *short, reward)
             soc = soc_next
-        # cumsum adds hour by hour, in the order the episode accrues them.
-        *sh_sums, reward_sum = np.cumsum(log[:, 10:], axis=0)[-1].tolist()
-        summaries.append(summarize_episode(env_cfg, reward_sum, sh_sums,
-                                           load_sums, len(rows)))
+        summaries.append(summarize_episode(env_cfg, scn.loads, log[:, 10:13],
+                                           log[:, 13]))
         if ep == 0:
             traj = Trajectory(
                 soc=log[:, 0], p_re=scn.p_re.copy(), loads=scn.loads.copy(),

@@ -186,11 +186,7 @@ def load_scenario_csv(path: str | os.PathLike) -> Scenario:
     if not len(a):
         raise ScenarioFormatError(f"{path}: no data rows, expected one "
                                   f"per hour after the header")
-    bad = np.flatnonzero(a[:, 0] != np.arange(len(a)))
-    if len(bad):
-        i = int(bad[0])
-        LAYOUT.fail(path, i, "t", f"expected {i}, got {int(a[i, 0])} "
-                                  f"(rows must be sorted with no gaps)")
+    LAYOUT.check_order(path, a)
     LAYOUT.reject(path, a, ~np.isfinite(a), "non-finite value {!r}")
     LAYOUT.reject(path, a, a < 0, "negative value {!r}")
     LAYOUT.reject(path, a, (a > MAX_KW) & _KW, KW_CAP)

@@ -5,6 +5,8 @@
 Scenario, trajectory and training-metrics CSVs share one ``Layout``: a
 header naming the columns, then per row a decimal integer index and floats
 written with repr, so a read-back reproduces every value bit for bit.
+The scenario and trajectory indices must run 0..n-1 (``check_order``);
+the metrics index is free.
 """
 
 import contextlib
@@ -84,6 +86,14 @@ class Layout:
             i, j = np.argwhere(bad)[0]
             self.fail(path, i, self.columns[j],
                       detail.format(float(table[i, j])))
+
+    def check_order(self, path, table) -> None:
+        """Fail at the first row whose index is not its position 0..n-1."""
+        bad = np.flatnonzero(table[:, 0] != np.arange(len(table)))
+        if len(bad):
+            i = bad[0]
+            self.fail(path, i, self.columns[0], f"expected {i}, got "
+                      f"{table[i, 0]:.0f} (rows must be sorted with no gaps)")
 
     def read(self, path) -> np.ndarray:
         """The body as a (rows, columns) float64 table, column 0 the index;

@@ -72,10 +72,12 @@ def write_trajectory_csv(traj: Trajectory, path: str | os.PathLike) -> None:
 
 def read_trajectory_csv(path: str | os.PathLike) -> Trajectory:
     """Parse a trajectory CSV; bad input raises ValueError naming the
-    file, the 1-based data row and the column: a malformed table, a
-    non-finite value, a negative flow, load, allocation or shortage, an
-    SOC or reward outside [0, 1], or a power beyond ``MAX_KW`` kW."""
+    file, the 1-based data row and the column: a malformed table, a ``t``
+    index other than 0..n-1, a non-finite value, a negative flow, load,
+    allocation or shortage, an SOC or reward outside [0, 1], or a power
+    beyond ``MAX_KW`` kW."""
     a = LAYOUT.read(path)
+    LAYOUT.check_order(path, a)
     LAYOUT.reject(path, a, ~np.isfinite(a), "non-finite value {!r}")
     LAYOUT.reject(path, a, (a < 0) & _NON_NEGATIVE, "negative value {!r}")
     LAYOUT.reject(path, a, (a > 1) & _FRACTION, "value {!r} above 1")

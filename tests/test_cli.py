@@ -1,11 +1,14 @@
 import json
+import math
 import os
+import re
 
 import pytest
 
 import mgrl.cli as cli
 from mgrl.cli import main
 from mgrl.config import load_run_config
+from mgrl.metrics import read_train_metrics_csv
 from mgrl.neural import load_checkpoint
 from mgrl.ppo import TrainingDivergedError, evaluate_policy
 from mgrl.scenario import MAX_KW, load_scenario_csv
@@ -347,12 +350,32 @@ class TestReportCommand:
                    "--step", "2") == 0
         assert run("report", "--config", conf, "--out", out) == 0
         for name in ("report.txt", "report.csv", "soc_trace.svg",
-                     "supply.svg", "reward_curve.svg"):
+                     "supply.svg"):
             assert os.path.exists(os.path.join(out, name)), name
+        # No episode ends within two updates, so there is no curve to draw.
+        assert not os.path.exists(os.path.join(out, "reward_curve.svg"))
         text = capsys.readouterr().out
         assert "Resilience index" in text
         assert "Battery life estimate" in text
         assert "explain_step0002_charge.svg" in text
+
+    def test_reward_curve_skips_updates_without_an_episode(self, tmp_path):
+        """Updates 0 and 1 finish no episode and log NaN; the curve draws
+        only the scored updates 2 and 3."""
+        conf = tmp_path / "curve.conf"
+        conf.write_text(TINY_CONF.replace("ppo.total_updates = 2",
+                                          "ppo.total_updates = 4"))
+        out = str(tmp_path / "out")
+        run_pipeline(str(conf), out)
+        stats = read_train_metrics_csv(os.path.join(out, "metrics.csv"))
+        assert [math.isnan(s.mean_reward_norm) for s in stats] == \
+            [True, True, False, False]
+        assert run("report", "--config", str(conf), "--out", out) == 0
+        with open(os.path.join(out, "reward_curve.svg")) as fh:
+            svg = fh.read()
+        assert "nan" not in svg.lower()
+        [points] = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert len(points.split()) == 2
 
     def test_report_csv_is_key_value(self, conf, tmp_path):
         out = str(tmp_path / "out")
@@ -420,7 +443,7 @@ def test_every_artifact_is_written_atomically(tmp_path, monkeypatch):
                 ["report"]):
         assert run(*cmd, "--config", str(conf), "--out", str(out)) == 0
     written = sorted(os.listdir(out))
-    assert len(written) == 16
+    assert len(written) == 15  # no reward_curve.svg: no episode ends
     assert written == sorted({os.path.basename(p) for p in renamed})
     assert {os.path.dirname(p) for p in renamed} == {str(out)}
 

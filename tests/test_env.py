@@ -12,12 +12,14 @@ from mgrl.env import (
     scenario_rows,
     step,
     step_batch,
+    summarize_episode,
 )
 from mgrl.neural import make_policy, make_value
 from mgrl.ppo import EnvBatch, collect_rollouts, evaluate_policy
 from mgrl.scenario import Scenario, ScenarioConfig, synth_cyclone_scenario
 
 from test_neural import raw_inputs
+from test_trajectory import make_trajectory
 
 IDLE = (0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -415,13 +417,13 @@ class TestMicrogridEnv:
         w = np.array(cfg.reward_weights)
         ri = 1.0 - (w @ sh) / (w @ ld)
         rewards = traj.reward.tolist()
-        assert summary.steps == 30
-        assert abs(summary.reward_sum - sum(rewards)) <= 1e-12
+        assert len(rewards) == 30
         assert abs(summary.ri - ri) <= 1e-12
-        expect = (sum(rewards) + ri) / (30 + 1)
+        expect = (sum(rewards) + ri) / (len(rewards) + 1)
         assert abs(summary.reward_final_norm - expect) <= 1e-12
 
     def test_reset_clears_accumulators(self):
+        """The second episode's summary reads only its own five hours."""
         scn = small_scenario(horizon=5)
         policy = make_policy(6, 5, (8,), np.random.default_rng(0),
                              *raw_inputs(6))
@@ -430,9 +432,9 @@ class TestMicrogridEnv:
         buf = collect_rollouts(policy, value, envs, 10,
                                np.random.default_rng(2))
         first, second = buf.episode_summaries
-        assert second.steps == first.steps == 5
-        assert second.reward_sum == pytest.approx(buf.rewards[5:, 0].sum(),
-                                                  abs=1e-12)
+        assert buf.dones[:, 0].tolist() == ([0.0] * 4 + [1.0]) * 2
+        assert second.reward_final_norm == pytest.approx(
+            (buf.rewards[5:, 0].sum() + second.ri) / (5 + 1), abs=1e-12)
 
     def test_normalized_reward_in_unit_interval(self):
         scn = small_scenario(horizon=12, seed=9)
@@ -442,3 +444,55 @@ class TestMicrogridEnv:
                              deterministic=False, seed=2)
         for summary in ev.summaries:
             assert 0.0 <= summary.reward_final_norm <= 1.0
+
+
+class TestSummarizeEpisode:
+    """The one reduction of an episode's hour log."""
+
+    @staticmethod
+    def brute_ri(shortages, loads, w):
+        w = np.array(w)
+        return 1.0 - (w @ shortages.sum(axis=0)) / (w @ loads.sum(axis=0))
+
+    def test_matches_trajectory_brute_force(self):
+        traj = make_trajectory(steps=25, seed=11)
+        s = summarize_episode(EnvConfig(), traj.loads, traj.shortages,
+                              traj.reward)
+        assert s.ri == pytest.approx(
+            self.brute_ri(traj.shortages, traj.loads, PRIORITY_WEIGHTS),
+            abs=1e-12)
+        # Summed hour by hour from 0.0, as a running float total would.
+        assert s.shortage_kwh == tuple(sum(col, 0.0)
+                                       for col in traj.shortages.T.tolist())
+        assert s.load_kwh == tuple(sum(col, 0.0)
+                                   for col in traj.loads.T.tolist())
+        assert s.reward_final_norm == (sum(traj.reward.tolist(), 0.0)
+                                       + s.ri) / (25 + 1)
+
+    def test_uses_the_given_weights(self):
+        traj = make_trajectory(steps=25, seed=11)
+        w = (10.0, 1.0, 0.1)
+        got = summarize_episode(EnvConfig(reward_weights=w), traj.loads,
+                                traj.shortages, traj.reward).ri
+        assert got == pytest.approx(
+            self.brute_ri(traj.shortages, traj.loads, w), abs=1e-12)
+        assert got != summarize_episode(EnvConfig(), traj.loads,
+                                        traj.shortages, traj.reward).ri
+
+    def test_window_is_a_slice_of_the_hours(self):
+        traj = make_trajectory(steps=40, seed=3)
+        window = slice(12, 20)
+        s = summarize_episode(EnvConfig(), traj.loads[window],
+                              traj.shortages[window], traj.reward[window])
+        assert s.ri == pytest.approx(
+            self.brute_ri(traj.shortages[window], traj.loads[window],
+                          PRIORITY_WEIGHTS), abs=1e-12)
+        assert s.reward_final_norm == pytest.approx(
+            (traj.reward[window].sum() + s.ri) / (8 + 1), abs=1e-12)
+
+    def test_zero_demand_episode_is_perfect(self):
+        s = summarize_episode(EnvConfig(), np.zeros((6, 3)), np.zeros((6, 3)),
+                              np.ones(6))
+        assert s.ri == 1.0
+        assert s.reward_final_norm == 1.0
+        assert s.shortage_kwh == s.load_kwh == (0.0, 0.0, 0.0)

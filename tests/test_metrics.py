@@ -12,11 +12,9 @@ from mgrl.metrics import (
     battery_throughput,
     estimate_battery_life,
     read_train_metrics_csv,
-    resilience_report,
     reward_curve_summary,
     write_train_metrics_csv,
 )
-from test_trajectory import make_trajectory
 
 
 class TestResilienceIndex:
@@ -60,28 +58,6 @@ class TestResilienceIndex:
     def test_custom_weights(self):
         assert resilience_index((1.0, 0.0, 0.0), (2.0, 0.0, 0.0),
                                 weights=(1.0, 1.0, 1.0)) == 0.5
-
-
-class TestResilienceReport:
-    def test_matches_trajectory_brute_force(self):
-        traj = make_trajectory(steps=25, seed=11)
-        rep = resilience_report(traj, PRIORITY_WEIGHTS)
-        sh = traj.shortages.sum(axis=0)
-        ld = traj.loads.sum(axis=0)
-        want = 1.0 - (7 * sh[0] + 2 * sh[1] + sh[2]) / \
-            (7 * ld[0] + 2 * ld[1] + ld[2])
-        assert rep.ri == pytest.approx(want, abs=1e-12)
-        assert rep.shortage_sums == tuple(sh)
-        assert rep.load_sums == tuple(ld)
-
-    def test_uses_the_given_weights(self):
-        traj = make_trajectory(steps=25, seed=11)
-        w = np.array([10.0, 1.0, 0.1])
-        want = 1.0 - (w @ traj.shortages.sum(axis=0)) / \
-            (w @ traj.loads.sum(axis=0))
-        rep = resilience_report(traj, tuple(w))
-        assert rep.ri == pytest.approx(want, abs=1e-12)
-        assert rep.ri != resilience_report(traj, PRIORITY_WEIGHTS).ri
 
 
 class TestBatteryThroughput:

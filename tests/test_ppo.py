@@ -9,12 +9,10 @@ from mgrl.env import (
     EnvConfig,
     N_ACTIONS,
     N_FEATURES,
-    load_totals,
     scenario_rows,
     step,
     summarize_episode,
 )
-from mgrl.metrics import resilience_report
 from mgrl.neural import (
     adam_init,
     adam_step,
@@ -50,6 +48,7 @@ from mgrl.ppo import (
 )
 from mgrl.scenario import Scenario, ScenarioConfig, synth_cyclone_scenario
 from mgrl.seeding import derive_rng
+from mgrl.trajectory import read_trajectory_csv, write_trajectory_csv
 
 from test_neural import raw_inputs
 
@@ -383,13 +382,12 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
     The nets see the whole env batch each hour, as BLAS rounding depends on
     the batch shape, with that hour's (n_envs, N_ACTIONS) standard normal
     draws; step then advances one env at a time, and each env keeps its own
-    episode sums.
+    lists of the episode's hourly shortages and rewards.
     """
     rows = scenario_rows(scn)
-    load_sums = load_totals(rows)
     rngs = [derive_rng(seed, f"env-{i}") for i in range(n_envs)]
     soc = [cfg.initial_soc(r) for r in rngs]
-    sums = [[0.0] * 4 for _ in range(n_envs)]  # reward, 3 tier shortages
+    logs = [([], []) for _ in range(n_envs)]  # per env: shortages, rewards
     hours, summaries, clock = [], [], 0
     for _ in range(steps):
         obs = np.array([(s, *rows[clock]) for s in soc])
@@ -399,18 +397,18 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
         for i, action in enumerate(actions.tolist()):
             soc[i], *_, short, reward = step(cfg, rows[clock], soc[i], action)
             rewards.append(reward)
-            for k, x in enumerate((reward, *short)):
-                sums[i][k] += x
+            logs[i][0].append(short)
+            logs[i][1].append(reward)
         clock += 1
         done = clock == len(rows)
         hours.append((obs, preclip, log_prob, rewards,
                       forward_value(value, obs), [float(done)] * n_envs))
         if done:
-            summaries += [summarize_episode(cfg, r, sh, load_sums, clock)
-                          for r, *sh in sums]
+            summaries += [summarize_episode(cfg, scn.loads, np.array(sh),
+                                            np.array(r)) for sh, r in logs]
             clock = 0
             soc = [cfg.initial_soc(r) for r in rngs]
-            sums = [[0.0] * 4 for _ in range(n_envs)]
+            logs = [([], []) for _ in range(n_envs)]
     bootstrap = forward_value(value,
                               np.array([(s, *rows[clock]) for s in soc]))
     return [np.array(col) for col in zip(*hours)], bootstrap, summaries
@@ -437,7 +435,6 @@ class TestCollectRollouts:
         np.testing.assert_array_equal(buf.dones.sum(axis=0), [1.0, 1.0])
         np.testing.assert_array_equal(buf.dones[4], [1.0, 1.0])
         assert len(buf.episode_summaries) == 2
-        assert all(s.steps == 5 for s in buf.episode_summaries)
 
     def test_stored_values_and_log_probs_consistent(self):
         policy, value, envs = self.make_parts()
@@ -538,10 +535,11 @@ class TestCollectRollouts:
             bits(bufs[0].bootstrap), bits(forward_value(value, ref[0][7])))
         np.testing.assert_array_equal(bits(bufs[1].bootstrap),
                                       bits(ref_bootstrap))
-        got = [astuple(s) for buf in bufs for s in buf.episode_summaries]
+        got = [np.hstack(astuple(s))
+               for buf in bufs for s in buf.episode_summaries]
         assert len(got) == 2 * n_envs
         np.testing.assert_array_equal(
-            bits(got), bits([astuple(s) for s in ref_summaries]))
+            bits(got), bits([np.hstack(astuple(s)) for s in ref_summaries]))
 
 
 class TestObsStats:
@@ -680,8 +678,33 @@ class TestEvaluateActions:
         traj = ev.trajectory
         assert np.all(traj.p_ch == 0.0) and np.all(traj.p_dis == 0.0)
         assert np.all(traj.soc == traj.soc[0])
-        rep = resilience_report(traj, env_cfg.reward_weights)
-        assert abs(ev.ri - rep.ri) <= 1e-12
+        rep = summarize_episode(env_cfg, traj.loads, traj.shortages,
+                                traj.reward)
+        assert ev.ri == rep.ri
+        assert ev.summaries == [rep]
+
+    def test_training_episode_replays_to_one_summary(self, tmp_path):
+        """One training episode, replayed from its stored clipped actions,
+        is summarized alike by the rollout, by evaluation and from the
+        trajectory written and read back."""
+        env_cfg = EnvConfig(init_soc_range=(0.5, 0.5))
+        scn = small_scenario(horizon=12, seed=4)
+        rng = np.random.default_rng(9)
+        policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng,
+                             *raw_inputs(N_FEATURES))
+        value = make_value(N_FEATURES, (8,), rng, *raw_inputs(N_FEATURES))
+        buf = collect_rollouts(policy, value, EnvBatch(env_cfg, scn, 2, 0),
+                               24, np.random.default_rng(10))
+        hours = iter(np.clip(buf.actions[:, 1], -1.0, 1.0))
+        ev = evaluate_actions(lambda obs, rng: next(hours)[None], env_cfg,
+                              scn)
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(ev.trajectory, path)
+        traj = read_trajectory_csv(path)
+        np.testing.assert_array_equal(traj.states(), buf.states[:, 1])
+        trained = buf.episode_summaries[1]
+        assert trained == ev.summaries[0] == summarize_episode(
+            env_cfg, traj.loads, traj.shortages, traj.reward)
 
     def test_each_episode_acts_on_its_own_action_stream(self):
         def draws(seed):

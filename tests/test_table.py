@@ -171,15 +171,27 @@ def float_index(lines):
     return 0
 
 
+def shifted_index(lines):
+    lines[2] = "7" + lines[2][1:]
+    return 0
+
+
+def huge_index(lines):
+    lines[2] = "9" * 400 + lines[2][1:]  # parses to inf
+    return 0
+
+
 DEFECTS = (blank_line, hash_in_cell, trailing_comma, ragged_row,
-           non_numeric, non_finite, float_index)
+           non_numeric, non_finite, float_index, shifted_index, huge_index)
 
 
 @pytest.mark.parametrize("name, defect", [
     pytest.param(name, defect, id=f"{name}-{defect.__name__}")
     for name in ARTIFACTS for defect in DEFECTS
-    # NaN and inf are legal metrics values (no episode scored yet).
-    if not (name == "metrics" and defect is non_finite)])
+    # NaN and inf are legal metrics values (no episode scored yet), and
+    # the metrics index is a free update number.
+    if not (name == "metrics"
+            and defect in (non_finite, shifted_index, huge_index))])
 def test_malformed_body_names_file_row_and_column(tmp_path, name, defect):
     columns, _, write, read, _, _, error = ARTIFACTS[name]
     path = tmp_path / f"{name}.csv"

@@ -118,7 +118,7 @@ def mlp_backward(m: Mlp, cache: list, gy: np.ndarray,
     g = gy
     for i in range(n_layers - 1, -1, -1):
         gw[i] = np.matmul(cache[i].T, g, out=gw[i])
-        gb[i] = np.sum(g, axis=0, out=gb[i])
+        gb[i] = np.add.reduce(g, axis=0, out=gb[i])
         if i == 0 and not input_grad:
             return gw, gb, None
         width = m.weights[i].shape[0]
@@ -157,7 +157,8 @@ class GaussianPolicy:
     obs_scale: np.ndarray
 
     def clamped_log_std(self) -> np.ndarray:
-        return np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
+        # np.clip, whose Python wrapper costs as much again as its ufuncs
+        return np.minimum(np.maximum(self.log_std, LOG_STD_MIN), LOG_STD_MAX)
 
 
 @dataclass
@@ -212,11 +213,13 @@ def forward_value(v: ValueNet, x: np.ndarray) -> np.ndarray:
     return mlp_forward(v.net, _net_input(v, x))[0][:, 0]
 
 
-def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray,
-                      a: np.ndarray) -> np.ndarray:
-    """Diagonal-Gaussian log density of pre-clip actions, per batch row."""
-    z = (a - mean) / np.exp(log_std)
-    return -0.5 * (z ** 2).sum(axis=-1) - log_std.sum() \
+def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, a: np.ndarray,
+                      z: np.ndarray | None = None) -> np.ndarray:
+    """Diagonal-Gaussian log density of pre-clip actions, per batch row;
+    ``z`` (shaped like ``a``) receives the residual (a - mean) / std."""
+    z = np.subtract(a, mean, out=z)
+    z /= np.exp(log_std)
+    return -0.5 * np.add.reduce(z * z, axis=-1) - log_std.sum() \
         - 0.5 * mean.shape[-1] * LOG_2PI
 
 
@@ -229,15 +232,13 @@ def sample_action(p: GaussianPolicy, x: np.ndarray, z: np.ndarray
     """Actions for a (B, n_features) state batch and (B, n_actions)
     standard normal draws ``z``.
 
-    Returns (action, preclip, log_prob): the draw mean + exp(log_std) * z
-    clipped to [-1, 1] for the environment, the draw itself and its
-    (B,) log-density, which refers to the pre-clip draw.
+    Returns (action, preclip, mean): the draw mean + exp(log_std) * z
+    clipped to [-1, 1] for the environment, the draw itself and the mean.
+    A draw's log-density is :func:`gaussian_log_prob` of the pre-clip draw.
     """
     mean = forward_policy(p, x)
-    log_std = p.clamped_log_std()
-    preclip = mean + np.exp(log_std) * z
-    return (np.clip(preclip, -1.0, 1.0), preclip,
-            gaussian_log_prob(mean, log_std, preclip))
+    preclip = mean + np.exp(p.clamped_log_std()) * z
+    return np.minimum(np.maximum(preclip, -1.0), 1.0), preclip, mean
 
 
 # ---------------------------------------------------------------------------

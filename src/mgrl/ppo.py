@@ -215,9 +215,10 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
 
     Each hour is one :func:`mgrl.neural.sample_action` call, one
     :func:`mgrl.neural.forward_value` call and one
-    :func:`mgrl.env.step_batch` call over all envs.  Finished episodes are
-    summarized and restarted in place, so a buffer may span several
-    (possibly partial) episodes per env.
+    :func:`mgrl.env.step_batch` call over all envs; the draws' log-densities
+    are one :func:`mgrl.neural.gaussian_log_prob` call after the last hour.
+    Finished episodes are summarized and restarted in place, so a buffer
+    may span several (possibly partial) episodes per env.
     """
     n_envs = len(envs.rngs)
     if n_envs == 0:
@@ -229,7 +230,7 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
 
     states = np.empty((steps, n_envs, N_FEATURES))
     actions = np.empty((steps, n_envs, N_ACTIONS))
-    log_probs = np.empty((steps, n_envs))
+    means = np.empty((steps, n_envs, N_ACTIONS))
     rewards = np.empty((steps, n_envs))
     values = np.empty((steps, n_envs))
     dones = np.zeros((steps, n_envs))
@@ -240,7 +241,7 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
 
     for t in range(steps):
         obs = envs.observe(states[t])
-        action, actions[t], log_probs[t] = sample_action(policy, obs, z[t])
+        action, actions[t], means[t] = sample_action(policy, obs, z[t])
         values[t] = forward_value(value, obs)
         envs.soc, envs.shortages[:, envs.t], rewards[t] = step_batch(
             envs.cfg, envs.rows[envs.t], envs.soc, action)
@@ -254,6 +255,7 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
 
     bootstrap = forward_value(value, envs.observe(np.empty((n_envs,
                                                             N_FEATURES))))
+    log_probs = gaussian_log_prob(means, policy.clamped_log_std(), actions)
     return RolloutBuffer(states=states, actions=actions, log_probs=log_probs,
                          rewards=rewards, values=values, dones=dones,
                          bootstrap=bootstrap, episode_summaries=summaries)
@@ -274,16 +276,17 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
     d = np.asarray(dones, dtype=np.float64)
     if not (r.shape == v.shape == d.shape):
         raise ValueError("rewards, values and dones must share a shape")
-    steps = r.shape[0]
-    adv = np.zeros_like(r)
+    # All hours' TD residuals and decays at once, in the recursion's op order
+    next_v = np.empty_like(v)
+    next_v[:-1] = v[1:]
+    next_v[-1:] = bootstrap
+    not_done = 1.0 - d
+    adv = r + gamma * next_v * not_done - v
+    decay = gamma * lam * not_done
     gae = np.zeros(r.shape[1:])
-    boot = np.asarray(bootstrap, dtype=np.float64)
-    for t in reversed(range(steps)):
-        next_v = boot if t == steps - 1 else v[t + 1]
-        not_done = 1.0 - d[t]
-        delta = r[t] + gamma * next_v * not_done - v[t]
-        gae = delta + gamma * lam * not_done * gae
-        adv[t] = gae
+    for row, k in zip(adv[::-1, None], decay[::-1, None]):
+        row += k * gae  # a view into adv: delta + decay * gae
+        gae = row
     return adv, adv + v
 
 
@@ -295,15 +298,18 @@ def clipped_policy_loss(ratio: np.ndarray, advantages: np.ndarray,
     the min() picks the unclipped branch (ties included), the only rows
     through which the loss depends on the ratio.
     """
+    n = len(ratio)
     surr1 = ratio * advantages
-    surr2 = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
-    loss = float(-np.mean(np.minimum(surr1, surr2)))
-    clip_frac = float(np.mean(np.abs(ratio - 1.0) > clip_eps))
+    surr2 = np.minimum(np.maximum(ratio, 1.0 - clip_eps),
+                       1.0 + clip_eps) * advantages
+    loss = -float(np.add.reduce(np.minimum(surr1, surr2)) / n)
+    clip_frac = np.count_nonzero(np.abs(ratio - 1.0) > clip_eps) / n
     return loss, clip_frac, (surr1 <= surr2).astype(np.float64)
 
 
 def value_loss(values_pred: np.ndarray, returns: np.ndarray) -> float:
-    return float(np.mean((values_pred - returns) ** 2))
+    return float(np.add.reduce(np.square(values_pred - returns))
+                 / len(returns))
 
 
 def total_loss(policy_loss_: float, value_loss_: float, entropy: float,
@@ -337,6 +343,7 @@ class UpdateWorkspace:
         self.policy_outs = [np.empty((rows, k))
                             for k in policy.trunk.sizes[1:]]
         self.value_outs = [np.empty((rows, k)) for k in value.net.sizes[1:]]
+        self.residual = np.empty((rows, policy.trunk.sizes[-1]))
         width = max(*policy.trunk.sizes, *value.net.sizes)
         self.scratch = [np.empty(rows * width) for _ in range(3)]
 
@@ -363,7 +370,8 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     mean, cache = mlp_forward(policy.trunk, batch["policy_x"], ws.policy_outs,
                               ws.scratch)
     log_std = policy.clamped_log_std()
-    ratio = np.exp(gaussian_log_prob(mean, log_std, act) - lp_old)
+    z = ws.residual[:n]  # (act - mean) / sigma, kept for the gradient
+    ratio = np.exp(gaussian_log_prob(mean, log_std, act, z) - lp_old)
     pol_loss, clip_frac, unclipped = clipped_policy_loss(ratio, adv,
                                                          cfg.clip_eps)
 
@@ -376,14 +384,12 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     report = LossReport(total=total, policy_loss=pol_loss,
                         value_loss=val_loss, entropy=entropy,
                         clip_frac=clip_frac)
-    sigma = np.exp(log_std)
-    z = (act - mean) / sigma
     g_lp = -(adv * ratio * unclipped) / n          # d total / d lp_new
-    g_log_std = np.sum(g_lp[:, None] * (z * z - 1.0), axis=0) - cfg.c2
-    z /= sigma
+    g_log_std = np.add.reduce(g_lp[:, None] * (z * z - 1.0), axis=0) - cfg.c2
+    z /= np.exp(log_std)
     g_mean = g_lp[:, None] * z                     # z / sigma by now
     clamp_open = ((policy.log_std > LOG_STD_MIN)
-                  & (policy.log_std < LOG_STD_MAX)).astype(np.float64)
+                  & (policy.log_std < LOG_STD_MAX))
     np.multiply(g_log_std, clamp_open, out=ws.policy_grads[-1])
     mlp_backward(policy.trunk, cache, g_mean, ws.policy_grads[:-1],
                  ws.scratch, input_grad=False)

@@ -533,7 +533,14 @@ class TestMetricsBoundary:
         (lambda f: [*f[:2], "abc", *f[3:]],
          "data row 2, column RI: not a number: 'abc'"),
         (lambda f: f[:-2], "data row 2: column entropy missing"),
-    ], ids=["non-numeric", "ragged-row"])
+        (lambda f: ["9" * 400, *f[1:]],
+         "data row 2, column update: inf is not a whole number in "
+         "[0, 2**53)"),
+        (lambda f: ["9" * 25, *f[1:]],
+         "data row 2, column update: 1e+25 is not a whole number in "
+         "[0, 2**53)"),
+    ], ids=["non-numeric", "ragged-row", "update-400-digits",
+            "update-25-digits"])
     def test_corrupt_metrics_report_is_user_error(self, conf, tmp_path,
                                                   capsys, edit, detail):
         out = str(tmp_path / "out")

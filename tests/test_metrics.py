@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -205,3 +206,18 @@ class TestTrainMetricsCsv:
         path = tmp_path / "m.csv"
         write_train_metrics_csv([], path)
         assert read_train_metrics_csv(path) == []
+
+    def test_update_index_reads_back_exactly_or_is_refused(self, tmp_path):
+        """Below 2**53 every index reads back as written; 2**53 itself is
+        refused, as 2**53 + 1 would parse to it."""
+        path = tmp_path / "m.csv"
+        stats = self.make_stats()
+        for update in (2 ** 53 - 1, 2 ** 53):
+            write_train_metrics_csv(
+                [TrainStats(update, *astuple(stats[1])[1:])], path)
+            if update < 2 ** 53:
+                assert read_train_metrics_csv(path)[0].update == update
+            else:
+                with pytest.raises(ValueError, match="column update: "
+                                   r"9.0072e\+15 is not a whole number"):
+                    read_train_metrics_csv(path)

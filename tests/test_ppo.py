@@ -14,6 +14,9 @@ from mgrl.env import (
     summarize_episode,
 )
 from mgrl.neural import (
+    LOG_2PI,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     adam_init,
     adam_step,
     forward_policy,
@@ -84,6 +87,20 @@ def gae_brute_force(r, v, d, boot, gamma, lam):
     return adv
 
 
+def gae_recursion(r, v, d, boot, gamma, lam):
+    """The per-hour GAE recursion, one hour per step of the loop."""
+    steps = r.shape[0]
+    adv = np.zeros_like(r)
+    gae = np.zeros(r.shape[1:])
+    for t in reversed(range(steps)):
+        next_v = boot if t == steps - 1 else v[t + 1]
+        not_done = 1.0 - d[t]
+        delta = r[t] + gamma * next_v * not_done - v[t]
+        gae = delta + gamma * lam * not_done * gae
+        adv[t] = gae
+    return adv, adv + v
+
+
 class TestPpoConfig:
     def test_defaults_validate(self):
         PpoConfig().validate()
@@ -150,6 +167,25 @@ class TestComputeGae:
                                  0.99, 0.95)
             np.testing.assert_array_equal(adv[:, i], ai)
             np.testing.assert_array_equal(ret[:, i], ri)
+
+    @pytest.mark.parametrize("shape", [(37,), (64, 8), (5, 1)],
+                             ids=["1-D", "T-by-8", "T-by-1"])
+    def test_matches_per_hour_recursion_bit_for_bit(self, shape):
+        """Same bits as the per-hour recursion, episode ends included."""
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            r, v = rng.standard_normal((2, *shape))
+            d = (rng.random(shape) < 0.1).astype(float)
+            d[shape[0] // 2] = 1.0  # an episode end in every column
+            boot = rng.standard_normal(shape[1:])
+            if len(shape) == 1:
+                boot = float(boot)
+            gamma, lam = rng.uniform(0.0, 1.0, 2)
+            got = compute_gae(r, v, d, boot, gamma, lam)
+            want = gae_recursion(r, v, d, boot, gamma, lam)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                np.testing.assert_array_equal(bits(g), bits(w))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -342,6 +378,39 @@ class TestPpoLossAndGrads:
         np.testing.assert_array_equal(
             np.concatenate([g.ravel() for g in grads]), ws.grad)
 
+    def test_matches_per_formula_oracle_bit_for_bit(self):
+        """LossReport and ws.grad equal, bit for bit, the loss and gradient
+        built here term by term: plain forwards, np.clip/np.mean/np.sum,
+        the residual computed once for the log-density and again for its
+        gradient, and a plain backward.  The 300-row rollout at minibatch
+        48 ends in a short 12-row batch; ratios fall on both sides of both
+        clip edges under advantages of either sign; one log-std sits below
+        its clamp and one exactly at its upper bound."""
+        rng = np.random.default_rng(21)
+        policy = make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng,
+                             *raw_inputs(N_FEATURES), init_log_std=-0.4)
+        value = make_value(N_FEATURES, (64, 64), rng, *raw_inputs(N_FEATURES))
+        pack_params(policy, value)
+        policy.log_std[:2] = (LOG_STD_MIN - 1.0, LOG_STD_MAX)
+        cfg = PpoConfig(minibatch_size=48)
+        _, rollout = self.make_batch(policy, value, n=300, seed=22)
+        rollout["log_probs"] += rng.uniform(-0.6, 0.6, 300)  # leave the bands
+        ws = UpdateWorkspace(policy, value, cfg.minibatch_size)
+        clipped = []
+        for lo in range(0, 300, cfg.minibatch_size):
+            batch = {k: a[lo:lo + cfg.minibatch_size]
+                     for k, a in rollout.items()}
+            rep = ppo_loss_and_grads(policy, value, batch, cfg, ws)
+            want_rep, want_grad, ratio = loss_oracle(policy, value, batch,
+                                                     cfg)
+            np.testing.assert_array_equal(bits(astuple(rep)),
+                                          bits(want_rep))
+            np.testing.assert_array_equal(bits(ws.grad), bits(want_grad))
+            clipped.append(np.abs(ratio - 1.0) > cfg.clip_eps)
+        clipped = np.concatenate(clipped)
+        assert 0.2 < clipped.mean() < 0.8  # both kinds of rows
+        assert np.all(ws.policy_grads[-1][:2] == 0.0)  # gated at the clamp
+
     def test_minibatch_update_allocates_no_activation(self):
         """After one warm-up call, a 256-row loss/grad plus Adam step on
         6 -> 64 -> 64 -> 5 nets raises the traced peak by < 64 KiB; one
@@ -376,12 +445,61 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+def loss_oracle(policy, value, batch, cfg):
+    """ppo_loss_and_grads spelled out formula by formula: the LossReport
+    fields, the flat gradient in pack_params order and the ratios."""
+    def forward(m, x):
+        hs = [x]
+        for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+            h = hs[-1] @ w + b
+            hs.append(np.tanh(h) if i < len(m.weights) - 1 else h)
+        return hs
+
+    def backward(m, hs, g):
+        gw, gb = [None] * len(m.weights), [None] * len(m.weights)
+        for i in range(len(m.weights) - 1, -1, -1):
+            gw[i], gb[i] = hs[i].T @ g, np.sum(g, axis=0)
+            if i > 0:
+                g = (g @ m.weights[i].T) * (1.0 - np.square(hs[i]))
+        return [*gw, *gb]
+
+    act, lp_old = batch["actions"], batch["log_probs"]
+    adv, ret, n = batch["advantages"], batch["returns"], len(act)
+    hp = forward(policy.trunk, batch["policy_x"])
+    hv = forward(value.net, batch["value_x"])
+    mean, vals = hp[-1], hv[-1][:, 0]
+    log_std = np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)
+    lp = -0.5 * (((act - mean) / np.exp(log_std)) ** 2).sum(axis=-1) \
+        - log_std.sum() - 0.5 * mean.shape[-1] * LOG_2PI
+    ratio = np.exp(lp - lp_old)
+    surr1 = ratio * adv
+    surr2 = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv
+    pol_loss = float(-np.mean(np.minimum(surr1, surr2)))
+    clip_frac = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_eps))
+    val_loss = float(np.mean((vals - ret) ** 2))
+    entropy = float(log_std.sum() + 0.5 * len(log_std) * (1.0 + LOG_2PI))
+    total = pol_loss + cfg.c1 * val_loss - cfg.c2 * entropy
+    sigma = np.exp(log_std)
+    z = (act - mean) / sigma
+    g_lp = -(adv * ratio * (surr1 <= surr2).astype(np.float64)) / n
+    g_log_std = np.sum(g_lp[:, None] * (z * z - 1.0), axis=0) - cfg.c2
+    g_log_std *= ((policy.log_std > LOG_STD_MIN)
+                  & (policy.log_std < LOG_STD_MAX)).astype(np.float64)
+    g_mean = g_lp[:, None] * (z / sigma)
+    g_val = (cfg.c1 * 2.0 * (vals - ret) / n)[:, None]
+    grads = [*backward(policy.trunk, hp, g_mean), g_log_std,
+             *backward(value.net, hv, g_val)]
+    return ((total, pol_loss, val_loss, entropy, clip_frac),
+            np.concatenate([g.ravel() for g in grads]), ratio)
+
+
 def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
     """collect_rollouts rebuilt from sample_action, forward_value and step.
 
     The nets see the whole env batch each hour, as BLAS rounding depends on
     the batch shape, with that hour's (n_envs, N_ACTIONS) standard normal
-    draws; step then advances one env at a time, and each env keeps its own
+    draws, and each hour's draws are scored by their own gaussian_log_prob
+    call; step then advances one env at a time, and each env keeps its own
     lists of the episode's hourly shortages and rewards.
     """
     rows = scenario_rows(scn)
@@ -391,8 +509,9 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
     hours, summaries, clock = [], [], 0
     for _ in range(steps):
         obs = np.array([(s, *rows[clock]) for s in soc])
-        actions, preclip, log_prob = sample_action(
+        actions, preclip, mean = sample_action(
             policy, obs, rng.standard_normal((n_envs, N_ACTIONS)))
+        log_prob = gaussian_log_prob(mean, policy.clamped_log_std(), preclip)
         rewards = []
         for i, action in enumerate(actions.tolist()):
             soc[i], *_, short, reward = step(cfg, rows[clock], soc[i], action)

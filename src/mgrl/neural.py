@@ -189,17 +189,25 @@ def make_value(n_features: int, hidden, rng, obs_mean, obs_scale) -> ValueNet:
         obs_scale=np.array(obs_scale, dtype=np.float64).reshape(n_features))
 
 
-def normalize(net: GaussianPolicy | ValueNet, x: np.ndarray) -> np.ndarray:
-    """The network's input: raw state features under its fixed affine map."""
-    return (x - net.obs_mean) / net.obs_scale
+def normalize(net: GaussianPolicy | ValueNet, x,
+              col: int | None = None) -> np.ndarray:
+    """The network's input: raw state features under its fixed affine map;
+    with ``col``, ``x`` is that feature alone."""
+    mean, scale = ((net.obs_mean, net.obs_scale) if col is None
+                   else (net.obs_mean[col], net.obs_scale[col]))
+    return (x - mean) / scale
+
+
+def _check_finite(finite) -> None:
+    if not finite:
+        raise ValueError("non-finite state features")
 
 
 def _net_input(net: GaussianPolicy | ValueNet, x: np.ndarray) -> np.ndarray:
     """A (B, n_features) batch of raw states, checked and normalized."""
     if x.ndim != 2:
         raise ValueError(f"need a (B, n_features) state batch, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite state features")
+    _check_finite(np.isfinite(x).all())
     return normalize(net, x)
 
 
@@ -211,6 +219,24 @@ def forward_policy(p: GaussianPolicy, x: np.ndarray) -> np.ndarray:
 def forward_value(v: ValueNet, x: np.ndarray) -> np.ndarray:
     """(B,) critic estimates for a (B, n_features) state batch."""
     return mlp_forward(v.net, _net_input(v, x))[0][:, 0]
+
+
+def block_policy(p: GaussianPolicy, states: np.ndarray):
+    """The actor over a (T, n_features) block of raw states in which only
+    the SOC, feature 0, changes from call to call.
+
+    The block is checked and normalized once.  ``means(t, soc)`` checks
+    the SOC, normalizes it into row t and returns that row's (1, n_actions)
+    action means, bit for bit :func:`forward_policy` of the raw row.
+    """
+    x = _net_input(p, states)
+
+    def means(t: int, soc: float) -> np.ndarray:
+        _check_finite(math.isfinite(soc))
+        x[t, 0] = normalize(p, soc, 0)
+        return mlp_forward(p.trunk, x[t:t + 1])[0]
+
+    return means
 
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, a: np.ndarray,
@@ -227,18 +253,29 @@ def gaussian_entropy(log_std: np.ndarray) -> float:
     return float(log_std.sum() + 0.5 * len(log_std) * (1.0 + LOG_2PI))
 
 
+def policy_action(mean: np.ndarray, std: np.ndarray | None = None,
+                  z: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(action, preclip) at action means ``mean``.  The pre-clip action
+    is the mean, or with standard normal draws ``z`` the draw
+    mean + std * z; the action is it clipped to [-1, 1] for the
+    environment."""
+    preclip = mean if z is None else mean + std * z
+    # Ufuncs, not np.clip, whose Python wrapper costs as much again
+    return np.minimum(np.maximum(preclip, -1.0), 1.0), preclip
+
+
 def sample_action(p: GaussianPolicy, x: np.ndarray, z: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Actions for a (B, n_features) state batch and (B, n_actions)
     standard normal draws ``z``.
 
-    Returns (action, preclip, mean): the draw mean + exp(log_std) * z
-    clipped to [-1, 1] for the environment, the draw itself and the mean.
-    A draw's log-density is :func:`gaussian_log_prob` of the pre-clip draw.
+    Returns (action, preclip, mean): :func:`policy_action` of the means at
+    std exp(log_std), and the means.  A draw's log-density is
+    :func:`gaussian_log_prob` of the pre-clip draw.
     """
     mean = forward_policy(p, x)
-    preclip = mean + np.exp(p.clamped_log_std()) * z
-    return np.minimum(np.maximum(preclip, -1.0), 1.0), preclip, mean
+    return (*policy_action(mean, np.exp(p.clamped_log_std()), z), mean)
 
 
 # ---------------------------------------------------------------------------

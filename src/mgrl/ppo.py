@@ -34,8 +34,8 @@ from .neural import (
     ValueNet,
     adam_init,
     adam_step,
+    block_policy,
     flat_views,
-    forward_policy,
     forward_value,
     gaussian_entropy,
     gaussian_log_prob,
@@ -45,6 +45,7 @@ from .neural import (
     mlp_forward,
     normalize,
     pack_params,
+    policy_action,
     policy_params,
     sample_action,
     value_params,
@@ -492,12 +493,16 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
                      n_episodes: int = 1, seed: int = 0) -> EvalResult:
     """Score a policy, given as its action function, over n_episodes; the
     first is kept in full.  Episode ``ep`` starts at the SOC drawn from
-    ``eval-reset-{ep}``, and each hour ``act(obs, rng)`` maps the (1, 6) raw
-    state and the ``eval-action-{ep}`` stream to the clipped (1, 5) action."""
+    ``eval-reset-{ep}``, and each hour ``act(t, obs, rng)`` maps the hour,
+    the (1, 6) raw state and the ``eval-action-{ep}`` stream to the clipped
+    (1, 5) action.  ``obs`` is row t of one raw state block whose SOC
+    column the loop writes before each call, so it holds its values only
+    for that call."""
     if n_episodes <= 0:
         raise ValueError(f"n_episodes must be positive, got {n_episodes}")
     env_cfg.validate()
     rows = scenario_rows(scn)
+    states = features(0.0, scn.loads, scn.p_re)
     summaries = []
     for ep in range(n_episodes):
         soc = env_cfg.initial_soc(derive_rng(seed, f"eval-reset-{ep}"))
@@ -505,7 +510,8 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
         # Columns: soc, p_ch, p_dis, p_supply, alloc x3, imb x3, sh x3, reward
         log = np.empty((len(rows), 14))
         for t, row in enumerate(rows):
-            action = act(np.array([(soc, *row)]), rng)
+            states[t, 0] = soc
+            action = act(t, states[t:t + 1], rng)
             soc_next, *flows, alloc, imb, short, reward = step(
                 env_cfg, row, soc, action[0].tolist())
             log[t] = (soc, *flows, *alloc, *imb, *short, reward)
@@ -527,12 +533,17 @@ def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
                     scn: Scenario, n_episodes: int = 1,
                     deterministic: bool = True, seed: int = 0) -> EvalResult:
     """:func:`evaluate_actions` on the clipped policy mean, or on samples
-    drawn from each episode's action stream when not ``deterministic``."""
+    drawn from each episode's action stream when not ``deterministic``.
+    The scenario's states are checked and normalized once, before the
+    first hour (see :func:`mgrl.neural.block_policy`)."""
+    means = block_policy(policy, features(0.0, scn.loads, scn.p_re))
     if deterministic:
-        def act(obs, rng):
-            return np.clip(forward_policy(policy, obs), -1.0, 1.0)
+        def act(t, obs, rng):
+            return policy_action(means(t, obs[0, 0]))[0]
     else:
-        def act(obs, rng):
-            return sample_action(policy, obs,
+        std = np.exp(policy.clamped_log_std())
+
+        def act(t, obs, rng):
+            return policy_action(means(t, obs[0, 0]), std,
                                  rng.standard_normal((1, N_ACTIONS)))[0]
     return evaluate_actions(act, env_cfg, scn, n_episodes, seed)

@@ -282,10 +282,10 @@ def test_criterion_07_learning_smoke(capsys):
         # episode-start SOCs, so each comparison is paired.
         rand_rng = derive_rng(0, "acc-random-policy")
 
-        def random_action(obs, rng):
+        def random_action(t, obs, rng):
             return rand_rng.uniform(-1, 1, (1, N_ACTIONS))
 
-        def idle(obs, rng):
+        def idle(t, obs, rng):
             a = np.clip(forward_policy(res_b.policy, obs), -1.0, 1.0)
             a[:, :2] = -1.0  # battery forced idle
             return a

@@ -14,6 +14,7 @@ from mgrl.neural import (
     Mlp,
     adam_init,
     adam_step,
+    block_policy,
     forward_policy,
     forward_value,
     gaussian_entropy,
@@ -24,6 +25,7 @@ from mgrl.neural import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    policy_action,
     policy_params,
     sample_action,
     save_checkpoint,
@@ -209,6 +211,45 @@ class TestGaussianHead:
         p = make_policy(2, 2, (4,), np.random.default_rng(0), *raw_inputs(2))
         with pytest.raises(ValueError, match="state batch"):
             forward_policy(p, np.zeros(2))
+
+    def test_mean_action_is_the_clipped_mean(self):
+        mean = np.array([[-3.0, -0.25, 0.0, 0.5, 2.0]])
+        action, preclip = policy_action(mean)
+        assert preclip is mean
+        np.testing.assert_array_equal(action, np.clip(mean, -1.0, 1.0))
+
+
+class TestBlockPolicy:
+    def policy(self):
+        rng = np.random.default_rng(21)
+        return make_policy(4, 3, (8, 8), rng, obs_mean=rng.normal(size=4),
+                           obs_scale=rng.uniform(0.5, 2.0, 4))
+
+    def test_row_means_match_forward_policy(self):
+        """Each row, with whatever SOC it is given, maps to the bits that
+        forward_policy gives the raw row, in any order of rows."""
+        p = self.policy()
+        block = np.random.default_rng(22).normal(size=(9, 4))
+        means = block_policy(p, block.copy())
+        socs = np.random.default_rng(23).uniform(0.2, 0.9, 20)
+        for i, soc in enumerate(socs):
+            t = (5 * i) % 9
+            row = block[t:t + 1].copy()
+            row[0, 0] = soc
+            np.testing.assert_array_equal(means(t, soc),
+                                          forward_policy(p, row))
+
+    @pytest.mark.parametrize("soc", [np.nan, np.inf, -np.inf])
+    def test_non_finite_soc_rejected(self, soc):
+        means = block_policy(self.policy(), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="non-finite state features"):
+            means(1, soc)
+
+    def test_non_finite_block_rejected_up_front(self):
+        block = np.zeros((3, 4))
+        block[2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite state features"):
+            block_policy(self.policy(), block)
 
 
 class TestObservationNormalization:

@@ -781,8 +781,91 @@ class TestEvaluation:
         for t in range(10):
             assert traj.mode_at(t) in ("charge", "discharge", "idle")
 
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_matches_per_hour_reference_loop(self, deterministic):
+        """Bit for bit the loop that builds each hour's state afresh and
+        calls forward_policy or sample_action on it."""
+        policy = self.trained()
+        policy.log_std[:] = -0.5  # draws that move the SOC both ways
+        env_cfg = EnvConfig()
+        scn = small_scenario(horizon=48, seed=2)
+        ev = evaluate_policy(policy, env_cfg, scn, n_episodes=2,
+                             deterministic=deterministic, seed=4)
+        summaries = []
+        for ep in range(2):
+            soc = env_cfg.initial_soc(derive_rng(4, f"eval-reset-{ep}"))
+            rng = derive_rng(4, f"eval-action-{ep}")
+            log = []
+            for row in scenario_rows(scn):
+                obs = np.array([(soc, *row)])
+                if deterministic:
+                    action = np.clip(forward_policy(policy, obs), -1.0, 1.0)
+                else:
+                    action = sample_action(
+                        policy, obs, rng.standard_normal((1, N_ACTIONS)))[0]
+                out = step(env_cfg, row, soc, action[0].tolist())
+                log.append((soc, *out[1:4], *out[4], *out[5], *out[6],
+                            out[7]))
+                soc = out[0]
+            log = np.array(log)
+            summaries.append(summarize_episode(env_cfg, scn.loads,
+                                               log[:, 10:13], log[:, 13]))
+            if ep == 0:
+                first = log
+        traj = ev.trajectory
+        for col, got in enumerate([traj.soc, traj.p_ch, traj.p_dis,
+                                   traj.p_supply]):
+            np.testing.assert_array_equal(got, first[:, col])
+        np.testing.assert_array_equal(traj.allocations, first[:, 4:7])
+        np.testing.assert_array_equal(traj.imbalances, first[:, 7:10])
+        np.testing.assert_array_equal(traj.shortages, first[:, 10:13])
+        np.testing.assert_array_equal(traj.reward, first[:, 13])
+        assert np.ptp(traj.soc) > 0.0
+        assert ev.summaries == summaries
 
-def idle_action(obs, rng):
+    def test_act_sees_each_hour_and_its_state_in_order(self):
+        scn = small_scenario(horizon=12, seed=1)
+        rows = scenario_rows(scn)
+        seen = []
+
+        def act(t, obs, rng):
+            seen.append((t, obs.copy()))
+            return rng.uniform(-1.0, 1.0, (1, N_ACTIONS))
+
+        ev = evaluate_actions(act, EnvConfig(), scn, n_episodes=3, seed=8)
+        assert [t for t, _ in seen] == list(range(12)) * 3
+        for i, (t, obs) in enumerate(seen):
+            assert obs.shape == (1, N_FEATURES)
+            assert obs[0, 1:].tolist() == list(rows[t])
+            if i < 12:  # the first episode's SOCs are logged
+                assert obs[0, 0] == ev.trajectory.soc[t]
+            elif t == 0:
+                assert obs[0, 0] == EnvConfig().initial_soc(
+                    derive_rng(8, f"eval-reset-{i // 12}"))
+        assert np.ptp(ev.trajectory.soc) > 0.0
+
+    @pytest.mark.parametrize("field", ["loads", "p_re"])
+    def test_non_finite_scenario_refused_before_first_hour(self, field,
+                                                           monkeypatch):
+        import mgrl.ppo as ppo_mod
+
+        scn = small_scenario(horizon=12)
+        series = {"loads": scn.loads.copy(), "p_re": scn.p_re.copy()}
+        series[field][7] = np.nan
+        bad = Scenario(**series)
+        policy = self.trained()
+
+        def no_step(*args):
+            raise AssertionError("an hour was stepped")
+
+        monkeypatch.setattr(ppo_mod, "step", no_step)
+        for deterministic in (True, False):
+            with pytest.raises(ValueError, match="non-finite state features"):
+                evaluate_policy(policy, EnvConfig(), bad,
+                                deterministic=deterministic)
+
+
+def idle_action(t, obs, rng):
     """Battery requests off, equal allocation weights."""
     a = np.zeros((1, N_ACTIONS))
     a[:, :2] = -1.0
@@ -815,7 +898,7 @@ class TestEvaluateActions:
         buf = collect_rollouts(policy, value, EnvBatch(env_cfg, scn, 2, 0),
                                24, np.random.default_rng(10))
         hours = iter(np.clip(buf.actions[:, 1], -1.0, 1.0))
-        ev = evaluate_actions(lambda obs, rng: next(hours)[None], env_cfg,
+        ev = evaluate_actions(lambda t, obs, rng: next(hours)[None], env_cfg,
                               scn)
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(ev.trajectory, path)
@@ -829,9 +912,9 @@ class TestEvaluateActions:
         def draws(seed):
             seen = []
 
-            def act(obs, rng):
+            def act(t, obs, rng):
                 seen.append(rng.random())
-                return idle_action(obs, rng)
+                return idle_action(t, obs, rng)
 
             evaluate_actions(act, EnvConfig(), small_scenario(horizon=4),
                              n_episodes=3, seed=seed)

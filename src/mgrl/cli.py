@@ -235,7 +235,7 @@ def cmd_report(args) -> int:
 
     explanation_files = sorted(
         os.path.basename(p)
-        for p in glob.glob(os.path.join(out, "explain_*.svg")))
+        for p in glob.glob(os.path.join(glob.escape(out), "explain_*.svg")))
 
     rows = [("run_id", cfg.run_id), ("resilience_index", repr(rep.ri))]
     rows += [(f"{kind}_tier{i}_kwh", repr(v))

@@ -118,10 +118,12 @@ def line_chart(series, title: str, x_label: str = "", y_label: str = "",
     x_span = max(x_hi - x_lo, 1e-12)
     y_span = max(y_hi - y_lo, 1e-12)
 
-    def px(x: float) -> float:
+    # The maps take a scalar (ticks, hlines) or a whole series array; an
+    # array element goes through the same float64 operations as a scalar.
+    def px(x):
         return left + (x - x_lo) / x_span * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return top + plot_h - (y - y_lo) / y_span * plot_h
 
     body = [f'<text x="{_f(width / 2)}" y="24" text-anchor="middle" '
@@ -149,7 +151,9 @@ def line_chart(series, title: str, x_label: str = "", y_label: str = "",
                     f'stroke-dasharray="6,4"/>')
     for k, (name, xs, ys) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        pts = " ".join(f"{_f(px(x))},{_f(py(y))}" for x, y in zip(xs, ys))
+        # "%.2f" of a Python float is _f's string; one format call per series.
+        xy = np.column_stack((px(xs), py(ys))).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
         body.append(f'<polyline points="{pts}" fill="none" '
                     f'stroke="{color}" stroke-width="1.6"/>')
         ly = top + 16 + 16 * k

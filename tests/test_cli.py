@@ -377,6 +377,17 @@ class TestReportCommand:
         [points] = re.findall(r'<polyline points="([^"]*)"', svg)
         assert len(points.split()) == 2
 
+    def test_explanations_listed_when_out_holds_glob_metacharacters(
+            self, conf, tmp_path):
+        out = str(tmp_path / "out[a]")
+        run_pipeline(conf, out)
+        assert run("explain", "--config", conf, "--out", out,
+                   "--step", "2") == 0
+        assert run("report", "--config", conf, "--out", out) == 0
+        lines = open(os.path.join(out, "report.txt")).read().splitlines()
+        assert lines[lines.index("Explanations:") + 1] == \
+            "  explain_step0002_charge.svg"
+
     def test_report_csv_is_key_value(self, conf, tmp_path):
         out = str(tmp_path / "out")
         run_pipeline(conf, out)

@@ -724,6 +724,16 @@ class TestTrain:
         np.testing.assert_array_equal(forward_policy(res.policy, s),
                                       forward_policy(policy, s))
 
+    @pytest.mark.parametrize("field", ["loads", "p_re"])
+    def test_non_finite_scenario_refused_before_first_update(self, field):
+        seen = []
+        with pytest.raises(ValueError,
+                           match=f"non-finite {field} at scenario hour 3$"):
+            train(tiny_config(), EnvConfig(),
+                  non_finite_scenario(field, np.nan, hour=3),
+                  checkpoint_fn=lambda u, p, v, s: seen.append(u))
+        assert seen == []
+
     def test_divergence_raises_with_diagnostic(self, monkeypatch):
         import mgrl.ppo as ppo_mod
 
@@ -872,6 +882,15 @@ def idle_action(t, obs, rng):
     return a
 
 
+def non_finite_scenario(field, value, hour=7, horizon=12):
+    """small_scenario with one element of ``field`` at ``hour`` set to
+    ``value``: the last load tier for ``loads``."""
+    scn = small_scenario(horizon=horizon)
+    series = {"loads": scn.loads.copy(), "p_re": scn.p_re.copy()}
+    series[field].reshape(horizon, -1)[hour, -1] = value
+    return Scenario(**series)
+
+
 class TestEvaluateActions:
     def test_idle_battery_holds_soc_and_scores_the_report_ri(self):
         env_cfg = EnvConfig()
@@ -907,6 +926,24 @@ class TestEvaluateActions:
         trained = buf.episode_summaries[1]
         assert trained == ev.summaries[0] == summarize_episode(
             env_cfg, traj.loads, traj.shortages, traj.reward)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["loads", "p_re"])
+    def test_non_finite_scenario_refused_naming_series_and_hour(
+            self, field, value, monkeypatch):
+        """An act that never looks at the state (criterion 7's baselines)
+        cannot carry a NaN scenario into the summary: scenario_rows
+        refuses it before any hour is stepped."""
+        import mgrl.ppo as ppo_mod
+
+        def no_step(*args):
+            raise AssertionError("an hour was stepped")
+
+        monkeypatch.setattr(ppo_mod, "step", no_step)
+        with pytest.raises(ValueError,
+                           match=f"non-finite {field} at scenario hour 7$"):
+            evaluate_actions(idle_action, EnvConfig(),
+                             non_finite_scenario(field, value))
 
     def test_each_episode_acts_on_its_own_action_stream(self):
         def draws(seed):

@@ -98,9 +98,11 @@ def perturb(x: np.ndarray, stats: FeatureStats, n: int, scale: float,
     it is meant to explain.
     """
     x = np.asarray(x, dtype=np.float64)
-    noise = rng.standard_normal((n, x.size)) * (scale * stats.std)
-    noise[0] = 0.0
-    return np.clip(x + noise, stats.low, stats.high)
+    cloud = rng.standard_normal((n, x.size))
+    cloud *= scale * stats.std
+    cloud[0] = 0.0
+    cloud += x
+    return np.clip(cloud, stats.low, stats.high, out=cloud)
 
 
 def proximity_weights(x: np.ndarray, samples: np.ndarray,
@@ -108,7 +110,9 @@ def proximity_weights(x: np.ndarray, samples: np.ndarray,
     """exp(-D^2 / sigma^2) with D Euclidean over std-standardized features."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    d2 = (((samples - x) / stats.std) ** 2).sum(axis=1)
+    d = samples - x
+    d /= stats.std
+    d2 = np.square(d, out=d).sum(axis=1)
     return np.exp(-d2 / (sigma * sigma))
 
 
@@ -144,11 +148,12 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
     omega = w / w.sum()
 
     mu = omega @ z_raw
-    var = omega @ (z_raw - mu) ** 2
-    sd = np.maximum(np.sqrt(var), 1e-9)
-    z = (z_raw - mu) / sd
+    z = z_raw - mu
+    zw = np.square(z)
+    sd = np.maximum(np.sqrt(omega @ zw), 1e-9)
+    z /= sd
 
-    zw = z * omega[:, None]
+    zw = np.multiply(z, omega[:, None], out=zw)
     a = zw.T @ z
     a[np.diag_indices_from(a)] += ridge_strength
     # An exactly collinear design without ridge rounds to a tiny but

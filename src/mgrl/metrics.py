@@ -12,6 +12,7 @@ import os
 from dataclasses import astuple, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ppo import TrainStats
 from .scenario import STEP_HOURS
@@ -93,8 +94,12 @@ def reward_curve_summary(updates, rewards, window: int = 10,
 
     n = len(rewards)
     rolling_mean = np.empty(n)
-    for i in range(n):
-        rolling_mean[i] = rewards[max(0, i - window + 1):i + 1].mean()
+    for i in range(min(window - 1, n)):  # the warm-up, over fewer points
+        rolling_mean[i] = rewards[:i + 1].mean()
+    if n >= window:
+        # Each row's mean sums its window pairwise, like a slice's mean()
+        rolling_mean[window - 1:] = sliding_window_view(
+            rewards, window).mean(axis=1)
     final = float(rolling_mean[-1])
     tol = band * max(abs(final), 1e-12)
     inside = np.abs(rolling_mean - final) <= tol

@@ -146,6 +146,51 @@ class TestRewardCurveSummary:
         s = reward_curve_summary(np.arange(20), rewards, window=1, band=0.02)
         assert s.converged_at == 0
 
+    @pytest.mark.parametrize("window", [1, 3, 10])
+    @pytest.mark.parametrize("n", [2, 9, 10, 11, 150])
+    def test_converged_at_matches_slice_mean_oracle_at_the_band_edge(
+            self, n, window):
+        """The last `window` rewards are 1, so the final rolling mean is
+        exactly 1 and the band is the tolerance itself. The band is the
+        largest deviation of the second half of the curve, so a rolling
+        mean one ulp further out than the oracle's moves converged_at."""
+        rewards = np.random.default_rng(n * 100 + window).uniform(
+            0.5, 1.5, n)
+        rewards[-window:] = 1.0
+        rolling = slice_mean_oracle(rewards, window)
+        band = float(np.abs(rolling[n // 2:] - 1.0).max())
+        want = converged_oracle(rolling, band)
+        if band > 0.0:  # the edge is sharp
+            assert converged_oracle(rolling, np.nextafter(band, 0.0)) != want
+        s = reward_curve_summary(np.arange(n), rewards, window, band)
+        assert s.converged_at == want
+        assert s.last_quartile_mean == rewards[-max(1, n // 4):].mean()
+
+    def test_rolling_mean_on_the_default_band_edge(self):
+        """A 10-point window mean sits on the largest float inside the 2%
+        band around a final value of 1: converged there, and one reward
+        ulp-step on, the same curve converges an update later."""
+        edge = 1.0 + 0.02
+        while edge - 1.0 > 0.02:
+            edge = np.nextafter(edge, 0.0)
+        while np.nextafter(edge, 2.0) - 1.0 <= 0.02:
+            edge = np.nextafter(edge, 2.0)
+        rewards = np.ones(150)
+        rewards[90] = 3.0          # update 99's window is far outside
+        rewards[91:100] = 1.02
+        rewards[100] = 1.02        # update 100's window is rewards[91:101]
+        while slice_mean_oracle(rewards, 10)[100] >= edge:
+            rewards[100] = np.nextafter(rewards[100], 0.0)
+        while slice_mean_oracle(rewards, 10)[100] < edge:
+            rewards[100] = np.nextafter(rewards[100], 2.0)
+        assert slice_mean_oracle(rewards, 10)[100] == edge
+        assert reward_curve_summary(np.arange(150), rewards).converged_at \
+            == 100
+        while slice_mean_oracle(rewards, 10)[100] == edge:
+            rewards[100] = np.nextafter(rewards[100], 2.0)
+        assert reward_curve_summary(np.arange(150), rewards).converged_at \
+            == 101
+
     @pytest.mark.parametrize("updates,rewards", [
         (np.arange(3), np.zeros(4)),
         (np.arange(1), np.zeros(1)),
@@ -154,6 +199,21 @@ class TestRewardCurveSummary:
     def test_bad_inputs_rejected(self, updates, rewards):
         with pytest.raises(ValueError):
             reward_curve_summary(updates, rewards)
+
+
+def slice_mean_oracle(rewards, window):
+    """The rolling mean as one slice mean() per update."""
+    return np.array([rewards[max(0, i - window + 1):i + 1].mean()
+                     for i in range(len(rewards))])
+
+
+def converged_oracle(rolling, band):
+    """The earliest index from which `rolling` stays within the relative
+    band around its last value."""
+    inside = np.abs(rolling - rolling[-1]) <= band * max(abs(rolling[-1]),
+                                                         1e-12)
+    outside = np.flatnonzero(~inside)
+    return int(outside[-1]) + 1 if len(outside) else 0
 
 
 class TestTrainMetricsCsv:

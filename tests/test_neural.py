@@ -1,13 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from mgrl.env import N_ACTIONS, N_FEATURES
 from mgrl.neural import (
     LOG_STD_MAX,
     LOG_STD_MIN,
+    BLOCK_ROWS,
     AdamState,
     CheckpointError,
     GaussianPolicy,
@@ -25,6 +28,7 @@ from mgrl.neural import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    normalize,
     policy_action,
     policy_params,
     sample_action,
@@ -217,6 +221,48 @@ class TestGaussianHead:
         action, preclip = policy_action(mean)
         assert preclip is mean
         np.testing.assert_array_equal(action, np.clip(mean, -1.0, 1.0))
+
+
+class TestBlockedForward:
+    def nets(self):
+        rng = np.random.default_rng(31)
+        norm = rng.normal(size=N_FEATURES), rng.uniform(0.5, 2.0, N_FEATURES)
+        return (make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng, *norm),
+                make_value(N_FEATURES, (64, 64), rng, *norm))
+
+    @pytest.mark.parametrize("n", [1, 3, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                   BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3,
+                                   5000, 5001])
+    def test_blocks_give_the_unblocked_pass_bit_for_bit(self, n):
+        p, v = self.nets()
+        x = np.random.default_rng(n).normal(size=(n, N_FEATURES)) * 3.0
+        want_mean = mlp_forward(p.trunk, normalize(p, x))[0]
+        want_value = mlp_forward(v.net, normalize(v, x))[0][:, 0]
+        np.testing.assert_array_equal(bits(forward_policy(p, x)),
+                                      bits(want_mean))
+        np.testing.assert_array_equal(bits(forward_value(v, x)),
+                                      bits(want_value))
+
+    def test_explainer_cloud_allocates_no_full_activation(self):
+        """5,000 states through a 6 -> 64 -> 64 -> 5 actor raise the
+        traced peak by < 2 MiB; one 5,000 x 64 float64 activation alone
+        is 2.4 MiB."""
+        p, _ = self.nets()
+        x = np.random.default_rng(32).normal(size=(5000, N_FEATURES))
+        forward_policy(p, x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            forward_policy(p, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 2 * 1024 * 1024
+
+
+def bits(x):
+    """IEEE bit patterns, so that a comparison sees every last bit."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
 class TestBlockPolicy:

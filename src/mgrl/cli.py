@@ -7,6 +7,7 @@ directory (``--out``, default from config).  Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import glob
 import json
 import os
@@ -296,7 +297,11 @@ def cmd_config(args) -> int:
 # Argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `mgrl` argument parser, built once per process: parsing keeps
+    no state in it, and each subcommand runs as the ``cmd_<name>`` that
+    :func:`main` looks up when it is called."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="run configuration file (dotted keys)")
@@ -313,15 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scenario", parents=[common],
-                       help="generate the synthetic cyclone scenario CSV")
-    p.set_defaults(func=cmd_scenario)
+    sub.add_parser("scenario", parents=[common],
+                   help="generate the synthetic cyclone scenario CSV")
 
     p = sub.add_parser("train", parents=[common],
                        help="train the dispatch policy")
     p.add_argument("--scenario", metavar="PATH",
                    help="scenario CSV (default: <out>/scenario.csv)")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common],
                        help="roll out a trained policy and log a trajectory")
@@ -333,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="episodes to average over (default 1)")
     p.add_argument("--stochastic", action="store_true",
                    help="sample actions instead of using the policy mean")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("explain", parents=[common],
                        help="explain the actor's decision at one logged step")
@@ -348,22 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
                      default="idle",
                      help="explain the first step in this battery mode "
                           "(default: idle)")
-    p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="aggregate metrics, charts and explanations")
-    p.set_defaults(func=cmd_report)
+    sub.add_parser("report", parents=[common],
+                   help="aggregate metrics, charts and explanations")
 
-    p = sub.add_parser("config", parents=[common],
-                       help="print the effective configuration and exit")
-    p.set_defaults(func=cmd_config)
+    sub.add_parser("config", parents=[common],
+                   help="print the effective configuration and exit")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (UserError, ConfigError, TableError, CheckpointError,
             SurrogateFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,9 +83,10 @@ def mlp_forward(m: Mlp, x: np.ndarray, outs: list | None = None,
     """Forward pass on a (B, n_in) batch; cache holds each layer's input.
 
     With ``outs`` (one array of at least B rows per layer) and ``scratch``
-    (flat arrays of at least B x the widest layer, given together) layer i
-    writes its output into the first B rows of ``outs[i]`` and allocates
-    nothing; without them each layer output is a fresh array.
+    (a list whose first item is a flat array of at least B x the widest
+    layer, given together) layer i writes its output into the first B
+    rows of ``outs[i]`` and allocates nothing; without them each layer
+    output is a fresh array.
     """
     inputs = [x]
     h = x
@@ -98,7 +99,7 @@ def mlp_forward(m: Mlp, x: np.ndarray, outs: list | None = None,
             h = np.matmul(h, w, out=outs[i][:len(x)])
             # Tile the bias first: a broadcast add allocates an iteration
             # buffer of up to 64 KiB inside NumPy.
-            bias = _rows(scratch, 0, *h.shape)
+            bias = _rows(scratch, *h.shape)
             np.copyto(bias, b)
             h += bias
         if i < last:
@@ -114,10 +115,14 @@ def mlp_backward(m: Mlp, cache: list, gy: np.ndarray,
     """Exact reverse-mode pass: returns (weight grads, bias grads, input grad).
 
     ``grads`` ([*weight grads, *bias grads], shaped like the parameters)
-    receives the parameter gradients, and ``scratch`` (three flat arrays of
-    at least B x the widest layer) the backpropagated gradient and tanh';
-    without them fresh arrays are allocated.  With ``input_grad``
-    False the layer-0 input gradient is skipped and returned as None.
+    receives the parameter gradients, and ``scratch`` (as for
+    :func:`mlp_forward`) each layer's product with its weights; without
+    them fresh arrays are allocated and the cache stays as it was.  With
+    ``scratch`` the pass uses the cache up: each hidden activation
+    ``cache[1:-1]`` becomes tanh' and then the gradient flowing into it,
+    while the input ``cache[0]`` and the output ``cache[-1]`` stay.  With
+    ``input_grad`` False the layer-0 input gradient is skipped and
+    returned as None.
     """
     n_layers = len(m.weights)
     gw = [None] * n_layers if grads is None else grads[:n_layers]
@@ -130,19 +135,20 @@ def mlp_backward(m: Mlp, cache: list, gy: np.ndarray,
         if i == 0 and not input_grad:
             return gw, gb, None
         width = m.weights[i].shape[0]
-        g = np.matmul(g, m.weights[i].T, out=_rows(scratch, i % 2, n, width))
-        if i > 0:  # tanh' through the hidden output
-            d = np.square(cache[i], out=_rows(scratch, 2, n, width))
+        gx = np.matmul(g, m.weights[i].T, out=_rows(scratch, n, width))
+        if i > 0:  # tanh' through the hidden output, g flowing into it
+            d = np.square(cache[i], out=None if scratch is None else cache[i])
             np.subtract(1.0, d, out=d)
-            g *= d
+            gx = np.multiply(gx, d, out=d)
+        g = gx
     return gw, gb, g
 
 
-def _rows(scratch: list | None, j: int, n: int, width: int):
-    """(n, width) C-order view at the front of scratch[j]; None allocates."""
+def _rows(scratch: list | None, n: int, width: int):
+    """(n, width) C-order view at the front of scratch[0]; None allocates."""
     if scratch is None:
         return None
-    return scratch[j][:n * width].reshape(n, width)
+    return scratch[0][:n * width].reshape(n, width)
 
 
 # ---------------------------------------------------------------------------

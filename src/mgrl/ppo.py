@@ -13,6 +13,7 @@ per update, not the return the critic regresses.
 """
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .trajectory import Trajectory
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a loss or gradient stops being finite.
+    """Raised when a minibatch's total loss stops being finite.
 
     ``diagnostic`` carries enough context (update index, loss parts) to
     write a post-mortem record.
@@ -295,7 +296,7 @@ def clipped_policy_loss(ratio: np.ndarray, advantages: np.ndarray,
                         clip_eps: float) -> tuple[float, float, np.ndarray]:
     """PPO clipped surrogate loss over probability ratios.
 
-    Returns (loss, clip fraction, unclipped): ``unclipped`` is 1.0 where
+    Returns (loss, clip fraction, unclipped): ``unclipped`` is True where
     the min() picks the unclipped branch (ties included), the only rows
     through which the loss depends on the ratio.
     """
@@ -305,7 +306,7 @@ def clipped_policy_loss(ratio: np.ndarray, advantages: np.ndarray,
                        1.0 + clip_eps) * advantages
     loss = -float(np.add.reduce(np.minimum(surr1, surr2)) / n)
     clip_frac = np.count_nonzero(np.abs(ratio - 1.0) > clip_eps) / n
-    return loss, clip_frac, (surr1 <= surr2).astype(np.float64)
+    return loss, clip_frac, surr1 <= surr2
 
 
 def value_loss(values_pred: np.ndarray, returns: np.ndarray) -> float:
@@ -329,8 +330,10 @@ class LossReport:
 
 class UpdateWorkspace:
     """Preallocated arrays for :func:`ppo_loss_and_grads` on up to ``rows``
-    minibatch rows: each network's layer outputs, backward scratch shared by
-    both networks, and one flat gradient vector ``grad`` laid out like the
+    minibatch rows: one flat buffer per layer, as wide as the wider net
+    there, which holds the actor's output and then the critic's (views
+    ``policy_outs`` and ``value_outs``), the loss head's residual, one
+    scratch array, and one flat gradient vector ``grad`` laid out like the
     parameter vector of :func:`mgrl.neural.pack_params`.
     """
 
@@ -341,12 +344,16 @@ class UpdateWorkspace:
         views = flat_views(self.grad, params)
         self.policy_grads = views[:len(p_params)]
         self.value_grads = views[len(p_params):]
-        self.policy_outs = [np.empty((rows, k))
-                            for k in policy.trunk.sizes[1:]]
-        self.value_outs = [np.empty((rows, k)) for k in value.net.sizes[1:]]
+        p_sizes, v_sizes = policy.trunk.sizes[1:], value.net.sizes[1:]
+        layers = [np.empty(rows * max(k))
+                  for k in zip_longest(p_sizes, v_sizes, fillvalue=0)]
+        self.policy_outs = [a[:rows * k].reshape(rows, k)
+                            for a, k in zip(layers, p_sizes)]
+        self.value_outs = [a[:rows * k].reshape(rows, k)
+                           for a, k in zip(layers, v_sizes)]
         self.residual = np.empty((rows, policy.trunk.sizes[-1]))
         width = max(*policy.trunk.sizes, *value.net.sizes)
-        self.scratch = [np.empty(rows * width) for _ in range(3)]
+        self.scratch = [np.empty(rows * width)]
 
 
 def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
@@ -358,9 +365,12 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     (``policy_x``, ``value_x``) next to ``actions``, ``log_probs``,
     ``advantages`` and ``returns``.  Every activation and gradient goes
     into the workspace ``ws``, and the gradient of the total loss fills
-    ``ws.grad``.  The min() in the surrogate routes gradient to the
-    unclipped branch on ties, and the log-std gradient is gated to zero
-    wherever the clamp is active.
+    ``ws.grad``.  The two networks' terms are independent, so the actor's
+    forward, loss head and backward finish before the critic's forward
+    reuses the same layer buffers.  The min() in the surrogate routes
+    gradient to the unclipped branch on ties, and a clipped row adds
+    none, even where its ratio overflows.  The log-std gradient is gated
+    to zero wherever the clamp is active.
     """
     act = batch["actions"]
     lp_old = batch["log_probs"]
@@ -375,17 +385,9 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     ratio = np.exp(gaussian_log_prob(mean, log_std, act, z) - lp_old)
     pol_loss, clip_frac, unclipped = clipped_policy_loss(ratio, adv,
                                                          cfg.clip_eps)
-
-    out, vcache = mlp_forward(value.net, batch["value_x"], ws.value_outs,
-                               ws.scratch)
-    vals = out[:, 0]
-    val_loss = value_loss(vals, ret)
-    entropy = gaussian_entropy(log_std)
-    total = total_loss(pol_loss, val_loss, entropy, cfg.c1, cfg.c2)
-    report = LossReport(total=total, policy_loss=pol_loss,
-                        value_loss=val_loss, entropy=entropy,
-                        clip_frac=clip_frac)
-    g_lp = -(adv * ratio * unclipped) / n          # d total / d lp_new
+    # Select, not multiply by the mask: an overflowed ratio times 0 is nan.
+    # adv * 0.0 is the zero that product gave, sign included.
+    g_lp = -np.where(unclipped, adv * ratio, adv * 0.0) / n  # d total / d lp
     g_log_std = np.add.reduce(g_lp[:, None] * (z * z - 1.0), axis=0) - cfg.c2
     z /= np.exp(log_std)
     g_mean = g_lp[:, None] * z                     # z / sigma by now
@@ -394,10 +396,18 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     np.multiply(g_log_std, clamp_open, out=ws.policy_grads[-1])
     mlp_backward(policy.trunk, cache, g_mean, ws.policy_grads[:-1],
                  ws.scratch, input_grad=False)
+
+    out, vcache = mlp_forward(value.net, batch["value_x"], ws.value_outs,
+                              ws.scratch)
+    vals = out[:, 0]
+    val_loss = value_loss(vals, ret)
     g_val = (cfg.c1 * 2.0 * (vals - ret) / n)[:, None]
     mlp_backward(value.net, vcache, g_val, ws.value_grads, ws.scratch,
                  input_grad=False)
-    return report
+    entropy = gaussian_entropy(log_std)
+    total = total_loss(pol_loss, val_loss, entropy, cfg.c1, cfg.c2)
+    return LossReport(total=total, policy_loss=pol_loss, value_loss=val_loss,
+                      entropy=entropy, clip_frac=clip_frac)
 
 
 def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,

@@ -63,6 +63,22 @@ class TestConfigCommand:
         assert run("config", "--config", conf, "--seed", "9") == 0
         assert "run.seed = 9" in capsys.readouterr().out
 
+    def test_calls_in_one_process_share_no_values(self, conf, tmp_path,
+                                                  capsys):
+        """The parser is built once per process; a flag given to one
+        call does not carry over to the next."""
+        assert cli.build_parser() is cli.build_parser()
+        out = str(tmp_path / "A")
+        assert run("config", "--config", conf, "--seed", "5",
+                   "--out", out) == 0
+        first = capsys.readouterr().out
+        assert "run.seed = 5" in first
+        assert f"run.output_dir = {out}" in first
+        assert run("config", "--config", conf) == 0
+        second = capsys.readouterr().out
+        assert "run.seed = 3" in second
+        assert out not in second
+
     def test_bad_config_is_user_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.conf"
         bad.write_text("ppo.nosuchfield = 1\n")

@@ -140,6 +140,33 @@ class TestMlpForwardBackward:
         *_, skipped = mlp_backward(m, cache, gy, input_grad=False)
         assert skipped is None
 
+    def test_allocating_backward_leaves_its_cache_as_it_was(self):
+        rng = np.random.default_rng(6)
+        m = mlp_init([3, 7, 5, 2], rng, out_gain=0.7)
+        _, cache = mlp_forward(m, rng.standard_normal((6, 3)))
+        kept = [a.copy() for a in cache]
+        mlp_backward(m, cache, rng.standard_normal((6, 2)))
+        for got, want in zip(cache, kept):
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+
+    def test_buffered_backward_uses_up_only_the_hidden_activations(self):
+        """The buffered pass overwrites cache[1:-1] and keeps the input
+        cache[0] and the output cache[-1]."""
+        rng = np.random.default_rng(7)
+        m = mlp_init([3, 7, 5, 2], rng, out_gain=0.7)
+        x = rng.standard_normal((6, 3))
+        outs = [np.empty((6, k)) for k in m.sizes[1:]]
+        scratch = [np.empty(6 * 7)]
+        y, cache = mlp_forward(m, x, outs, scratch)
+        kept = [a.copy() for a in cache]
+        mlp_backward(m, cache, rng.standard_normal((6, 2)), None, scratch)
+        assert cache[0] is x and cache[-1] is y
+        for i in (0, -1):
+            np.testing.assert_array_equal(cache[i], kept[i])
+        for got, was in zip(cache[1:-1], kept[1:-1]):
+            assert not np.array_equal(got, was)
+
 
 class TestGaussianHead:
     def test_log_prob_matches_scipy(self):

@@ -439,6 +439,70 @@ class TestPpoLossAndGrads:
             tracemalloc.stop()
         assert peak - before < 64 * 1024
 
+    def test_workspace_holds_one_activation_set(self):
+        """At train-wide's 2048-row full batch with 64-64 nets the
+        workspace holds one net's layer outputs (the actor and critic take
+        turns in them) and one backward scratch array: <= 4.5 MiB, where
+        both nets' outputs and three scratch arrays took 7.2 MiB."""
+        rng = np.random.default_rng(8)
+        policy = make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng,
+                             *raw_inputs(N_FEATURES))
+        value = make_value(N_FEATURES, (64, 64), rng, *raw_inputs(N_FEATURES))
+        tracemalloc.start()
+        try:
+            ws = UpdateWorkspace(policy, value, 2048)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 4.5 * 2 ** 20
+        for p_out, v_out in zip(ws.policy_outs, ws.value_outs):
+            assert p_out.base is v_out.base
+
+    @pytest.mark.parametrize("p_hidden,v_hidden", [((8,), (16, 4)),
+                                                   ((16, 4), (8,))])
+    def test_nets_of_other_shapes_share_one_workspace(self, p_hidden,
+                                                      v_hidden):
+        """An actor and a critic that differ in width and depth go through
+        one reused workspace, minibatch after minibatch (the last one
+        short), and still match the oracle bit for bit."""
+        rng = np.random.default_rng(23)
+        policy = make_policy(N_FEATURES, N_ACTIONS, p_hidden, rng,
+                             *raw_inputs(N_FEATURES), init_log_std=-0.3)
+        value = make_value(N_FEATURES, v_hidden, rng, *raw_inputs(N_FEATURES))
+        pack_params(policy, value)
+        cfg = tiny_config(rollout_steps=40, minibatch_size=16)
+        _, rollout = self.make_batch(policy, value, n=40, seed=24)
+        ws = UpdateWorkspace(policy, value, cfg.minibatch_size)
+        for lo in range(0, 40, cfg.minibatch_size):
+            batch = {k: a[lo:lo + cfg.minibatch_size]
+                     for k, a in rollout.items()}
+            rep = ppo_loss_and_grads(policy, value, batch, cfg, ws)
+            want_rep, want_grad, _ = loss_oracle(policy, value, batch, cfg)
+            np.testing.assert_array_equal(bits(astuple(rep)),
+                                          bits(want_rep))
+            np.testing.assert_array_equal(bits(ws.grad), bits(want_grad))
+
+    def test_overflowed_clipped_ratio_gives_finite_gradient(self):
+        """A row whose ratio overflows to inf on the clipped branch adds
+        no gradient, exactly as a row whose huge ratio is still finite:
+        the two calls agree bit for bit, in the gradient and the report."""
+        policy, value = self.make_nets()
+        cfg = tiny_config()
+        _, batch = self.make_batch(policy, value, n=4)
+        batch["advantages"] = np.ones(4)
+        got = []
+        for shift in (50.0, 800.0):
+            shifted = {**batch, "log_probs": batch["log_probs"].copy()}
+            shifted["log_probs"][0] -= shift
+            ws = UpdateWorkspace(policy, value, 4)
+            with np.errstate(over="ignore"):
+                rep = ppo_loss_and_grads(policy, value, shifted, cfg, ws)
+            got.append((astuple(rep), ws.grad.copy()))
+        (rep50, grad50), (rep800, grad800) = got
+        assert np.isfinite(rep800[0]) and np.all(np.isfinite(grad800))
+        np.testing.assert_array_equal(bits(rep800), bits(rep50))
+        np.testing.assert_array_equal(bits(grad800), bits(grad50))
+
 
 def bits(x):
     """IEEE bit patterns, so that a comparison sees every last bit."""

@@ -46,7 +46,6 @@ class ExplainConfig:
     kernel_sigma: float = 0.75 * math.sqrt(N_FEATURES)
     perturb_scale: float = 1.0
     ridge_strength: float = 1e-3
-    top_k: int = N_FEATURES
     seed: int = 0
 
     def validate(self) -> None:
@@ -62,9 +61,6 @@ class ExplainConfig:
         if self.ridge_strength < 0.0:
             raise ValueError(
                 f"ridge_strength must be non-negative, got {self.ridge_strength}")
-        if not 1 <= self.top_k <= N_FEATURES:
-            raise ValueError(
-                f"top_k must lie in [1, {N_FEATURES}], got {self.top_k}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -120,13 +116,12 @@ def proximity_weights(x: np.ndarray, samples: np.ndarray,
 class SurrogateFit:
     intercept: float          # raw-unit intercept
     coefficients: np.ndarray  # raw-unit slopes, one per feature
-    coef_std: np.ndarray      # slopes on the standardized design
     r2: float                 # weighted coefficient of determination
 
 
 def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
                   weights: np.ndarray, ridge_strength: float
-                  ) -> SurrogateFit | tuple[SurrogateFit, ...]:
+                  ) -> tuple[SurrogateFit, ...]:
     """Weighted ridge regression via normal equations.
 
     The design is standardized by its own weighted mean/std, which makes
@@ -135,8 +130,8 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
     are normalized to sum to one, so duplicating the whole sample set
     changes nothing.
 
-    ``targets`` of shape (n,) give one fit; (n, k) give one fit per
-    column, all from the same standardized design and normal matrix.
+    ``targets`` of shape (n, k) give one fit per column, all from the
+    same standardized design and normal matrix.
     """
     z_raw = np.asarray(samples, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -169,7 +164,7 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
     fits = []
     # One solve per column: a multi-column LAPACK solve need not round
     # like the single-column one.
-    for y_j in (y[:, None] if y.ndim == 1 else y).T:
+    for y_j in y.T:
         y_bar = float(omega @ y_j)
         beta = np.linalg.solve(a, zw.T @ (y_j - y_bar))
         resid = y_j - y_bar - z @ beta
@@ -179,8 +174,8 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
         coef_raw = beta / sd
         intercept = y_bar - float(coef_raw @ mu)
         fits.append(SurrogateFit(intercept=intercept, coefficients=coef_raw,
-                                 coef_std=beta, r2=r2))
-    return fits[0] if y.ndim == 1 else tuple(fits)
+                                 r2=r2))
+    return tuple(fits)
 
 
 @dataclass(frozen=True)
@@ -190,7 +185,7 @@ class Explanation:
     action_name: str
     feature_names: tuple[str, ...]
     intercept: float
-    coefficients: np.ndarray   # raw-unit local slopes (0 where dropped)
+    coefficients: np.ndarray   # raw-unit local slopes
     contributions: np.ndarray  # coefficient * (instance - reference)
     reference: np.ndarray      # trajectory feature means
     fidelity: float
@@ -216,7 +211,8 @@ def explain_action(target_fn, x: np.ndarray, action_dims: tuple[int, ...],
             intent, 1 = discharge intent, 2-4 = priority weights).
         stats: feature statistics from the evaluation trajectory.
 
-    Returns one Explanation per entry of ``action_dims``, in order.
+    Returns one Explanation per entry of ``action_dims``, in order, each
+    from one weighted ridge fit over all six features.
     """
     cfg.validate()
     x = np.asarray(x, dtype=np.float64)
@@ -236,25 +232,16 @@ def explain_action(target_fn, x: np.ndarray, action_dims: tuple[int, ...],
                          f"{(cfg.n_samples, len(action_dims))}")
     w = proximity_weights(x, z, stats, cfg.kernel_sigma)
 
-    out = []
-    for d, y_d, fit in zip(action_dims, y.T,
-                           fit_surrogate(z, y, w, cfg.ridge_strength)):
-        keep = sorted(range(N_FEATURES),
-                      key=lambda i: (-abs(fit.coef_std[i]), i))[:cfg.top_k]
-        coefficients = fit.coefficients
-        if cfg.top_k < N_FEATURES:
-            fit = fit_surrogate(z[:, keep], y_d, w, cfg.ridge_strength)
-            coefficients = np.zeros(N_FEATURES)
-            coefficients[keep] = fit.coefficients
-        out.append(Explanation(
-            instance=x.copy(), action_dim=d, action_name=ACTION_NAMES[d],
-            feature_names=FEATURE_NAMES, intercept=fit.intercept,
-            coefficients=coefficients,
-            contributions=coefficients * (x - stats.mean),
-            reference=stats.mean.copy(), fidelity=fit.r2,
-            low_fidelity=fit.r2 < LOW_FIDELITY_THRESHOLD,
-            n_samples=cfg.n_samples))
-    return tuple(out)
+    return tuple(Explanation(
+        instance=x.copy(), action_dim=d, action_name=ACTION_NAMES[d],
+        feature_names=FEATURE_NAMES, intercept=fit.intercept,
+        coefficients=fit.coefficients,
+        contributions=fit.coefficients * (x - stats.mean),
+        reference=stats.mean.copy(), fidelity=fit.r2,
+        low_fidelity=fit.r2 < LOW_FIDELITY_THRESHOLD,
+        n_samples=cfg.n_samples)
+        for d, fit in zip(action_dims,
+                          fit_surrogate(z, y, w, cfg.ridge_strength)))
 
 
 def explain_step(policy: GaussianPolicy, traj: Trajectory, t: int,

@@ -361,8 +361,8 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
                        ws: UpdateWorkspace) -> LossReport:
     """Evaluate the PPO objective on a minibatch, with analytic gradients.
 
-    ``batch`` holds the actor's and critic's normalized inputs
-    (``policy_x``, ``value_x``) next to ``actions``, ``log_probs``,
+    ``batch`` holds the normalized states ``x``, which both networks read
+    (they share one normalizer), next to ``actions``, ``log_probs``,
     ``advantages`` and ``returns``.  Every activation and gradient goes
     into the workspace ``ws``, and the gradient of the total loss fills
     ``ws.grad``.  The two networks' terms are independent, so the actor's
@@ -378,7 +378,7 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     ret = batch["returns"]
     n = act.shape[0]
 
-    mean, cache = mlp_forward(policy.trunk, batch["policy_x"], ws.policy_outs,
+    mean, cache = mlp_forward(policy.trunk, batch["x"], ws.policy_outs,
                               ws.scratch)
     log_std = policy.clamped_log_std()
     z = ws.residual[:n]  # (act - mean) / sigma, kept for the gradient
@@ -397,7 +397,7 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     mlp_backward(policy.trunk, cache, g_mean, ws.policy_grads[:-1],
                  ws.scratch, input_grad=False)
 
-    out, vcache = mlp_forward(value.net, batch["value_x"], ws.value_outs,
+    out, vcache = mlp_forward(value.net, batch["x"], ws.value_outs,
                               ws.scratch)
     vals = out[:, 0]
     val_loss = value_loss(vals, ret)
@@ -420,9 +420,10 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
 
     Both networks' parameters live in one flat vector (see
     :func:`mgrl.neural.pack_params`) that one Adam step per minibatch
-    updates.  Activations and gradients go into one preallocated
-    :class:`UpdateWorkspace`, so a minibatch allocates only the loss
-    head's (B,) and (B, N_ACTIONS) temporaries.
+    updates, and one normalized copy of each rollout's states (they share
+    the scenario's normalizer) feeds both.  Activations and gradients go
+    into one preallocated :class:`UpdateWorkspace`, so a minibatch
+    allocates only the loss head's (B,) and (B, N_ACTIONS) temporaries.
     """
     cfg.validate()
     env_cfg.validate()
@@ -450,18 +451,16 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
         buf = collect_rollouts(policy, value, envs, n, rollout_rng)
         adv, ret = compute_gae(buf.rewards, buf.values, buf.dones,
                                buf.bootstrap, cfg.gamma, cfg.gae_lambda)
-        states = buf.states.reshape(n, N_FEATURES)
         flat = {"actions": buf.actions.reshape(n, N_ACTIONS),
                 "log_probs": buf.log_probs.reshape(n),
                 "advantages": ((adv - adv.mean())
                                / (adv.std() + 1e-8)).reshape(n),
                 "returns": ret.reshape(n),
-                "policy_x": normalize(policy, states),
-                "value_x": normalize(value, states)}
+                "x": normalize(policy, buf.states.reshape(n, N_FEATURES))}
         if shuffled is None:
             shuffled = {k: np.empty_like(a) for k, a in flat.items()}
 
-        parts = np.zeros(5)  # total, policy, value, entropy, clip_frac
+        parts = np.zeros(4)  # policy, value, entropy, clip_frac
         n_batches = 0
         for _ in range(cfg.epochs_per_update):
             perm = shuffle_rng.permutation(n)
@@ -479,8 +478,8 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
                                     "value_loss": rep.value_loss,
                                     "entropy": rep.entropy})
                 adam_step(theta, ws.grad, opt)
-                parts += (rep.total, rep.policy_loss, rep.value_loss,
-                          rep.entropy, rep.clip_frac)
+                parts += (rep.policy_loss, rep.value_loss, rep.entropy,
+                          rep.clip_frac)
                 n_batches += 1
         parts /= n_batches
 
@@ -490,9 +489,9 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
             last_ri = float(np.mean(
                 [s.ri for s in buf.episode_summaries]))
         st = TrainStats(update=update, mean_reward_norm=last_reward_norm,
-                        ri=last_ri, policy_loss=float(parts[1]),
-                        value_loss=float(parts[2]), entropy=float(parts[3]),
-                        clip_frac=float(parts[4]))
+                        ri=last_ri, policy_loss=float(parts[0]),
+                        value_loss=float(parts[1]), entropy=float(parts[2]),
+                        clip_frac=float(parts[3]))
         stats.append(st)
         if checkpoint_fn is not None:
             checkpoint_fn(update, policy, value, st)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 
 import pytest
 
@@ -749,6 +750,105 @@ class TestUnreadableOrUnwritablePath:
         assert "Traceback" not in err
         assert not [f for _, _, files in os.walk(tmp_path) for f in files
                     if f.endswith(".tmp")]
+
+
+FUZZ_ROW = 2  # the tiny config's metrics.csv has two data rows
+# The commands that read each artifact, and the column a cell edit hits.
+FUZZ_READERS = {"scenario.csv": [("train",), ("eval",)],
+                "trajectory.csv": [("explain", "--step", "1"), ("report",)],
+                "metrics.csv": [("report",)],
+                "checkpoint_final.json": [("eval",),
+                                          ("explain", "--step", "1")]}
+FUZZ_CELL = {"scenario.csv": 1, "trajectory.csv": 6, "metrics.csv": 3}
+CSV_MUTATIONS = ("truncated-mid-row", "dropped-row", "duplicated-row",
+                 "nan-cell", "negative-cell", "wrong-header", "extra-cell")
+CHECKPOINT_EDITS = {
+    "dropped-row": lambda p, v, d: p["weights"][0].pop(),
+    "duplicated-row": lambda p, v, d: p["weights"][0].append(
+        p["weights"][0][0]),
+    "nan-cell": lambda p, v, d: _set(p["weights"][0][2], 3, float("nan")),
+    "negative-cell": lambda p, v, d: _set(p["obs_scale"], 1, -1.0),
+    "wrong-header": lambda p, v, d: _set(d, "format", "csv"),
+    "transposed-weights": lambda p, v, d: _set(
+        p["weights"], 0, [list(c) for c in zip(*p["weights"][0])]),
+    "swapped-sizes": lambda p, v, d: _set(p, "sizes", p["sizes"][::-1]),
+}
+# Edits the metrics layout allows: its update index is free, and losses
+# may be negative or NaN.
+FUZZ_ACCEPTED = {("metrics.csv", m) for m in
+                 ("dropped-row", "duplicated-row", "nan-cell",
+                  "negative-cell")}
+
+
+def mutate_csv(text, mutation, col, n=FUZZ_ROW):
+    """``text`` of a CSV artifact with its data row n or header mutated."""
+    lines = text.splitlines(keepends=True)
+    if mutation == "truncated-mid-row":
+        return "".join(lines[:n]) + lines[n][:lines[n].index(",") + 2]
+    if mutation == "dropped-row":
+        del lines[n]
+    elif mutation == "duplicated-row":
+        lines.insert(n, lines[n])
+    elif mutation == "extra-cell":
+        lines[n] = lines[n].replace("\n", ",0\n")
+    else:
+        row, j, cell = {"nan-cell": (n, col, "nan"),
+                        "negative-cell": (n, col, "-1.5"),
+                        "wrong-header": (0, 1, "x")}[mutation]
+        fields = lines[row].rstrip("\n").split(",")
+        fields[j] = cell
+        lines[row] = ",".join(fields) + "\n"
+    return "".join(lines)
+
+
+def _fuzz_cases():
+    for artifact, commands in FUZZ_READERS.items():
+        mutations = (CSV_MUTATIONS if artifact.endswith(".csv") else
+                     ("truncated-mid-row", *CHECKPOINT_EDITS))
+        for mutation in mutations:
+            for command in commands:
+                yield pytest.param(artifact, mutation, command,
+                                   id=f"{artifact}-{mutation}-{command[0]}")
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """(config, output dir) after scenario, train and eval of the tiny
+    config, made once for every mutation."""
+    root = tmp_path_factory.mktemp("pristine")
+    conf = root / "run.conf"
+    conf.write_text(TINY_CONF)
+    run_pipeline(str(conf), str(root / "out"))
+    return str(conf), root / "out"
+
+
+@pytest.mark.parametrize("artifact, mutation, command", _fuzz_cases())
+def test_mutated_artifact_never_crashes(pristine, tmp_path, capsys, artifact,
+                                        mutation, command):
+    """One mutated artifact, one command that reads it: exit 1 naming the
+    file where its layout forbids the mutation, exit 0 where it allows
+    it, and never exit 2."""
+    conf, src = pristine
+    out = tmp_path / "out"
+    shutil.copytree(src, out)
+    path = out / artifact
+    if artifact.endswith(".csv"):
+        path.write_text(mutate_csv(path.read_text(), mutation,
+                                   FUZZ_CELL[artifact]))
+    elif mutation == "truncated-mid-row":
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+    else:
+        edit_checkpoint(path, CHECKPOINT_EDITS[mutation])
+    capsys.readouterr()
+    code = run(*command, "--config", conf, "--out", str(out))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if (artifact, mutation) in FUZZ_ACCEPTED:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1
+        assert err.startswith(f"error: {path}: ")
 
 
 class TestParserBasics:

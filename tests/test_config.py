@@ -27,7 +27,7 @@ NON_FINITE = [
     ("scenario.base_loads_kw", "30, -inf, 12"),
 ]
 
-# Every one of the 41 settable keys, each away from its default.
+# Every one of the 40 settable keys, each away from its default.
 EVERY_KEY = """\
 run.output_dir = runs/every
 run.run_id = every-key
@@ -68,7 +68,6 @@ explain.n_samples = 400
 explain.kernel_sigma = 1.5
 explain.perturb_scale = 0.8
 explain.ridge_strength = 0.01
-explain.top_k = 4
 explain.seed = 31
 """
 
@@ -156,7 +155,7 @@ class TestBuildRunConfig:
     @pytest.mark.parametrize("key, value, message", [
         ("ppo.n_envs", "0", "ppo: rollout_steps and n_envs must be positive"),
         ("env.soc_min", "0.95", "env: need 0 < soc_min < soc_max <= 1"),
-        ("explain.top_k", "0", "explain: top_k must lie in [1, 6], got 0"),
+        ("explain.n_samples", "5", "explain: n_samples must be at least 10"),
         ("scenario.start_hour", "24", "scenario: start_hour must be in"),
     ])
     def test_validation_error_names_the_section(self, key, value, message):
@@ -247,7 +246,8 @@ class TestLoadRunConfig:
         ("ppo.total_updates = many", "bad value for ppo.total_updates: "),
         ("env.soc_min = 0.95", "env: need 0 < soc_min < soc_max <= 1"),
         ("ppo.nosuchfield = 1", "unknown config key 'ppo.nosuchfield'"),
-    ], ids=["bad-value", "bad-validation", "unknown-key"])
+        ("explain.top_k = 6", "unknown config key 'explain.top_k'"),
+    ], ids=["bad-value", "bad-validation", "unknown-key", "removed-key"])
     def test_error_names_the_file(self, tmp_path, line, message):
         path = tmp_path / "run.conf"
         path.write_text(f"run.seed = 1\n{line}\n")
@@ -279,7 +279,7 @@ class TestConfigSummary:
         cfg = build_run_config(parse_config_text(text))
         summary = config_summary(cfg)
         assert build_run_config(parse_config_text(summary)) == cfg
-        assert len(parse_config_text(summary)) == 41
+        assert len(parse_config_text(summary)) == 40
 
     def test_every_key_config_sets_every_key(self):
         entries = parse_config_text(EVERY_KEY)

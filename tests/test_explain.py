@@ -46,8 +46,6 @@ class TestExplainConfig:
         dict(kernel_sigma=0.0),
         dict(perturb_scale=-0.1),
         dict(ridge_strength=-1e-6),
-        dict(top_k=0),
-        dict(top_k=7),
         dict(seed=-3),
         dict(perturb_scale=0.0),
     ])
@@ -144,7 +142,8 @@ class TestFitSurrogate:
         z = rng.standard_normal((n, 6))
         y = linear_oracle(z)
         w = np.exp(-rng.random(n))
-        return fit_surrogate(z, y, w, ridge), z, y, w
+        fit, = fit_surrogate(z, y[:, None], w, ridge)
+        return fit, z, y, w
 
     def test_recovers_linear_function(self):
         fit, _, _, _ = self.fit_linear()
@@ -157,23 +156,23 @@ class TestFitSurrogate:
 
     def test_duplicating_samples_changes_nothing(self):
         fit, z, y, w = self.fit_linear(n=400)
-        twice = fit_surrogate(np.concatenate([z, z]),
-                              np.concatenate([y, y]),
-                              np.concatenate([w, w]), 1e-3)
+        twice, = fit_surrogate(np.concatenate([z, z]),
+                               np.concatenate([y, y])[:, None],
+                               np.concatenate([w, w]), 1e-3)
         np.testing.assert_allclose(twice.coefficients, fit.coefficients,
                                    rtol=1e-9, atol=1e-12)
         assert twice.r2 == pytest.approx(fit.r2, rel=1e-12)
 
     def test_weight_scale_invariance(self):
         fit, z, y, w = self.fit_linear(n=400)
-        scaled = fit_surrogate(z, y, 37.5 * w, 1e-3)
+        scaled, = fit_surrogate(z, y[:, None], 37.5 * w, 1e-3)
         np.testing.assert_allclose(scaled.coefficients, fit.coefficients,
                                    rtol=1e-12)
 
     def test_constant_targets_get_unit_r2(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal((100, 6))
-        fit = fit_surrogate(z, np.full(100, 3.25), np.ones(100), 1e-3)
+        fit, = fit_surrogate(z, np.full((100, 1), 3.25), np.ones(100), 1e-3)
         assert fit.r2 == 1.0
         np.testing.assert_allclose(fit.coefficients, 0.0, atol=1e-12)
         assert fit.intercept == pytest.approx(3.25, rel=1e-12)
@@ -182,19 +181,20 @@ class TestFitSurrogate:
         rng = np.random.default_rng(6)
         z = rng.standard_normal((50, 6))
         z[:, 3] = z[:, 2]  # exact collinearity
-        y = z[:, 2] + 1.0
+        y = z[:, 2:3] + 1.0
         with pytest.raises(SurrogateFitError):
             fit_surrogate(z, y, np.ones(50), 0.0)
-        fit = fit_surrogate(z, y, np.ones(50), 1e-3)  # ridge rescues it
+        fit, = fit_surrogate(z, y, np.ones(50), 1e-3)  # ridge rescues it
         assert np.isfinite(fit.coefficients).all()
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
-            fit_surrogate(np.zeros((5, 6)), np.zeros(5), np.ones(5), 1e-3)
+            fit_surrogate(np.zeros((5, 6)), np.zeros((5, 1)), np.ones(5),
+                          1e-3)
 
     def test_non_finite_targets_rejected(self):
         z = np.random.default_rng(7).standard_normal((20, 6))
-        y = np.zeros(20)
+        y = np.zeros((20, 1))
         y[3] = np.nan
         with pytest.raises(ValueError):
             fit_surrogate(z, y, np.ones(20), 1e-3)
@@ -223,15 +223,6 @@ class TestExplainAction:
         assert e.ranked_features()[0] == 0
         assert e.coefficients[0] == pytest.approx(1.0, abs=0.01)
         assert np.all(np.abs(np.delete(e.coefficients, 0)) < 0.01)
-
-    def test_top_k_keeps_strongest_features_only(self):
-        stats = flat_stats(mean=1.0)
-        x = np.full(6, 2.5)
-        e, = explain_action(linear_oracle, x, (0,),
-                            ExplainConfig(seed=2, top_k=2), stats)
-        nonzero = set(np.nonzero(e.coefficients)[0])
-        assert nonzero == {1, 5}
-        assert abs(e.coefficients[1] - 2.0) / 2.0 < 0.01
 
     def test_same_seed_reproduces_explanation(self):
         stats = flat_stats()
@@ -304,12 +295,11 @@ class TestExplainStep:
         assert out["discharge"].action_dim == 1
         assert out["charge"].action_name == "charge"
 
-    @pytest.mark.parametrize("top_k", [6, 3])
-    def test_matches_per_dim_reference_bitwise(self, top_k):
+    def test_matches_per_dim_reference_bitwise(self):
         """One shared cloud, forward and normal matrix give exactly what a
         separate perturb/forward/weights/fit per dim gives."""
         policy, traj = self.make_policy_and_traj()
-        cfg = ExplainConfig(seed=0, top_k=top_k)
+        cfg = ExplainConfig(seed=0)
         out = explain_step(policy, traj, 3, EnvConfig(), cfg)
 
         stats = FeatureStats.from_trajectory(traj, EnvConfig())
@@ -319,25 +309,16 @@ class TestExplainStep:
                         np.random.default_rng(cfg.seed))
             y = forward_policy(policy, z)[:, dim]
             w = proximity_weights(x, z, stats, cfg.kernel_sigma)
-            fit = fit_surrogate(z, y, w, cfg.ridge_strength)
-            coefficients = np.zeros(6)
-            keep = sorted(range(6), key=lambda i: (-abs(fit.coef_std[i]), i))
-            if top_k < 6:
-                fit = fit_surrogate(z[:, keep[:top_k]], y, w,
-                                    cfg.ridge_strength)
-                coefficients[keep[:top_k]] = fit.coefficients
-            else:
-                coefficients[:] = fit.coefficients
+            fit, = fit_surrogate(z, y[:, None], w, cfg.ridge_strength)
             e = out[name]
-            np.testing.assert_array_equal(e.coefficients, coefficients)
+            np.testing.assert_array_equal(e.coefficients, fit.coefficients)
             np.testing.assert_array_equal(e.intercept, fit.intercept)
             np.testing.assert_array_equal(e.fidelity, fit.r2)
             np.testing.assert_array_equal(e.contributions,
-                                          coefficients * (x - stats.mean))
-        assert np.count_nonzero(out["charge"].coefficients) == top_k
+                                          fit.coefficients * (x - stats.mean))
+        assert np.count_nonzero(out["charge"].coefficients) == 6
 
-    @pytest.mark.parametrize("top_k", [6, 3])
-    def test_two_column_callable_matches_single_dim_calls(self, top_k):
+    def test_two_column_callable_matches_single_dim_calls(self):
         # The single-dim callables return column views, so each target
         # has the same memory stride (and dot-product rounding) in both.
         def both(z):
@@ -345,7 +326,7 @@ class TestExplainStep:
 
         stats = flat_stats(mean=0.5)
         x = np.linspace(-1.0, 1.0, 6)
-        cfg = ExplainConfig(seed=7, n_samples=800, top_k=top_k)
+        cfg = ExplainConfig(seed=7, n_samples=800)
         pair = explain_action(both, x, (0, 1), cfg, stats)
         for j, e in enumerate(pair):
             single, = explain_action(lambda z: both(z)[:, j], x, (j,), cfg,

@@ -222,10 +222,12 @@ class TestLossHelpers:
 
 
 def loss_batch(policy, value, states, **rest):
-    """The batch ppo_loss_and_grads takes: both nets' normalized inputs
-    plus the actions, old log-probs, advantages and returns in ``rest``."""
-    return {"policy_x": normalize(policy, states),
-            "value_x": normalize(value, states), **rest}
+    """The batch ppo_loss_and_grads takes: the normalized states, which
+    both nets read, plus the actions, old log-probs, advantages and
+    returns in ``rest``."""
+    x = normalize(policy, states)
+    np.testing.assert_array_equal(x, normalize(value, states))
+    return {"x": x, **rest}
 
 
 def fd_max_rel_err(policy, value, batch, cfg, h=1e-5):
@@ -529,8 +531,8 @@ def loss_oracle(policy, value, batch, cfg):
 
     act, lp_old = batch["actions"], batch["log_probs"]
     adv, ret, n = batch["advantages"], batch["returns"], len(act)
-    hp = forward(policy.trunk, batch["policy_x"])
-    hv = forward(value.net, batch["value_x"])
+    hp = forward(policy.trunk, batch["x"])
+    hv = forward(value.net, batch["x"])
     mean, vals = hp[-1], hv[-1][:, 0]
     log_std = np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)
     lp = -0.5 * (((act - mean) / np.exp(log_std)) ** 2).sum(axis=-1) \

@@ -64,6 +64,10 @@ class RunConfig:
                 raise ConfigError(
                     f"{key} must not contain '#', which a config file "
                     f"reads as the start of a comment: got {value!r}")
+        if "," in self.run_id or '"' in self.run_id:
+            raise ConfigError(
+                f"run.run_id must not contain ',' or '\"', which would "
+                f"split its row of report.csv: got {self.run_id!r}")
 
 
 def _coerce(tp, raw: str):

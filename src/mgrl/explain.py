@@ -37,7 +37,7 @@ MAX_CONDITION = 1e12
 
 
 class SurrogateFitError(RuntimeError):
-    """Weighted ridge system could not be solved (singular without ridge)."""
+    """Weighted ridge system could not be solved (singular or not finite)."""
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,11 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
     zw = np.multiply(z, omega[:, None], out=zw)
     a = zw.T @ z
     a[np.diag_indices_from(a)] += ridge_strength
+    if not np.isfinite(a).all():  # np.linalg.cond's SVD would not converge
+        raise SurrogateFitError(
+            "surrogate system is not finite: the perturbation cloud or its "
+            "proximity weights overflowed; lower perturb_scale or raise "
+            "kernel_sigma")
     # An exactly collinear design without ridge rounds to a tiny but
     # nonzero pivot, so LAPACK happily returns garbage; reject by
     # conditioning instead of waiting for a zero pivot.

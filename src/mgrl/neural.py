@@ -27,6 +27,11 @@ CHECKPOINT_VERSION = 1
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # forward_policy/forward_value run a larger batch (the explainer's
 # 5,000-state cloud) in row blocks of at most ~BLOCK_ROWS, so its
 # activations take O(BLOCK_ROWS x width) memory, not O(B x width).
@@ -79,14 +84,13 @@ def mlp_init(sizes, rng: np.random.Generator, out_gain: float = 1.0) -> Mlp:
 
 
 def mlp_forward(m: Mlp, x: np.ndarray, outs: list | None = None,
-                scratch: list | None = None) -> tuple[np.ndarray, list]:
+                scratch: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """Forward pass on a (B, n_in) batch; cache holds each layer's input.
 
     With ``outs`` (one array of at least B rows per layer) and ``scratch``
-    (a list whose first item is a flat array of at least B x the widest
-    layer, given together) layer i writes its output into the first B
-    rows of ``outs[i]`` and allocates nothing; without them each layer
-    output is a fresh array.
+    (a flat array of at least B x the widest layer, given together) layer
+    i writes its output into the first B rows of ``outs[i]`` and
+    allocates nothing; without them each layer output is a fresh array.
     """
     inputs = [x]
     h = x
@@ -108,47 +112,42 @@ def mlp_forward(m: Mlp, x: np.ndarray, outs: list | None = None,
     return h, inputs
 
 
-def mlp_backward(m: Mlp, cache: list, gy: np.ndarray,
-                 grads: list | None = None, scratch: list | None = None,
-                 input_grad: bool = True
-                 ) -> tuple[list, list, np.ndarray | None]:
-    """Exact reverse-mode pass: returns (weight grads, bias grads, input grad).
+def mlp_backward(m: Mlp, cache: list, gy: np.ndarray, grads: list,
+                 scratch: np.ndarray, input_grad: bool = True
+                 ) -> np.ndarray | None:
+    """Exact reverse-mode pass into caller buffers; returns the input
+    gradient.
 
     ``grads`` ([*weight grads, *bias grads], shaped like the parameters)
-    receives the parameter gradients, and ``scratch`` (as for
-    :func:`mlp_forward`) each layer's product with its weights; without
-    them fresh arrays are allocated and the cache stays as it was.  With
-    ``scratch`` the pass uses the cache up: each hidden activation
-    ``cache[1:-1]`` becomes tanh' and then the gradient flowing into it,
-    while the input ``cache[0]`` and the output ``cache[-1]`` stay.  With
-    ``input_grad`` False the layer-0 input gradient is skipped and
-    returned as None.
+    receives the parameter gradients, and ``scratch`` (a flat array of at
+    least B x the widest layer, input included) each layer's product
+    with its weights.  The pass uses the cache up: each hidden
+    activation ``cache[1:-1]`` becomes tanh' and then the gradient
+    flowing into it, while the input ``cache[0]`` and the output
+    ``cache[-1]`` stay.  The input gradient is a view of ``scratch``;
+    with ``input_grad`` False it is skipped and None is returned.
     """
     n_layers = len(m.weights)
-    gw = [None] * n_layers if grads is None else grads[:n_layers]
-    gb = [None] * n_layers if grads is None else grads[n_layers:]
     n = len(gy)
     g = gy
     for i in range(n_layers - 1, -1, -1):
-        gw[i] = np.matmul(cache[i].T, g, out=gw[i])
-        gb[i] = np.add.reduce(g, axis=0, out=gb[i])
+        np.matmul(cache[i].T, g, out=grads[i])
+        np.add.reduce(g, axis=0, out=grads[n_layers + i])
         if i == 0 and not input_grad:
-            return gw, gb, None
-        width = m.weights[i].shape[0]
-        gx = np.matmul(g, m.weights[i].T, out=_rows(scratch, n, width))
+            return None
+        gx = np.matmul(g, m.weights[i].T,
+                       out=_rows(scratch, n, m.weights[i].shape[0]))
         if i > 0:  # tanh' through the hidden output, g flowing into it
-            d = np.square(cache[i], out=None if scratch is None else cache[i])
+            d = np.square(cache[i], out=cache[i])
             np.subtract(1.0, d, out=d)
             gx = np.multiply(gx, d, out=d)
         g = gx
-    return gw, gb, g
+    return g
 
 
-def _rows(scratch: list | None, n: int, width: int):
-    """(n, width) C-order view at the front of scratch[0]; None allocates."""
-    if scratch is None:
-        return None
-    return scratch[0][:n * width].reshape(n, width)
+def _rows(scratch: np.ndarray, n: int, width: int) -> np.ndarray:
+    """(n, width) C-order view at the front of the flat scratch array."""
+    return scratch[:n * width].reshape(n, width)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +245,7 @@ def _forward(m: Mlp, x: np.ndarray) -> np.ndarray:
     rows = max(hi - lo for lo, hi in zip(edges[:-1], edges[1:]))
     out = np.empty((n, m.sizes[-1]))
     hidden = [np.empty((rows, width)) for width in m.sizes[1:-1]]
-    scratch = [np.empty(rows * max(m.sizes[1:]))]
+    scratch = np.empty(rows * max(m.sizes[1:]))
     for lo, hi in zip(edges[:-1], edges[1:]):
         mlp_forward(m, x[lo:hi], [*hidden, out[lo:]], scratch)
     return out
@@ -306,19 +305,6 @@ def policy_action(mean: np.ndarray, std: np.ndarray | None = None,
     return np.minimum(np.maximum(preclip, -1.0), 1.0), preclip
 
 
-def sample_action(p: GaussianPolicy, x: np.ndarray, z: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Actions for a (B, n_features) state batch and (B, n_actions)
-    standard normal draws ``z``.
-
-    Returns (action, preclip, mean): :func:`policy_action` of the means at
-    std exp(log_std), and the means.  A draw's log-density is
-    :func:`gaussian_log_prob` of the pre-clip draw.
-    """
-    mean = forward_policy(p, x)
-    return (*policy_action(mean, np.exp(p.clamped_log_std()), z), mean)
-
-
 # ---------------------------------------------------------------------------
 # Parameter flattening shared by the optimizer and checkpoints
 
@@ -371,9 +357,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
 
 
@@ -389,7 +372,7 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
                          f"{state.m.shape} must match parameter shape "
                          f"{theta.shape}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     m, v, (t, u) = state.m, state.v, state.scratch
@@ -404,7 +387,7 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     t *= state.lr
     np.divide(v, bc2, out=u)
     np.sqrt(u, out=u)
-    u += state.eps
+    u += ADAM_EPS
     t /= u
     theta -= t
 

@@ -37,6 +37,7 @@ from .neural import (
     adam_step,
     block_policy,
     flat_views,
+    forward_policy,
     forward_value,
     gaussian_entropy,
     gaussian_log_prob,
@@ -48,7 +49,6 @@ from .neural import (
     pack_params,
     policy_action,
     policy_params,
-    sample_action,
     value_params,
 )
 from .scenario import Scenario
@@ -215,8 +215,9 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Advance every env in lockstep until exactly n_steps transitions exist.
 
-    Each hour is one :func:`mgrl.neural.sample_action` call, one
-    :func:`mgrl.neural.forward_value` call and one
+    Each hour is one :func:`mgrl.neural.forward_policy` call, whose means
+    :func:`mgrl.neural.policy_action` turns into draws at the rollout's
+    one std, one :func:`mgrl.neural.forward_value` call and one
     :func:`mgrl.env.step_batch` call over all envs; the draws' log-densities
     are one :func:`mgrl.neural.gaussian_log_prob` call after the last hour.
     Finished episodes are summarized and restarted in place, so a buffer
@@ -240,10 +241,13 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
     # One draw for the whole rollout: the same numbers, in the same order,
     # as one (n_envs, N_ACTIONS) draw per hour.
     z = rng.standard_normal((steps, n_envs, N_ACTIONS))
+    log_std = policy.clamped_log_std()
+    std = np.exp(log_std)
 
     for t in range(steps):
         obs = envs.observe(states[t])
-        action, actions[t], means[t] = sample_action(policy, obs, z[t])
+        means[t] = forward_policy(policy, obs)
+        action, actions[t] = policy_action(means[t], std, z[t])
         values[t] = forward_value(value, obs)
         envs.soc, envs.shortages[:, envs.t], rewards[t] = step_batch(
             envs.cfg, envs.rows[envs.t], envs.soc, action)
@@ -257,7 +261,7 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
 
     bootstrap = forward_value(value, envs.observe(np.empty((n_envs,
                                                             N_FEATURES))))
-    log_probs = gaussian_log_prob(means, policy.clamped_log_std(), actions)
+    log_probs = gaussian_log_prob(means, log_std, actions)
     return RolloutBuffer(states=states, actions=actions, log_probs=log_probs,
                          rewards=rewards, values=values, dones=dones,
                          bootstrap=bootstrap, episode_summaries=summaries)
@@ -353,7 +357,7 @@ class UpdateWorkspace:
                            for a, k in zip(layers, v_sizes)]
         self.residual = np.empty((rows, policy.trunk.sizes[-1]))
         width = max(*policy.trunk.sizes, *value.net.sizes)
-        self.scratch = [np.empty(rows * width)]
+        self.scratch = np.empty(rows * width)
 
 
 def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,

@@ -4,6 +4,7 @@ import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 import mgrl.cli as cli
@@ -849,6 +850,71 @@ def test_mutated_artifact_never_crashes(pristine, tmp_path, capsys, artifact,
     else:
         assert code == 1
         assert err.startswith(f"error: {path}: ")
+
+
+# Mutations of the tiny config: (file bytes from its text, the key a
+# refusing error names, or None where it is the file's layout or encoding).
+CONFIG_MUTATIONS = {
+    "truncated-line": (lambda t: t[:t.index("12, 18") + 3].encode(),
+                       "scenario.cyclone_window"),
+    "no-equals": (lambda t: (t + "ppo.total_updates 2\n").encode(), None),
+    "unknown-key": (lambda t: (t + "ppo.nosuchfield = 1\n").encode(),
+                    "ppo.nosuchfield"),
+    "float-for-int": (lambda t: (t + "ppo.total_updates = 1.5\n").encode(),
+                      "ppo.total_updates"),
+    "nan-float": (lambda t: (t + "explain.kernel_sigma = nan\n").encode(),
+                  "explain.kernel_sigma"),
+    "inf-float": (lambda t: (t + "env.e_max_kwh = inf\n").encode(),
+                  "env.e_max_kwh"),
+    "two-reward-weights": (
+        lambda t: (t + "env.reward_weights = 1, 2\n").encode(),
+        "env.reward_weights"),
+    "bom": (lambda t: t.encode("utf-8-sig"), "run.seed"),
+    "non-utf8-byte": (lambda t: t.encode() + b"# caf\xe9\n", None),
+    "run-id-comma-quote": (
+        lambda t: (t + 'run.run_id = storm,"v2"\n').encode(), "run.run_id"),
+    "crlf": (lambda t: t.replace("\n", "\r\n").encode(), None),
+    "overflowing-cloud": (
+        lambda t: (t + "explain.perturb_scale = 1e200\n").encode(), None),
+}
+# Mutations every command reads as the tiny config; the cloud setting loads
+# too and only the explanation fit refuses it.
+CONFIG_ACCEPTED = {"crlf", "overflowing-cloud"}
+CONFIG_COMMANDS = [("scenario",), ("train",), ("eval",),
+                   ("explain", "--step", "3"), ("report",), ("config",)]
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("mutation", CONFIG_MUTATIONS)
+def test_mutated_config_never_crashes(pristine, tmp_path, capsys, mutation,
+                                      command):
+    """One mutated copy of a valid config, one command: exit 1 naming the
+    file (and the key, where one is at fault), exit 0 where the config
+    still reads as the tiny one, and never exit 2.  An explanation cloud
+    whose distances overflow exits 1 naming both settings behind it."""
+    _, src = pristine
+    out = tmp_path / "out"
+    shutil.copytree(src, out)
+    path = tmp_path / "run.conf"
+    mutate, key = CONFIG_MUTATIONS[mutation]
+    path.write_bytes(mutate(TINY_CONF))
+    capsys.readouterr()
+    # The overflow warns on its way to the refused fit; tier-1 turns
+    # warnings into errors.
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(*command, "--config", str(path), "--out", str(out))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if mutation == "overflowing-cloud" and command[0] == "explain":
+        assert code == 1
+        assert re.match(r"error: surrogate system is not finite: .*"
+                        r"perturb_scale.*kernel_sigma", err)
+    elif mutation in CONFIG_ACCEPTED:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1
+        assert err.startswith(f"error: {path}")
+        assert key is None or key in err
 
 
 class TestParserBasics:

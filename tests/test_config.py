@@ -247,7 +247,11 @@ class TestLoadRunConfig:
         ("env.soc_min = 0.95", "env: need 0 < soc_min < soc_max <= 1"),
         ("ppo.nosuchfield = 1", "unknown config key 'ppo.nosuchfield'"),
         ("explain.top_k = 6", "unknown config key 'explain.top_k'"),
-    ], ids=["bad-value", "bad-validation", "unknown-key", "removed-key"])
+        ('run.run_id = storm,"v2"', "run.run_id must not contain"),
+        ("run.run_id = storm,v2", "run.run_id must not contain"),
+        ('run.run_id = "v2"', "run.run_id must not contain"),
+    ], ids=["bad-value", "bad-validation", "unknown-key", "removed-key",
+            "run-id-comma-quote", "run-id-comma", "run-id-quote"])
     def test_error_names_the_file(self, tmp_path, line, message):
         path = tmp_path / "run.conf"
         path.write_text(f"run.seed = 1\n{line}\n")

@@ -277,6 +277,18 @@ class TestExplainAction:
             explain_action(linear_oracle, np.zeros(6), (0, 1),
                            ExplainConfig(), stats)
 
+    @pytest.mark.parametrize("kwargs", [dict(perturb_scale=1e200),
+                                        dict(kernel_sigma=1e-300)])
+    def test_overflowing_cloud_or_kernel_is_a_fit_error(self, kwargs):
+        """A cloud whose squared distances overflow, or a kernel whose
+        sigma^2 underflows, leaves NaN or inf in the normal matrix: a
+        SurrogateFitError naming both settings, not LinAlgError."""
+        with np.errstate(all="ignore"), pytest.raises(
+                SurrogateFitError,
+                match="not finite.*perturb_scale.*kernel_sigma"):
+            explain_action(linear_oracle, np.zeros(6), (0,),
+                           ExplainConfig(**kwargs), flat_stats())
+
 
 class TestExplainStep:
     def make_policy_and_traj(self):

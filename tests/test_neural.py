@@ -31,7 +31,6 @@ from mgrl.neural import (
     normalize,
     policy_action,
     policy_params,
-    sample_action,
     save_checkpoint,
     value_params,
 )
@@ -44,6 +43,28 @@ def raw_inputs(n):
 
 def rel_err(a, b, floor=1e-8):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def backward(m, cache, gy):
+    """(weight grads, bias grads, input grad) of mlp_backward into fresh
+    buffers."""
+    grads = [np.empty_like(p) for p in [*m.weights, *m.biases]]
+    scratch = np.empty(len(gy) * max(m.sizes))
+    gx = mlp_backward(m, cache, gy, grads, scratch)
+    return grads[:len(m.weights)], grads[len(m.weights):], gx
+
+
+def formula_backward(m, cache, gy):
+    """The backward written formula by formula, leaving the cache as it
+    was: (weight grads, bias grads, input grad)."""
+    g, gw, gb = gy, [], []
+    for i in range(len(m.weights) - 1, -1, -1):
+        gw.insert(0, cache[i].T @ g)
+        gb.insert(0, np.sum(g, axis=0))
+        g = g @ m.weights[i].T
+        if i > 0:
+            g = g * (1.0 - np.square(cache[i]))
+    return gw, gb, g
 
 
 class TestMlpInit:
@@ -90,7 +111,7 @@ class TestMlpForwardBackward:
         gy = rng.standard_normal((6, 2))  # gradient of L = sum(gy * y)
 
         _, cache = mlp_forward(m, x)
-        gw, gb, gx = mlp_backward(m, cache, gy)
+        gw, gb, gx = backward(m, cache, gy)
 
         def loss():
             y, _ = mlp_forward(m, x)
@@ -117,38 +138,41 @@ class TestMlpForwardBackward:
             x.ravel()[i] = orig
             assert rel_err((up - dn) / (2 * h), gx.ravel()[i]) < 1e-4
 
-    def test_buffers_give_the_allocating_result_bit_for_bit(self):
-        """Taller NaN-filled buffers, as a short last minibatch sees them."""
+    def test_buffers_match_the_formula_reference_bit_for_bit(self):
+        """Taller NaN-filled buffers, as a short last minibatch sees them:
+        the buffered forward is the allocating one, and the backward the
+        per-formula one, bit for bit."""
         rng = np.random.default_rng(5)
         m = mlp_init([3, 7, 5, 2], rng, out_gain=0.7)
         x = rng.standard_normal((6, 3))
         gy = rng.standard_normal((6, 2))
         y, cache = mlp_forward(m, x)
-        gw, gb, gx = mlp_backward(m, cache, gy)
+        want_w, want_b, want_x = formula_backward(m, cache, gy)
 
         outs = [np.full((9, k), np.nan) for k in m.sizes[1:]]
-        scratch = [np.full(9 * 7, np.nan) for _ in range(3)]
+        scratch = np.full(9 * 7, np.nan)
         grads = [np.full_like(p, np.nan) for p in [*m.weights, *m.biases]]
         y2, cache2 = mlp_forward(m, x, outs, scratch)
         np.testing.assert_array_equal(y2, y)
         assert y2.base is outs[-1]
-        gw2, gb2, gx2 = mlp_backward(m, cache2, gy, grads, scratch)
-        for got, want in zip([*gw2, *gb2, gx2], [*gw, *gb, gx]):
-            np.testing.assert_array_equal(got, want)
-        assert all(a is b for a, b in zip([*gw2, *gb2], grads))
-
-        *_, skipped = mlp_backward(m, cache, gy, input_grad=False)
-        assert skipped is None
-
-    def test_allocating_backward_leaves_its_cache_as_it_was(self):
-        rng = np.random.default_rng(6)
-        m = mlp_init([3, 7, 5, 2], rng, out_gain=0.7)
-        _, cache = mlp_forward(m, rng.standard_normal((6, 3)))
-        kept = [a.copy() for a in cache]
-        mlp_backward(m, cache, rng.standard_normal((6, 2)))
-        for got, want in zip(cache, kept):
+        gx = mlp_backward(m, cache2, gy, grads, scratch)
+        for got, want in zip([*grads, gx], [*want_w, *want_b, want_x]):
             np.testing.assert_array_equal(got.view(np.int64),
                                           want.view(np.int64))
+        assert gx.base is scratch
+
+    def test_input_grad_skipped_on_request(self):
+        """Without the input gradient the parameter gradients are the
+        same bits and None comes back."""
+        rng = np.random.default_rng(6)
+        m = mlp_init([3, 7, 5, 2], rng, out_gain=0.7)
+        x, gy = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+        want_w, want_b, _ = backward(m, mlp_forward(m, x)[1], gy)
+        grads = [np.empty_like(p) for p in [*m.weights, *m.biases]]
+        assert mlp_backward(m, mlp_forward(m, x)[1], gy, grads,
+                            np.empty(6 * 7), input_grad=False) is None
+        for got, want in zip(grads, [*want_w, *want_b]):
+            np.testing.assert_array_equal(got, want)
 
     def test_buffered_backward_uses_up_only_the_hidden_activations(self):
         """The buffered pass overwrites cache[1:-1] and keeps the input
@@ -157,10 +181,11 @@ class TestMlpForwardBackward:
         m = mlp_init([3, 7, 5, 2], rng, out_gain=0.7)
         x = rng.standard_normal((6, 3))
         outs = [np.empty((6, k)) for k in m.sizes[1:]]
-        scratch = [np.empty(6 * 7)]
+        scratch = np.empty(6 * 7)
         y, cache = mlp_forward(m, x, outs, scratch)
         kept = [a.copy() for a in cache]
-        mlp_backward(m, cache, rng.standard_normal((6, 2)), None, scratch)
+        grads = [np.empty_like(p) for p in [*m.weights, *m.biases]]
+        mlp_backward(m, cache, rng.standard_normal((6, 2)), grads, scratch)
         assert cache[0] is x and cache[-1] is y
         for i in (0, -1):
             np.testing.assert_array_equal(cache[i], kept[i])
@@ -198,7 +223,8 @@ class TestGaussianHead:
         s, z = np.zeros((1, 2)), np.ones((1, 3))
         for bound in (LOG_STD_MAX, LOG_STD_MIN):
             assert np.all(p.clamped_log_std() == bound)
-            _, preclip, _ = sample_action(p, s, z)
+            _, preclip = policy_action(forward_policy(p, s),
+                                       np.exp(p.clamped_log_std()), z)
             np.testing.assert_allclose(
                 preclip, forward_policy(p, s) + math.exp(bound), rtol=1e-14)
             p.log_std[:] = -50.0
@@ -207,11 +233,12 @@ class TestGaussianHead:
         rng = np.random.default_rng(6)
         p = make_policy(3, 2, (8,), rng, *raw_inputs(3), init_log_std=1.5)
         s = np.array([[0.3, -0.2, 0.9], [1.0, 0.5, -2.0]])
-        action, preclip, mean = sample_action(
-            p, s, np.random.default_rng(7).standard_normal((2, 2)))
+        mean, std = forward_policy(p, s), np.exp(p.clamped_log_std())
+        z = np.random.default_rng(7).standard_normal((2, 2))
+        action, preclip = policy_action(mean, std, z)
         # The draw is scored by gaussian_log_prob(mean, log_std, preclip),
-        # so the mean comes back next to the pre-clip draw.
-        np.testing.assert_array_equal(mean, forward_policy(p, s))
+        # so the pre-clip draw comes back next to the clipped action.
+        np.testing.assert_array_equal(preclip, mean + std * z)
         assert np.abs(preclip).max() > 1.0  # some draws do get clipped
         np.testing.assert_array_equal(action, np.clip(preclip, -1, 1))
 
@@ -221,20 +248,19 @@ class TestGaussianHead:
                         init_log_std=-0.5)
         s = np.ones((4, 3))
         z = np.random.default_rng(11).standard_normal((4, 2))
-        a = sample_action(p, s, z)
-        b = sample_action(p, s, z.copy())
+        std = np.exp(p.clamped_log_std())
+        a = policy_action(forward_policy(p, s), std, z)
+        b = policy_action(forward_policy(p, s), std, z.copy())
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
-        np.testing.assert_array_equal(
-            a[1], forward_policy(p, s) + np.exp(p.clamped_log_std()) * z)
+        np.testing.assert_array_equal(a[1], forward_policy(p, s) + std * z)
 
     def test_non_finite_inputs_rejected(self):
         p = make_policy(2, 2, (4,), np.random.default_rng(0), *raw_inputs(2))
         v = make_value(2, (4,), np.random.default_rng(0), *raw_inputs(2))
         bad = np.array([[0.0, 1.0], [np.nan, 0.0]])
         for call in (lambda: forward_policy(p, bad),
-                     lambda: forward_value(v, bad),
-                     lambda: sample_action(p, bad, np.zeros((2, 2)))):
+                     lambda: forward_value(v, bad)):
             with pytest.raises(ValueError, match="non-finite"):
                 call()
 

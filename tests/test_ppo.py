@@ -28,8 +28,8 @@ from mgrl.neural import (
     make_value,
     normalize,
     pack_params,
+    policy_action,
     policy_params,
-    sample_action,
     save_checkpoint,
     value_params,
 )
@@ -560,13 +560,15 @@ def loss_oracle(policy, value, batch, cfg):
 
 
 def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
-    """collect_rollouts rebuilt from sample_action, forward_value and step.
+    """collect_rollouts rebuilt from forward_policy, policy_action,
+    forward_value and step.
 
     The nets see the whole env batch each hour, as BLAS rounding depends on
     the batch shape, with that hour's (n_envs, N_ACTIONS) standard normal
-    draws, and each hour's draws are scored by their own gaussian_log_prob
-    call; step then advances one env at a time, and each env keeps its own
-    lists of the episode's hourly shortages and rewards.
+    draws at that hour's std, and each hour's draws are scored by their
+    own gaussian_log_prob call; step then advances one env at a time, and
+    each env keeps its own lists of the episode's hourly shortages and
+    rewards.
     """
     rows = scenario_rows(scn)
     rngs = [derive_rng(seed, f"env-{i}") for i in range(n_envs)]
@@ -575,8 +577,10 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
     hours, summaries, clock = [], [], 0
     for _ in range(steps):
         obs = np.array([(s, *rows[clock]) for s in soc])
-        actions, preclip, mean = sample_action(
-            policy, obs, rng.standard_normal((n_envs, N_ACTIONS)))
+        mean = forward_policy(policy, obs)
+        actions, preclip = policy_action(
+            mean, np.exp(policy.clamped_log_std()),
+            rng.standard_normal((n_envs, N_ACTIONS)))
         log_prob = gaussian_log_prob(mean, policy.clamped_log_std(), preclip)
         rewards = []
         for i, action in enumerate(actions.tolist()):
@@ -636,11 +640,11 @@ class TestCollectRollouts:
                 rtol=1e-12)
 
     def test_goes_through_the_public_batch_calls(self, monkeypatch):
-        """One sample_action and one forward_value call per hour on the
+        """One forward_policy and one forward_value call per hour on the
         (n_envs, N_FEATURES) observations, plus one bootstrap call."""
         import mgrl.ppo as ppo_mod
 
-        calls = {"sample_action": [], "forward_value": []}
+        calls = {"forward_policy": [], "forward_value": []}
         for name in calls:
             def counted(net, x, *rest, _name=name,
                         _fn=getattr(ppo_mod, name)):
@@ -649,7 +653,7 @@ class TestCollectRollouts:
             monkeypatch.setattr(ppo_mod, name, counted)
         policy, value, envs = self.make_parts(horizon=5, n_envs=3)
         collect_rollouts(policy, value, envs, 21, np.random.default_rng(4))
-        assert calls["sample_action"] == [(3, N_FEATURES)] * 7
+        assert calls["forward_policy"] == [(3, N_FEATURES)] * 7
         assert calls["forward_value"] == [(3, N_FEATURES)] * 8
 
     def test_divisibility_enforced(self):
@@ -860,7 +864,7 @@ class TestEvaluation:
     @pytest.mark.parametrize("deterministic", [True, False])
     def test_matches_per_hour_reference_loop(self, deterministic):
         """Bit for bit the loop that builds each hour's state afresh and
-        calls forward_policy or sample_action on it."""
+        calls forward_policy on it (and policy_action on its draws)."""
         policy = self.trained()
         policy.log_std[:] = -0.5  # draws that move the SOC both ways
         env_cfg = EnvConfig()
@@ -877,8 +881,10 @@ class TestEvaluation:
                 if deterministic:
                     action = np.clip(forward_policy(policy, obs), -1.0, 1.0)
                 else:
-                    action = sample_action(
-                        policy, obs, rng.standard_normal((1, N_ACTIONS)))[0]
+                    action = policy_action(
+                        forward_policy(policy, obs),
+                        np.exp(policy.clamped_log_std()),
+                        rng.standard_normal((1, N_ACTIONS)))[0]
                 out = step(env_cfg, row, soc, action[0].tolist())
                 log.append((soc, *out[1:4], *out[4], *out[5], *out[6],
                             out[7]))

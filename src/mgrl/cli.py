@@ -35,7 +35,7 @@ from .scenario import (STEP_HOURS, load_scenario_csv, synth_cyclone_scenario,
 from .seeding import derive_seed
 from .svg import line_chart
 from .table import TableError, make_dir, write_text
-from .trajectory import read_trajectory_csv, write_trajectory_csv
+from .trajectory import MODES, read_trajectory_csv, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
@@ -346,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel = p.add_mutually_exclusive_group()
     sel.add_argument("--step", type=int, metavar="T",
                      help="explicit step index to explain")
-    sel.add_argument("--mode", choices=("idle", "charge", "discharge"),
-                     default="idle",
+    sel.add_argument("--mode", choices=MODES, default="idle",
                      help="explain the first step in this battery mode "
                           "(default: idle)")
 

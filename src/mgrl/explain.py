@@ -106,10 +106,11 @@ def proximity_weights(x: np.ndarray, samples: np.ndarray,
     """exp(-D^2 / sigma^2) with D Euclidean over std-standardized features."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    d = samples - x
-    d /= stats.std
-    d2 = np.square(d, out=d).sum(axis=1)
-    return np.exp(-d2 / (sigma * sigma))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = samples - x  # fit_surrogate refuses what overflows here
+        d /= stats.std
+        d2 = np.square(d, out=d).sum(axis=1)
+        return np.exp(-d2 / (sigma * sigma))
 
 
 @dataclass(frozen=True)
@@ -140,17 +141,16 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
         raise ValueError(f"need at least 10 samples, got {len(z_raw)}")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    omega = w / w.sum()
-
-    mu = omega @ z_raw
-    z = z_raw - mu
-    zw = np.square(z)
-    sd = np.maximum(np.sqrt(omega @ zw), 1e-9)
-    z /= sd
-
-    zw = np.multiply(z, omega[:, None], out=zw)
-    a = zw.T @ z
-    a[np.diag_indices_from(a)] += ridge_strength
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        omega = w / w.sum()
+        mu = omega @ z_raw
+        z = z_raw - mu
+        zw = np.square(z)
+        sd = np.maximum(np.sqrt(omega @ zw), 1e-9)
+        z /= sd
+        zw = np.multiply(z, omega[:, None], out=zw)
+        a = zw.T @ z
+        a[np.diag_indices_from(a)] += ridge_strength
     if not np.isfinite(a).all():  # np.linalg.cond's SVD would not converge
         raise SurrogateFitError(
             "surrogate system is not finite: the perturbation cloud or its "

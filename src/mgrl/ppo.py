@@ -53,7 +53,7 @@ from .neural import (
 )
 from .scenario import Scenario
 from .seeding import derive_rng
-from .trajectory import Trajectory
+from .trajectory import CSV_HEADER, STEP_COLUMNS, Trajectory
 
 
 class TrainingDivergedError(RuntimeError):
@@ -520,26 +520,22 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
     for ep in range(n_episodes):
         soc = env_cfg.initial_soc(derive_rng(seed, f"eval-reset-{ep}"))
         rng = derive_rng(seed, f"eval-action-{ep}")
-        # Columns: soc, p_ch, p_dis, p_supply, alloc x3, imb x3, sh x3, reward
-        log = np.empty((len(rows), 14))
+        traj = Trajectory(np.empty((len(rows), len(CSV_HEADER) - 1)))
+        traj.p_re[:], traj.loads[:] = scn.p_re, scn.loads
+        socs, outputs = traj.soc, traj.table[:, STEP_COLUMNS]
         for t, row in enumerate(rows):
-            states[t, 0] = soc
+            states[t, 0] = socs[t] = soc
             action = act(t, states[t:t + 1], rng)
-            soc_next, *flows, alloc, imb, short, reward = step(
+            soc, *flows, alloc, imb, short, reward = step(
                 env_cfg, row, soc, action[0].tolist())
-            log[t] = (soc, *flows, *alloc, *imb, *short, reward)
-            soc = soc_next
-        summaries.append(summarize_episode(env_cfg, scn.loads, log[:, 10:13],
-                                           log[:, 13]))
+            outputs[t] = (*flows, *alloc, *imb, *short, reward)
+        summaries.append(summarize_episode(env_cfg, traj.loads,
+                                           traj.shortages, traj.reward))
         if ep == 0:
-            traj = Trajectory(
-                soc=log[:, 0], p_re=scn.p_re.copy(), loads=scn.loads.copy(),
-                p_ch=log[:, 1], p_dis=log[:, 2], p_supply=log[:, 3],
-                allocations=log[:, 4:7], imbalances=log[:, 7:10],
-                shortages=log[:, 10:13], reward=log[:, 13])
+            first = traj
     return EvalResult(
         float(np.mean([s.reward_final_norm for s in summaries])),
-        float(np.mean([s.ri for s in summaries])), traj, summaries)
+        float(np.mean([s.ri for s in summaries])), first, summaries)
 
 
 def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,

@@ -28,9 +28,9 @@ class TableError(ValueError):
 
 
 def read_text(path) -> str:
-    """The text of the file at ``path``."""
+    """The text of the file at ``path``, a leading UTF-8 BOM dropped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         detail = exc.strerror

@@ -1,14 +1,15 @@
-"""Per-step log of one evaluated episode.
+"""Per-step log of one evaluated episode, one float64 table.
 
 The trajectory CSV is the interchange format between evaluation, metrics,
 reporting and explanation: each row holds the observed state at the start
 of the hour, the resolved battery flows, the per-tier allocations,
 imbalances and shortages, and the step reward.  Floats are written with
-repr so a read-back reproduces the numbers exactly.
+repr so a read-back reproduces the numbers exactly.  A ``Trajectory`` holds
+the columns after ``t``; its named fields are views of them, so a write
+through one lands in the table.
 """
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,25 +25,34 @@ LAYOUT = Layout("trajectory", CSV_HEADER)
 _NON_NEGATIVE = ~np.isin(CSV_HEADER, ("imb1", "imb2", "imb3"))
 _FRACTION = np.isin(CSV_HEADER, ("soc", "reward"))
 _KW = ~np.isin(CSV_HEADER, ("t", "soc", "reward"))
+# Table columns from p_ch on: env.step's outputs after soc_next, in order.
+STEP_COLUMNS = slice(5, None)
 
+MODES = ("idle", "charge", "discharge")
 MODE_FLOW_EPS_KW = 1e-6
 
 
-@dataclass
+def _view(cols) -> property:
+    return property(lambda self: self.table[:, cols])
+
+
 class Trajectory:
-    soc: np.ndarray        # (T,) SOC when the decision was taken
-    p_re: np.ndarray       # (T,)
-    loads: np.ndarray      # (T, 3)
-    p_ch: np.ndarray       # (T,)
-    p_dis: np.ndarray      # (T,)
-    p_supply: np.ndarray   # (T,)
-    allocations: np.ndarray  # (T, 3)
-    imbalances: np.ndarray   # (T, 3)
-    shortages: np.ndarray    # (T, 3)
-    reward: np.ndarray       # (T,)
+    def __init__(self, table: np.ndarray):
+        self.table = table  # (T, 18) in CSV_HEADER[1:] order
+
+    soc = _view(0)  # (T,) SOC when the decision was taken
+    p_re = _view(1)
+    loads = _view(slice(2, 5))  # (T, 3)
+    p_ch = _view(5)
+    p_dis = _view(6)
+    p_supply = _view(7)
+    allocations = _view(slice(8, 11))  # (T, 3)
+    imbalances = _view(slice(11, 14))  # (T, 3)
+    shortages = _view(slice(14, 17))  # (T, 3)
+    reward = _view(17)
 
     def __len__(self) -> int:
-        return len(self.reward)
+        return len(self.table)
 
     def states(self) -> np.ndarray:
         """(T, 6) observation matrix: SOC, three loads, generation, net."""
@@ -57,17 +67,14 @@ class Trajectory:
 
     def find_mode_step(self, mode: str) -> int:
         """First step operating in the given mode; -1 when none matches."""
-        if mode not in ("idle", "charge", "discharge"):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         return next((t for t in range(len(self)) if self.mode_at(t) == mode),
                     -1)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | os.PathLike) -> None:
-    LAYOUT.write(path, range(len(traj)), np.column_stack(
-        [traj.soc, traj.p_re, traj.loads, traj.p_ch, traj.p_dis,
-         traj.p_supply, traj.allocations, traj.imbalances, traj.shortages,
-         traj.reward]))
+    LAYOUT.write(path, range(len(traj)), traj.table)
 
 
 def read_trajectory_csv(path: str | os.PathLike) -> Trajectory:
@@ -82,8 +89,4 @@ def read_trajectory_csv(path: str | os.PathLike) -> Trajectory:
     LAYOUT.reject(path, a, (a < 0) & _NON_NEGATIVE, "negative value {!r}")
     LAYOUT.reject(path, a, (a > 1) & _FRACTION, "value {!r} above 1")
     LAYOUT.reject(path, a, (abs(a) > MAX_KW) & _KW, KW_CAP)
-    return Trajectory(
-        soc=a[:, 1], p_re=a[:, 2], loads=a[:, 3:6],
-        p_ch=a[:, 6], p_dis=a[:, 7], p_supply=a[:, 8],
-        allocations=a[:, 9:12], imbalances=a[:, 12:15],
-        shortages=a[:, 15:18], reward=a[:, 18])
+    return Trajectory(a[:, 1:])

@@ -283,9 +283,8 @@ class TestExplainAction:
         """A cloud whose squared distances overflow, or a kernel whose
         sigma^2 underflows, leaves NaN or inf in the normal matrix: a
         SurrogateFitError naming both settings, not LinAlgError."""
-        with np.errstate(all="ignore"), pytest.raises(
-                SurrogateFitError,
-                match="not finite.*perturb_scale.*kernel_sigma"):
+        with pytest.raises(SurrogateFitError,
+                           match="not finite.*perturb_scale.*kernel_sigma"):
             explain_action(linear_oracle, np.zeros(6), (0,),
                            ExplainConfig(**kwargs), flat_stats())
 

@@ -59,19 +59,13 @@ def read_scenario(path):
     return list(range(scn.horizon)), np.column_stack([scn.p_re, scn.loads])
 
 
-def write_trajectory(path, index, a):
-    write_trajectory_csv(Trajectory(
-        soc=a[:, 0], p_re=a[:, 1], loads=a[:, 2:5], p_ch=a[:, 5],
-        p_dis=a[:, 6], p_supply=a[:, 7], allocations=a[:, 8:11],
-        imbalances=a[:, 11:14], shortages=a[:, 14:17], reward=a[:, 17]),
-        path)
+def write_trajectory(path, index, table):
+    write_trajectory_csv(Trajectory(table), path)
 
 
 def read_trajectory(path):
-    tr = read_trajectory_csv(path)
-    return list(range(len(tr))), np.column_stack(
-        [tr.soc, tr.p_re, tr.loads, tr.p_ch, tr.p_dis, tr.p_supply,
-         tr.allocations, tr.imbalances, tr.shortages, tr.reward])
+    table = read_trajectory_csv(path).table
+    return list(range(len(table))), table
 
 
 def write_metrics(path, index, table):
@@ -259,6 +253,19 @@ def test_header_cells_are_stripped(tmp_path, name):
     back = read(path)
     assert back[0] == want[0]
     np.testing.assert_array_equal(back[1], want[1])
+
+
+@pytest.mark.parametrize("name", ARTIFACTS)
+def test_leading_byte_order_mark_is_dropped(tmp_path, name):
+    """A file saved with a UTF-8 BOM reads as the plain file: the BOM is
+    not taken into the first header cell."""
+    columns, _, write, read = ARTIFACTS[name][:4]
+    plain, bom = tmp_path / "plain.csv", tmp_path / f"{name}.csv"
+    write(plain, [0, 1], np.full((2, len(columns) - 1), 0.5))
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = read(plain), read(bom)
+    assert got[0] == want[0]
+    np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestTextFiles:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from mgrl.env import EnvConfig
+from mgrl.ppo import evaluate_actions
+from mgrl.scenario import ScenarioConfig, synth_cyclone_scenario
 from mgrl.trajectory import (
     CSV_HEADER,
+    MODES,
     Trajectory,
     read_trajectory_csv,
     write_trajectory_csv,
@@ -21,11 +25,34 @@ def make_trajectory(steps=6, seed=0):
     p_supply = p_re + p_dis - p_ch
     alloc = p_supply[:, None] * np.array([0.5, 0.3, 0.2])
     imb = alloc - loads
-    return Trajectory(
-        soc=rng.uniform(0.2, 0.9, steps), p_re=p_re, loads=loads,
-        p_ch=p_ch, p_dis=p_dis, p_supply=p_supply, allocations=alloc,
-        imbalances=imb, shortages=np.maximum(0.0, -imb),
-        reward=rng.uniform(0.0, 1.0, steps))
+    traj = Trajectory(np.full((steps, len(CSV_HEADER) - 1), np.nan))
+    traj.soc[:] = rng.uniform(0.2, 0.9, steps)
+    traj.p_re[:], traj.loads[:] = p_re, loads
+    traj.p_ch[:], traj.p_dis[:], traj.p_supply[:] = p_ch, p_dis, p_supply
+    traj.allocations[:], traj.imbalances[:] = alloc, imb
+    traj.shortages[:] = np.maximum(0.0, -imb)
+    traj.reward[:] = rng.uniform(0.0, 1.0, steps)
+    assert not np.isnan(traj.table).any()  # every column written
+    return traj
+
+
+# Each field and the trajectory CSV columns it holds, in order.
+FIELD_COLUMNS = {
+    "soc": ("soc",), "p_re": ("p_re",), "loads": ("l1", "l2", "l3"),
+    "p_ch": ("p_ch",), "p_dis": ("p_dis",), "p_supply": ("p_supply",),
+    "allocations": ("alloc1", "alloc2", "alloc3"),
+    "imbalances": ("imb1", "imb2", "imb3"), "shortages": ("sh1", "sh2", "sh3"),
+    "reward": ("reward",),
+}
+
+
+def evaluated_trajectory():
+    """Episode 0 of a 2-episode eval of random actions over 30 hours."""
+    scn = synth_cyclone_scenario(ScenarioConfig(horizon_steps=30,
+                                                cyclone_window=(10, 16)))
+    return evaluate_actions(
+        lambda t, obs, rng: rng.uniform(-1.0, 1.0, (1, 5)), EnvConfig(), scn,
+        n_episodes=2, seed=6).trajectory
 
 
 class TestTrajectory:
@@ -65,6 +92,35 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             make_trajectory().find_mode_step("standby")
 
+    def test_modes_are_what_mode_at_returns(self):
+        traj = make_trajectory()
+        traj.p_ch[:] = [5.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        traj.p_dis[:] = [0.0, 3.0, 0.0, 0.0, 0.0, 0.0]
+        assert {traj.mode_at(t) for t in range(6)} == set(MODES)
+        assert [traj.find_mode_step(m) for m in MODES] == [2, 0, 1]
+
+    @pytest.mark.parametrize("source", ["evaluated", "read-back"])
+    def test_fields_are_views_of_the_one_table(self, tmp_path, source):
+        traj = evaluated_trajectory()
+        if source == "read-back":
+            write_trajectory_csv(traj, tmp_path / "traj.csv")
+            traj = read_trajectory_csv(tmp_path / "traj.csv")
+        assert traj.table.shape == (30, len(CSV_HEADER) - 1)
+        for name in FIELD_COLUMNS:
+            assert np.shares_memory(getattr(traj, name), traj.table), name
+
+    def test_fields_are_their_named_csv_columns(self, tmp_path):
+        traj = make_trajectory(steps=5, seed=4)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        file_columns = dict(zip(CSV_HEADER, np.loadtxt(
+            path, delimiter=",", skiprows=1, ndmin=2).T))
+        for name, columns in FIELD_COLUMNS.items():
+            want = np.column_stack([file_columns[c] for c in columns])
+            np.testing.assert_array_equal(
+                getattr(traj, name).reshape(5, -1), want, err_msg=name)
+        assert set(CSV_HEADER) == {"t"}.union(*FIELD_COLUMNS.values())
+
 
 class TestTrajectoryCsv:
     def test_round_trip_is_exact(self, tmp_path):
@@ -72,10 +128,15 @@ class TestTrajectoryCsv:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         back = read_trajectory_csv(path)
-        for name in ("soc", "p_re", "loads", "p_ch", "p_dis", "p_supply",
-                     "allocations", "imbalances", "shortages", "reward"):
+        for name in FIELD_COLUMNS:
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(traj, name), err_msg=name)
+
+    def test_rewriting_a_read_back_reproduces_the_file(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_trajectory_csv(evaluated_trajectory(), first)
+        write_trajectory_csv(read_trajectory_csv(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_header_written_verbatim(self, tmp_path):
         path = tmp_path / "traj.csv"

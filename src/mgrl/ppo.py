@@ -45,7 +45,6 @@ from .neural import (
     make_value,
     mlp_backward,
     mlp_forward,
-    normalize,
     pack_params,
     policy_action,
     policy_params,
@@ -53,6 +52,7 @@ from .neural import (
 )
 from .scenario import Scenario
 from .seeding import derive_rng
+from .table import column_view
 from .trajectory import CSV_HEADER, STEP_COLUMNS, Trajectory
 
 
@@ -116,23 +116,30 @@ class PpoConfig:
             raise ValueError("init_log_std must be finite")
 
 
+_LOG_PROB = N_FEATURES + N_ACTIONS
+ROLLOUT_WIDTH = _LOG_PROB + 6
+
+
 @dataclass
 class RolloutBuffer:
-    """One rollout worth of transitions, time-major over the env ensemble.
+    """Transitions as one float64 table, a rollout's time-major (T, n_envs,
+    ROLLOUT_WIDTH) or a minibatch's (B, ROLLOUT_WIDTH) row slice of it,
+    whose fields are column views.  ``bootstrap`` holds the critic value
+    of each env's state after the final stored step, which closes off
+    truncated episodes in the advantage recursion."""
 
-    ``bootstrap`` holds the critic value of each env's state after the
-    final stored step, used to close off truncated episodes in the
-    advantage recursion.
-    """
-
-    states: np.ndarray        # (T, n_envs, N_FEATURES)
-    actions: np.ndarray       # (T, n_envs, N_ACTIONS) pre-clip samples
-    log_probs: np.ndarray     # (T, n_envs)
-    rewards: np.ndarray       # (T, n_envs)
-    values: np.ndarray        # (T, n_envs)
-    dones: np.ndarray         # (T, n_envs) 1.0 where the episode ended
-    bootstrap: np.ndarray     # (n_envs,)
+    table: np.ndarray
+    bootstrap: np.ndarray | None = None  # (n_envs,)
     episode_summaries: list[EpisodeSummary] = field(default_factory=list)
+
+    states = column_view(slice(N_FEATURES))  # raw until train normalizes
+    actions = column_view(slice(N_FEATURES, _LOG_PROB))  # pre-clip draws
+    log_probs = column_view(_LOG_PROB)
+    advantages = column_view(_LOG_PROB + 1)  # filled by train, normalized
+    returns = column_view(_LOG_PROB + 2)  # filled by train
+    rewards = column_view(_LOG_PROB + 3)
+    values = column_view(_LOG_PROB + 4)
+    dones = column_view(_LOG_PROB + 5)  # 1.0 where the episode ended
 
 
 @dataclass(frozen=True)
@@ -218,8 +225,9 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
     Each hour is one :func:`mgrl.neural.forward_policy` call, whose means
     :func:`mgrl.neural.policy_action` turns into draws at the rollout's
     one std, one :func:`mgrl.neural.forward_value` call and one
-    :func:`mgrl.env.step_batch` call over all envs; the draws' log-densities
-    are one :func:`mgrl.neural.gaussian_log_prob` call after the last hour.
+    :func:`mgrl.env.step_batch` call over all envs, and fills row t of
+    the table; the draws' log-densities are one
+    :func:`mgrl.neural.gaussian_log_prob` call after the last hour.
     Finished episodes are summarized and restarted in place, so a buffer
     may span several (possibly partial) episodes per env.
     """
@@ -231,13 +239,10 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
             f"n_steps ({n_steps}) must be divisible by n_envs ({n_envs})")
     steps = n_steps // n_envs
 
-    states = np.empty((steps, n_envs, N_FEATURES))
-    actions = np.empty((steps, n_envs, N_ACTIONS))
+    buf = RolloutBuffer(np.zeros((steps, n_envs, ROLLOUT_WIDTH)))
+    states, actions, rewards, values, dones = (
+        buf.states, buf.actions, buf.rewards, buf.values, buf.dones)
     means = np.empty((steps, n_envs, N_ACTIONS))
-    rewards = np.empty((steps, n_envs))
-    values = np.empty((steps, n_envs))
-    dones = np.zeros((steps, n_envs))
-    summaries: list[EpisodeSummary] = []
     # One draw for the whole rollout: the same numbers, in the same order,
     # as one (n_envs, N_ACTIONS) draw per hour.
     z = rng.standard_normal((steps, n_envs, N_ACTIONS))
@@ -255,16 +260,15 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
         envs.t += 1
         if envs.t == len(envs.rows):
             dones[t] = 1.0
-            summaries += [summarize_episode(envs.cfg, envs.loads, sh, r)
-                          for sh, r in zip(envs.shortages, envs.rewards)]
+            buf.episode_summaries += [
+                summarize_episode(envs.cfg, envs.loads, sh, r)
+                for sh, r in zip(envs.shortages, envs.rewards)]
             envs.reset()
 
-    bootstrap = forward_value(value, envs.observe(np.empty((n_envs,
-                                                            N_FEATURES))))
-    log_probs = gaussian_log_prob(means, log_std, actions)
-    return RolloutBuffer(states=states, actions=actions, log_probs=log_probs,
-                         rewards=rewards, values=values, dones=dones,
-                         bootstrap=bootstrap, episode_summaries=summaries)
+    buf.bootstrap = forward_value(
+        value, envs.observe(np.empty((n_envs, N_FEATURES))))
+    buf.log_probs[...] = gaussian_log_prob(means, log_std, actions)
+    return buf
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
@@ -361,29 +365,26 @@ class UpdateWorkspace:
 
 
 def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
-                       batch: dict[str, np.ndarray], cfg: PpoConfig,
+                       batch: RolloutBuffer, cfg: PpoConfig,
                        ws: UpdateWorkspace) -> LossReport:
     """Evaluate the PPO objective on a minibatch, with analytic gradients.
 
-    ``batch`` holds the normalized states ``x``, which both networks read
-    (they share one normalizer), next to ``actions``, ``log_probs``,
-    ``advantages`` and ``returns``.  Every activation and gradient goes
-    into the workspace ``ws``, and the gradient of the total loss fills
-    ``ws.grad``.  The two networks' terms are independent, so the actor's
-    forward, loss head and backward finish before the critic's forward
-    reuses the same layer buffers.  The min() in the surrogate routes
-    gradient to the unclipped branch on ties, and a clipped row adds
-    none, even where its ratio overflows.  The log-std gradient is gated
-    to zero wherever the clamp is active.
+    ``batch`` is a minibatch :class:`RolloutBuffer`: both networks read
+    its normalized ``states`` (they share one normalizer), the loss its
+    ``actions``, ``log_probs``, ``advantages`` and ``returns``.  Every
+    activation and gradient goes into the workspace ``ws``, and the
+    gradient of the total loss fills ``ws.grad``.  The two networks'
+    terms are independent, so the actor's forward, loss head and backward
+    finish before the critic's forward reuses the same layer buffers.
+    The min() in the surrogate routes gradient to the unclipped branch on
+    ties, and a clipped row adds none, even where its ratio overflows.
+    The log-std gradient is gated to zero wherever the clamp is active.
     """
-    act = batch["actions"]
-    lp_old = batch["log_probs"]
-    adv = batch["advantages"]
-    ret = batch["returns"]
+    x, act, lp_old = batch.states, batch.actions, batch.log_probs
+    adv, ret = batch.advantages, batch.returns
     n = act.shape[0]
 
-    mean, cache = mlp_forward(policy.trunk, batch["x"], ws.policy_outs,
-                              ws.scratch)
+    mean, cache = mlp_forward(policy.trunk, x, ws.policy_outs, ws.scratch)
     log_std = policy.clamped_log_std()
     z = ws.residual[:n]  # (act - mean) / sigma, kept for the gradient
     ratio = np.exp(gaussian_log_prob(mean, log_std, act, z) - lp_old)
@@ -401,8 +402,7 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     mlp_backward(policy.trunk, cache, g_mean, ws.policy_grads[:-1],
                  ws.scratch, input_grad=False)
 
-    out, vcache = mlp_forward(value.net, batch["x"], ws.value_outs,
-                              ws.scratch)
+    out, vcache = mlp_forward(value.net, x, ws.value_outs, ws.scratch)
     vals = out[:, 0]
     val_loss = value_loss(vals, ret)
     g_val = (cfg.c1 * 2.0 * (vals - ret) / n)[:, None]
@@ -424,10 +424,13 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
 
     Both networks' parameters live in one flat vector (see
     :func:`mgrl.neural.pack_params`) that one Adam step per minibatch
-    updates, and one normalized copy of each rollout's states (they share
-    the scenario's normalizer) feeds both.  Activations and gradients go
-    into one preallocated :class:`UpdateWorkspace`, so a minibatch
-    allocates only the loss head's (B,) and (B, N_ACTIONS) temporaries.
+    updates.  Each update fills the rollout table's advantages and
+    returns and normalizes its states in place into the one input both
+    nets read (they share the scenario's normalizer); each epoch gathers
+    its shuffled rows with one ``np.take`` into one table, whose row
+    slices are the minibatches.  Activations and gradients go into one
+    preallocated :class:`UpdateWorkspace`, so a minibatch allocates only
+    the loss head's (B,) and (B, N_ACTIONS) temporaries.
     """
     cfg.validate()
     env_cfg.validate()
@@ -446,7 +449,7 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
     theta = pack_params(policy, value)
     opt = adam_init(theta, cfg.learning_rate)
     ws = UpdateWorkspace(policy, value, min(cfg.minibatch_size, n))
-    shuffled = None
+    shuffled = np.empty((n, ROLLOUT_WIDTH))
 
     stats: list[TrainStats] = []
     last_reward_norm = float("nan")
@@ -455,24 +458,20 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
         buf = collect_rollouts(policy, value, envs, n, rollout_rng)
         adv, ret = compute_gae(buf.rewards, buf.values, buf.dones,
                                buf.bootstrap, cfg.gamma, cfg.gae_lambda)
-        flat = {"actions": buf.actions.reshape(n, N_ACTIONS),
-                "log_probs": buf.log_probs.reshape(n),
-                "advantages": ((adv - adv.mean())
-                               / (adv.std() + 1e-8)).reshape(n),
-                "returns": ret.reshape(n),
-                "x": normalize(policy, buf.states.reshape(n, N_FEATURES))}
-        if shuffled is None:
-            shuffled = {k: np.empty_like(a) for k, a in flat.items()}
+        buf.advantages[...] = (adv - adv.mean()) / (adv.std() + 1e-8)
+        buf.returns[...] = ret
+        x = buf.states  # in place, the operations of neural.normalize
+        x -= policy.obs_mean
+        x /= policy.obs_scale
+        rollout = buf.table.reshape(n, ROLLOUT_WIDTH)
 
         parts = np.zeros(4)  # policy, value, entropy, clip_frac
         n_batches = 0
         for _ in range(cfg.epochs_per_update):
-            perm = shuffle_rng.permutation(n)
-            for k, a in flat.items():
-                np.take(a, perm, axis=0, out=shuffled[k])
+            np.take(rollout, shuffle_rng.permutation(n), axis=0,
+                    out=shuffled)
             for lo in range(0, n, cfg.minibatch_size):
-                batch = {k: a[lo:lo + cfg.minibatch_size]
-                         for k, a in shuffled.items()}
+                batch = RolloutBuffer(shuffled[lo:lo + cfg.minibatch_size])
                 rep = ppo_loss_and_grads(policy, value, batch, cfg, ws)
                 if not np.isfinite(rep.total):
                     raise TrainingDivergedError(

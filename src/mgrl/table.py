@@ -29,14 +29,19 @@ class TableError(ValueError):
 
 def read_text(path) -> str:
     """The text of the file at ``path``, a leading UTF-8 BOM dropped."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
+    try:  # plain UTF-8, so a bad byte's offset counts the BOM too
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().removeprefix("\ufeff")
     except OSError as exc:
         detail = exc.strerror
     except UnicodeDecodeError as exc:
         detail = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
     raise TableError(f"{path}: cannot read: {detail}")
+
+
+def column_view(cols) -> property:
+    """The view ``self.table[..., cols]``; a write through it lands there."""
+    return property(lambda self: self.table[..., cols])
 
 
 def make_dir(path) -> None:

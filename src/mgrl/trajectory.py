@@ -15,7 +15,7 @@ import numpy as np
 
 from .env import features
 from .scenario import KW_CAP, MAX_KW
-from .table import Layout
+from .table import Layout, column_view
 
 CSV_HEADER = ("t", "soc", "p_re", "l1", "l2", "l3", "p_ch", "p_dis",
               "p_supply", "alloc1", "alloc2", "alloc3",
@@ -32,24 +32,20 @@ MODES = ("idle", "charge", "discharge")
 MODE_FLOW_EPS_KW = 1e-6
 
 
-def _view(cols) -> property:
-    return property(lambda self: self.table[:, cols])
-
-
 class Trajectory:
     def __init__(self, table: np.ndarray):
         self.table = table  # (T, 18) in CSV_HEADER[1:] order
 
-    soc = _view(0)  # (T,) SOC when the decision was taken
-    p_re = _view(1)
-    loads = _view(slice(2, 5))  # (T, 3)
-    p_ch = _view(5)
-    p_dis = _view(6)
-    p_supply = _view(7)
-    allocations = _view(slice(8, 11))  # (T, 3)
-    imbalances = _view(slice(11, 14))  # (T, 3)
-    shortages = _view(slice(14, 17))  # (T, 3)
-    reward = _view(17)
+    soc = column_view(0)  # (T,) SOC when the decision was taken
+    p_re = column_view(1)
+    loads = column_view(slice(2, 5))  # (T, 3)
+    p_ch = column_view(5)
+    p_dis = column_view(6)
+    p_supply = column_view(7)
+    allocations = column_view(slice(8, 11))  # (T, 3)
+    imbalances = column_view(slice(11, 14))  # (T, 3)
+    shortages = column_view(slice(14, 17))  # (T, 3)
+    reward = column_view(17)
 
     def __len__(self) -> int:
         return len(self.table)

@@ -356,7 +356,7 @@ def test_criterion_09_explanation_direction(capsys):
                 v = expl.contributions[feat]
                 signs.append(v > 0.0 if want_positive else v < 0.0)
         c.result(all(signs),
-                 f"6/6 contribution signs correct at steps {t_ch} "
+                 f"{sum(signs)}/6 contribution signs correct at steps {t_ch} "
                  f"(charging) and {t_dis} (discharging)")
 
 

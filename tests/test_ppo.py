@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import namedtuple
 from dataclasses import astuple
 
 import numpy as np
@@ -36,6 +37,8 @@ from mgrl.neural import (
 from mgrl.ppo import (
     EnvBatch,
     PpoConfig,
+    ROLLOUT_WIDTH,
+    RolloutBuffer,
     TrainingDivergedError,
     UpdateWorkspace,
     clipped_policy_loss,
@@ -221,13 +224,17 @@ class TestLossHelpers:
             pytest.approx(1.0 + 1.0 - 0.03, abs=1e-15)
 
 
-def loss_batch(policy, value, states, **rest):
-    """The batch ppo_loss_and_grads takes: the normalized states, which
-    both nets read, plus the actions, old log-probs, advantages and
-    returns in ``rest``."""
-    x = normalize(policy, states)
-    np.testing.assert_array_equal(x, normalize(value, states))
-    return {"x": x, **rest}
+def loss_batch(policy, value, states, actions, log_probs, advantages,
+               returns):
+    """The batch ppo_loss_and_grads takes: a (B, ROLLOUT_WIDTH) table
+    holding the normalized states, which both nets read, the actions, old
+    log-probs, advantages and returns; its other columns are NaN."""
+    batch = RolloutBuffer(np.full((len(states), ROLLOUT_WIDTH), np.nan))
+    batch.states[:] = normalize(policy, states)
+    np.testing.assert_array_equal(batch.states, normalize(value, states))
+    batch.actions[:], batch.log_probs[:] = actions, log_probs
+    batch.advantages[:], batch.returns[:] = advantages, returns
+    return batch
 
 
 def fd_max_rel_err(policy, value, batch, cfg, h=1e-5):
@@ -235,7 +242,7 @@ def fd_max_rel_err(policy, value, batch, cfg, h=1e-5):
     differences of the total loss, over every entry of the packed
     parameter vector, with every call through one reused workspace."""
     theta = pack_params(policy, value)
-    ws = UpdateWorkspace(policy, value, len(batch["actions"]))
+    ws = UpdateWorkspace(policy, value, len(batch.table))
     ppo_loss_and_grads(policy, value, batch, cfg, ws)
     grad = ws.grad.copy()
     worst = 0.0
@@ -281,7 +288,7 @@ class TestPpoLossAndGrads:
 
     def grad_ws(self, policy, value, batch, cfg=None):
         """ws.grad after one call, with the policy and value views."""
-        ws = UpdateWorkspace(policy, value, len(batch["actions"]))
+        ws = UpdateWorkspace(policy, value, len(batch.table))
         ppo_loss_and_grads(policy, value, batch, cfg or tiny_config(), ws)
         return ws
 
@@ -294,13 +301,13 @@ class TestPpoLossAndGrads:
 
         mean, log_std = forward_policy(policy, states), \
             policy.clamped_log_std()
-        lp_new = gaussian_log_prob(mean, log_std, batch["actions"])
-        loss, _, _ = clipped_policy_loss(np.exp(lp_new - batch["log_probs"]),
-                                         batch["advantages"], cfg.clip_eps)
+        lp_new = gaussian_log_prob(mean, log_std, batch.actions)
+        loss, _, _ = clipped_policy_loss(np.exp(lp_new - batch.log_probs),
+                                         batch.advantages, cfg.clip_eps)
         assert rep.policy_loss == pytest.approx(loss, rel=1e-12)
         vals = forward_value(value, states)
         assert rep.value_loss == pytest.approx(
-            value_loss(vals, batch["returns"]), rel=1e-12)
+            value_loss(vals, batch.returns), rel=1e-12)
         assert rep.entropy == gaussian_entropy(log_std)
         assert rep.total == pytest.approx(
             total_loss(rep.policy_loss, rep.value_loss, rep.entropy,
@@ -314,8 +321,8 @@ class TestPpoLossAndGrads:
                                  UpdateWorkspace(policy, value, 40))
         mean, log_std = forward_policy(policy, states), \
             policy.clamped_log_std()
-        lp_new = gaussian_log_prob(mean, log_std, batch["actions"])
-        ratio = np.exp(lp_new - batch["log_probs"])
+        lp_new = gaussian_log_prob(mean, log_std, batch.actions)
+        ratio = np.exp(lp_new - batch.log_probs)
         want = np.mean(np.abs(ratio - 1.0) > cfg.clip_eps)
         assert rep.clip_frac == want
 
@@ -327,8 +334,8 @@ class TestPpoLossAndGrads:
 
         mean, log_std = forward_policy(policy, states), \
             policy.clamped_log_std()
-        ratio = np.exp(gaussian_log_prob(mean, log_std, batch["actions"])
-                       - batch["log_probs"])
+        ratio = np.exp(gaussian_log_prob(mean, log_std, batch.actions)
+                       - batch.log_probs)
         assert np.abs(np.abs(ratio - 1.0) - cfg.clip_eps).min() > 2e-2
         assert fd_max_rel_err(policy, value, batch, cfg) < 1e-4
 
@@ -342,7 +349,7 @@ class TestPpoLossAndGrads:
         policy, value = self.make_nets()
         cfg = tiny_config()
         _, batch = self.make_batch(policy, value)
-        batch["advantages"] = np.zeros_like(batch["advantages"])
+        batch.advantages[:] = 0.0
         ws = self.grad_ws(policy, value, batch, cfg)
         # With zero advantages the surrogate term vanishes and only the
         # entropy bonus acts on log_std: d total / d log_std = -c2.
@@ -361,9 +368,8 @@ class TestPpoLossAndGrads:
         ws = UpdateWorkspace(policy, value, cfg.minibatch_size)
         ws.grad[:] = np.nan  # stale contents must never leak through
         for lo in range(0, 40, cfg.minibatch_size):
-            batch = {k: a[lo:lo + cfg.minibatch_size]
-                     for k, a in rollout.items()}
-            fresh = UpdateWorkspace(policy, value, len(batch["actions"]))
+            batch = RolloutBuffer(rollout.table[lo:lo + cfg.minibatch_size])
+            fresh = UpdateWorkspace(policy, value, len(batch.table))
             want = ppo_loss_and_grads(policy, value, batch, cfg, fresh)
             got = ppo_loss_and_grads(policy, value, batch, cfg, ws)
             for part in ("total", "policy_loss", "value_loss", "entropy",
@@ -396,12 +402,11 @@ class TestPpoLossAndGrads:
         policy.log_std[:2] = (LOG_STD_MIN - 1.0, LOG_STD_MAX)
         cfg = PpoConfig(minibatch_size=48)
         _, rollout = self.make_batch(policy, value, n=300, seed=22)
-        rollout["log_probs"] += rng.uniform(-0.6, 0.6, 300)  # leave the bands
+        rollout.log_probs[:] += rng.uniform(-0.6, 0.6, 300)  # leave the bands
         ws = UpdateWorkspace(policy, value, cfg.minibatch_size)
         clipped = []
         for lo in range(0, 300, cfg.minibatch_size):
-            batch = {k: a[lo:lo + cfg.minibatch_size]
-                     for k, a in rollout.items()}
+            batch = RolloutBuffer(rollout.table[lo:lo + cfg.minibatch_size])
             rep = ppo_loss_and_grads(policy, value, batch, cfg, ws)
             want_rep, want_grad, ratio = loss_oracle(policy, value, batch,
                                                      cfg)
@@ -476,8 +481,7 @@ class TestPpoLossAndGrads:
         _, rollout = self.make_batch(policy, value, n=40, seed=24)
         ws = UpdateWorkspace(policy, value, cfg.minibatch_size)
         for lo in range(0, 40, cfg.minibatch_size):
-            batch = {k: a[lo:lo + cfg.minibatch_size]
-                     for k, a in rollout.items()}
+            batch = RolloutBuffer(rollout.table[lo:lo + cfg.minibatch_size])
             rep = ppo_loss_and_grads(policy, value, batch, cfg, ws)
             want_rep, want_grad, _ = loss_oracle(policy, value, batch, cfg)
             np.testing.assert_array_equal(bits(astuple(rep)),
@@ -491,11 +495,11 @@ class TestPpoLossAndGrads:
         policy, value = self.make_nets()
         cfg = tiny_config()
         _, batch = self.make_batch(policy, value, n=4)
-        batch["advantages"] = np.ones(4)
+        batch.advantages[:] = 1.0
         got = []
         for shift in (50.0, 800.0):
-            shifted = {**batch, "log_probs": batch["log_probs"].copy()}
-            shifted["log_probs"][0] -= shift
+            shifted = RolloutBuffer(batch.table.copy())
+            shifted.log_probs[0] -= shift
             ws = UpdateWorkspace(policy, value, 4)
             with np.errstate(over="ignore"):
                 rep = ppo_loss_and_grads(policy, value, shifted, cfg, ws)
@@ -529,10 +533,10 @@ def loss_oracle(policy, value, batch, cfg):
                 g = (g @ m.weights[i].T) * (1.0 - np.square(hs[i]))
         return [*gw, *gb]
 
-    act, lp_old = batch["actions"], batch["log_probs"]
-    adv, ret, n = batch["advantages"], batch["returns"], len(act)
-    hp = forward(policy.trunk, batch["x"])
-    hv = forward(value.net, batch["x"])
+    act, lp_old = batch.actions, batch.log_probs
+    adv, ret, n = batch.advantages, batch.returns, len(act)
+    hp = forward(policy.trunk, batch.states)
+    hv = forward(value.net, batch.states)
     mean, vals = hp[-1], hv[-1][:, 0]
     log_std = np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)
     lp = -0.5 * (((act - mean) / np.exp(log_std)) ** 2).sum(axis=-1) \
@@ -750,6 +754,60 @@ class TestObsStats:
         assert np.all(scale >= 1e-6)
 
 
+# The five fields of a minibatch that ppo_loss_and_grads reads.
+FieldBatch = namedtuple("FieldBatch",
+                        "states actions log_probs advantages returns")
+
+
+def reference_train(cfg, env_cfg, scn):
+    """train rebuilt from collect_rollouts, compute_gae,
+    ppo_loss_and_grads and adam_step, with the rollout kept field by
+    field: five contiguous arrays, each gathered by its own np.take per
+    epoch, and a minibatch their row slices.  Returns the TrainStats rows
+    as tuples and the final parameter vector."""
+    obs_mean, obs_scale = obs_stats_from_scenario(env_cfg, scn)
+    policy = make_policy(N_FEATURES, N_ACTIONS, cfg.hidden_sizes,
+                         derive_rng(cfg.seed, "policy-init"), obs_mean,
+                         obs_scale, init_log_std=cfg.init_log_std)
+    value = make_value(N_FEATURES, cfg.hidden_sizes,
+                       derive_rng(cfg.seed, "value-init"), obs_mean,
+                       obs_scale)
+    envs = EnvBatch(env_cfg, scn, cfg.n_envs, cfg.seed)
+    rollout_rng = derive_rng(cfg.seed, "rollout")
+    shuffle_rng = derive_rng(cfg.seed, "minibatch")
+    n, size = cfg.rollout_steps, cfg.minibatch_size
+    theta = pack_params(policy, value)
+    opt = adam_init(theta, cfg.learning_rate)
+    ws = UpdateWorkspace(policy, value, min(size, n))
+    stats, reward_norm, ri = [], math.nan, math.nan
+    for update in range(cfg.total_updates):
+        buf = collect_rollouts(policy, value, envs, n, rollout_rng)
+        adv, ret = compute_gae(buf.rewards, buf.values, buf.dones,
+                               buf.bootstrap, cfg.gamma, cfg.gae_lambda)
+        fields = FieldBatch(
+            normalize(policy, buf.states.reshape(n, N_FEATURES)),
+            buf.actions.reshape(n, N_ACTIONS), buf.log_probs.reshape(n),
+            ((adv - adv.mean()) / (adv.std() + 1e-8)).reshape(n),
+            ret.reshape(n))
+        sums, count = (0.0, 0.0, 0.0, 0.0), 0
+        for _ in range(cfg.epochs_per_update):
+            perm = shuffle_rng.permutation(n)
+            taken = [np.take(a, perm, axis=0) for a in fields]
+            for lo in range(0, n, size):
+                batch = FieldBatch(*(a[lo:lo + size] for a in taken))
+                r = ppo_loss_and_grads(policy, value, batch, cfg, ws)
+                adam_step(theta, ws.grad, opt)
+                sums = tuple(s + part for s, part in zip(sums, (
+                    r.policy_loss, r.value_loss, r.entropy, r.clip_frac)))
+                count += 1
+        if buf.episode_summaries:
+            reward_norm = float(np.mean(
+                [s.reward_final_norm for s in buf.episode_summaries]))
+            ri = float(np.mean([s.ri for s in buf.episode_summaries]))
+        stats.append((update, reward_norm, ri, *(s / count for s in sums)))
+    return stats, theta
+
+
 class TestTrain:
     def test_stats_per_update_and_checkpoint_order(self):
         seen = []
@@ -773,6 +831,27 @@ class TestTrain:
         assert a.stats == b.stats
         for pa, pb in zip(policy_params(a.policy), policy_params(b.policy)):
             np.testing.assert_array_equal(pa, pb)
+
+    @pytest.mark.parametrize("shape", [
+        dict(n_envs=4, rollout_steps=64, minibatch_size=16),
+        dict(n_envs=8, rollout_steps=64, minibatch_size=64),
+        dict(n_envs=4, rollout_steps=48, minibatch_size=20),
+    ], ids=["four-minibatches", "one-full-batch", "ragged-last-minibatch"])
+    def test_matches_field_by_field_reference_loop(self, shape):
+        """train's one rollout table, one np.take per epoch and row-slice
+        minibatches give, bit for bit, the stats and final parameters of
+        the loop that gathers five contiguous fields (the ragged shape's
+        epochs are 20, 20 and 8 rows)."""
+        cfg = PpoConfig(total_updates=3, epochs_per_update=3, seed=2,
+                        **shape)
+        env_cfg, scn = EnvConfig(), small_scenario(horizon=8)
+        res = train(cfg, env_cfg, scn)
+        want_stats, want_theta = reference_train(cfg, env_cfg, scn)
+        assert np.all(np.isfinite(want_stats))
+        np.testing.assert_array_equal(
+            bits([astuple(s) for s in res.stats]), bits(want_stats))
+        np.testing.assert_array_equal(
+            bits(pack_params(res.policy, res.value)), bits(want_theta))
 
     def test_different_seed_changes_training(self):
         a = train(tiny_config(seed=0), EnvConfig(), small_scenario())

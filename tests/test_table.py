@@ -318,8 +318,13 @@ class TestTextFiles:
 
     @pytest.mark.parametrize("data, detail", [
         (b"ok\xffok", "not UTF-8 text (invalid start byte at byte 2)"),
+        (b"ab\xe9cd",
+         "not UTF-8 text (invalid continuation byte at byte 2)"),
+        (b"\xef\xbb\xbfab\xe9cd",  # the offset in the file, BOM counted
+         "not UTF-8 text (invalid continuation byte at byte 5)"),
         (None, "No such file or directory"),
-    ], ids=["undecodable", "missing"])
+    ], ids=["undecodable", "bad-continuation", "bad-continuation-after-bom",
+            "missing"])
     def test_read_error_names_the_path(self, tmp_path, data, detail):
         path = tmp_path / "f.txt"
         if data is not None:

@@ -172,6 +172,10 @@ def cmd_explain(args) -> int:
         if t < 0:
             raise UserError(
                 f"no {args.mode!r} step found in {traj_path}")
+    soc, lo, hi = float(traj.soc[t]), cfg.env.soc_min, cfg.env.soc_max
+    if not lo <= soc <= hi:  # perturb clips the cloud into [lo, hi]
+        raise UserError(f"{traj_path}: step {t} has SOC {soc!r} outside "
+                        f"the configured band [{lo}, {hi}]")
     explanations = explain_step(policy, traj, t, cfg.env, cfg.explain)
     print(f"explaining step {t} (battery mode: {traj.mode_at(t)})")
     for name, expl in explanations.items():

@@ -8,15 +8,16 @@ minus the priority-weighted shortage fraction (:func:`resilience_index` of
 the step; :func:`summarize_episode` sums an episode's hours and takes
 the same formula over its totals).
 
-The environment is one pure function, :func:`step`, over plain floats: a
-scenario hour from :func:`scenario_rows`, the battery SOC and the action.
-:func:`step_batch` is the same hour on arrays, for many SOCs and actions
-at once.  Rollout loops own the episode state.  Every episode starts at
-t = 0 with a SOC drawn by :meth:`EnvConfig.initial_soc` and runs the full
-scenario horizon; parallel training envs advance in lockstep on one shared
-clock, so they all finish and restart together.  Training rollouts step
-all envs at once through :func:`step_batch`; evaluation runs one episode
-at a time through :func:`step`.
+An hour has two halves.  The battery move is sequential, its SOC feeding
+the next hour: :func:`step` over plain floats (a scenario hour from
+:func:`scenario_rows`, the SOC and the action), or :func:`step_batch` on
+arrays for many SOCs at once.  :func:`allocate` splits the supply of any
+number of hours or envs in one array call.  Rollout loops own the episode
+state: every episode starts at t = 0 with a SOC drawn by
+:meth:`EnvConfig.initial_soc` and runs the full scenario horizon.  The
+training envs advance in lockstep on one clock, through one
+:func:`step_batch` and one :func:`allocate` call per hour; evaluation
+steps one episode hour by hour and allocates all its hours in one call.
 
 Conventions (documented, not configurable):
   * Negative charge/discharge action halves mean "no request"; only the
@@ -115,44 +116,34 @@ def scenario_rows(scn: Scenario) -> tuple[tuple[float, ...], ...]:
                      features(0.0, scn.loads, scn.p_re)[:, 1:].tolist()))
 
 
-def resilience_index(shortages, loads, weights) -> float:
+def resilience_index(shortages, loads, weights):
     """One minus the priority-weighted shortage fraction, in [0, 1].
 
-    Per-step shortages and loads give the step reward; episode totals give
-    the episode resilience index.  Zero weighted demand maps to 1: a grid
-    with no demand cannot have failed to serve it.
+    Tier-first shortages and loads: (3, n) hours or envs give their
+    rewards, episode totals the episode RI.  Zero weighted demand maps to
+    1, element by element: a grid with no demand cannot have failed it.
     """
     w1, w2, w3 = weights
     demand = w1 * loads[0] + w2 * loads[1] + w3 * loads[2]
-    if demand == 0.0:
-        return 1.0
     unmet = w1 * shortages[0] + w2 * shortages[1] + w3 * shortages[2]
-    return 1.0 - unmet / demand
+    idle = demand == 0.0  # divides by 0.0 + True = 1.0 instead
+    return np.where(idle, 1.0, 1.0 - unmet / (demand + idle))
 
 
 def step(cfg: EnvConfig, row, soc: float, action):
-    """Advance one hour from SOC ``soc`` at scenario row ``row``.
+    """Move the battery one hour from SOC ``soc`` at scenario row ``row``.
 
-    ``action`` is (a_ch, a_dis, w1, w2, w3), each in [-1, 1] as the policy
-    clips them; allocation weights must be finite.  Battery requests
-    are clamped, never rejected: mutual exclusion by the sign of net power,
-    then the converter rating, the SOC-headroom caps, and the
-    surplus/deficit caps.  Supply is split across the tiers by the softmax
-    of the raw weights (max-subtracted for stability).
+    Reads the battery requests ``action[0]`` and ``action[1]``, each in
+    [-1, 1] as the policy clips them.  They are clamped, never rejected:
+    mutual exclusion by the sign of net power, then the converter rating,
+    the SOC-headroom caps, and the surplus/deficit caps.
 
-    Returns (soc_next, p_ch, p_dis, p_supply, allocations, imbalances,
-    shortages, reward), the three per-tier values as tuples.
+    Returns the floats (soc_next, p_ch, p_dis, p_supply); :func:`allocate`
+    splits the supply.
     """
-    l1, l2, l3, p_re, p_net = row
-    a_ch, a_dis, w1, w2, w3 = action
-    if not (math.isfinite(w1) and math.isfinite(w2) and math.isfinite(w3)):
-        raise ValueError(f"non-finite allocation weights: {[w1, w2, w3]}")
-    m = max(w1, w2, w3)
-    e1, e2, e3 = math.exp(w1 - m), math.exp(w2 - m), math.exp(w3 - m)
-    s = e1 + e2 + e3
-
-    p_ch_req = max(0.0, a_ch) * cfg.p_conv_kw
-    p_dis_req = max(0.0, a_dis) * cfg.p_conv_kw
+    p_re, p_net = row[3], row[4]
+    p_ch_req = max(0.0, action[0]) * cfg.p_conv_kw
+    p_dis_req = max(0.0, action[1]) * cfg.p_conv_kw
     if p_net >= 0:
         p_dis_req = 0.0
     else:
@@ -165,41 +156,21 @@ def step(cfg: EnvConfig, row, soc: float, action):
     # The caps already hold the update inside the band; the clip only absorbs
     # last-ULP rounding so the bound is exact.
     soc_next = min(max(soc_next, cfg.soc_min), cfg.soc_max)
-
-    p_supply = p_re + p_dis - p_ch
-    alloc = (e1 / s * p_supply, e2 / s * p_supply, e3 / s * p_supply)
-    imb = (alloc[0] - l1, alloc[1] - l2, alloc[2] - l3)
-    short = (-min(0.0, imb[0]), -min(0.0, imb[1]), -min(0.0, imb[2]))
-    reward = resilience_index(short, (l1, l2, l3), cfg.reward_weights)
-    return soc_next, p_ch, p_dis, p_supply, alloc, imb, short, reward
+    return soc_next, p_ch, p_dis, p_re + p_dis - p_ch
 
 
 def step_batch(cfg: EnvConfig, row, soc: np.ndarray, action: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`step` for n envs at the same scenario hour, on arrays.
 
     ``soc`` has shape (n,) and values in [soc_min, soc_max]; ``action`` has
-    shape (n, N_ACTIONS), clipped as for :func:`step`.  Returns (soc_next
-    (n,), shortages (n, 3), rewards (n,)), bit for bit what :func:`step`
+    shape (n, N_ACTIONS), clipped as for :func:`step`.  Returns (soc_next,
+    p_ch, p_dis, p_supply), each (n,), bit for bit what :func:`step`
     returns per env: each element goes through the operations of
-    :func:`step` in the same order (``np.where`` keeps the zero signs and
-    NaN handling of its ``max``/``min``), and the softmax uses ``math.exp``,
-    whose results ``np.exp`` does not always match.
+    :func:`step` in the same order, and ``np.where`` keeps the zero signs
+    and NaN handling of its ``max``/``min``.
     """
-    l1, l2, l3, p_re, p_net = row
-    w = action[:, 2:]
-    if not np.isfinite(w).all():
-        bad = w[~np.isfinite(w).all(axis=1)][0].tolist()
-        raise ValueError(f"non-finite allocation weights: {bad}")
-    m = np.maximum(np.maximum(w[:, 0], w[:, 1]), w[:, 2])
-    # A spread wider than the float range gives offset -inf and share 0.0,
-    # as in step, whose float subtraction overflows without a warning.
-    with np.errstate(over="ignore"):
-        offsets = (w - m[:, None]).ravel().tolist()
-    e = np.fromiter(map(math.exp, offsets), float, len(offsets))
-    e = e.reshape(w.shape)
-    s = e[:, 0] + e[:, 1] + e[:, 2]
-
+    p_re, p_net = row[3], row[4]
     # Every env sees the same p_net, so one side of the mutual exclusion
     # holds for all of them and the other flow is exactly 0.0, as in step.
     charging = p_net >= 0
@@ -215,15 +186,37 @@ def step_batch(cfg: EnvConfig, row, soc: np.ndarray, action: np.ndarray
         cap = max(0.0, -p_net)
     flow = np.minimum(np.minimum(np.minimum(req, cfg.p_conv_kw), headroom),
                       cap)
-    p_ch, p_dis = (flow, 0.0) if charging else (0.0, flow)
+    idle = np.zeros_like(flow)
+    p_ch, p_dis = (flow, idle) if charging else (idle, flow)
     soc_next = soc + (cfg.eta_ch * p_ch - p_dis / cfg.eta_dis) / cfg.e_max_kwh
     soc_next = np.minimum(np.maximum(soc_next, cfg.soc_min), cfg.soc_max)
+    return soc_next, p_ch, p_dis, p_re + p_dis - p_ch
 
-    p_supply = p_re + p_dis - p_ch
-    imb = e / s[:, None] * p_supply[:, None] - (l1, l2, l3)
+
+def allocate(cfg: EnvConfig, loads: np.ndarray, p_supply: np.ndarray,
+             w: np.ndarray):
+    """Split n supplies across the tiers and score each split.
+
+    ``p_supply`` is (n,), ``w`` the (n, 3) finite raw weights and ``loads``
+    (n, 3) or one (3,) row for all n.  The split is the max-subtracted
+    softmax of the weights, through ``math.exp``, whose results ``np.exp``
+    does not always match.  Returns the (n, 3) allocations, imbalances and
+    shortages and the (n,) rewards, each row's :func:`resilience_index`.
+    """
+    if not np.isfinite(w).all():
+        bad = w[~np.isfinite(w).all(axis=1)][0].tolist()
+        raise ValueError(f"non-finite allocation weights: {bad}")
+    m = np.maximum(np.maximum(w[:, 0], w[:, 1]), w[:, 2])
+    # A spread wider than the float range gives offset -inf and share 0.0.
+    with np.errstate(over="ignore"):
+        offsets = (w - m[:, None]).ravel().tolist()
+    e = np.fromiter(map(math.exp, offsets), float, w.size).reshape(w.shape)
+    s = e[:, 0] + e[:, 1] + e[:, 2]
+    alloc = e / s[:, None] * p_supply[:, None]
+    imb = alloc - loads
     short = -np.where(imb < 0.0, imb, 0.0)
-    reward = resilience_index(short.T, (l1, l2, l3), cfg.reward_weights)
-    return soc_next, short, np.full(soc.shape, reward)
+    reward = resilience_index(short.T, loads.T, cfg.reward_weights)
+    return alloc, imb, short, reward
 
 
 @dataclass(frozen=True)
@@ -249,6 +242,6 @@ def summarize_episode(cfg: EnvConfig, loads, shortages,
     """
     *sums, reward_sum = np.column_stack(
         [loads, shortages, rewards]).sum(axis=0).tolist()
-    ri = resilience_index(sums[3:], sums[:3], cfg.reward_weights)
+    ri = float(resilience_index(sums[3:], sums[:3], cfg.reward_weights))
     return EpisodeSummary(ri, (reward_sum + ri) / (len(rewards) + 1),
                           tuple(sums[3:]), tuple(sums[:3]))

@@ -1,11 +1,11 @@
 """Proximal policy optimization for the microgrid dispatch task.
 
 The trainer is deliberately self-contained: rollouts come from a small
-ensemble of lockstep episodes that :func:`mgrl.env.step_batch` advances
-together, advantages use generalized advantage estimation, and updates
-apply the clipped surrogate objective with analytic gradients through the
-numpy networks in :mod:`mgrl.neural`.  Evaluation runs one episode at a
-time through :func:`mgrl.env.step`.
+ensemble of lockstep episodes that :func:`mgrl.env.step_batch` and
+:func:`mgrl.env.allocate` advance together, advantages use generalized
+advantage estimation, and updates apply the clipped surrogate objective
+with analytic gradients through the numpy networks in :mod:`mgrl.neural`.
+Evaluation steps one episode's battery at a time through :func:`mgrl.env.step`.
 
 Training optimizes the per-step reward stream only; the episode-level
 resilience bonus enters the normalized episode score that is *reported*
@@ -22,6 +22,7 @@ from .env import (
     EpisodeSummary,
     N_ACTIONS,
     N_FEATURES,
+    allocate,
     features,
     scenario_rows,
     step,
@@ -53,7 +54,7 @@ from .neural import (
 from .scenario import Scenario
 from .seeding import derive_rng
 from .table import column_view
-from .trajectory import CSV_HEADER, STEP_COLUMNS, Trajectory
+from .trajectory import CSV_HEADER, Trajectory
 
 
 class TrainingDivergedError(RuntimeError):
@@ -224,10 +225,10 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
 
     Each hour is one :func:`mgrl.neural.forward_policy` call, whose means
     :func:`mgrl.neural.policy_action` turns into draws at the rollout's
-    one std, one :func:`mgrl.neural.forward_value` call and one
-    :func:`mgrl.env.step_batch` call over all envs, and fills row t of
-    the table; the draws' log-densities are one
-    :func:`mgrl.neural.gaussian_log_prob` call after the last hour.
+    one std, one :func:`mgrl.neural.forward_value` call, one
+    :func:`mgrl.env.step_batch` and one :func:`mgrl.env.allocate` call
+    over all envs, and fills row t of the table; the draws' log-densities
+    are one :func:`mgrl.neural.gaussian_log_prob` call after the last hour.
     Finished episodes are summarized and restarted in place, so a buffer
     may span several (possibly partial) episodes per env.
     """
@@ -254,8 +255,10 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
         means[t] = forward_policy(policy, obs)
         action, actions[t] = policy_action(means[t], std, z[t])
         values[t] = forward_value(value, obs)
-        envs.soc, envs.shortages[:, envs.t], rewards[t] = step_batch(
+        envs.soc, _, _, p_supply = step_batch(
             envs.cfg, envs.rows[envs.t], envs.soc, action)
+        *_, envs.shortages[:, envs.t], rewards[t] = allocate(
+            envs.cfg, envs.loads[envs.t], p_supply, action[:, 2:])
         envs.rewards[:, envs.t] = rewards[t]
         envs.t += 1
         if envs.t == len(envs.rows):
@@ -468,8 +471,9 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
         parts = np.zeros(4)  # policy, value, entropy, clip_frac
         n_batches = 0
         for _ in range(cfg.epochs_per_update):
+            # In range by construction; "raise" would gather into a copy.
             np.take(rollout, shuffle_rng.permutation(n), axis=0,
-                    out=shuffled)
+                    out=shuffled, mode="clip")
             for lo in range(0, n, cfg.minibatch_size):
                 batch = RolloutBuffer(shuffled[lo:lo + cfg.minibatch_size])
                 rep = ppo_loss_and_grads(policy, value, batch, cfg, ws)
@@ -509,25 +513,28 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
     the (1, 6) raw state and the ``eval-action-{ep}`` stream to the clipped
     (1, 5) action.  ``obs`` is row t of one raw state block whose SOC
     column the loop writes before each call, so it holds its values only
-    for that call."""
+    for that call.  One :func:`mgrl.env.allocate` call per episode splits
+    the supply after its last hour, and refuses a non-finite weight."""
     if n_episodes <= 0:
         raise ValueError(f"n_episodes must be positive, got {n_episodes}")
     env_cfg.validate()
     rows = scenario_rows(scn)
     states = features(0.0, scn.loads, scn.p_re)
+    actions = np.empty((len(rows), N_ACTIONS))
     summaries = []
     for ep in range(n_episodes):
         soc = env_cfg.initial_soc(derive_rng(seed, f"eval-reset-{ep}"))
         rng = derive_rng(seed, f"eval-action-{ep}")
         traj = Trajectory(np.empty((len(rows), len(CSV_HEADER) - 1)))
         traj.p_re[:], traj.loads[:] = scn.p_re, scn.loads
-        socs, outputs = traj.soc, traj.table[:, STEP_COLUMNS]
+        socs, flows = traj.soc, traj.flows
         for t, row in enumerate(rows):
             states[t, 0] = socs[t] = soc
-            action = act(t, states[t:t + 1], rng)
-            soc, *flows, alloc, imb, short, reward = step(
-                env_cfg, row, soc, action[0].tolist())
-            outputs[t] = (*flows, *alloc, *imb, *short, reward)
+            actions[t] = act(t, states[t:t + 1], rng)
+            soc, *flows[t] = step(env_cfg, row, soc, actions[t].tolist())
+        (traj.allocations[:], traj.imbalances[:], traj.shortages[:],
+         traj.reward[:]) = allocate(env_cfg, traj.loads, traj.p_supply,
+                                    actions[:, 2:])
         summaries.append(summarize_episode(env_cfg, traj.loads,
                                            traj.shortages, traj.reward))
         if ep == 0:

@@ -52,11 +52,7 @@ _SUNSET_HOUR = 18
 _STORM_GUST_FACTOR = 2.2
 
 
-class ScenarioFormatError(TableError):
-    """Raised when a scenario CSV violates the documented schema."""
-
-
-LAYOUT = Layout("scenario", CSV_COLUMNS, error=ScenarioFormatError)
+LAYOUT = Layout("scenario", CSV_COLUMNS)
 _KW = np.isin(CSV_COLUMNS, ("p_re", "l1", "l2", "l3"))
 
 
@@ -177,15 +173,15 @@ def synth_cyclone_scenario(cfg: ScenarioConfig) -> Scenario:
 def load_scenario_csv(path: str | os.PathLike) -> Scenario:
     """Read a scenario from CSV (schema: header ``t,p_re,l1,l2,l3``).
 
-    Raises ScenarioFormatError naming the offending data row and column
+    Raises TableError naming the offending data row and column
     on a malformed header, ragged row, non-numeric entry, negative or
     non-finite value, a power or total load above :data:`MAX_KW`, or an
     out-of-order ``t`` index, and naming the file when it has no data rows.
     """
     a = LAYOUT.read(path)
     if not len(a):
-        raise ScenarioFormatError(f"{path}: no data rows, expected one "
-                                  f"per hour after the header")
+        raise TableError(f"{path}: no data rows, expected one "
+                         f"per hour after the header")
     LAYOUT.check_order(path, a)
     LAYOUT.reject(path, a, ~np.isfinite(a), "non-finite value {!r}")
     LAYOUT.reject(path, a, a < 0, "negative value {!r}")

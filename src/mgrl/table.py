@@ -78,12 +78,11 @@ class Layout:
 
     name: str
     columns: tuple[str, ...]
-    error: type = TableError
 
     def fail(self, path, i, col, detail: str):
         where = f"data row {i + 1}" + ("" if col is None
                                        else f", column {col}")
-        raise self.error(f"{path}: {where}: {detail}")
+        raise TableError(f"{path}: {where}: {detail}")
 
     def reject(self, path, table, bad, detail: str) -> None:
         """Fail at the first ``bad`` cell; ``detail`` formats its value."""
@@ -102,16 +101,16 @@ class Layout:
 
     def read(self, path) -> np.ndarray:
         """The body as a (rows, columns) float64 table, column 0 the index;
-        a bad header, line, cell or index raises ``error``."""
+        a bad header, line, cell or index raises TableError."""
         lines = read_text(path).split("\n")
         if lines[-1] == "":
             lines.pop()
         if not lines:
-            raise self.error(f"{path}: empty file, expected header "
+            raise TableError(f"{path}: empty file, expected header "
                              f"{','.join(self.columns)}")
         header = tuple(lines[0].split(","))
         if tuple(h.strip() for h in header) != self.columns:
-            raise self.error(f"{path}: unexpected {self.name} header "
+            raise TableError(f"{path}: unexpected {self.name} header "
                              f"{header!r}, expected {','.join(self.columns)}")
         body = lines[1:]
         if not body:  # loadtxt warns on empty input
@@ -146,7 +145,7 @@ class Layout:
             if not cells[0].isdecimal():
                 self.fail(path, i, self.columns[0],
                           f"not a decimal integer: {cells[0]!r}")
-        raise self.error(f"{path}: unreadable {self.name} table")
+        raise TableError(f"{path}: unreadable {self.name} table")
 
     def write(self, path, index, values) -> None:
         """Header, then per row its ``index`` integer and repr'd floats."""

@@ -25,8 +25,6 @@ LAYOUT = Layout("trajectory", CSV_HEADER)
 _NON_NEGATIVE = ~np.isin(CSV_HEADER, ("imb1", "imb2", "imb3"))
 _FRACTION = np.isin(CSV_HEADER, ("soc", "reward"))
 _KW = ~np.isin(CSV_HEADER, ("t", "soc", "reward"))
-# Table columns from p_ch on: env.step's outputs after soc_next, in order.
-STEP_COLUMNS = slice(5, None)
 
 MODES = ("idle", "charge", "discharge")
 MODE_FLOW_EPS_KW = 1e-6
@@ -42,6 +40,7 @@ class Trajectory:
     p_ch = column_view(5)
     p_dis = column_view(6)
     p_supply = column_view(7)
+    flows = column_view(slice(5, 8))  # (T, 3): p_ch, p_dis, p_supply
     allocations = column_view(slice(8, 11))  # (T, 3)
     imbalances = column_view(slice(11, 14))  # (T, 3)
     shortages = column_view(slice(14, 17))  # (T, 3)

@@ -20,6 +20,7 @@ from mgrl.env import (
     N_ACTIONS,
     N_FEATURES,
     PRIORITY_WEIGHTS,
+    allocate,
     resilience_index,
     scenario_rows,
     step,
@@ -84,11 +85,6 @@ class _Criterion:
         return False
 
 
-# Zero loads and one kW of generation: with the battery idle, step splits
-# the supply into exactly the softmax weights it applies.
-UNIT_SUPPLY_ROW = (0.0, 0.0, 0.0, 1.0, 1.0)
-
-
 def random_action_rollout(n_steps, seed=0, horizon=720):
     """Yield (row, action, step outcome) over uniformly random actions,
     restarting full-horizon episodes from t = 0 as the rollout loops do."""
@@ -130,20 +126,25 @@ def test_criterion_01_soc_safety(capsys):
 def test_criterion_02_step_identities(capsys):
     """Mutual exclusion, supply balance, allocation sum, softmax sum."""
     with _Criterion(capsys, 2, "per-step physics identities") as c:
-        worst_alloc, worst_softmax = 0.0, 0.0
         ok = True
         cfg = EnvConfig()
+        loads, weights, supplies = [], [], []
         for row, action, out in random_action_rollout(10_000, seed=1):
-            _, p_ch, p_dis, p_supply, allocations, *_ = out
+            _, p_ch, p_dis, p_supply = out
             if p_ch * p_dis != 0.0:
                 ok = False
             if p_supply != row[3] + p_dis - p_ch:
                 ok = False
-            rel = abs(sum(allocations) - p_supply) / max(1.0, abs(p_supply))
-            worst_alloc = max(worst_alloc, rel)
-            w = step(cfg, UNIT_SUPPLY_ROW, 0.5,
-                     (0.0, 0.0, *action[2:5].tolist()))[4]
-            worst_softmax = max(worst_softmax, abs(sum(w) - 1.0))
+            loads.append(row[:3])
+            weights.append(action[2:5])
+            supplies.append(p_supply)
+        supplies, weights = np.array(supplies), np.array(weights)
+        a = allocate(cfg, np.array(loads), supplies, weights)[0]
+        worst_alloc = float(np.max(abs(a[:, 0] + a[:, 1] + a[:, 2] - supplies)
+                                   / np.maximum(1.0, abs(supplies))))
+        # One kW to zero loads splits into exactly the softmax weights.
+        w = allocate(cfg, np.zeros(3), np.ones(len(supplies)), weights)[0]
+        worst_softmax = float(np.max(abs(w[:, 0] + w[:, 1] + w[:, 2] - 1.0)))
         ok = ok and worst_alloc <= 1e-9 and worst_softmax <= 1e-12
         c.result(ok, f"alloc err {worst_alloc:.2e} (<=1e-9), "
                      f"softmax err {worst_softmax:.2e} (<=1e-12), 1e4 steps")

@@ -338,6 +338,25 @@ class TestExplainCommand:
         assert run("explain", "--config", conf, "--out", out) == 1
         assert "mgrl eval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("soc", ["0.1", "0.95"])
+    def test_soc_outside_the_band_is_user_error(self, conf, tmp_path, capsys,
+                                                soc):
+        """The cloud is clipped to [soc_min, soc_max], so an SOC outside it
+        would explain another state: refused, naming the step and band."""
+        out = str(tmp_path / "out")
+        run_pipeline(conf, out)
+        path = str(tmp_path / "low.csv")
+        shutil.copy(os.path.join(out, "trajectory.csv"), path)
+        corrupt(path, lambda f: [f[0], soc, *f[2:]], n=4)
+        capsys.readouterr()
+        assert run("explain", "--config", conf, "--out", out,
+                   "--step", "3", "--trajectory", path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: step 3 has SOC {soc} outside the configured "
+            f"band [0.2, 0.9]\n")
+        assert not os.path.exists(
+            os.path.join(out, "explain_step0003_charge.svg"))
+
     def test_collapsed_cloud_without_ridge_is_user_error(self, tmp_path,
                                                           capsys):
         """A perturbation cloud too small to spread the design and no ridge

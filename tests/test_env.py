@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mgrl.env import (
     EnvConfig,
     PRIORITY_WEIGHTS,
+    allocate,
     resilience_index,
     scenario_rows,
     step,
@@ -34,19 +35,29 @@ def battery(soc, row, a_ch, a_dis, cfg=EnvConfig()):
     return p_ch, p_dis, soc_next
 
 
+def split(p_supply, w_raw, loads, cfg=EnvConfig()):
+    """One supply's (allocations, imbalances, shortages) as tuples and its
+    reward as a float, from a one-row allocate call."""
+    alloc, imb, short, reward = allocate(cfg, np.array(loads),
+                                         np.array([p_supply]),
+                                         np.array([w_raw], dtype=float))
+    return (tuple(alloc[0].tolist()), tuple(imb[0].tolist()),
+            tuple(short[0].tolist()), float(reward[0]))
+
+
 def softmax(w_raw):
     """Allocation of one unit of supply to zero loads: the softmax weights
-    that step applies, exactly (each share is multiplied by 1.0)."""
-    unit = make_row(loads=(0.0, 0.0, 0.0), p_re=1.0)
-    return step(EnvConfig(), unit, 0.5, (0.0, 0.0, *w_raw))[4]
+    that allocate applies, exactly (each share is multiplied by 1.0)."""
+    return split(1.0, w_raw, (0.0, 0.0, 0.0))[0]
 
 
-def allocate(p_supply, w_raw, loads):
-    """(allocations, imbalances, shortages) with the battery idle."""
-    out = step(EnvConfig(), make_row(loads, p_supply), 0.5,
-               (0.0, 0.0, *w_raw))
-    assert out[3] == p_supply
-    return out[4], out[5], out[6]
+def hour(row, soc=0.5, action=IDLE, cfg=EnvConfig()):
+    """One whole hour: step moves the battery, then allocate splits its
+    supply.  Returns (soc_next, p_ch, p_dis, p_supply, allocations,
+    imbalances, shortages, reward), the per-tier values as tuples."""
+    soc_next, p_ch, p_dis, p_supply = step(cfg, row, soc, action)
+    return (soc_next, p_ch, p_dis, p_supply,
+            *split(p_supply, action[2:], row[:3], cfg))
 
 
 def small_scenario(horizon=24, seed=0):
@@ -133,7 +144,7 @@ class TestNormalizeWeights:
     @pytest.mark.parametrize("bad", [(math.nan, 0, 0), (0, math.inf, 0)])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
-            step(EnvConfig(), make_row(), 0.5, (0.0, 0.0, *bad))
+            split(90.0, bad, (30.0, 20.0, 10.0))
 
 
 class TestApplyBattery:
@@ -217,18 +228,18 @@ class TestApplyBattery:
 
 class TestAllocatePower:
     def test_hand_case(self):
-        alloc, imb, short = allocate(90.0, (0.0, 0.0, 0.0),
+        alloc, imb, short, _ = split(90.0, (0.0, 0.0, 0.0),
                                      (60.0, 20.0, 10.0))
         assert alloc == (30.0, 30.0, 30.0)
         assert imb == (-30.0, 10.0, 20.0)
         assert short == (30.0, 0.0, 0.0)
 
     def test_zero_supply_shorts_everything(self):
-        _, _, short = allocate(0.0, (0.0, 0.0, 0.0), (5.0, 6.0, 7.0))
+        _, _, short, _ = split(0.0, (0.0, 0.0, 0.0), (5.0, 6.0, 7.0))
         assert short == (5.0, 6.0, 7.0)
 
     def test_exact_match_has_no_shortage(self):
-        alloc, imb, short = allocate(90.0, (0.0, 0.0, 0.0),
+        alloc, imb, short, _ = split(90.0, (0.0, 0.0, 0.0),
                                      (30.0, 30.0, 30.0))
         assert short == (0.0, 0.0, 0.0)
         assert imb == (0.0, 0.0, 0.0)
@@ -238,7 +249,7 @@ class TestAllocatePower:
            loads=st.tuples(*[st.floats(0, 200)] * 3))
     @settings(max_examples=200)
     def test_allocations_sum_to_supply(self, p_supply, w, loads):
-        alloc, imb, short = allocate(p_supply, w, loads)
+        alloc, imb, short, _ = split(p_supply, w, loads)
         assert abs(sum(alloc) - p_supply) <= 1e-9 * max(1.0, p_supply)
         for a, l, i, s in zip(alloc, loads, imb, short):
             assert i == a - l
@@ -249,11 +260,11 @@ class TestAllocatePower:
 class TestStepReward:
     def test_no_shortage_is_one(self):
         row = make_row(loads=(5.0, 5.0, 5.0), p_re=300.0)
-        assert step(EnvConfig(), row, 0.5, IDLE)[7] == 1.0
+        assert hour(row)[7] == 1.0
 
     def test_total_shortage_is_zero(self):
         row = make_row(loads=(10.0, 20.0, 30.0), p_re=0.0)
-        assert step(EnvConfig(), row, 0.2, (0.0, 1.0, 0.0, 0.0, 0.0))[7] == 0.0
+        assert hour(row, 0.2, (0.0, 1.0, 0.0, 0.0, 0.0))[7] == 0.0
 
     def test_weighted_hand_case(self):
         r = resilience_index((0.0, 10.0, 10.0), (10.0, 10.0, 10.0),
@@ -262,7 +273,15 @@ class TestStepReward:
 
     def test_all_zero_loads_convention(self):
         row = make_row(loads=(0.0, 0.0, 0.0), p_re=0.0)
-        assert step(EnvConfig(), row, 0.5, IDLE)[7] == 1.0
+        assert hour(row)[7] == 1.0
+
+    def test_zero_demand_maps_to_one_per_element(self):
+        """Hours or envs as columns; a zero-demand column divides by
+        nothing, so no warning (warnings fail the suite)."""
+        loads = np.array([[0.0, 10.0], [0.0, 10.0], [0.0, 10.0]])
+        shorts = np.array([[0.0, 0.0], [0.0, 10.0], [0.0, 10.0]])
+        r = resilience_index(shorts, loads, PRIORITY_WEIGHTS)
+        assert r.tolist() == [1.0, 0.7]
 
     @given(loads=st.tuples(*[st.floats(0, 100)] * 3),
            fracs=st.tuples(*[st.floats(0, 1)] * 3))
@@ -279,15 +298,14 @@ class TestStep:
         loads = (50.0, 30.0, 20.0)
         # Raw weights whose softmax equals the load shares.
         w_raw = tuple(math.log(l / 100.0) for l in loads)
-        out = step(EnvConfig(), make_row(loads, 100.0), 0.5,
-                   (0.0, 0.0, *w_raw))
+        out = hour(make_row(loads, 100.0), 0.5, (0.0, 0.0, *w_raw))
         assert out[7] == pytest.approx(1.0, abs=1e-12)
         assert out[0] == 0.5
 
     def test_no_resources_rewards_zero(self):
         row = make_row(loads=(40.0, 10.0, 5.0), p_re=0.0)
-        _, _, p_dis, _, _, _, _, reward = step(
-            EnvConfig(), row, 0.2, (0.0, 1.0, 0.0, 0.0, 0.0))
+        _, _, p_dis, _, _, _, _, reward = hour(
+            row, 0.2, (0.0, 1.0, 0.0, 0.0, 0.0))
         assert p_dis == 0.0
         assert reward == 0.0
 
@@ -298,7 +316,7 @@ class TestStep:
         soc = 0.5
         rng = np.random.default_rng(0)
         for row in rows:
-            soc, p_ch, p_dis, p_supply, *_ = step(
+            soc, p_ch, p_dis, p_supply = step(
                 cfg, row, soc, tuple(rng.uniform(-1, 1, 5)))
             assert p_supply == row[3] + p_dis - p_ch
         # An episode is the row table: there is no hour past the horizon.
@@ -322,12 +340,9 @@ REQUEST = st.one_of(UNIT, st.just(math.nan))
 @st.composite
 def batch_hours(draw, kind):
     """(cfg, row, socs, actions) for step_batch: a scenario hour of the
-    given kind, 1-8 envs, SOCs at and inside the band edges, actions at
-    the clip edges and allocation weights of any finite spread."""
-    w3 = draw(st.floats(0, 10))
-    d2, d1 = draw(st.floats(1e-3, 10)), draw(st.floats(1e-3, 10))
-    cfg = EnvConfig(reward_weights=(w3 + d2 + d1, w3 + d2, w3))
-    cfg.validate()
+    given kind, 1-8 envs, SOCs at and inside the band edges and battery
+    requests at the clip edges (the weights, which step ignores, 0)."""
+    cfg = EnvConfig()
     if kind == "no-load":
         loads = (0.0, 0.0, 0.0)
     else:
@@ -344,10 +359,7 @@ def batch_hours(draw, kind):
                                                     cfg.soc_max]),
                                    st.floats(cfg.soc_min, cfg.soc_max)),
                          min_size=n, max_size=n))
-    weight = st.one_of(UNIT, st.floats(allow_nan=False,
-                                       allow_infinity=False))
-    actions = draw(st.lists(st.tuples(REQUEST, REQUEST, weight, weight,
-                                      weight),
+    actions = draw(st.lists(st.tuples(REQUEST, REQUEST, *[st.just(0.0)] * 3),
                             min_size=n, max_size=n))
     return cfg, row, socs, actions
 
@@ -365,39 +377,109 @@ class TestStepBatch:
                 "surplus": row[4] > 0.0,
                 "balanced": row[4] == 0.0,
                 "deficit": row[4] < 0.0}[kind]
-        soc_next, short, reward = step_batch(cfg, row, np.array(socs),
-                                             np.array(actions))
-        assert soc_next.shape == reward.shape == (len(socs),)
-        assert short.shape == (len(socs), 3)
+        out = step_batch(cfg, row, np.array(socs), np.array(actions))
+        assert [a.shape for a in out] == [(len(socs),)] * 4
         for i, (soc, action) in enumerate(zip(socs, actions)):
-            ref = step(cfg, row, soc, action)
-            assert bits(soc_next[i]) == bits(ref[0])
-            assert bits(short[i]) == bits(ref[6])
-            assert bits(reward[i]) == bits(ref[7])
+            assert bits([a[i] for a in out]) == bits(step(cfg, row, soc,
+                                                          action))
 
-    def test_weight_spread_beyond_float_range(self):
-        """An offset that overflows to -inf gives share 0.0 in both, and
-        step_batch warns no more than step (warnings fail the suite)."""
-        action = [0.0, 0.0, -1.7976931348623157e308, 1.7976931348623157e308,
-                  0.0]
-        ref = step(EnvConfig(), make_row(), 0.5, action)
-        soc_next, short, reward = step_batch(EnvConfig(), make_row(),
-                                             np.array([0.5]),
-                                             np.array([action]))
-        assert bits(short[0]) == bits(ref[6])
-        assert bits(reward[0]) == bits(ref[7])
 
-    @given(n=st.integers(1, 6), env=st.integers(0, 5), dim=st.integers(2, 4),
+def scalar_allocation(cfg, loads, p_supply, w):
+    """One supply's allocate outputs in Python floats, tier by tier: the
+    max-subtracted softmax split, imbalances, shortages and reward."""
+    m = max(w)
+    e = [math.exp(x - m) for x in w]  # float overflow gives -inf, share 0
+    s = e[0] + e[1] + e[2]
+    alloc = [x / s * p_supply for x in e]
+    imb = [a - l for a, l in zip(alloc, loads)]
+    short = [-min(0.0, i) for i in imb]
+    w1, w2, w3 = cfg.reward_weights
+    demand = w1 * loads[0] + w2 * loads[1] + w3 * loads[2]
+    unmet = w1 * short[0] + w2 * short[1] + w3 * short[2]
+    return alloc, imb, short, 1.0 if demand == 0.0 else 1.0 - unmet / demand
+
+
+@st.composite
+def allocation_hours(draw):
+    """(cfg, loads, supplies, weights) of 1-12 hours: any strictly
+    decreasing reward weights, loads all zero or in kW, supplies from
+    none to beyond the demand, allocation weights of any finite spread."""
+    w3 = draw(st.floats(0, 10))
+    d2, d1 = draw(st.floats(1e-3, 10)), draw(st.floats(1e-3, 10))
+    cfg = EnvConfig(reward_weights=(w3 + d2 + d1, w3 + d2, w3))
+    n = draw(st.integers(1, 12))
+    load = st.one_of(st.just(0.0), st.floats(1, 500))
+    loads = draw(st.lists(st.one_of(st.just((0.0, 0.0, 0.0)),
+                                    st.tuples(load, load, load)),
+                          min_size=n, max_size=n))
+    supplies = draw(st.lists(st.one_of(st.just(0.0), st.floats(0, 2000)),
+                             min_size=n, max_size=n))
+    weight = st.one_of(UNIT, st.floats(allow_nan=False,
+                                       allow_infinity=False))
+    w = draw(st.lists(st.tuples(weight, weight, weight), min_size=n,
+                      max_size=n))
+    return cfg, np.array(loads), np.array(supplies), np.array(w)
+
+
+class TestAllocate:
+    """allocate is one array function: every row alone, and per element
+    the scalar formula, bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_one_row_calls(self, data):
+        cfg, loads, supplies, w = data.draw(allocation_hours())
+        out = allocate(cfg, loads, supplies, w)
+        assert [a.shape for a in out] == [w.shape] * 3 + [supplies.shape]
+        for t in range(len(w)):
+            one = allocate(cfg, loads[t], supplies[t:t + 1], w[t:t + 1])
+            assert [bits(a[t]) for a in out] == [bits(a[0]) for a in one]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scalar_formula_per_row(self, data):
+        cfg, loads, supplies, w = data.draw(allocation_hours())
+        out = allocate(cfg, loads, supplies, w)
+        for t in range(len(w)):
+            ref = scalar_allocation(cfg, loads[t].tolist(), supplies[t],
+                                    w[t].tolist())
+            assert [bits(a[t]) for a in out] == [bits(r) for r in ref]
+
+    def test_edge_rows(self):
+        """A zero-load hour pays exactly 1.0, a weight spread beyond the
+        float range gives share 0.0 without a warning (warnings fail the
+        suite), and a tier with no shortage reads -0.0, in one call and
+        row by row."""
+        cfg = EnvConfig()
+        loads = np.array([[0.0, 0.0, 0.0], [30.0, 20.0, 10.0],
+                          [30.0, 20.0, 10.0]])
+        supplies = np.array([50.0, 90.0, 60.0])
+        big = 1.7976931348623157e308
+        w = np.array([[0.0, 0.0, 0.0], [-big, big, 0.0], [0.0, 0.0, 0.0]])
+        alloc, imb, short, reward = allocate(cfg, loads, supplies, w)
+        assert reward[0] == 1.0
+        assert alloc[1].tolist() == [0.0, 90.0, 0.0]
+        assert short.tolist() == [[0.0] * 3, [30.0, 0.0, 10.0],
+                                  [10.0, 0.0, 0.0]]
+        assert np.signbit(short).tolist() == [[True] * 3,
+                                              [False, True, False],
+                                              [False, True, True]]
+        for t in range(3):
+            one = allocate(cfg, loads[t], supplies[t:t + 1], w[t:t + 1])
+            assert (bits([alloc[t], imb[t], short[t]])
+                    == bits([a[0] for a in one[:3]]))
+            assert bits(reward[t]) == bits(one[3][0])
+
+    @given(n=st.integers(1, 6), row=st.integers(0, 5), dim=st.integers(0, 2),
            bad=st.sampled_from([math.nan, math.inf, -math.inf]))
     @settings(max_examples=60, deadline=None)
-    def test_non_finite_weight_raises_like_step(self, n, env, dim, bad):
-        actions = np.zeros((n, 5))
-        actions[env % n, dim] = bad
-        with pytest.raises(ValueError) as scalar:
-            step(EnvConfig(), make_row(), 0.5, actions[env % n].tolist())
-        with pytest.raises(ValueError) as batch:
-            step_batch(EnvConfig(), make_row(), np.full(n, 0.5), actions)
-        assert str(batch.value) == str(scalar.value)
+    def test_non_finite_weight_names_its_row(self, n, row, dim, bad):
+        w = np.zeros((n, 3))
+        w[row % n, dim] = bad
+        with pytest.raises(ValueError) as err:
+            allocate(EnvConfig(), np.ones(3), np.ones(n), w)
+        assert str(err.value) == (f"non-finite allocation weights: "
+                                  f"{w[row % n].tolist()}")
 
 
 class TestMicrogridEnv:
@@ -458,6 +540,7 @@ class TestSummarizeEpisode:
         traj = make_trajectory(steps=25, seed=11)
         s = summarize_episode(EnvConfig(), traj.loads, traj.shortages,
                               traj.reward)
+        assert type(s.ri) is float  # report.csv writes repr(ri)
         assert s.ri == pytest.approx(
             self.brute_ri(traj.shortages, traj.loads, PRIORITY_WEIGHTS),
             abs=1e-12)
@@ -493,6 +576,7 @@ class TestSummarizeEpisode:
     def test_zero_demand_episode_is_perfect(self):
         s = summarize_episode(EnvConfig(), np.zeros((6, 3)), np.zeros((6, 3)),
                               np.ones(6))
+        assert type(s.ri) is float
         assert s.ri == 1.0
         assert s.reward_final_norm == 1.0
         assert s.shortage_kwh == s.load_kwh == (0.0, 0.0, 0.0)

@@ -11,7 +11,6 @@ from mgrl.env import (
     N_ACTIONS,
     N_FEATURES,
     scenario_rows,
-    step,
     summarize_episode,
 )
 from mgrl.neural import (
@@ -56,6 +55,7 @@ from mgrl.scenario import Scenario, ScenarioConfig, synth_cyclone_scenario
 from mgrl.seeding import derive_rng
 from mgrl.trajectory import read_trajectory_csv, write_trajectory_csv
 
+from test_env import hour
 from test_neural import raw_inputs
 
 
@@ -565,12 +565,12 @@ def loss_oracle(policy, value, batch, cfg):
 
 def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
     """collect_rollouts rebuilt from forward_policy, policy_action,
-    forward_value and step.
+    forward_value and whole hours of step and allocate.
 
     The nets see the whole env batch each hour, as BLAS rounding depends on
     the batch shape, with that hour's (n_envs, N_ACTIONS) standard normal
     draws at that hour's std, and each hour's draws are scored by their
-    own gaussian_log_prob call; step then advances one env at a time, and
+    own gaussian_log_prob call; each env's hour then runs alone, and
     each env keeps its own lists of the episode's hourly shortages and
     rewards.
     """
@@ -588,7 +588,8 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
         log_prob = gaussian_log_prob(mean, policy.clamped_log_std(), preclip)
         rewards = []
         for i, action in enumerate(actions.tolist()):
-            soc[i], *_, short, reward = step(cfg, rows[clock], soc[i], action)
+            soc[i], *_, short, reward = hour(rows[clock], soc[i], action,
+                                             cfg)
             rewards.append(reward)
             logs[i][0].append(short)
             logs[i][1].append(reward)
@@ -672,7 +673,8 @@ class TestCollectRollouts:
 
     def test_episode_summaries_match_replay_through_step(self):
         """Each finished episode, replayed from its stored clipped actions
-        through step, gives the RI and normalized reward collected."""
+        through step and allocate, gives the RI and normalized reward
+        collected."""
         cfg = EnvConfig()
         policy, value, envs = self.make_parts(horizon=5, n_envs=3)
         rows = scenario_rows(small_scenario(horizon=5))
@@ -687,8 +689,8 @@ class TestCollectRollouts:
                 rewards, shortages, loads = [], [], []
                 for t, row in enumerate(rows):
                     assert buf.states[start + t, i, 0] == soc
-                    soc, *_, short, reward = step(
-                        cfg, row, soc, tuple(actions[start + t, i]))
+                    soc, *_, short, reward = hour(
+                        row, soc, tuple(actions[start + t, i].tolist()), cfg)
                     rewards.append(reward)
                     shortages.append(short)
                     loads.append(row[:3])
@@ -964,7 +966,7 @@ class TestEvaluation:
                         forward_policy(policy, obs),
                         np.exp(policy.clamped_log_std()),
                         rng.standard_normal((1, N_ACTIONS)))[0]
-                out = step(env_cfg, row, soc, action[0].tolist())
+                out = hour(row, soc, action[0].tolist(), env_cfg)
                 log.append((soc, *out[1:4], *out[4], *out[5], *out[6],
                             out[7]))
                 soc = out[0]
@@ -1095,6 +1097,47 @@ class TestEvaluateActions:
                            match=f"non-finite {field} at scenario hour 7$"):
             evaluate_actions(idle_action, EnvConfig(),
                              non_finite_scenario(field, value))
+
+    def test_allocates_each_episode_in_one_call(self, monkeypatch):
+        """The battery is stepped hour by hour; the split of every hour's
+        supply is one allocate call per episode."""
+        import mgrl.ppo as ppo_mod
+
+        calls = []
+
+        def counted(cfg, loads, p_supply, w, _fn=ppo_mod.allocate):
+            calls.append((loads.shape, p_supply.shape, w.shape))
+            return _fn(cfg, loads, p_supply, w)
+
+        monkeypatch.setattr(ppo_mod, "allocate", counted)
+        evaluate_actions(idle_action, EnvConfig(), small_scenario(horizon=12),
+                         n_episodes=3)
+        assert calls == [((12, 3), (12,), (12, 3))] * 3
+
+    def test_non_finite_weight_refused_after_the_battery_loop(self,
+                                                              monkeypatch):
+        """A NaN weight at hour 5 is refused once all 12 hours' batteries
+        have moved, naming the hour's weights."""
+        import mgrl.ppo as ppo_mod
+
+        stepped = []
+
+        def counted(*args, _fn=ppo_mod.step):
+            stepped.append(args[0])
+            return _fn(*args)
+
+        def act(t, obs, rng):
+            a = idle_action(t, obs, rng)
+            a[0, 3] = math.nan if t == 5 else 0.25
+            return a
+
+        monkeypatch.setattr(ppo_mod, "step", counted)
+        with pytest.raises(ValueError) as err:
+            evaluate_actions(act, EnvConfig(), small_scenario(horizon=12),
+                             n_episodes=2)
+        assert str(err.value) == ("non-finite allocation weights: "
+                                  "[0.0, nan, 0.0]")
+        assert len(stepped) == 12
 
     def test_each_episode_acts_on_its_own_action_stream(self):
         def draws(seed):

@@ -5,11 +5,11 @@ from mgrl.scenario import (
     CSV_COLUMNS,
     MAX_KW,
     ScenarioConfig,
-    ScenarioFormatError,
     load_scenario_csv,
     synth_cyclone_scenario,
     write_scenario_csv,
 )
+from mgrl.table import TableError
 
 
 class TestScenarioConfig:
@@ -137,36 +137,36 @@ class TestScenarioCsv:
     def test_negative_value_names_row_and_column(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("t,p_re,l1,l2,l3\n0,5,1,1,1\n1,5,1,-5,1\n")
-        with pytest.raises(ScenarioFormatError, match="data row 2, column l2"):
+        with pytest.raises(TableError, match="data row 2, column l2"):
             load_scenario_csv(path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,p_re,l1,l2,l3\n0,1,1,1,1\n")
-        with pytest.raises(ScenarioFormatError, match="header"):
+        with pytest.raises(TableError, match="header"):
             load_scenario_csv(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(ScenarioFormatError, match="empty"):
+        with pytest.raises(TableError, match="empty"):
             load_scenario_csv(path)
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("t,p_re,l1,l2,l3\n0,1,1,1\n")
-        with pytest.raises(ScenarioFormatError, match="data row 1"):
+        with pytest.raises(TableError, match="data row 1"):
             load_scenario_csv(path)
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("t,p_re,l1,l2,l3\n0,abc,1,1,1\n")
-        with pytest.raises(ScenarioFormatError,
+        with pytest.raises(TableError,
                            match="data row 1, column p_re"):
             load_scenario_csv(path)
 
     def test_out_of_order_t(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("t,p_re,l1,l2,l3\n0,1,1,1,1\n2,1,1,1,1\n")
-        with pytest.raises(ScenarioFormatError, match="data row 2, column t"):
+        with pytest.raises(TableError, match="data row 2, column t"):
             load_scenario_csv(path)

@@ -21,7 +21,6 @@ from mgrl.scenario import (
     CSV_COLUMNS,
     MAX_KW,
     Scenario,
-    ScenarioFormatError,
     load_scenario_csv,
     write_scenario_csv,
 )
@@ -80,15 +79,15 @@ def read_metrics(path):
 
 
 # name: (columns, cell strategies after the index, writer, reader,
-#        minimum rows, index free (metrics) or 0..n-1, error type)
+#        minimum rows, index free (metrics) or 0..n-1)
 ARTIFACTS = {
     "scenario": (CSV_COLUMNS, [KW_NON_NEGATIVE] + [LOAD] * 3, write_scenario,
-                 read_scenario, 1, False, ScenarioFormatError),
+                 read_scenario, 1, False),
     "trajectory": (CSV_HEADER, [FRACTION] + [KW_NON_NEGATIVE] * 10
                    + [KW] * 3 + [KW_NON_NEGATIVE] * 3 + [FRACTION],
-                   write_trajectory, read_trajectory, 0, False, TableError),
+                   write_trajectory, read_trajectory, 0, False),
     "metrics": (TRAIN_CSV_HEADER, [NULLABLE] * 2 + [ANY] * 4, write_metrics,
-                read_metrics, 0, True, TableError),
+                read_metrics, 0, True),
 }
 
 
@@ -108,8 +107,7 @@ def reference_bytes(columns, index, rows) -> bytes:
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_writer_matches_reference_and_reads_back_bitwise(name, data):
-    columns, strategies, write, read, min_rows, free_index = \
-        ARTIFACTS[name][:6]
+    columns, strategies, write, read, min_rows, free_index = ARTIFACTS[name]
     rows = data.draw(st.lists(st.tuples(*strategies), min_size=min_rows,
                               max_size=6))
     table = np.array(rows, dtype=np.float64).reshape(len(rows),
@@ -187,14 +185,14 @@ DEFECTS = (blank_line, hash_in_cell, trailing_comma, ragged_row,
     if not (name == "metrics"
             and defect in (non_finite, shifted_index, huge_index))])
 def test_malformed_body_names_file_row_and_column(tmp_path, name, defect):
-    columns, _, write, read, _, _, error = ARTIFACTS[name]
+    columns, _, write, read, _, _ = ARTIFACTS[name]
     path = tmp_path / f"{name}.csv"
     write(path, [0, 1, 2], np.full((3, len(columns) - 1), 0.5))
     read(path)
     lines = path.read_text().splitlines()
     col = columns[defect(lines)]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(error) as exc:
+    with pytest.raises(TableError) as exc:
         read(path)
     message = str(exc.value)
     assert f"{name}.csv: {row(1)}" in message  # the second data line
@@ -210,12 +208,12 @@ def test_malformed_body_names_file_row_and_column(tmp_path, name, defect):
 ])
 def test_power_beyond_the_kw_cap_names_file_row_and_column(
         tmp_path, name, column, value):
-    columns, _, write, read, _, _, error = ARTIFACTS[name]
+    columns, _, write, read, _, _ = ARTIFACTS[name]
     path = tmp_path / f"{name}.csv"
     table = np.full((3, len(columns) - 1), 0.5)
     table[1, columns.index(column) - 1] = value
     write(path, [0, 1, 2], table)
-    with pytest.raises(error, match=re.escape(
+    with pytest.raises(TableError, match=re.escape(
             f"{name}.csv: {row(1)}, column {column}: {value!r} kW beyond "
             f"the 1e+06 kW cap")):
         read(path)
@@ -225,7 +223,7 @@ def test_scenario_total_load_beyond_the_kw_cap_names_the_row(tmp_path):
     path = tmp_path / "scenario.csv"
     loads = np.array([[0.5] * 3, [MAX_KW / 2] * 3])
     write_scenario_csv(Scenario(p_re=np.zeros(2), loads=loads), path)
-    with pytest.raises(ScenarioFormatError, match=(
+    with pytest.raises(TableError, match=(
             rf"scenario.csv: {row(1)}: total load 1500000.0 kW beyond the "
             rf"1e\+06 kW cap$")):
         load_scenario_csv(path)
@@ -233,11 +231,11 @@ def test_scenario_total_load_beyond_the_kw_cap_names_the_row(tmp_path):
 
 @pytest.mark.parametrize("name", ARTIFACTS)
 def test_blank_only_body_names_the_row(tmp_path, name):
-    columns, _, _, read, _, _, error = ARTIFACTS[name]
+    columns, _, _, read, _, _ = ARTIFACTS[name]
     path = tmp_path / f"{name}.csv"
     path.write_text(",".join(columns) + "\n\n")
-    with pytest.raises(error, match=f"{name}.csv: {row(0)}: "
-                                    f"column {columns[0]} missing"):
+    with pytest.raises(TableError, match=f"{name}.csv: {row(0)}: "
+                                         f"column {columns[0]} missing"):
         read(path)
 
 

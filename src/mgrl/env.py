@@ -16,8 +16,9 @@ number of hours or envs in one array call.  Rollout loops own the episode
 state: every episode starts at t = 0 with a SOC drawn by
 :meth:`EnvConfig.initial_soc` and runs the full scenario horizon.  The
 training envs advance in lockstep on one clock, through one
-:func:`step_batch` and one :func:`allocate` call per hour; evaluation
-steps one episode hour by hour and allocates all its hours in one call.
+:func:`step_batch` call per hour and one :func:`allocate` call per run of
+a rollout's hours within one episode; evaluation steps one episode hour
+by hour and allocates all its hours in one call.
 
 Conventions (documented, not configurable):
   * Negative charge/discharge action halves mean "no request"; only the
@@ -165,10 +166,11 @@ def step_batch(cfg: EnvConfig, row, soc: np.ndarray, action: np.ndarray
 
     ``soc`` has shape (n,) and values in [soc_min, soc_max]; ``action`` has
     shape (n, N_ACTIONS), clipped as for :func:`step`.  Returns (soc_next,
-    p_ch, p_dis, p_supply), each (n,), bit for bit what :func:`step`
-    returns per env: each element goes through the operations of
-    :func:`step` in the same order, and ``np.where`` keeps the zero signs
-    and NaN handling of its ``max``/``min``.
+    p_ch, p_dis, p_supply), each (n,) but for the flow that the hour's
+    sign of p_net rules out, which is the float 0.0 for every env; bit for
+    bit what :func:`step` returns per env: each element goes through the
+    operations of :func:`step` in the same order, and ``np.where`` keeps
+    the zero signs and NaN handling of its ``max``/``min``.
     """
     p_re, p_net = row[3], row[4]
     # Every env sees the same p_net, so one side of the mutual exclusion
@@ -186,36 +188,45 @@ def step_batch(cfg: EnvConfig, row, soc: np.ndarray, action: np.ndarray
         cap = max(0.0, -p_net)
     flow = np.minimum(np.minimum(np.minimum(req, cfg.p_conv_kw), headroom),
                       cap)
-    idle = np.zeros_like(flow)
-    p_ch, p_dis = (flow, idle) if charging else (idle, flow)
-    soc_next = soc + (cfg.eta_ch * p_ch - p_dis / cfg.eta_dis) / cfg.e_max_kwh
+    # step's terms with the idle flow's 0.0 folded in: x - 0.0 is x, and
+    # the SOC (at least soc_min > 0) takes a zero delta of either sign to
+    # the same sum, but p_re + 0.0 is not p_re where p_re is -0.0.
+    if charging:
+        delta, p_supply = cfg.eta_ch * flow, (p_re + 0.0) - flow
+    else:
+        delta, p_supply = -flow / cfg.eta_dis, p_re + flow
+    p_ch, p_dis = (flow, 0.0) if charging else (0.0, flow)
+    soc_next = soc + delta / cfg.e_max_kwh
     soc_next = np.minimum(np.maximum(soc_next, cfg.soc_min), cfg.soc_max)
-    return soc_next, p_ch, p_dis, p_re + p_dis - p_ch
+    return soc_next, p_ch, p_dis, p_supply
 
 
 def allocate(cfg: EnvConfig, loads: np.ndarray, p_supply: np.ndarray,
              w: np.ndarray):
-    """Split n supplies across the tiers and score each split.
+    """Split supplies across the tiers and score each split.
 
     ``p_supply`` is (n,), ``w`` the (n, 3) finite raw weights and ``loads``
-    (n, 3) or one (3,) row for all n.  The split is the max-subtracted
-    softmax of the weights, through ``math.exp``, whose results ``np.exp``
-    does not always match.  Returns the (n, 3) allocations, imbalances and
-    shortages and the (n,) rewards, each row's :func:`resilience_index`.
+    (n, 3) or one (3,) row for all n; or for k hours of n envs (k, n),
+    (k, n, 3) and the hours' (k, 1, 3) rows.  The split is the
+    max-subtracted softmax of the weights, through ``math.exp``, whose
+    results ``np.exp`` does not always match.  Returns the allocations,
+    imbalances and shortages, shaped like ``w``, and the rewards, each
+    row's :func:`resilience_index`; every row is bit for bit its own call.
     """
     if not np.isfinite(w).all():
-        bad = w[~np.isfinite(w).all(axis=1)][0].tolist()
+        bad = w[~np.isfinite(w).all(axis=-1)][0].tolist()
         raise ValueError(f"non-finite allocation weights: {bad}")
-    m = np.maximum(np.maximum(w[:, 0], w[:, 1]), w[:, 2])
+    m = np.maximum(np.maximum(w[..., 0], w[..., 1]), w[..., 2])
     # A spread wider than the float range gives offset -inf and share 0.0.
     with np.errstate(over="ignore"):
-        offsets = (w - m[:, None]).ravel().tolist()
+        offsets = (w - m[..., None]).ravel().tolist()
     e = np.fromiter(map(math.exp, offsets), float, w.size).reshape(w.shape)
-    s = e[:, 0] + e[:, 1] + e[:, 2]
-    alloc = e / s[:, None] * p_supply[:, None]
+    s = e[..., 0] + e[..., 1] + e[..., 2]
+    alloc = e / s[..., None] * p_supply[..., None]
     imb = alloc - loads
     short = -np.where(imb < 0.0, imb, 0.0)
-    reward = resilience_index(short.T, loads.T, cfg.reward_weights)
+    reward = resilience_index(np.moveaxis(short, -1, 0),
+                              np.moveaxis(loads, -1, 0), cfg.reward_weights)
     return alloc, imb, short, reward
 
 

@@ -33,8 +33,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # forward_policy/forward_value run a larger batch (the explainer's
-# 5,000-state cloud) in row blocks of at most ~BLOCK_ROWS, so its
-# activations take O(BLOCK_ROWS x width) memory, not O(B x width).
+# 5,000-state cloud, a rollout's state stack) in row blocks of at most
+# ~BLOCK_ROWS, so its activations take O(BLOCK_ROWS x width) memory, not
+# O(B x width).
 # 512-1024 rows ran a 6-64-64-5 actor equally fast on 2 cores; 512
 # holds the least.
 BLOCK_ROWS = 512
@@ -85,12 +86,14 @@ def mlp_init(sizes, rng: np.random.Generator, out_gain: float = 1.0) -> Mlp:
 
 def mlp_forward(m: Mlp, x: np.ndarray, outs: list | None = None,
                 scratch: np.ndarray | None = None) -> tuple[np.ndarray, list]:
-    """Forward pass on a (B, n_in) batch; cache holds each layer's input.
+    """Forward pass on a (B, n_in) batch or a (T, B, n_in) stack of
+    them; cache holds each layer's input.
 
-    With ``outs`` (one array of at least B rows per layer) and ``scratch``
-    (a flat array of at least B x the widest layer, given together) layer
-    i writes its output into the first B rows of ``outs[i]`` and
-    allocates nothing; without them each layer output is a fresh array.
+    With ``outs`` (one array per layer, at least as long as x) and
+    ``scratch`` (a flat array of at least x's rows x the widest layer,
+    given together) layer i writes its output into the front of
+    ``outs[i]`` and allocates nothing; without them each layer output is
+    a fresh array.
     """
     inputs = [x]
     h = x
@@ -145,9 +148,9 @@ def mlp_backward(m: Mlp, cache: list, gy: np.ndarray, grads: list,
     return g
 
 
-def _rows(scratch: np.ndarray, n: int, width: int) -> np.ndarray:
-    """(n, width) C-order view at the front of the flat scratch array."""
-    return scratch[:n * width].reshape(n, width)
+def _rows(scratch: np.ndarray, *shape: int) -> np.ndarray:
+    """C-order view of that shape at the front of the flat scratch array."""
+    return scratch[:math.prod(shape)].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +220,11 @@ def _check_finite(finite) -> None:
 
 
 def _net_input(net: GaussianPolicy | ValueNet, x: np.ndarray) -> np.ndarray:
-    """A (B, n_features) batch of raw states, checked and normalized."""
-    if x.ndim != 2:
-        raise ValueError(f"need a (B, n_features) state batch, got {x.shape}")
+    """A (B, n_features) batch of raw states, or a stack of them, checked
+    and normalized."""
+    if x.ndim not in (2, 3):
+        raise ValueError(f"need a (B, n_features) state batch or a stack, "
+                         f"got {x.shape}")
     _check_finite(np.isfinite(x).all())
     return normalize(net, x)
 
@@ -236,29 +241,37 @@ def _forward(m: Mlp, x: np.ndarray) -> np.ndarray:
     each row meets the kernels' row unrolling where one pass would put
     it (the critic's one-column product rounds the rows of a block
     begun off a multiple of 4 otherwise).
+
+    A (T, B, n_in) stack is one product per slice, the one that slice
+    alone would make, so its blocks are any runs of whole slices.
     """
     n = len(x)
-    if n <= BLOCK_ROWS:
+    per_block, align = ((BLOCK_ROWS, BLOCK_ALIGN) if x.ndim == 2 else
+                        (max(1, BLOCK_ROWS // x.shape[1]), 1))
+    if n <= per_block:
         return mlp_forward(m, x)[0]
-    k = -(-n // BLOCK_ROWS)
-    edges = [i * n // k // BLOCK_ALIGN * BLOCK_ALIGN for i in range(k)] + [n]
+    k = -(-n // per_block)
+    edges = [i * n // k // align * align for i in range(k)] + [n]
     rows = max(hi - lo for lo, hi in zip(edges[:-1], edges[1:]))
-    out = np.empty((n, m.sizes[-1]))
-    hidden = [np.empty((rows, width)) for width in m.sizes[1:-1]]
-    scratch = np.empty(rows * max(m.sizes[1:]))
+    inner = x.shape[1:-1]  # () for a batch, (B,) for a stack
+    out = np.empty((*x.shape[:-1], m.sizes[-1]))
+    hidden = [np.empty((rows, *inner, width)) for width in m.sizes[1:-1]]
+    scratch = np.empty(rows * math.prod(inner) * max(m.sizes[1:]))
     for lo, hi in zip(edges[:-1], edges[1:]):
         mlp_forward(m, x[lo:hi], [*hidden, out[lo:]], scratch)
     return out
 
 
 def forward_policy(p: GaussianPolicy, x: np.ndarray) -> np.ndarray:
-    """(B, n_actions) action means for a (B, n_features) state batch."""
+    """(B, n_actions) action means for a (B, n_features) state batch, or
+    a stack of them, each slice bit for bit its own call."""
     return _forward(p.trunk, _net_input(p, x))
 
 
 def forward_value(v: ValueNet, x: np.ndarray) -> np.ndarray:
-    """(B,) critic estimates for a (B, n_features) state batch."""
-    return _forward(v.net, _net_input(v, x))[:, 0]
+    """(B,) critic estimates for a (B, n_features) state batch, or a
+    stack of them, each slice bit for bit its own call."""
+    return _forward(v.net, _net_input(v, x))[..., 0]
 
 
 def block_policy(p: GaussianPolicy, states: np.ndarray):

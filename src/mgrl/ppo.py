@@ -1,11 +1,12 @@
 """Proximal policy optimization for the microgrid dispatch task.
 
 The trainer is deliberately self-contained: rollouts come from a small
-ensemble of lockstep episodes that :func:`mgrl.env.step_batch` and
-:func:`mgrl.env.allocate` advance together, advantages use generalized
-advantage estimation, and updates apply the clipped surrogate objective
-with analytic gradients through the numpy networks in :mod:`mgrl.neural`.
-Evaluation steps one episode's battery at a time through :func:`mgrl.env.step`.
+ensemble of lockstep episodes whose batteries :func:`mgrl.env.step_batch`
+moves hour by hour, while the critic and :func:`mgrl.env.allocate` run
+once over many hours; advantages use generalized advantage estimation,
+and updates apply the clipped surrogate objective with analytic
+gradients through the numpy networks in :mod:`mgrl.neural`.  Evaluation
+steps one episode's battery at a time through :func:`mgrl.env.step`.
 
 Training optimizes the per-step reward stream only; the episode-level
 resilience bonus enters the normalized episode score that is *reported*
@@ -192,7 +193,8 @@ class EnvBatch:
     and runs the full horizon, so the envs finish together and each then
     draws a fresh SOC from its own reset stream ``rngs[i]``.  The SOCs are
     an (n_envs,) array, and the hour log of the running episodes holds
-    their (n_envs, horizon, 3) shortages and (n_envs, horizon) rewards.
+    their time-major (horizon, n_envs, 3) shortages and (horizon, n_envs)
+    rewards, so one allocation fills a run of hours as one slice.
     """
 
     def __init__(self, cfg: EnvConfig, scn: Scenario, n_envs: int,
@@ -201,8 +203,8 @@ class EnvBatch:
         self.cfg = cfg
         self.rows = scenario_rows(scn)
         self.loads = scn.loads
-        self.shortages = np.empty((n_envs, scn.horizon, 3))
-        self.rewards = np.empty((n_envs, scn.horizon))
+        self.shortages = np.empty((scn.horizon, n_envs, 3))
+        self.rewards = np.empty((scn.horizon, n_envs))
         self.rngs = [derive_rng(seed, f"env-{i}") for i in range(n_envs)]
         self.reset()
 
@@ -223,14 +225,17 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Advance every env in lockstep until exactly n_steps transitions exist.
 
-    Each hour is one :func:`mgrl.neural.forward_policy` call, whose means
+    An hour keeps only what feeds the next hour's SOC: one
+    :func:`mgrl.neural.forward_policy` call, whose means
     :func:`mgrl.neural.policy_action` turns into draws at the rollout's
-    one std, one :func:`mgrl.neural.forward_value` call, one
-    :func:`mgrl.env.step_batch` and one :func:`mgrl.env.allocate` call
-    over all envs, and fills row t of the table; the draws' log-densities
-    are one :func:`mgrl.neural.gaussian_log_prob` call after the last hour.
-    Finished episodes are summarized and restarted in place, so a buffer
-    may span several (possibly partial) episodes per env.
+    one std, and one :func:`mgrl.env.step_batch` call over all envs.  One
+    :func:`mgrl.env.allocate` call per episode segment (the rollout's
+    hours within one episode) fills the rewards and the envs' hour log;
+    an episode that ends is then summarized and restarted in place, so a
+    buffer may span several (possibly partial) episodes per env.  One
+    stacked :func:`mgrl.neural.forward_value` call after the last hour
+    gives the values, each hour bit for bit its own call, and one
+    :func:`mgrl.neural.gaussian_log_prob` call the draws' log-densities.
     """
     n_envs = len(envs.rngs)
     if n_envs == 0:
@@ -241,33 +246,42 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
     steps = n_steps // n_envs
 
     buf = RolloutBuffer(np.zeros((steps, n_envs, ROLLOUT_WIDTH)))
-    states, actions, rewards, values, dones = (
-        buf.states, buf.actions, buf.rewards, buf.values, buf.dones)
+    states, actions, rewards, dones = (
+        buf.states, buf.actions, buf.rewards, buf.dones)
     means = np.empty((steps, n_envs, N_ACTIONS))
+    clipped = np.empty((steps, n_envs, N_ACTIONS))
+    supply = np.empty((steps, n_envs))
     # One draw for the whole rollout: the same numbers, in the same order,
     # as one (n_envs, N_ACTIONS) draw per hour.
     z = rng.standard_normal((steps, n_envs, N_ACTIONS))
     log_std = policy.clamped_log_std()
     std = np.exp(log_std)
 
-    for t in range(steps):
-        obs = envs.observe(states[t])
-        means[t] = forward_policy(policy, obs)
-        action, actions[t] = policy_action(means[t], std, z[t])
-        values[t] = forward_value(value, obs)
-        envs.soc, _, _, p_supply = step_batch(
-            envs.cfg, envs.rows[envs.t], envs.soc, action)
-        *_, envs.shortages[:, envs.t], rewards[t] = allocate(
-            envs.cfg, envs.loads[envs.t], p_supply, action[:, 2:])
-        envs.rewards[:, envs.t] = rewards[t]
-        envs.t += 1
+    start = 0
+    while start < steps:  # one episode segment per pass
+        n = min(steps - start, len(envs.rows) - envs.t)
+        seg, hours = slice(start, start + n), slice(envs.t, envs.t + n)
+        for t in range(seg.start, seg.stop):
+            obs = envs.observe(states[t])
+            means[t] = forward_policy(policy, obs)
+            clipped[t], actions[t] = policy_action(means[t], std, z[t])
+            envs.soc, _, _, supply[t] = step_batch(
+                envs.cfg, envs.rows[envs.t], envs.soc, clipped[t])
+            envs.t += 1
+        *_, envs.shortages[hours], rewards[seg] = allocate(
+            envs.cfg, envs.loads[hours, None], supply[seg],
+            clipped[seg, :, 2:])
+        envs.rewards[hours] = rewards[seg]
         if envs.t == len(envs.rows):
-            dones[t] = 1.0
+            dones[seg.stop - 1] = 1.0
             buf.episode_summaries += [
-                summarize_episode(envs.cfg, envs.loads, sh, r)
-                for sh, r in zip(envs.shortages, envs.rewards)]
+                summarize_episode(envs.cfg, envs.loads, envs.shortages[:, i],
+                                  envs.rewards[:, i])
+                for i in range(n_envs)]
             envs.reset()
+        start += n
 
+    buf.values[...] = forward_value(value, states)
     buf.bootstrap = forward_value(
         value, envs.observe(np.empty((n_envs, N_FEATURES))))
     buf.log_probs[...] = gaussian_log_prob(means, log_std, actions)

@@ -9,6 +9,7 @@ import pytest
 import mgrl.cli as cli
 from mgrl.cli import main
 from mgrl.config import load_run_config
+from mgrl.env import summarize_episode
 from mgrl.metrics import read_train_metrics_csv
 from mgrl.neural import load_checkpoint
 from mgrl.ppo import TrainingDivergedError, evaluate_policy
@@ -462,6 +463,38 @@ class TestReportCommand:
         assert cfg.env.reward_weights == (10.0, 1.0, 0.1)
         assert abs(float(report["resilience_index"])
                    - ev.summaries[0].ri) <= 1e-12
+
+    def test_report_reads_no_reward_of_the_eval(self, tmp_path, capsys):
+        """A report under env.reward_weights = 10, 1, 0.1 writes the same
+        report.csv and report.txt over an eval at the default weights as
+        over one at its own: it scores the trajectory's shortages and
+        loads under its weights and never prints the normalized reward
+        that the eval's reward column, summed under the report's
+        weights, would give."""
+        default, weighted = tmp_path / "default.conf", tmp_path / "w.conf"
+        default.write_text(TINY_CONF)
+        weighted.write_text(TINY_CONF + "env.reward_weights = 10, 1, 0.1\n")
+        cfg = load_run_config(str(weighted))
+        reports, rewards = [], []
+        for eval_conf in (default, weighted):
+            out = str(tmp_path / eval_conf.stem)
+            run_pipeline(str(default), out, through="train")
+            assert run("eval", "--config", str(eval_conf), "--out", out) == 0
+            capsys.readouterr()
+            assert run("report", "--config", str(weighted), "--out",
+                       out) == 0
+            reports.append([capsys.readouterr().out] + [
+                open(os.path.join(out, name)).read()
+                for name in ("report.csv", "report.txt")])
+            traj = read_trajectory_csv(os.path.join(out, "trajectory.csv"))
+            rewards.append(traj.reward)
+            mixed = summarize_episode(cfg.env, traj.loads, traj.shortages,
+                                      traj.reward).reward_final_norm
+            for text in reports[-1]:
+                assert repr(mixed) not in text
+                assert f"{mixed:.4f}" not in text
+        assert reports[0][1:] == reports[1][1:]
+        assert (rewards[0] != rewards[1]).any()
 
     def test_report_is_idempotent(self, conf, tmp_path):
         out = str(tmp_path / "out")

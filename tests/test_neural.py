@@ -266,8 +266,11 @@ class TestGaussianHead:
 
     def test_single_state_must_be_a_batch(self):
         p = make_policy(2, 2, (4,), np.random.default_rng(0), *raw_inputs(2))
-        with pytest.raises(ValueError, match="state batch"):
-            forward_policy(p, np.zeros(2))
+        v = make_value(2, (4,), np.random.default_rng(0), *raw_inputs(2))
+        for forward, net in ((forward_policy, p), (forward_value, v)):
+            for shape in ((2,), (1, 1, 1, 2)):
+                with pytest.raises(ValueError, match="state batch"):
+                    forward(net, np.zeros(shape))
 
     def test_mean_action_is_the_clipped_mean(self):
         mean = np.array([[-3.0, -0.25, 0.0, 0.5, 2.0]])
@@ -295,6 +298,23 @@ class TestBlockedForward:
                                       bits(want_mean))
         np.testing.assert_array_equal(bits(forward_value(v, x)),
                                       bits(want_value))
+
+    @pytest.mark.parametrize("b", [1, 3, 8, 64, BLOCK_ROWS + 88])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_stack_gives_its_batches_calls_bit_for_bit(self, b, above):
+        """A (T, B, N_FEATURES) stack, with T x B below or above BLOCK_ROWS
+        (a B above it is blocked by whole batches anyway), gives each
+        batch what its own (B, N_FEATURES) call gives."""
+        p, v = self.nets()
+        t = 2 * BLOCK_ROWS // b + 3 if above else max(1, BLOCK_ROWS // b - 1)
+        x = np.random.default_rng(b).normal(size=(t, b, N_FEATURES)) * 3.0
+        means, values = forward_policy(p, x), forward_value(v, x)
+        assert means.shape == (t, b, N_ACTIONS) and values.shape == (t, b)
+        for k in range(t):
+            np.testing.assert_array_equal(bits(means[k]),
+                                          bits(forward_policy(p, x[k])))
+            np.testing.assert_array_equal(bits(values[k]),
+                                          bits(forward_value(v, x[k])))
 
     def test_explainer_cloud_allocates_no_full_activation(self):
         """5,000 states through a 6 -> 64 -> 64 -> 5 actor raise the

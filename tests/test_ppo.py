@@ -644,22 +644,39 @@ class TestCollectRollouts:
                                   policy.clamped_log_std(), buf.actions[t]),
                 rtol=1e-12)
 
-    def test_goes_through_the_public_batch_calls(self, monkeypatch):
-        """One forward_policy and one forward_value call per hour on the
-        (n_envs, N_FEATURES) observations, plus one bootstrap call."""
+    @pytest.mark.parametrize("hours, segments, ends", [
+        (4, [4], 0), (5, [5], 1), (7, [5, 2], 1), (12, [5, 5, 2], 2)])
+    def test_goes_through_the_public_batch_calls(self, monkeypatch, hours,
+                                                 segments, ends):
+        """One forward_policy call per hour on the (n_envs, N_FEATURES)
+        observations; one stacked forward_value call on all hours' states
+        plus the bootstrap call; one allocate call per episode segment,
+        on that segment's (k, n_envs) supplies and (k, 1, 3) loads.  On a
+        5-hour scenario the rollouts end 0, 1 (at their last hour or
+        inside) and 2 episodes."""
         import mgrl.ppo as ppo_mod
 
-        calls = {"forward_policy": [], "forward_value": []}
-        for name in calls:
+        calls = {"forward_policy": [], "forward_value": [], "allocate": []}
+        for name in ("forward_policy", "forward_value"):
             def counted(net, x, *rest, _name=name,
                         _fn=getattr(ppo_mod, name)):
                 calls[_name].append(x.shape)
                 return _fn(net, x, *rest)
             monkeypatch.setattr(ppo_mod, name, counted)
+
+        def allocate(cfg, loads, p_supply, w, _fn=ppo_mod.allocate):
+            calls["allocate"].append((loads.shape, p_supply.shape, w.shape))
+            return _fn(cfg, loads, p_supply, w)
+        monkeypatch.setattr(ppo_mod, "allocate", allocate)
         policy, value, envs = self.make_parts(horizon=5, n_envs=3)
-        collect_rollouts(policy, value, envs, 21, np.random.default_rng(4))
-        assert calls["forward_policy"] == [(3, N_FEATURES)] * 7
-        assert calls["forward_value"] == [(3, N_FEATURES)] * 8
+        buf = collect_rollouts(policy, value, envs, 3 * hours,
+                               np.random.default_rng(4))
+        assert calls["forward_policy"] == [(3, N_FEATURES)] * hours
+        assert calls["forward_value"] == [(hours, 3, N_FEATURES),
+                                          (3, N_FEATURES)]
+        assert calls["allocate"] == [((k, 1, 3), (k, 3), (k, 3, 3))
+                                     for k in segments]
+        assert len(buf.episode_summaries) == 3 * ends
 
     def test_divisibility_enforced(self):
         policy, value, envs = self.make_parts(n_envs=2)
@@ -702,12 +719,14 @@ class TestCollectRollouts:
             assert abs(summary.ri - ri) <= 1e-12
             assert abs(summary.reward_final_norm - norm) <= 1e-12
 
-    @pytest.mark.parametrize("n_envs", [1, 3, 8])
-    def test_matches_scalar_reference_rollout(self, n_envs):
-        """Two 7-hour rollouts on a 5-hour scenario under non-default
-        reward weights, the second resuming mid-episode, are the
-        reference's 14 hours bit for bit: every buffer field, both
-        bootstraps and the episode summaries."""
+    @pytest.mark.parametrize("hours", [7, 12])
+    @pytest.mark.parametrize("n_envs", [1, 3, 8, 64])
+    def test_matches_scalar_reference_rollout(self, n_envs, hours):
+        """Two 7- or 12-hour rollouts on a 5-hour scenario under
+        non-default reward weights, the second resuming mid-episode, are
+        the reference's hours bit for bit: every buffer field, both
+        bootstraps and the episode summaries.  A 12-hour rollout ends two
+        episodes."""
         cfg = EnvConfig(reward_weights=(4.0, 1.5, 0.25))
         scn = small_scenario(horizon=5)
         rng = np.random.default_rng(11)
@@ -715,26 +734,39 @@ class TestCollectRollouts:
                              *raw_inputs(N_FEATURES))
         value = make_value(N_FEATURES, (8,), rng, *raw_inputs(N_FEATURES))
         ref, ref_bootstrap, ref_summaries = reference_rollout(
-            policy, value, cfg, scn, n_envs, 3, 14, np.random.default_rng(12))
+            policy, value, cfg, scn, n_envs, 3, 2 * hours,
+            np.random.default_rng(12))
         envs = EnvBatch(cfg, scn, n_envs, seed=3)
         rollout_rng = np.random.default_rng(12)
-        bufs = [collect_rollouts(policy, value, envs, 7 * n_envs, rollout_rng)
+        bufs = [collect_rollouts(policy, value, envs, hours * n_envs,
+                                 rollout_rng)
                 for _ in range(2)]
         for k, buf in enumerate(bufs):
             fields = (buf.states, buf.actions, buf.log_probs, buf.rewards,
                       buf.values, buf.dones)
             for got, want in zip(fields, ref):
-                np.testing.assert_array_equal(bits(got),
-                                              bits(want[7 * k:7 * k + 7]))
+                np.testing.assert_array_equal(
+                    bits(got), bits(want[hours * k:hours * (k + 1)]))
         np.testing.assert_array_equal(
-            bits(bufs[0].bootstrap), bits(forward_value(value, ref[0][7])))
+            bits(bufs[0].bootstrap), bits(forward_value(value, ref[0][hours])))
         np.testing.assert_array_equal(bits(bufs[1].bootstrap),
                                       bits(ref_bootstrap))
         got = [np.hstack(astuple(s))
                for buf in bufs for s in buf.episode_summaries]
-        assert len(got) == 2 * n_envs
+        assert len(got) == 2 * hours // 5 * n_envs
         np.testing.assert_array_equal(
             bits(got), bits([np.hstack(astuple(s)) for s in ref_summaries]))
+
+
+    def test_nan_means_refused_as_non_finite_weights(self):
+        """A policy whose means are NaN draws NaN weights, which the
+        rollout refuses with allocate's error."""
+        policy, value, envs = self.make_parts(horizon=5, n_envs=3)
+        policy.trunk.biases[-1][:] = np.nan
+        with pytest.raises(ValueError, match=r"^non-finite allocation "
+                                             r"weights: \[nan, nan, nan\]$"):
+            collect_rollouts(policy, value, envs, 21,
+                             np.random.default_rng(4))
 
 
 class TestObsStats:

@@ -7,6 +7,7 @@ directory (``--out``, default from config).  Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import functools
 import glob
 import json
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, config_summary, load_run_config
-from .env import summarize_episode
+from .env import NonFiniteActionError, summarize_episode
 from .explain import SurrogateFitError, explain_step, render_explanation
 from .metrics import (
     annualize_throughput,
@@ -71,6 +72,18 @@ def _load_policy(cfg: RunConfig, explicit: str | None):
         raise UserError(f"checkpoint not found: {path} "
                         f"(train one with 'mgrl train')")
     return load_checkpoint(path), path
+
+
+@contextlib.contextmanager
+def _running_actor(ck_path: str):
+    """A finite checkpoint whose actor overflows on the run's states gives
+    non-finite actions: one error line naming it, with no NumPy warning."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except NonFiniteActionError as exc:
+        raise UserError(f"{ck_path}: the actor's output is not finite on "
+                        f"this run's states ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +148,11 @@ def cmd_eval(args) -> int:
     cfg = _load(args)
     (policy, _value), ck_path = _load_policy(cfg, args.checkpoint)
     scn, _ = _load_scenario(cfg, args.scenario)
-    res = evaluate_policy(policy, cfg.env, scn, n_episodes=args.episodes,
-                          deterministic=not args.stochastic,
-                          seed=derive_seed(cfg.seed, "eval"))
+    with _running_actor(ck_path):
+        res = evaluate_policy(policy, cfg.env, scn,
+                              n_episodes=args.episodes,
+                              deterministic=not args.stochastic,
+                              seed=derive_seed(cfg.seed, "eval"))
     traj_path = os.path.join(cfg.output_dir, TRAJECTORY_FILE)
     write_trajectory_csv(res.trajectory, traj_path)
     first = res.summaries[0]
@@ -155,7 +170,7 @@ def cmd_eval(args) -> int:
 
 def cmd_explain(args) -> int:
     cfg = _load(args)
-    (policy, _value), _ = _load_policy(cfg, args.checkpoint)
+    (policy, _value), ck_path = _load_policy(cfg, args.checkpoint)
     traj_path = args.trajectory or os.path.join(cfg.output_dir,
                                                 TRAJECTORY_FILE)
     if not os.path.exists(traj_path):
@@ -176,7 +191,8 @@ def cmd_explain(args) -> int:
     if not lo <= soc <= hi:  # perturb clips the cloud into [lo, hi]
         raise UserError(f"{traj_path}: step {t} has SOC {soc!r} outside "
                         f"the configured band [{lo}, {hi}]")
-    explanations = explain_step(policy, traj, t, cfg.env, cfg.explain)
+    with _running_actor(ck_path):
+        explanations = explain_step(policy, traj, t, cfg.env, cfg.explain)
     print(f"explaining step {t} (battery mode: {traj.mode_at(t)})")
     for name, expl in explanations.items():
         paths = render_explanation(expl, os.path.join(

@@ -9,16 +9,16 @@ the step; :func:`summarize_episode` sums an episode's hours and takes
 the same formula over its totals).
 
 An hour has two halves.  The battery move is sequential, its SOC feeding
-the next hour: :func:`step` over plain floats (a scenario hour from
-:func:`scenario_rows`, the SOC and the action), or :func:`step_batch` on
-arrays for many SOCs at once.  :func:`allocate` splits the supply of any
-number of hours or envs in one array call.  Rollout loops own the episode
+the next hour: :func:`step`, one definition, moves one float SOC (a
+scenario hour from :func:`scenario_rows`, the SOC and the action) or an
+array of SOCs at once.  :func:`allocate` splits the supply of any number
+of hours or envs in one array call.  Rollout loops own the episode
 state: every episode starts at t = 0 with a SOC drawn by
 :meth:`EnvConfig.initial_soc` and runs the full scenario horizon.  The
-training envs advance in lockstep on one clock, through one
-:func:`step_batch` call per hour and one :func:`allocate` call per run of
-a rollout's hours within one episode; evaluation steps one episode hour
-by hour and allocates all its hours in one call.
+training envs advance in lockstep on one clock, through one :func:`step`
+call on their SOC array per hour and one :func:`allocate` call per run
+of a rollout's hours within one episode; evaluation steps one episode's
+float SOC hour by hour and allocates all its hours in one call.
 
 Conventions (documented, not configurable):
   * Negative charge/discharge action halves mean "no request"; only the
@@ -50,6 +50,11 @@ ACTION_NAMES = ("charge", "discharge", "w1", "w2", "w3")
 
 # Shortage/load weighting of the three priority tiers (essential first).
 PRIORITY_WEIGHTS = (7.0, 2.0, 1.0)
+
+
+class NonFiniteActionError(ValueError):
+    """A non-finite allocation weight or explained actor output, which a
+    finite checkpoint gives where its actor overflows on the run's states."""
 
 
 @dataclass(frozen=True)
@@ -131,73 +136,52 @@ def resilience_index(shortages, loads, weights):
     return np.where(idle, 1.0, 1.0 - unmet / (demand + idle))
 
 
-def step(cfg: EnvConfig, row, soc: float, action):
+# step's primitives, picked once per call: the positive part, min and max
+# of floats or, keeping their zero signs and NaN handling, of arrays.
+_FLOAT_OPS = (lambda a: max(0.0, a), min, max)
+_ARRAY_OPS = (lambda a: np.where(a > 0.0, a, 0.0), np.minimum, np.maximum)
+
+
+def step(cfg: EnvConfig, row, soc, action):
     """Move the battery one hour from SOC ``soc`` at scenario row ``row``.
 
-    Reads the battery requests ``action[0]`` and ``action[1]``, each in
-    [-1, 1] as the policy clips them.  They are clamped, never rejected:
-    mutual exclusion by the sign of net power, then the converter rating,
-    the SOC-headroom caps, and the surplus/deficit caps.
+    ``soc`` is a float, or an (n,) array of n lockstep envs' SOCs at the
+    same hour; the requests ``action[0]`` (charge) and ``action[1]``
+    (discharge) are then floats or (n,) arrays, in [-1, 1] as the policy
+    clips them, NaN asking for nothing.  They are clamped, never
+    rejected: mutual exclusion by the sign of net power, then the
+    converter rating, the SOC-headroom cap and the surplus/deficit cap.
 
-    Returns the floats (soc_next, p_ch, p_dis, p_supply); :func:`allocate`
+    Returns (soc_next, p_ch, p_dis, p_supply), floats or (n,) arrays, each
+    env's bit for bit its float call, but for the flow that the hour's
+    sign of p_net rules out: the float 0.0 either way.  :func:`allocate`
     splits the supply.
     """
-    p_re, p_net = row[3], row[4]
-    p_ch_req = max(0.0, action[0]) * cfg.p_conv_kw
-    p_dis_req = max(0.0, action[1]) * cfg.p_conv_kw
-    if p_net >= 0:
-        p_dis_req = 0.0
-    else:
-        p_ch_req = 0.0
-    headroom_ch = max(0.0, cfg.soc_max - soc) * cfg.e_max_kwh / cfg.eta_ch
-    headroom_dis = max(0.0, soc - cfg.soc_min) * cfg.e_max_kwh * cfg.eta_dis
-    p_ch = min(p_ch_req, cfg.p_conv_kw, headroom_ch, max(0.0, p_net))
-    p_dis = min(p_dis_req, cfg.p_conv_kw, headroom_dis, max(0.0, -p_net))
-    soc_next = soc + (cfg.eta_ch * p_ch - p_dis / cfg.eta_dis) / cfg.e_max_kwh
-    # The caps already hold the update inside the band; the clip only absorbs
-    # last-ULP rounding so the bound is exact.
-    soc_next = min(max(soc_next, cfg.soc_min), cfg.soc_max)
-    return soc_next, p_ch, p_dis, p_re + p_dis - p_ch
-
-
-def step_batch(cfg: EnvConfig, row, soc: np.ndarray, action: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`step` for n envs at the same scenario hour, on arrays.
-
-    ``soc`` has shape (n,) and values in [soc_min, soc_max]; ``action`` has
-    shape (n, N_ACTIONS), clipped as for :func:`step`.  Returns (soc_next,
-    p_ch, p_dis, p_supply), each (n,) but for the flow that the hour's
-    sign of p_net rules out, which is the float 0.0 for every env; bit for
-    bit what :func:`step` returns per env: each element goes through the
-    operations of :func:`step` in the same order, and ``np.where`` keeps
-    the zero signs and NaN handling of its ``max``/``min``.
-    """
+    pos, lo, hi = _ARRAY_OPS if isinstance(soc, np.ndarray) else _FLOAT_OPS
     p_re, p_net = row[3], row[4]
     # Every env sees the same p_net, so one side of the mutual exclusion
-    # holds for all of them and the other flow is exactly 0.0, as in step.
+    # holds for all of them and the other flow is exactly 0.0.
     charging = p_net >= 0
-    a = action[:, 0] if charging else action[:, 1]
-    req = np.where(a > 0.0, a, 0.0) * cfg.p_conv_kw
+    req = pos(action[0] if charging else action[1]) * cfg.p_conv_kw
     if charging:
-        headroom = (np.maximum(cfg.soc_max - soc, 0.0) * cfg.e_max_kwh
-                    / cfg.eta_ch)
+        headroom = hi(cfg.soc_max - soc, 0.0) * cfg.e_max_kwh / cfg.eta_ch
         cap = max(0.0, p_net)
     else:
-        headroom = (np.maximum(soc - cfg.soc_min, 0.0) * cfg.e_max_kwh
-                    * cfg.eta_dis)
+        headroom = hi(soc - cfg.soc_min, 0.0) * cfg.e_max_kwh * cfg.eta_dis
         cap = max(0.0, -p_net)
-    flow = np.minimum(np.minimum(np.minimum(req, cfg.p_conv_kw), headroom),
-                      cap)
-    # step's terms with the idle flow's 0.0 folded in: x - 0.0 is x, and
-    # the SOC (at least soc_min > 0) takes a zero delta of either sign to
-    # the same sum, but p_re + 0.0 is not p_re where p_re is -0.0.
+    flow = lo(lo(lo(req, cfg.p_conv_kw), headroom), cap)
+    # The SOC and supply terms of both flows with the idle flow's 0.0
+    # folded in: x - 0.0 is x, and the SOC (at least soc_min > 0) takes a
+    # zero delta of either sign to the same sum, but p_re + 0.0 is not
+    # p_re where p_re is -0.0.
     if charging:
         delta, p_supply = cfg.eta_ch * flow, (p_re + 0.0) - flow
     else:
         delta, p_supply = -flow / cfg.eta_dis, p_re + flow
+    # The caps already hold the update inside the band; the clip only absorbs
+    # last-ULP rounding so the bound is exact.
+    soc_next = lo(hi(soc + delta / cfg.e_max_kwh, cfg.soc_min), cfg.soc_max)
     p_ch, p_dis = (flow, 0.0) if charging else (0.0, flow)
-    soc_next = soc + delta / cfg.e_max_kwh
-    soc_next = np.minimum(np.maximum(soc_next, cfg.soc_min), cfg.soc_max)
     return soc_next, p_ch, p_dis, p_supply
 
 
@@ -215,7 +199,7 @@ def allocate(cfg: EnvConfig, loads: np.ndarray, p_supply: np.ndarray,
     """
     if not np.isfinite(w).all():
         bad = w[~np.isfinite(w).all(axis=-1)][0].tolist()
-        raise ValueError(f"non-finite allocation weights: {bad}")
+        raise NonFiniteActionError(f"non-finite allocation weights: {bad}")
     m = np.maximum(np.maximum(w[..., 0], w[..., 1]), w[..., 2])
     # A spread wider than the float range gives offset -inf and share 0.0.
     with np.errstate(over="ignore"):

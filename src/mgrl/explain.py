@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ACTION_NAMES, EnvConfig, FEATURE_NAMES, N_FEATURES
+from .env import (ACTION_NAMES, EnvConfig, FEATURE_NAMES, N_FEATURES,
+                  NonFiniteActionError)
 from .neural import GaussianPolicy, forward_policy
 from .svg import bar_chart
 from .table import write_text
@@ -140,7 +141,7 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
     if len(z_raw) < 10:
         raise ValueError(f"need at least 10 samples, got {len(z_raw)}")
     if not np.all(np.isfinite(y)):
-        raise ValueError("targets must be finite")
+        raise NonFiniteActionError("targets must be finite")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         omega = w / w.sum()
         mu = omega @ z_raw

@@ -205,13 +205,9 @@ def make_value(n_features: int, hidden, rng, obs_mean, obs_scale) -> ValueNet:
         obs_scale=np.array(obs_scale, dtype=np.float64).reshape(n_features))
 
 
-def normalize(net: GaussianPolicy | ValueNet, x,
-              col: int | None = None) -> np.ndarray:
-    """The network's input: raw state features under its fixed affine map;
-    with ``col``, ``x`` is that feature alone."""
-    mean, scale = ((net.obs_mean, net.obs_scale) if col is None
-                   else (net.obs_mean[col], net.obs_scale[col]))
-    return (x - mean) / scale
+def normalize(net: GaussianPolicy | ValueNet, x) -> np.ndarray:
+    """The network's input: raw states under its fixed affine map."""
+    return (x - net.obs_mean) / net.obs_scale
 
 
 def _check_finite(finite) -> None:
@@ -286,7 +282,7 @@ def block_policy(p: GaussianPolicy, states: np.ndarray):
 
     def means(t: int, soc: float) -> np.ndarray:
         _check_finite(math.isfinite(soc))
-        x[t, 0] = normalize(p, soc, 0)
+        x[t, 0] = (soc - p.obs_mean[0]) / p.obs_scale[0]
         return mlp_forward(p.trunk, x[t:t + 1])[0]
 
     return means

@@ -1,12 +1,13 @@
 """Proximal policy optimization for the microgrid dispatch task.
 
 The trainer is deliberately self-contained: rollouts come from a small
-ensemble of lockstep episodes whose batteries :func:`mgrl.env.step_batch`
-moves hour by hour, while the critic and :func:`mgrl.env.allocate` run
-once over many hours; advantages use generalized advantage estimation,
-and updates apply the clipped surrogate objective with analytic
-gradients through the numpy networks in :mod:`mgrl.neural`.  Evaluation
-steps one episode's battery at a time through :func:`mgrl.env.step`.
+ensemble of lockstep episodes whose batteries :func:`mgrl.env.step`
+moves hour by hour as one SOC array, while the critic and
+:func:`mgrl.env.allocate` run once over many hours; advantages use
+generalized advantage estimation, and updates apply the clipped
+surrogate objective with analytic gradients through the numpy networks
+in :mod:`mgrl.neural`.  Evaluation steps one episode's battery at a
+time through the same :func:`mgrl.env.step` on a float SOC.
 
 Training optimizes the per-step reward stream only; the episode-level
 resilience bonus enters the normalized episode score that is *reported*
@@ -27,7 +28,6 @@ from .env import (
     features,
     scenario_rows,
     step,
-    step_batch,
     summarize_episode,
 )
 from .neural import (
@@ -228,7 +228,7 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
     An hour keeps only what feeds the next hour's SOC: one
     :func:`mgrl.neural.forward_policy` call, whose means
     :func:`mgrl.neural.policy_action` turns into draws at the rollout's
-    one std, and one :func:`mgrl.env.step_batch` call over all envs.  One
+    one std, and one :func:`mgrl.env.step` call on the envs' SOC array.  One
     :func:`mgrl.env.allocate` call per episode segment (the rollout's
     hours within one episode) fills the rewards and the envs' hour log;
     an episode that ends is then summarized and restarted in place, so a
@@ -265,8 +265,8 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
             obs = envs.observe(states[t])
             means[t] = forward_policy(policy, obs)
             clipped[t], actions[t] = policy_action(means[t], std, z[t])
-            envs.soc, _, _, supply[t] = step_batch(
-                envs.cfg, envs.rows[envs.t], envs.soc, clipped[t])
+            envs.soc, _, _, supply[t] = step(
+                envs.cfg, envs.rows[envs.t], envs.soc, clipped[t].T)
             envs.t += 1
         *_, envs.shortages[hours], rewards[seg] = allocate(
             envs.cfg, envs.loads[hours, None], supply[seg],

@@ -824,6 +824,8 @@ CHECKPOINT_EDITS = {
     "transposed-weights": lambda p, v, d: _set(
         p["weights"], 0, [list(c) for c in zip(*p["weights"][0])]),
     "swapped-sizes": lambda p, v, d: _set(p, "sizes", p["sizes"][::-1]),
+    # Finite, but the actor's normalized inputs overflow and 0 * inf is NaN.
+    "tiny-obs-scale": lambda p, v, d: _set(p, "obs_scale", [1e-308] * 6),
 }
 # Edits the metrics layout allows: its update index is free, and losses
 # may be negative or NaN.

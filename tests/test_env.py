@@ -12,7 +12,6 @@ from mgrl.env import (
     resilience_index,
     scenario_rows,
     step,
-    step_batch,
     summarize_episode,
 )
 from mgrl.neural import make_policy, make_value
@@ -339,10 +338,10 @@ REQUEST = st.one_of(UNIT, st.just(math.nan))
 
 @st.composite
 def batch_hours(draw, kind):
-    """(cfg, row, socs, actions) for step_batch: a scenario hour of the
-    given kind (no load at either zero of generation), 1-8 envs, SOCs at
-    and inside the band edges and battery requests at the clip edges (the
-    weights, which step ignores, 0)."""
+    """(cfg, row, socs, actions) for step on n SOCs: a scenario hour of
+    the given kind (no load at either zero of generation), 1-8 envs, SOCs
+    at and inside the band edges and battery requests at the clip edges
+    (the weights, which step ignores, 0)."""
     cfg = EnvConfig()
     if kind == "no-load":
         loads = (0.0, 0.0, 0.0)
@@ -366,28 +365,56 @@ def batch_hours(draw, kind):
     return cfg, row, socs, actions
 
 
-class TestStepBatch:
-    """step_batch is step on arrays: the same bits per env."""
+def scalar_battery(cfg, row, soc, action):
+    """One SOC's battery move in Python floats, both sides computed: both
+    requests, mutual exclusion by the sign of p_net, the converter rating,
+    both SOC headrooms and the surplus and deficit caps, then the SOC
+    update, its clip and the supply."""
+    p_re, p_net = row[3], row[4]
+    p_ch_req = max(0.0, action[0]) * cfg.p_conv_kw
+    p_dis_req = max(0.0, action[1]) * cfg.p_conv_kw
+    if p_net >= 0:
+        p_dis_req = 0.0
+    else:
+        p_ch_req = 0.0
+    headroom_ch = max(0.0, cfg.soc_max - soc) * cfg.e_max_kwh / cfg.eta_ch
+    headroom_dis = max(0.0, soc - cfg.soc_min) * cfg.e_max_kwh * cfg.eta_dis
+    p_ch = min(p_ch_req, cfg.p_conv_kw, headroom_ch, max(0.0, p_net))
+    p_dis = min(p_dis_req, cfg.p_conv_kw, headroom_dis, max(0.0, -p_net))
+    soc_next = soc + (cfg.eta_ch * p_ch - p_dis / cfg.eta_dis) / cfg.e_max_kwh
+    soc_next = min(max(soc_next, cfg.soc_min), cfg.soc_max)
+    return soc_next, p_ch, p_dis, p_re + p_dis - p_ch
+
+
+class TestStepOnFloatsAndArrays:
+    """step is one battery body: on (n,) arrays and on floats, each env's
+    move is scalar_battery's, bit for bit."""
 
     @pytest.mark.parametrize("kind",
                              ["no-load", "surplus", "balanced", "deficit"])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_equals_step_per_env(self, kind, data):
+    def test_equals_scalar_battery_per_env(self, kind, data):
         cfg, row, socs, actions = data.draw(batch_hours(kind))
         assert {"no-load": row[:3] == (0.0, 0.0, 0.0),
                 "surplus": row[4] > 0.0,
                 "balanced": row[4] == 0.0,
                 "deficit": row[4] < 0.0}[kind]
-        out = step_batch(cfg, row, np.array(socs), np.array(actions))
+        # The rollout's layout: the requests are rows of the transposed
+        # (n, N_ACTIONS) actions, strided views.
+        out = step(cfg, row, np.array(socs), np.array(actions).T)
         # The flow that the sign of p_net rules out is the float 0.0.
         idle = 2 if row[4] >= 0.0 else 1
         assert type(out[idle]) is float
         assert [np.shape(a) for k, a in enumerate(out) if k != idle] == \
             [(len(socs),)] * 3
         for i, (soc, action) in enumerate(zip(socs, actions)):
+            want = bits(scalar_battery(cfg, row, soc, action))
             got = [a if k == idle else a[i] for k, a in enumerate(out)]
-            assert bits(got) == bits(step(cfg, row, soc, action))
+            assert bits(got) == want
+            one = step(cfg, row, soc, action)
+            assert [type(a) for a in one] == [float] * 4
+            assert bits(one) == want
 
 
 def scalar_allocation(cfg, loads, p_supply, w):

@@ -4,6 +4,9 @@ Plain numpy multilayer perceptrons (tanh hidden layers, identity output)
 with hand-written reverse-mode gradients, a diagonal-Gaussian policy head
 with state-independent log-std, a scalar value head, an Adam optimizer, and
 a JSON checkpoint format shared by training, evaluation and explanation.
+Each net keeps a fixed input normalizer (:func:`normalize`):
+:func:`forward_policy` and :func:`forward_value` take raw states, and
+:func:`mlp_forward` and :func:`blocked_forward` inputs normalized once.
 
 Everything here is deterministic for fixed inputs and RNG state; gradient
 correctness against central finite differences is the load-bearing test.
@@ -32,8 +35,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# forward_policy/forward_value run a larger batch (the explainer's
-# 5,000-state cloud, a rollout's state stack) in row blocks of at most
+# blocked_forward runs a larger batch (the explainer's 5,000-state
+# cloud, a rollout's state stack) in row blocks of at most
 # ~BLOCK_ROWS, so its activations take O(BLOCK_ROWS x width) memory, not
 # O(B x width).
 # 512-1024 rows ran a 6-64-64-5 actor equally fast on 2 cores; 512
@@ -205,28 +208,29 @@ def make_value(n_features: int, hidden, rng, obs_mean, obs_scale) -> ValueNet:
         obs_scale=np.array(obs_scale, dtype=np.float64).reshape(n_features))
 
 
-def normalize(net: GaussianPolicy | ValueNet, x) -> np.ndarray:
-    """The network's input: raw states under its fixed affine map."""
-    return (x - net.obs_mean) / net.obs_scale
+def normalize(net: GaussianPolicy | ValueNet, x,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The network's input: raw states under its fixed affine map, written
+    into ``out`` when given (``x`` itself included)."""
+    out = np.subtract(x, net.obs_mean, out=out)
+    out /= net.obs_scale
+    return out
 
 
-def _check_finite(finite) -> None:
-    if not finite:
-        raise ValueError("non-finite state features")
-
-
-def _net_input(net: GaussianPolicy | ValueNet, x: np.ndarray) -> np.ndarray:
+def net_input(net: GaussianPolicy | ValueNet, x: np.ndarray) -> np.ndarray:
     """A (B, n_features) batch of raw states, or a stack of them, checked
     and normalized."""
     if x.ndim not in (2, 3):
         raise ValueError(f"need a (B, n_features) state batch or a stack, "
                          f"got {x.shape}")
-    _check_finite(np.isfinite(x).all())
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite state features")
     return normalize(net, x)
 
 
-def _forward(m: Mlp, x: np.ndarray) -> np.ndarray:
-    """``mlp_forward(m, x)[0]`` bit for bit; a batch above BLOCK_ROWS
+def blocked_forward(m: Mlp, x: np.ndarray) -> np.ndarray:
+    """``mlp_forward(m, x)[0]`` bit for bit on a batch of network inputs
+    (a view into a larger table included); a batch above BLOCK_ROWS
     runs in row blocks through one block's activation buffers, which
     each block reuses (fresh arrays per block would page-fault as often
     as one pass), and writes its rows of the output in place.
@@ -261,31 +265,13 @@ def _forward(m: Mlp, x: np.ndarray) -> np.ndarray:
 def forward_policy(p: GaussianPolicy, x: np.ndarray) -> np.ndarray:
     """(B, n_actions) action means for a (B, n_features) state batch, or
     a stack of them, each slice bit for bit its own call."""
-    return _forward(p.trunk, _net_input(p, x))
+    return blocked_forward(p.trunk, net_input(p, x))
 
 
 def forward_value(v: ValueNet, x: np.ndarray) -> np.ndarray:
     """(B,) critic estimates for a (B, n_features) state batch, or a
     stack of them, each slice bit for bit its own call."""
-    return _forward(v.net, _net_input(v, x))[..., 0]
-
-
-def block_policy(p: GaussianPolicy, states: np.ndarray):
-    """The actor over a (T, n_features) block of raw states in which only
-    the SOC, feature 0, changes from call to call.
-
-    The block is checked and normalized once.  ``means(t, soc)`` checks
-    the SOC, normalizes it into row t and returns that row's (1, n_actions)
-    action means, bit for bit :func:`forward_policy` of the raw row.
-    """
-    x = _net_input(p, states)
-
-    def means(t: int, soc: float) -> np.ndarray:
-        _check_finite(math.isfinite(soc))
-        x[t, 0] = (soc - p.obs_mean[0]) / p.obs_scale[0]
-        return mlp_forward(p.trunk, x[t:t + 1])[0]
-
-    return means
+    return blocked_forward(v.net, net_input(v, x))[..., 0]
 
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, a: np.ndarray,

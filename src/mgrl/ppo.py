@@ -3,11 +3,14 @@
 The trainer is deliberately self-contained: rollouts come from a small
 ensemble of lockstep episodes whose batteries :func:`mgrl.env.step`
 moves hour by hour as one SOC array, while the critic and
-:func:`mgrl.env.allocate` run once over many hours; advantages use
-generalized advantage estimation, and updates apply the clipped
-surrogate objective with analytic gradients through the numpy networks
-in :mod:`mgrl.neural`.  Evaluation steps one episode's battery at a
-time through the same :func:`mgrl.env.step` on a float SOC.
+:func:`mgrl.env.allocate` run once over many hours.  Each state is
+normalized once, into the rollout table, which holds both nets' inputs
+for its whole life; advantages use generalized advantage estimation, and
+updates apply the clipped surrogate objective with analytic gradients
+through the numpy networks in :mod:`mgrl.neural`.  Evaluation steps one
+episode's battery at a time through the same :func:`mgrl.env.step` on a
+float SOC, and normalizes the scenario's states once per call and only
+the SOC per hour.
 
 Training optimizes the per-step reward stream only; the episode-level
 resilience bonus enters the normalized episode score that is *reported*
@@ -37,9 +40,8 @@ from .neural import (
     ValueNet,
     adam_init,
     adam_step,
-    block_policy,
+    blocked_forward,
     flat_views,
-    forward_policy,
     forward_value,
     gaussian_entropy,
     gaussian_log_prob,
@@ -47,6 +49,8 @@ from .neural import (
     make_value,
     mlp_backward,
     mlp_forward,
+    net_input,
+    normalize,
     pack_params,
     policy_action,
     policy_params,
@@ -55,7 +59,7 @@ from .neural import (
 from .scenario import Scenario
 from .seeding import derive_rng
 from .table import column_view
-from .trajectory import CSV_HEADER, Trajectory
+from .trajectory import Trajectory
 
 
 class TrainingDivergedError(RuntimeError):
@@ -114,8 +118,9 @@ class PpoConfig:
                 f"total_updates must be non-negative, got {self.total_updates}")
         if not self.hidden_sizes or any(h <= 0 for h in self.hidden_sizes):
             raise ValueError(f"bad hidden_sizes {self.hidden_sizes!r}")
-        if not np.isfinite(self.init_log_std):
-            raise ValueError("init_log_std must be finite")
+        if not LOG_STD_MIN < self.init_log_std < LOG_STD_MAX:  # else frozen
+            raise ValueError(f"init_log_std must lie in ({LOG_STD_MIN}, "
+                             f"{LOG_STD_MAX}), got {self.init_log_std}")
 
 
 _LOG_PROB = N_FEATURES + N_ACTIONS
@@ -134,7 +139,7 @@ class RolloutBuffer:
     bootstrap: np.ndarray | None = None  # (n_envs,)
     episode_summaries: list[EpisodeSummary] = field(default_factory=list)
 
-    states = column_view(slice(N_FEATURES))  # raw until train normalizes
+    states = column_view(slice(N_FEATURES))  # normalized: network inputs
     actions = column_view(slice(N_FEATURES, _LOG_PROB))  # pre-clip draws
     log_probs = column_view(_LOG_PROB)
     advantages = column_view(_LOG_PROB + 1)  # filled by train, normalized
@@ -225,17 +230,20 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Advance every env in lockstep until exactly n_steps transitions exist.
 
-    An hour keeps only what feeds the next hour's SOC: one
-    :func:`mgrl.neural.forward_policy` call, whose means
+    An hour keeps only what feeds the next hour's SOC: its observations,
+    normalized in place into the table's state rows (the network inputs
+    the buffer keeps), one actor forward on those rows, whose means
     :func:`mgrl.neural.policy_action` turns into draws at the rollout's
     one std, and one :func:`mgrl.env.step` call on the envs' SOC array.  One
     :func:`mgrl.env.allocate` call per episode segment (the rollout's
     hours within one episode) fills the rewards and the envs' hour log;
     an episode that ends is then summarized and restarted in place, so a
     buffer may span several (possibly partial) episodes per env.  One
-    stacked :func:`mgrl.neural.forward_value` call after the last hour
+    stacked critic forward over the table's states after the last hour
     gives the values, each hour bit for bit its own call, and one
     :func:`mgrl.neural.gaussian_log_prob` call the draws' log-densities.
+    The critic reads the actor's inputs: both nets share one normalizer,
+    as train's do.
     """
     n_envs = len(envs.rngs)
     if n_envs == 0:
@@ -262,8 +270,8 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
         n = min(steps - start, len(envs.rows) - envs.t)
         seg, hours = slice(start, start + n), slice(envs.t, envs.t + n)
         for t in range(seg.start, seg.stop):
-            obs = envs.observe(states[t])
-            means[t] = forward_policy(policy, obs)
+            x = normalize(policy, envs.observe(states[t]), out=states[t])
+            means[t] = mlp_forward(policy.trunk, x)[0]
             clipped[t], actions[t] = policy_action(means[t], std, z[t])
             envs.soc, _, _, supply[t] = step(
                 envs.cfg, envs.rows[envs.t], envs.soc, clipped[t].T)
@@ -281,7 +289,7 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
             envs.reset()
         start += n
 
-    buf.values[...] = forward_value(value, states)
+    buf.values[...] = blocked_forward(value.net, states)[..., 0]
     buf.bootstrap = forward_value(
         value, envs.observe(np.empty((n_envs, N_FEATURES))))
     buf.log_probs[...] = gaussian_log_prob(means, log_std, actions)
@@ -442,10 +450,9 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
     Both networks' parameters live in one flat vector (see
     :func:`mgrl.neural.pack_params`) that one Adam step per minibatch
     updates.  Each update fills the rollout table's advantages and
-    returns and normalizes its states in place into the one input both
-    nets read (they share the scenario's normalizer); each epoch gathers
-    its shuffled rows with one ``np.take`` into one table, whose row
-    slices are the minibatches.  Activations and gradients go into one
+    returns (its states are already both nets' inputs); each epoch
+    gathers its shuffled rows with one ``np.take`` into one table, whose
+    row slices are the minibatches.  Activations and gradients go into one
     preallocated :class:`UpdateWorkspace`, so a minibatch allocates only
     the loss head's (B,) and (B, N_ACTIONS) temporaries.
     """
@@ -477,9 +484,6 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
                                buf.bootstrap, cfg.gamma, cfg.gae_lambda)
         buf.advantages[...] = (adv - adv.mean()) / (adv.std() + 1e-8)
         buf.returns[...] = ret
-        x = buf.states  # in place, the operations of neural.normalize
-        x -= policy.obs_mean
-        x /= policy.obs_scale
         rollout = buf.table.reshape(n, ROLLOUT_WIDTH)
 
         parts = np.zeros(4)  # policy, value, entropy, clip_frac
@@ -539,7 +543,7 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
     for ep in range(n_episodes):
         soc = env_cfg.initial_soc(derive_rng(seed, f"eval-reset-{ep}"))
         rng = derive_rng(seed, f"eval-action-{ep}")
-        traj = Trajectory(np.empty((len(rows), len(CSV_HEADER) - 1)))
+        traj = Trajectory.empty(len(rows))
         traj.p_re[:], traj.loads[:] = scn.p_re, scn.loads
         socs, flows = traj.soc, traj.flows
         for t, row in enumerate(rows):
@@ -564,15 +568,15 @@ def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
     """:func:`evaluate_actions` on the clipped policy mean, or on samples
     drawn from each episode's action stream when not ``deterministic``.
     The scenario's states are checked and normalized once, before the
-    first hour (see :func:`mgrl.neural.block_policy`)."""
-    means = block_policy(policy, features(0.0, scn.loads, scn.p_re))
-    if deterministic:
-        def act(t, obs, rng):
-            return policy_action(means(t, obs[0, 0]))[0]
-    else:
-        std = np.exp(policy.clamped_log_std())
+    first hour; each hour then normalizes only its SOC, feature 0, into
+    its row of that block and runs the actor on the row."""
+    x = net_input(policy, features(0.0, scn.loads, scn.p_re))
+    soc_mean, soc_scale = policy.obs_mean[0], policy.obs_scale[0]
+    std = np.exp(policy.clamped_log_std())
 
-        def act(t, obs, rng):
-            return policy_action(means(t, obs[0, 0]), std,
-                                 rng.standard_normal((1, N_ACTIONS)))[0]
+    def act(t, obs, rng):
+        x[t, 0] = (obs[0, 0] - soc_mean) / soc_scale
+        z = None if deterministic else rng.standard_normal((1, N_ACTIONS))
+        return policy_action(mlp_forward(policy.trunk, x[t:t + 1])[0],
+                             std, z)[0]
     return evaluate_actions(act, env_cfg, scn, n_episodes, seed)

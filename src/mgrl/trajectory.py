@@ -34,6 +34,10 @@ class Trajectory:
     def __init__(self, table: np.ndarray):
         self.table = table  # (T, 18) in CSV_HEADER[1:] order
 
+    @classmethod
+    def empty(cls, horizon: int) -> "Trajectory":
+        return cls(np.empty((horizon, len(CSV_HEADER) - 1)))
+
     soc = column_view(0)  # (T,) SOC when the decision was taken
     p_re = column_view(1)
     loads = column_view(slice(2, 5))  # (T, 3)

@@ -157,6 +157,10 @@ class TestBuildRunConfig:
         ("env.soc_min", "0.95", "env: need 0 < soc_min < soc_max <= 1"),
         ("explain.n_samples", "5", "explain: n_samples must be at least 10"),
         ("scenario.start_hour", "24", "scenario: start_hour must be in"),
+        # At the log-std clamp or beyond it, the log-std would never train
+        ("ppo.init_log_std", "2", "ppo: init_log_std must lie in"),
+        ("ppo.init_log_std", "3", "ppo: init_log_std must lie in"),
+        ("ppo.init_log_std", "-5", "ppo: init_log_std must lie in"),
     ])
     def test_validation_error_names_the_section(self, key, value, message):
         with pytest.raises(ConfigError) as exc:

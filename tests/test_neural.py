@@ -17,7 +17,6 @@ from mgrl.neural import (
     Mlp,
     adam_init,
     adam_step,
-    block_policy,
     forward_policy,
     forward_value,
     gaussian_entropy,
@@ -338,39 +337,6 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
-class TestBlockPolicy:
-    def policy(self):
-        rng = np.random.default_rng(21)
-        return make_policy(4, 3, (8, 8), rng, obs_mean=rng.normal(size=4),
-                           obs_scale=rng.uniform(0.5, 2.0, 4))
-
-    def test_row_means_match_forward_policy(self):
-        """Each row, with whatever SOC it is given, maps to the bits that
-        forward_policy gives the raw row, in any order of rows."""
-        p = self.policy()
-        block = np.random.default_rng(22).normal(size=(9, 4))
-        means = block_policy(p, block.copy())
-        socs = np.random.default_rng(23).uniform(0.2, 0.9, 20)
-        for i, soc in enumerate(socs):
-            t = (5 * i) % 9
-            row = block[t:t + 1].copy()
-            row[0, 0] = soc
-            np.testing.assert_array_equal(means(t, soc),
-                                          forward_policy(p, row))
-
-    @pytest.mark.parametrize("soc", [np.nan, np.inf, -np.inf])
-    def test_non_finite_soc_rejected(self, soc):
-        means = block_policy(self.policy(), np.zeros((3, 4)))
-        with pytest.raises(ValueError, match="non-finite state features"):
-            means(1, soc)
-
-    def test_non_finite_block_rejected_up_front(self):
-        block = np.zeros((3, 4))
-        block[2, 3] = np.nan
-        with pytest.raises(ValueError, match="non-finite state features"):
-            block_policy(self.policy(), block)
-
-
 class TestObservationNormalization:
     def test_policy_normalizes_inputs(self):
         rng = np.random.default_rng(13)
@@ -384,6 +350,23 @@ class TestObservationNormalization:
         np.testing.assert_array_equal(
             forward_policy(p, x),
             forward_policy(raw, (x - obs_mean) / obs_scale))
+
+    def test_normalize_in_place_is_the_formula_bit_for_bit(self):
+        """Into ``out``, the raw rows themselves included, normalize
+        writes the bits of (x - obs_mean) / obs_scale."""
+        rng = np.random.default_rng(15)
+        p = make_policy(N_FEATURES, N_ACTIONS, (4,), rng,
+                        obs_mean=rng.normal(size=N_FEATURES),
+                        obs_scale=rng.uniform(0.1, 3.0, N_FEATURES))
+        x = rng.normal(size=(7, N_FEATURES)) * 50.0
+        want = (x - p.obs_mean) / p.obs_scale
+        np.testing.assert_array_equal(bits(normalize(p, x)), bits(want))
+        table = np.zeros((7, 17))
+        table[:, :N_FEATURES] = x
+        rows = table[:, :N_FEATURES]
+        assert normalize(p, rows, out=rows) is rows
+        np.testing.assert_array_equal(bits(rows), bits(want))
+        assert not table[:, N_FEATURES:].any()
 
     def test_value_normalizes_inputs(self):
         rng = np.random.default_rng(14)

@@ -119,6 +119,11 @@ class TestPpoConfig:
         dict(total_updates=-1),
         dict(hidden_sizes=()),
         dict(init_log_std=math.inf),
+        dict(init_log_std=math.nan),
+        dict(init_log_std=LOG_STD_MAX),
+        dict(init_log_std=3.0),
+        dict(init_log_std=LOG_STD_MIN),
+        dict(init_log_std=-6.0),
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
@@ -609,13 +614,13 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
 
 
 class TestCollectRollouts:
-    def make_parts(self, horizon=5, n_envs=2, seed=5):
+    def make_parts(self, horizon=5, n_envs=2, seed=5,
+                   norm=raw_inputs(N_FEATURES)):
         scn = small_scenario(horizon=horizon)
         env_cfg = EnvConfig()
         rng = np.random.default_rng(seed)
-        policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng,
-                             *raw_inputs(N_FEATURES))
-        value = make_value(N_FEATURES, (8,), rng, *raw_inputs(N_FEATURES))
+        policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng, *norm)
+        value = make_value(N_FEATURES, (8,), rng, *norm)
         envs = EnvBatch(env_cfg, scn, n_envs, seed=0)
         return policy, value, envs
 
@@ -631,16 +636,26 @@ class TestCollectRollouts:
         assert len(buf.episode_summaries) == 2
 
     def test_stored_values_and_log_probs_consistent(self):
-        policy, value, envs = self.make_parts()
+        """Under the scenario's own (non-identity) normalizer the stored
+        states are the raw states' network inputs, normalize(policy, raw)
+        bit for bit, and the stored values and log-probs are the nets'
+        on the raw states."""
+        scn = small_scenario(horizon=5)
+        norm = obs_stats_from_scenario(EnvConfig(), scn)
+        assert not np.array_equal(norm, raw_inputs(N_FEATURES))
+        policy, value, envs = self.make_parts(norm=norm)
         buf = collect_rollouts(policy, value, envs, 8,
                                np.random.default_rng(7))
+        (raw, *_), _, _ = reference_rollout(policy, value, EnvConfig(), scn,
+                                            2, 0, 4, np.random.default_rng(7))
+        np.testing.assert_array_equal(bits(buf.states),
+                                      bits(normalize(policy, raw)))
         for t in range(4):
             np.testing.assert_allclose(
-                buf.values[t], forward_value(value, buf.states[t]),
-                rtol=1e-12)
+                buf.values[t], forward_value(value, raw[t]), rtol=1e-12)
             np.testing.assert_allclose(
                 buf.log_probs[t],
-                gaussian_log_prob(forward_policy(policy, buf.states[t]),
+                gaussian_log_prob(forward_policy(policy, raw[t]),
                                   policy.clamped_log_std(), buf.actions[t]),
                 rtol=1e-12)
 
@@ -648,20 +663,26 @@ class TestCollectRollouts:
         (4, [4], 0), (5, [5], 1), (7, [5, 2], 1), (12, [5, 5, 2], 2)])
     def test_goes_through_the_public_batch_calls(self, monkeypatch, hours,
                                                  segments, ends):
-        """One forward_policy call per hour on the (n_envs, N_FEATURES)
-        observations; one stacked forward_value call on all hours' states
-        plus the bootstrap call; one allocate call per episode segment,
-        on that segment's (k, n_envs) supplies and (k, 1, 3) loads.  On a
-        5-hour scenario the rollouts end 0, 1 (at their last hour or
-        inside) and 2 episodes."""
+        """Per hour one normalize call in place on the (n_envs,
+        N_FEATURES) observations and one mlp_forward call on them; one
+        stacked blocked_forward call on all hours' states and one
+        forward_value call on the bootstrap observations; one allocate
+        call per episode segment, on that segment's (k, n_envs) supplies
+        and (k, 1, 3) loads.  On a 5-hour scenario the rollouts end 0, 1
+        (at their last hour or inside) and 2 episodes."""
         import mgrl.ppo as ppo_mod
 
-        calls = {"forward_policy": [], "forward_value": [], "allocate": []}
-        for name in ("forward_policy", "forward_value"):
+        assert not hasattr(ppo_mod, "forward_policy")
+        names = ("normalize", "mlp_forward", "blocked_forward",
+                 "forward_value")
+        calls = {name: [] for name in (*names, "allocate")}
+        for name in names:
             def counted(net, x, *rest, _name=name,
-                        _fn=getattr(ppo_mod, name)):
-                calls[_name].append(x.shape)
-                return _fn(net, x, *rest)
+                        _fn=getattr(ppo_mod, name), **kw):
+                calls[_name].append(
+                    (x.shape, np.shares_memory(kw["out"], x))
+                    if kw else x.shape)
+                return _fn(net, x, *rest, **kw)
             monkeypatch.setattr(ppo_mod, name, counted)
 
         def allocate(cfg, loads, p_supply, w, _fn=ppo_mod.allocate):
@@ -671,9 +692,10 @@ class TestCollectRollouts:
         policy, value, envs = self.make_parts(horizon=5, n_envs=3)
         buf = collect_rollouts(policy, value, envs, 3 * hours,
                                np.random.default_rng(4))
-        assert calls["forward_policy"] == [(3, N_FEATURES)] * hours
-        assert calls["forward_value"] == [(hours, 3, N_FEATURES),
-                                          (3, N_FEATURES)]
+        assert calls["normalize"] == [((3, N_FEATURES), True)] * hours
+        assert calls["mlp_forward"] == [(3, N_FEATURES)] * hours
+        assert calls["blocked_forward"] == [(hours, 3, N_FEATURES)]
+        assert calls["forward_value"] == [(3, N_FEATURES)]
         assert calls["allocate"] == [((k, 1, 3), (k, 3), (k, 3, 3))
                                      for k in segments]
         assert len(buf.episode_summaries) == 3 * ends
@@ -796,7 +818,8 @@ FieldBatch = namedtuple("FieldBatch",
 def reference_train(cfg, env_cfg, scn):
     """train rebuilt from collect_rollouts, compute_gae,
     ppo_loss_and_grads and adam_step, with the rollout kept field by
-    field: five contiguous arrays, each gathered by its own np.take per
+    field: five contiguous arrays (the states as the rollout stored them,
+    already both nets' inputs), each gathered by its own np.take per
     epoch, and a minibatch their row slices.  Returns the TrainStats rows
     as tuples and the final parameter vector."""
     obs_mean, obs_scale = obs_stats_from_scenario(env_cfg, scn)
@@ -819,7 +842,7 @@ def reference_train(cfg, env_cfg, scn):
         adv, ret = compute_gae(buf.rewards, buf.values, buf.dones,
                                buf.bootstrap, cfg.gamma, cfg.gae_lambda)
         fields = FieldBatch(
-            normalize(policy, buf.states.reshape(n, N_FEATURES)),
+            buf.states.reshape(n, N_FEATURES),
             buf.actions.reshape(n, N_ACTIONS), buf.log_probs.reshape(n),
             ((adv - adv.mean()) / (adv.std() + 1e-8)).reshape(n),
             ret.reshape(n))

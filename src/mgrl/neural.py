@@ -89,8 +89,8 @@ def mlp_init(sizes, rng: np.random.Generator, out_gain: float = 1.0) -> Mlp:
 
 def mlp_forward(m: Mlp, x: np.ndarray, outs: list | None = None,
                 scratch: np.ndarray | None = None) -> tuple[np.ndarray, list]:
-    """Forward pass on a (B, n_in) batch or a (T, B, n_in) stack of
-    them; cache holds each layer's input.
+    """Forward pass on an (n_in,) row, a (B, n_in) batch or a
+    (T, B, n_in) stack of batches; cache holds each layer's input.
 
     With ``outs`` (one array per layer, at least as long as x) and
     ``scratch`` (a flat array of at least x's rows x the widest layer,
@@ -457,10 +457,14 @@ def save_checkpoint(policy: GaussianPolicy, value: ValueNet,
 
 def load_checkpoint(path: str | os.PathLike
                     ) -> tuple[GaussianPolicy, ValueNet]:
+    text = read_text(path)
     try:
-        doc = json.loads(read_text(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: not valid JSON: {exc}") from None
+    except (RecursionError, ValueError) as exc:
+        # Nesting past the recursion limit, or an int past the digit limit
+        raise CheckpointError(f"{path}: cannot parse JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:

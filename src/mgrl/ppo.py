@@ -10,7 +10,7 @@ updates apply the clipped surrogate objective with analytic gradients
 through the numpy networks in :mod:`mgrl.neural`.  Evaluation steps one
 episode's battery at a time through the same :func:`mgrl.env.step` on a
 float SOC, and normalizes the scenario's states once per call and only
-the SOC per hour.
+the SOC per hour; each hour runs the actor on its 1-D normalized row.
 
 Training optimizes the per-step reward stream only; the episode-level
 resilience bonus enters the normalized episode score that is *reported*
@@ -529,10 +529,11 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
     first is kept in full.  Episode ``ep`` starts at the SOC drawn from
     ``eval-reset-{ep}``, and each hour ``act(t, obs, rng)`` maps the hour,
     the (1, 6) raw state and the ``eval-action-{ep}`` stream to the clipped
-    (1, 5) action.  ``obs`` is row t of one raw state block whose SOC
-    column the loop writes before each call, so it holds its values only
-    for that call.  One :func:`mgrl.env.allocate` call per episode splits
-    the supply after its last hour, and refuses a non-finite weight."""
+    action, a (5,) row or a (1, 5) batch, stored alike.  ``obs`` is row t
+    of one raw state block whose SOC column the loop writes before each
+    call, so it holds its values only for that call.  One
+    :func:`mgrl.env.allocate` call per episode splits the supply after its
+    last hour, and refuses a non-finite weight."""
     if n_episodes <= 0:
         raise ValueError(f"n_episodes must be positive, got {n_episodes}")
     env_cfg.validate()
@@ -569,14 +570,15 @@ def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
     drawn from each episode's action stream when not ``deterministic``.
     The scenario's states are checked and normalized once, before the
     first hour; each hour then normalizes only its SOC, feature 0, into
-    its row of that block and runs the actor on the row."""
+    its row of that block and runs the actor on the 1-D row, NumPy's
+    vector-matrix path (the bits of the row's (1, 6) batch, at less
+    cost), drawing (5,) normals when stochastic."""
     x = net_input(policy, features(0.0, scn.loads, scn.p_re))
     soc_mean, soc_scale = policy.obs_mean[0], policy.obs_scale[0]
     std = np.exp(policy.clamped_log_std())
 
     def act(t, obs, rng):
         x[t, 0] = (obs[0, 0] - soc_mean) / soc_scale
-        z = None if deterministic else rng.standard_normal((1, N_ACTIONS))
-        return policy_action(mlp_forward(policy.trunk, x[t:t + 1])[0],
-                             std, z)[0]
+        z = None if deterministic else rng.standard_normal(N_ACTIONS)
+        return policy_action(mlp_forward(policy.trunk, x[t])[0], std, z)[0]
     return evaluate_actions(act, env_cfg, scn, n_episodes, seed)

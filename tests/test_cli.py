@@ -827,6 +827,11 @@ CHECKPOINT_EDITS = {
     # Finite, but the actor's normalized inputs overflow and 0 * inf is NaN.
     "tiny-obs-scale": lambda p, v, d: _set(p, "obs_scale", [1e-308] * 6),
 }
+# Checkpoint texts that json.dumps cannot write, so each is raw text: an
+# array nested past the recursion limit, and an integer literal past
+# Python's 4,300-digit conversion limit.
+CHECKPOINT_TEXTS = {"deep-nesting": "[" * 200_000 + "]" * 200_000,
+                    "huge-integer": '{"format": ' + "1" * 5_000 + "}"}
 # Edits the metrics layout allows: its update index is free, and losses
 # may be negative or NaN.
 FUZZ_ACCEPTED = {("metrics.csv", m) for m in
@@ -858,7 +863,8 @@ def mutate_csv(text, mutation, col, n=FUZZ_ROW):
 def _fuzz_cases():
     for artifact, commands in FUZZ_READERS.items():
         mutations = (CSV_MUTATIONS if artifact.endswith(".csv") else
-                     ("truncated-mid-row", *CHECKPOINT_EDITS))
+                     ("truncated-mid-row", *CHECKPOINT_EDITS,
+                      *CHECKPOINT_TEXTS))
         for mutation in mutations:
             for command in commands:
                 yield pytest.param(artifact, mutation, command,
@@ -892,6 +898,8 @@ def test_mutated_artifact_never_crashes(pristine, tmp_path, capsys, artifact,
     elif mutation == "truncated-mid-row":
         text = path.read_text()
         path.write_text(text[:len(text) // 2])
+    elif mutation in CHECKPOINT_TEXTS:
+        path.write_text(CHECKPOINT_TEXTS[mutation])
     else:
         edit_checkpoint(path, CHECKPOINT_EDITS[mutation])
     capsys.readouterr()
@@ -903,6 +911,7 @@ def test_mutated_artifact_never_crashes(pristine, tmp_path, capsys, artifact,
     else:
         assert code == 1
         assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
 
 
 # Mutations of the tiny config: (file bytes from its text, the key a

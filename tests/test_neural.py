@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mgrl.env import N_ACTIONS, N_FEATURES
+from mgrl.env import N_ACTIONS, N_FEATURES, EnvConfig, features
 from mgrl.neural import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -33,6 +33,8 @@ from mgrl.neural import (
     save_checkpoint,
     value_params,
 )
+from mgrl.ppo import obs_stats_from_scenario
+from mgrl.scenario import ScenarioConfig, synth_cyclone_scenario
 
 
 def raw_inputs(n):
@@ -190,6 +192,35 @@ class TestMlpForwardBackward:
             np.testing.assert_array_equal(cache[i], kept[i])
         for got, was in zip(cache[1:-1], kept[1:-1]):
             assert not np.array_equal(got, was)
+
+    def test_row_gives_its_batch_and_stack_rows_bit_for_bit(self):
+        """An evaluation hour runs the actor on one 1-D normalized row:
+        over a synthetic scenario's 720 rows (random SOCs, an actor with
+        non-trivial weights) it gives the bits of its (1, n) batch and
+        of its slice of a (K, 1, n) stack, K = 8.  A flat (K, n) batch
+        rounds some rows differently, so it is not covered."""
+        env_cfg = EnvConfig()
+        scn = synth_cyclone_scenario(ScenarioConfig())
+        rng = np.random.default_rng(8)
+        p = make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng,
+                        *obs_stats_from_scenario(env_cfg, scn))
+        for a in [*p.trunk.weights, *p.trunk.biases]:
+            a += rng.normal(0.0, 0.3, a.shape)
+        states = features(0.0, scn.loads, scn.p_re)
+        states[:, 0] = rng.uniform(env_cfg.soc_min, env_cfg.soc_max,
+                                   len(states))
+        x = normalize(p, states)
+        assert x.shape == (720, N_FEATURES)
+        rows = np.array([mlp_forward(p.trunk, row)[0] for row in x])
+        assert rows.shape == (720, N_ACTIONS)
+        batches = np.array([mlp_forward(p.trunk, x[t:t + 1])[0][0]
+                            for t in range(len(x))])
+        np.testing.assert_array_equal(bits(rows), bits(batches))
+        k = 8
+        stacks = np.concatenate([
+            mlp_forward(p.trunk, x[t:t + k, None, :])[0][:, 0]
+            for t in range(0, len(x), k)])
+        np.testing.assert_array_equal(bits(rows), bits(stacks))
 
 
 class TestGaussianHead:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .env import (ACTION_NAMES, EnvConfig, FEATURE_NAMES, N_FEATURES,
                   NonFiniteActionError)
-from .neural import GaussianPolicy, forward_policy
+from .neural import GaussianPolicy, blocked_forward, normalize
 from .svg import bar_chart
 from .table import write_text
 from .trajectory import Trajectory
@@ -222,14 +222,19 @@ def explain_action(target_fn, x: np.ndarray, action_dims: tuple[int, ...],
     """
     cfg.validate()
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (N_FEATURES,):
-        raise ValueError(f"instance must have {N_FEATURES} features")
+    if x.shape != (N_FEATURES,) or not np.isfinite(x).all():
+        raise ValueError(f"instance must have {N_FEATURES} finite features")
     if not action_dims or not all(0 <= d < len(ACTION_NAMES)
                                   for d in action_dims):
         raise ValueError(f"action_dims out of range: {action_dims}")
 
     rng = np.random.default_rng(cfg.seed)
-    z = perturb(x, stats, cfg.n_samples, cfg.perturb_scale, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = perturb(x, stats, cfg.n_samples, cfg.perturb_scale, rng)
+    if not np.isfinite(z).all():  # the target never sees such a cloud
+        raise SurrogateFitError(
+            f"perturbation cloud is not finite: perturb_scale "
+            f"{cfg.perturb_scale!r} times a feature's spread overflows")
     y = np.asarray(target_fn(z), dtype=np.float64)
     if y.ndim == 1:
         y = y[:, None]
@@ -262,7 +267,8 @@ def explain_step(policy: GaussianPolicy, traj: Trajectory, t: int,
     # take() returns C order: each target column is strided like a column
     # of the means, so its dot products round as a one-dim fit would.
     return {e.action_name: e for e in explain_action(
-        lambda z: np.take(forward_policy(policy, z), dims, axis=1),
+        lambda z: np.take(blocked_forward(policy.trunk, normalize(policy, z)),
+                          dims, axis=1),
         traj.states()[t], dims, cfg, stats)}
 
 

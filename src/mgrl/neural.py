@@ -4,9 +4,9 @@ Plain numpy multilayer perceptrons (tanh hidden layers, identity output)
 with hand-written reverse-mode gradients, a diagonal-Gaussian policy head
 with state-independent log-std, a scalar value head, an Adam optimizer, and
 a JSON checkpoint format shared by training, evaluation and explanation.
-Each net keeps a fixed input normalizer (:func:`normalize`):
-:func:`forward_policy` and :func:`forward_value` take raw states, and
-:func:`mlp_forward` and :func:`blocked_forward` inputs normalized once.
+Each net keeps a fixed input normalizer (:func:`normalize`), applied
+once where a state enters; :func:`mlp_forward` and :func:`blocked_forward`
+run on the network inputs it gives.
 
 Everything here is deterministic for fixed inputs and RNG state; gradient
 correctness against central finite differences is the load-bearing test.
@@ -211,21 +211,11 @@ def make_value(n_features: int, hidden, rng, obs_mean, obs_scale) -> ValueNet:
 def normalize(net: GaussianPolicy | ValueNet, x,
               out: np.ndarray | None = None) -> np.ndarray:
     """The network's input: raw states under its fixed affine map, written
-    into ``out`` when given (``x`` itself included)."""
+    into ``out`` when given (``x`` itself included); unchecked, as each
+    state is checked where it enters the program."""
     out = np.subtract(x, net.obs_mean, out=out)
     out /= net.obs_scale
     return out
-
-
-def net_input(net: GaussianPolicy | ValueNet, x: np.ndarray) -> np.ndarray:
-    """A (B, n_features) batch of raw states, or a stack of them, checked
-    and normalized."""
-    if x.ndim not in (2, 3):
-        raise ValueError(f"need a (B, n_features) state batch or a stack, "
-                         f"got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite state features")
-    return normalize(net, x)
 
 
 def blocked_forward(m: Mlp, x: np.ndarray) -> np.ndarray:
@@ -260,18 +250,6 @@ def blocked_forward(m: Mlp, x: np.ndarray) -> np.ndarray:
     for lo, hi in zip(edges[:-1], edges[1:]):
         mlp_forward(m, x[lo:hi], [*hidden, out[lo:]], scratch)
     return out
-
-
-def forward_policy(p: GaussianPolicy, x: np.ndarray) -> np.ndarray:
-    """(B, n_actions) action means for a (B, n_features) state batch, or
-    a stack of them, each slice bit for bit its own call."""
-    return blocked_forward(p.trunk, net_input(p, x))
-
-
-def forward_value(v: ValueNet, x: np.ndarray) -> np.ndarray:
-    """(B,) critic estimates for a (B, n_features) state batch, or a
-    stack of them, each slice bit for bit its own call."""
-    return blocked_forward(v.net, net_input(v, x))[..., 0]
 
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, a: np.ndarray,

@@ -42,14 +42,12 @@ from .neural import (
     adam_step,
     blocked_forward,
     flat_views,
-    forward_value,
     gaussian_entropy,
     gaussian_log_prob,
     make_policy,
     make_value,
     mlp_backward,
     mlp_forward,
-    net_input,
     normalize,
     pack_params,
     policy_action,
@@ -290,8 +288,9 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
         start += n
 
     buf.values[...] = blocked_forward(value.net, states)[..., 0]
-    buf.bootstrap = forward_value(
-        value, envs.observe(np.empty((n_envs, N_FEATURES))))
+    obs = envs.observe(np.empty((n_envs, N_FEATURES)))
+    buf.bootstrap = blocked_forward(
+        value.net, normalize(value, obs, out=obs))[:, 0]
     buf.log_probs[...] = gaussian_log_prob(means, log_std, actions)
     return buf
 
@@ -568,12 +567,13 @@ def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
                     deterministic: bool = True, seed: int = 0) -> EvalResult:
     """:func:`evaluate_actions` on the clipped policy mean, or on samples
     drawn from each episode's action stream when not ``deterministic``.
-    The scenario's states are checked and normalized once, before the
-    first hour; each hour then normalizes only its SOC, feature 0, into
-    its row of that block and runs the actor on the 1-D row, NumPy's
+    The scenario's states are normalized once, unchecked (a non-finite
+    scenario is refused by :func:`evaluate_actions` before the first
+    hour); each hour then normalizes only its SOC, feature 0, into its
+    row of that block and runs the actor on the 1-D row, NumPy's
     vector-matrix path (the bits of the row's (1, 6) batch, at less
     cost), drawing (5,) normals when stochastic."""
-    x = net_input(policy, features(0.0, scn.loads, scn.p_re))
+    x = normalize(policy, features(0.0, scn.loads, scn.p_re))
     soc_mean, soc_scale = policy.obs_mean[0], policy.obs_scale[0]
     std = np.exp(policy.clamped_log_std())
 

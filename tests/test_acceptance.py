@@ -28,7 +28,6 @@ from mgrl.env import (
 from mgrl.explain import ExplainConfig, FeatureStats, explain_action, explain_step, proximity_weights
 from mgrl.metrics import estimate_battery_life
 from mgrl.neural import (
-    forward_policy,
     gaussian_log_prob,
     make_policy,
     make_value,
@@ -44,7 +43,7 @@ from mgrl.ppo import (
 from mgrl.scenario import Scenario, ScenarioConfig, synth_cyclone_scenario
 from mgrl.seeding import derive_rng
 
-from test_neural import raw_inputs
+from test_neural import raw_forward, raw_inputs
 from test_ppo import fd_max_rel_err, gae_brute_force, loss_batch
 
 
@@ -189,7 +188,7 @@ def test_criterion_03_reward_accounting(capsys):
 def make_safe_batch(policy, value, rng, n=8):
     """Minibatch whose ratios sit >=0.03 from both clip kinks."""
     obs = rng.standard_normal((n, N_FEATURES))
-    mean, log_std = forward_policy(policy, obs), policy.clamped_log_std()
+    mean, log_std = raw_forward(policy, obs), policy.clamped_log_std()
     act = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
     bands = np.array([[0.55, 0.77], [0.83, 1.17], [1.23, 1.65]])
     pick = bands[rng.integers(0, 3, n)]
@@ -287,7 +286,7 @@ def test_criterion_07_learning_smoke(capsys):
             return rand_rng.uniform(-1, 1, (1, N_ACTIONS))
 
         def idle(t, obs, rng):
-            a = np.clip(forward_policy(res_b.policy, obs), -1.0, 1.0)
+            a = np.clip(raw_forward(res_b.policy, obs), -1.0, 1.0)
             a[:, :2] = -1.0  # battery forced idle
             return a
 

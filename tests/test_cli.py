@@ -938,10 +938,12 @@ CONFIG_MUTATIONS = {
     "crlf": (lambda t: t.replace("\n", "\r\n").encode(), None),
     "overflowing-cloud": (
         lambda t: (t + "explain.perturb_scale = 1e200\n").encode(), None),
+    "infinite-cloud": (
+        lambda t: (t + "explain.perturb_scale = 1e308\n").encode(), None),
 }
-# Mutations every command reads as the tiny config; the cloud setting loads
-# too and only the explanation fit refuses it.
-CONFIG_ACCEPTED = {"bom", "crlf", "overflowing-cloud"}
+# Mutations every command reads as the tiny config; the cloud settings load
+# too and only the explanation refuses them.
+CONFIG_ACCEPTED = {"bom", "crlf", "overflowing-cloud", "infinite-cloud"}
 CONFIG_COMMANDS = [("scenario",), ("train",), ("eval",),
                    ("explain", "--step", "3"), ("report",), ("config",)]
 
@@ -953,7 +955,8 @@ def test_mutated_config_never_crashes(pristine, tmp_path, capsys, mutation,
     """One mutated copy of a valid config, one command: exit 1 naming the
     file (and the key, where one is at fault), exit 0 where the config
     still reads as the tiny one, and never exit 2.  An explanation cloud
-    whose distances overflow exits 1 naming both settings behind it."""
+    whose distances overflow exits 1 naming both settings behind it, and
+    one that is itself infinite exits 1 naming perturb_scale."""
     _, src = pristine
     out = tmp_path / "out"
     shutil.copytree(src, out)
@@ -968,6 +971,10 @@ def test_mutated_config_never_crashes(pristine, tmp_path, capsys, mutation,
         assert code == 1
         assert re.match(r"error: surrogate system is not finite: .*"
                         r"perturb_scale.*kernel_sigma", err)
+    elif mutation == "infinite-cloud" and command[0] == "explain":
+        assert code == 1
+        assert re.fullmatch(r"error: perturbation cloud is not finite: "
+                            r"perturb_scale [^\n]*\n", err)
     elif mutation in CONFIG_ACCEPTED:
         assert (code, err) == (0, "")
     else:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mgrl.env import EnvConfig, FEATURE_NAMES
-from mgrl.neural import forward_policy
 from mgrl.explain import (
     CSV_HEADER,
     ExplainConfig,
@@ -23,7 +22,7 @@ from mgrl.explain import (
     render_explanation,
 )
 
-from test_neural import raw_inputs
+from test_neural import raw_forward, raw_inputs
 
 
 def flat_stats(mean=0.0, std=1.0):
@@ -267,6 +266,9 @@ class TestExplainAction:
         with pytest.raises(ValueError):
             explain_action(linear_oracle, np.zeros(4), (0,),
                            ExplainConfig(), stats)
+        with pytest.raises(ValueError, match="finite features"):
+            explain_action(linear_oracle, np.array([0, 0, np.nan, 0, 0, 0]),
+                           (0,), ExplainConfig(), stats)
         with pytest.raises(ValueError):
             explain_action(linear_oracle, np.zeros(6), (9,),
                            ExplainConfig(), stats)
@@ -287,6 +289,19 @@ class TestExplainAction:
                            match="not finite.*perturb_scale.*kernel_sigma"):
             explain_action(linear_oracle, np.zeros(6), (0,),
                            ExplainConfig(**kwargs), flat_stats())
+
+    def test_infinite_cloud_refused_before_the_target(self):
+        """A spread whose perturb_scale multiple overflows gives an
+        infinite cloud: a SurrogateFitError naming perturb_scale, raised
+        before the target sees a sample."""
+        def target(z):
+            raise AssertionError("the target was queried")
+
+        with pytest.raises(SurrogateFitError,
+                           match="cloud is not finite.*perturb_scale"):
+            explain_action(target, np.zeros(6), (0,),
+                           ExplainConfig(perturb_scale=10.0),
+                           flat_stats(std=1e308))
 
 
 class TestExplainStep:
@@ -318,7 +333,7 @@ class TestExplainStep:
         for name, dim in (("charge", 0), ("discharge", 1)):
             z = perturb(x, stats, cfg.n_samples, cfg.perturb_scale,
                         np.random.default_rng(cfg.seed))
-            y = forward_policy(policy, z)[:, dim]
+            y = raw_forward(policy, z)[:, dim]
             w = proximity_weights(x, z, stats, cfg.kernel_sigma)
             fit, = fit_surrogate(z, y[:, None], w, cfg.ridge_strength)
             e = out[name]

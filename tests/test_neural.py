@@ -15,10 +15,10 @@ from mgrl.neural import (
     CheckpointError,
     GaussianPolicy,
     Mlp,
+    ValueNet,
     adam_init,
     adam_step,
-    forward_policy,
-    forward_value,
+    blocked_forward,
     gaussian_entropy,
     gaussian_log_prob,
     load_checkpoint,
@@ -40,6 +40,15 @@ from mgrl.scenario import ScenarioConfig, synth_cyclone_scenario
 def raw_inputs(n):
     """An identity normalizer: (obs_mean, obs_scale) for n features."""
     return np.zeros(n), np.ones(n)
+
+
+def raw_forward(net, x):
+    """A net's outputs on raw states, as the program computes them: its
+    normalizer into a fresh array, then ``blocked_forward``; a critic's
+    one output column is dropped."""
+    if isinstance(net, ValueNet):
+        return blocked_forward(net.net, normalize(net, x))[..., 0]
+    return blocked_forward(net.trunk, normalize(net, x))
 
 
 def rel_err(a, b, floor=1e-8):
@@ -253,17 +262,17 @@ class TestGaussianHead:
         s, z = np.zeros((1, 2)), np.ones((1, 3))
         for bound in (LOG_STD_MAX, LOG_STD_MIN):
             assert np.all(p.clamped_log_std() == bound)
-            _, preclip = policy_action(forward_policy(p, s),
+            _, preclip = policy_action(raw_forward(p, s),
                                        np.exp(p.clamped_log_std()), z)
             np.testing.assert_allclose(
-                preclip, forward_policy(p, s) + math.exp(bound), rtol=1e-14)
+                preclip, raw_forward(p, s) + math.exp(bound), rtol=1e-14)
             p.log_std[:] = -50.0
 
     def test_sample_scored_before_clipping(self):
         rng = np.random.default_rng(6)
         p = make_policy(3, 2, (8,), rng, *raw_inputs(3), init_log_std=1.5)
         s = np.array([[0.3, -0.2, 0.9], [1.0, 0.5, -2.0]])
-        mean, std = forward_policy(p, s), np.exp(p.clamped_log_std())
+        mean, std = raw_forward(p, s), np.exp(p.clamped_log_std())
         z = np.random.default_rng(7).standard_normal((2, 2))
         action, preclip = policy_action(mean, std, z)
         # The draw is scored by gaussian_log_prob(mean, log_std, preclip),
@@ -279,28 +288,11 @@ class TestGaussianHead:
         s = np.ones((4, 3))
         z = np.random.default_rng(11).standard_normal((4, 2))
         std = np.exp(p.clamped_log_std())
-        a = policy_action(forward_policy(p, s), std, z)
-        b = policy_action(forward_policy(p, s), std, z.copy())
+        a = policy_action(raw_forward(p, s), std, z)
+        b = policy_action(raw_forward(p, s), std, z.copy())
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
-        np.testing.assert_array_equal(a[1], forward_policy(p, s) + std * z)
-
-    def test_non_finite_inputs_rejected(self):
-        p = make_policy(2, 2, (4,), np.random.default_rng(0), *raw_inputs(2))
-        v = make_value(2, (4,), np.random.default_rng(0), *raw_inputs(2))
-        bad = np.array([[0.0, 1.0], [np.nan, 0.0]])
-        for call in (lambda: forward_policy(p, bad),
-                     lambda: forward_value(v, bad)):
-            with pytest.raises(ValueError, match="non-finite"):
-                call()
-
-    def test_single_state_must_be_a_batch(self):
-        p = make_policy(2, 2, (4,), np.random.default_rng(0), *raw_inputs(2))
-        v = make_value(2, (4,), np.random.default_rng(0), *raw_inputs(2))
-        for forward, net in ((forward_policy, p), (forward_value, v)):
-            for shape in ((2,), (1, 1, 1, 2)):
-                with pytest.raises(ValueError, match="state batch"):
-                    forward(net, np.zeros(shape))
+        np.testing.assert_array_equal(a[1], raw_forward(p, s) + std * z)
 
     def test_mean_action_is_the_clipped_mean(self):
         mean = np.array([[-3.0, -0.25, 0.0, 0.5, 2.0]])
@@ -322,12 +314,9 @@ class TestBlockedForward:
     def test_blocks_give_the_unblocked_pass_bit_for_bit(self, n):
         p, v = self.nets()
         x = np.random.default_rng(n).normal(size=(n, N_FEATURES)) * 3.0
-        want_mean = mlp_forward(p.trunk, normalize(p, x))[0]
-        want_value = mlp_forward(v.net, normalize(v, x))[0][:, 0]
-        np.testing.assert_array_equal(bits(forward_policy(p, x)),
-                                      bits(want_mean))
-        np.testing.assert_array_equal(bits(forward_value(v, x)),
-                                      bits(want_value))
+        for m in (p.trunk, v.net):
+            np.testing.assert_array_equal(bits(blocked_forward(m, x)),
+                                          bits(mlp_forward(m, x)[0]))
 
     @pytest.mark.parametrize("b", [1, 3, 8, 64, BLOCK_ROWS + 88])
     @pytest.mark.parametrize("above", [False, True])
@@ -338,13 +327,13 @@ class TestBlockedForward:
         p, v = self.nets()
         t = 2 * BLOCK_ROWS // b + 3 if above else max(1, BLOCK_ROWS // b - 1)
         x = np.random.default_rng(b).normal(size=(t, b, N_FEATURES)) * 3.0
-        means, values = forward_policy(p, x), forward_value(v, x)
-        assert means.shape == (t, b, N_ACTIONS) and values.shape == (t, b)
+        means, values = blocked_forward(p.trunk, x), blocked_forward(v.net, x)
+        assert means.shape == (t, b, N_ACTIONS) and values.shape == (t, b, 1)
         for k in range(t):
-            np.testing.assert_array_equal(bits(means[k]),
-                                          bits(forward_policy(p, x[k])))
-            np.testing.assert_array_equal(bits(values[k]),
-                                          bits(forward_value(v, x[k])))
+            np.testing.assert_array_equal(
+                bits(means[k]), bits(blocked_forward(p.trunk, x[k])))
+            np.testing.assert_array_equal(
+                bits(values[k]), bits(blocked_forward(v.net, x[k])))
 
     def test_explainer_cloud_allocates_no_full_activation(self):
         """5,000 states through a 6 -> 64 -> 64 -> 5 actor raise the
@@ -352,11 +341,11 @@ class TestBlockedForward:
         is 2.4 MiB."""
         p, _ = self.nets()
         x = np.random.default_rng(32).normal(size=(5000, N_FEATURES))
-        forward_policy(p, x)
+        raw_forward(p, x)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            forward_policy(p, x)
+            raw_forward(p, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,8 +368,8 @@ class TestObservationNormalization:
                              obs_mean=np.zeros(2), obs_scale=np.ones(2))
         x = np.array([[12.0, 3.0]])
         np.testing.assert_array_equal(
-            forward_policy(p, x),
-            forward_policy(raw, (x - obs_mean) / obs_scale))
+            raw_forward(p, x),
+            raw_forward(raw, (x - obs_mean) / obs_scale))
 
     def test_normalize_in_place_is_the_formula_bit_for_bit(self):
         """Into ``out``, the raw rows themselves included, normalize
@@ -405,8 +394,8 @@ class TestObservationNormalization:
                        obs_scale=np.array([1.0, 2.0, 0.5]))
         raw = make_value(3, (5,), np.random.default_rng(14), *raw_inputs(3))
         np.testing.assert_allclose(
-            forward_value(v, np.array([[1.0, 2.0, 3.0]])),
-            forward_value(raw, np.zeros((1, 3))), rtol=1e-14)
+            raw_forward(v, np.array([[1.0, 2.0, 3.0]])),
+            raw_forward(raw, np.zeros((1, 3))), rtol=1e-14)
 
     def test_bad_normalization_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -421,8 +410,8 @@ class TestObservationNormalization:
         that state in any larger batch."""
         v = make_value(2, (4,), np.random.default_rng(15), *raw_inputs(2))
         s = np.array([[0.4, -0.1]])
-        single = forward_value(v, s)
-        batch = forward_value(v, np.concatenate([s, s]))
+        single = raw_forward(v, s)
+        batch = raw_forward(v, np.concatenate([s, s]))
         assert single.shape == (1,) and batch.shape == (2,)
         assert batch[0] == single[0] == batch[1]
 
@@ -509,8 +498,8 @@ class TestCheckpoints:
         save_checkpoint(p, v, tmp_path / "ck.json")
         p2, _ = load_checkpoint(tmp_path / "ck.json")
         s = np.random.default_rng(21).standard_normal((1, 6))
-        np.testing.assert_array_equal(forward_policy(p, s),
-                                      forward_policy(p2, s))
+        np.testing.assert_array_equal(raw_forward(p, s),
+                                      raw_forward(p2, s))
 
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -19,8 +19,6 @@ from mgrl.neural import (
     LOG_STD_MIN,
     adam_init,
     adam_step,
-    forward_policy,
-    forward_value,
     gaussian_entropy,
     gaussian_log_prob,
     load_checkpoint,
@@ -56,7 +54,7 @@ from mgrl.seeding import derive_rng
 from mgrl.trajectory import read_trajectory_csv, write_trajectory_csv
 
 from test_env import hour
-from test_neural import raw_inputs
+from test_neural import raw_forward, raw_inputs
 
 
 def small_scenario(horizon=10, seed=0):
@@ -271,7 +269,7 @@ class TestPpoLossAndGrads:
         evaluation."""
         rng = np.random.default_rng(seed)
         obs = rng.standard_normal((n, N_FEATURES))
-        mean, log_std = forward_policy(policy, obs), policy.clamped_log_std()
+        mean, log_std = raw_forward(policy, obs), policy.clamped_log_std()
         act = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
         lp_now = gaussian_log_prob(mean, log_std, act)
         bands = np.array([[0.55, 0.77], [0.83, 1.17], [1.23, 1.65]])
@@ -304,13 +302,13 @@ class TestPpoLossAndGrads:
         ws = UpdateWorkspace(policy, value, len(states))
         rep = ppo_loss_and_grads(policy, value, batch, cfg, ws)
 
-        mean, log_std = forward_policy(policy, states), \
+        mean, log_std = raw_forward(policy, states), \
             policy.clamped_log_std()
         lp_new = gaussian_log_prob(mean, log_std, batch.actions)
         loss, _, _ = clipped_policy_loss(np.exp(lp_new - batch.log_probs),
                                          batch.advantages, cfg.clip_eps)
         assert rep.policy_loss == pytest.approx(loss, rel=1e-12)
-        vals = forward_value(value, states)
+        vals = raw_forward(value, states)
         assert rep.value_loss == pytest.approx(
             value_loss(vals, batch.returns), rel=1e-12)
         assert rep.entropy == gaussian_entropy(log_std)
@@ -324,7 +322,7 @@ class TestPpoLossAndGrads:
         states, batch = self.make_batch(policy, value, n=40)
         rep = ppo_loss_and_grads(policy, value, batch, cfg,
                                  UpdateWorkspace(policy, value, 40))
-        mean, log_std = forward_policy(policy, states), \
+        mean, log_std = raw_forward(policy, states), \
             policy.clamped_log_std()
         lp_new = gaussian_log_prob(mean, log_std, batch.actions)
         ratio = np.exp(lp_new - batch.log_probs)
@@ -337,7 +335,7 @@ class TestPpoLossAndGrads:
         cfg = tiny_config()
         states, batch = self.make_batch(policy, value)
 
-        mean, log_std = forward_policy(policy, states), \
+        mean, log_std = raw_forward(policy, states), \
             policy.clamped_log_std()
         ratio = np.exp(gaussian_log_prob(mean, log_std, batch.actions)
                        - batch.log_probs)
@@ -569,8 +567,9 @@ def loss_oracle(policy, value, batch, cfg):
 
 
 def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
-    """collect_rollouts rebuilt from forward_policy, policy_action,
-    forward_value and whole hours of step and allocate.
+    """collect_rollouts rebuilt from raw_forward (each net's normalizer,
+    then blocked_forward), policy_action and whole hours of step and
+    allocate.
 
     The nets see the whole env batch each hour, as BLAS rounding depends on
     the batch shape, with that hour's (n_envs, N_ACTIONS) standard normal
@@ -586,7 +585,7 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
     hours, summaries, clock = [], [], 0
     for _ in range(steps):
         obs = np.array([(s, *rows[clock]) for s in soc])
-        mean = forward_policy(policy, obs)
+        mean = raw_forward(policy, obs)
         actions, preclip = policy_action(
             mean, np.exp(policy.clamped_log_std()),
             rng.standard_normal((n_envs, N_ACTIONS)))
@@ -601,14 +600,14 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
         clock += 1
         done = clock == len(rows)
         hours.append((obs, preclip, log_prob, rewards,
-                      forward_value(value, obs), [float(done)] * n_envs))
+                      raw_forward(value, obs), [float(done)] * n_envs))
         if done:
             summaries += [summarize_episode(cfg, scn.loads, np.array(sh),
                                             np.array(r)) for sh, r in logs]
             clock = 0
             soc = [cfg.initial_soc(r) for r in rngs]
             logs = [([], []) for _ in range(n_envs)]
-    bootstrap = forward_value(value,
+    bootstrap = raw_forward(value,
                               np.array([(s, *rows[clock]) for s in soc]))
     return [np.array(col) for col in zip(*hours)], bootstrap, summaries
 
@@ -652,10 +651,10 @@ class TestCollectRollouts:
                                       bits(normalize(policy, raw)))
         for t in range(4):
             np.testing.assert_allclose(
-                buf.values[t], forward_value(value, raw[t]), rtol=1e-12)
+                buf.values[t], raw_forward(value, raw[t]), rtol=1e-12)
             np.testing.assert_allclose(
                 buf.log_probs[t],
-                gaussian_log_prob(forward_policy(policy, raw[t]),
+                gaussian_log_prob(raw_forward(policy, raw[t]),
                                   policy.clamped_log_std(), buf.actions[t]),
                 rtol=1e-12)
 
@@ -665,23 +664,26 @@ class TestCollectRollouts:
                                                  segments, ends):
         """Per hour one normalize call in place on the (n_envs,
         N_FEATURES) observations and one mlp_forward call on them; one
-        stacked blocked_forward call on all hours' states and one
-        forward_value call on the bootstrap observations; one allocate
+        stacked critic blocked_forward call on all hours' states, then
+        the bootstrap observations normalized in place by the critic and
+        one critic blocked_forward call on them; one allocate
         call per episode segment, on that segment's (k, n_envs) supplies
         and (k, 1, 3) loads.  On a 5-hour scenario the rollouts end 0, 1
         (at their last hour or inside) and 2 episodes."""
         import mgrl.ppo as ppo_mod
 
-        assert not hasattr(ppo_mod, "forward_policy")
-        names = ("normalize", "mlp_forward", "blocked_forward",
-                 "forward_value")
+        for gone in ("forward_policy", "forward_value", "net_input"):
+            assert not hasattr(ppo_mod, gone)
+        names = ("normalize", "mlp_forward", "blocked_forward")
         calls = {name: [] for name in (*names, "allocate")}
+        nets = {name: [] for name in names}
         for name in names:
             def counted(net, x, *rest, _name=name,
                         _fn=getattr(ppo_mod, name), **kw):
                 calls[_name].append(
                     (x.shape, np.shares_memory(kw["out"], x))
                     if kw else x.shape)
+                nets[_name].append(id(net))
                 return _fn(net, x, *rest, **kw)
             monkeypatch.setattr(ppo_mod, name, counted)
 
@@ -692,10 +694,12 @@ class TestCollectRollouts:
         policy, value, envs = self.make_parts(horizon=5, n_envs=3)
         buf = collect_rollouts(policy, value, envs, 3 * hours,
                                np.random.default_rng(4))
-        assert calls["normalize"] == [((3, N_FEATURES), True)] * hours
+        assert calls["normalize"] == [((3, N_FEATURES), True)] * (hours + 1)
+        assert nets["normalize"] == [id(policy)] * hours + [id(value)]
         assert calls["mlp_forward"] == [(3, N_FEATURES)] * hours
-        assert calls["blocked_forward"] == [(hours, 3, N_FEATURES)]
-        assert calls["forward_value"] == [(3, N_FEATURES)]
+        assert calls["blocked_forward"] == [(hours, 3, N_FEATURES),
+                                            (3, N_FEATURES)]
+        assert nets["blocked_forward"] == [id(value.net)] * 2
         assert calls["allocate"] == [((k, 1, 3), (k, 3), (k, 3, 3))
                                      for k in segments]
         assert len(buf.episode_summaries) == 3 * ends
@@ -770,7 +774,7 @@ class TestCollectRollouts:
                 np.testing.assert_array_equal(
                     bits(got), bits(want[hours * k:hours * (k + 1)]))
         np.testing.assert_array_equal(
-            bits(bufs[0].bootstrap), bits(forward_value(value, ref[0][hours])))
+            bits(bufs[0].bootstrap), bits(raw_forward(value, ref[0][hours])))
         np.testing.assert_array_equal(bits(bufs[1].bootstrap),
                                       bits(ref_bootstrap))
         got = [np.hstack(astuple(s))
@@ -927,8 +931,8 @@ class TestTrain:
         for a, b in zip(params, policy_params(policy) + value_params(value)):
             np.testing.assert_array_equal(a, b)
         s = np.random.default_rng(8).standard_normal((3, N_FEATURES))
-        np.testing.assert_array_equal(forward_policy(res.policy, s),
-                                      forward_policy(policy, s))
+        np.testing.assert_array_equal(raw_forward(res.policy, s),
+                                      raw_forward(policy, s))
 
     @pytest.mark.parametrize("field", ["loads", "p_re"])
     def test_non_finite_scenario_refused_before_first_update(self, field):
@@ -1000,7 +1004,8 @@ class TestEvaluation:
     @pytest.mark.parametrize("deterministic", [True, False])
     def test_matches_per_hour_reference_loop(self, deterministic):
         """Bit for bit the loop that builds each hour's state afresh and
-        calls forward_policy on it (and policy_action on its draws)."""
+        runs the actor on it through raw_forward (and policy_action on its
+        draws)."""
         policy = self.trained()
         policy.log_std[:] = -0.5  # draws that move the SOC both ways
         env_cfg = EnvConfig()
@@ -1015,10 +1020,10 @@ class TestEvaluation:
             for row in scenario_rows(scn):
                 obs = np.array([(soc, *row)])
                 if deterministic:
-                    action = np.clip(forward_policy(policy, obs), -1.0, 1.0)
+                    action = np.clip(raw_forward(policy, obs), -1.0, 1.0)
                 else:
                     action = policy_action(
-                        forward_policy(policy, obs),
+                        raw_forward(policy, obs),
                         np.exp(policy.clamped_log_std()),
                         rng.standard_normal((1, N_ACTIONS)))[0]
                 out = hour(row, soc, action[0].tolist(), env_cfg)
@@ -1078,7 +1083,8 @@ class TestEvaluation:
 
         monkeypatch.setattr(ppo_mod, "step", no_step)
         for deterministic in (True, False):
-            with pytest.raises(ValueError, match="non-finite state features"):
+            with pytest.raises(ValueError,
+                               match=f"non-finite {field} at scenario hour 7$"):
                 evaluate_policy(policy, EnvConfig(), bad,
                                 deterministic=deterministic)
 

@@ -44,19 +44,14 @@ class RunConfig:
     checkpoint_every: int = 0  # 0 -> only the final checkpoint
     rated_cycles: float = 3000.0  # battery full cycles for lifespan estimate
 
-    def validate(self) -> None:
-        for section in _SECTIONS:
-            try:
-                getattr(self, section).validate()
-            except ValueError as exc:
-                raise ConfigError(f"{section}: {exc}") from exc
+    def __post_init__(self):
         if not self.output_dir:
             raise ConfigError("run.output_dir must not be empty")
         if self.checkpoint_every < 0:
             raise ConfigError(
                 f"run.checkpoint_every must be >= 0, "
                 f"got {self.checkpoint_every}")
-        if self.rated_cycles <= 0:
+        if not self.rated_cycles > 0:
             raise ConfigError(
                 f"run.rated_cycles must be positive, got {self.rated_cycles}")
         for key, value in _settings(self):
@@ -134,7 +129,7 @@ _SEED_FIELDS = {"scenario": "rng_seed", "ppo": "seed", "explain": "seed"}
 def build_run_config(entries: dict[str, str],
                      seed_override: int | None = None,
                      output_override: str | None = None) -> RunConfig:
-    """Assemble and validate a RunConfig from dotted-key assignments."""
+    """A RunConfig from dotted-key assignments; errors name the section."""
     kwargs: dict[str, dict] = {section: {} for section in _SCHEMA}
     for key, raw in entries.items():
         section, _, name = key.partition(".")
@@ -155,10 +150,13 @@ def build_run_config(entries: dict[str, str],
     for section, seed_field in _SEED_FIELDS.items():
         kwargs[section].setdefault(seed_field, derive_seed(master, section))
 
-    cfg = RunConfig(**{section: cls(**kwargs[section])
-                       for section, cls in _SECTIONS.items()}, **run_kwargs)
-    cfg.validate()
-    return cfg
+    sections = {}
+    for section, cls in _SECTIONS.items():
+        try:
+            sections[section] = cls(**kwargs[section])
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
+    return RunConfig(**sections, **run_kwargs)
 
 
 def load_run_config(path: str | os.PathLike | None,

@@ -68,13 +68,13 @@ class EnvConfig:
     reward_weights: tuple[float, float, float] = PRIORITY_WEIGHTS
     init_soc_range: tuple[float, float] | None = None  # None -> full SOC band
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 < self.soc_min < self.soc_max <= 1.0:
             raise ValueError(f"need 0 < soc_min < soc_max <= 1, "
                              f"got [{self.soc_min}, {self.soc_max}]")
         if not (0.0 < self.eta_ch <= 1.0 and 0.0 < self.eta_dis <= 1.0):
             raise ValueError("efficiencies must be in (0, 1]")
-        if self.e_max_kwh <= 0 or self.p_conv_kw <= 0:
+        if not (self.e_max_kwh > 0 and self.p_conv_kw > 0):
             raise ValueError("e_max_kwh and p_conv_kw must be > 0")
         w1, w2, w3 = self.reward_weights
         if not w1 > w2 > w3 >= 0.0:

@@ -49,17 +49,17 @@ class ExplainConfig:
     ridge_strength: float = 1e-3
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_samples < 10:
             raise ValueError(
                 f"n_samples must be at least 10, got {self.n_samples}")
-        if self.kernel_sigma <= 0.0:
+        if not self.kernel_sigma > 0.0:
             raise ValueError(
                 f"kernel_sigma must be positive, got {self.kernel_sigma}")
-        if self.perturb_scale <= 0.0:
+        if not self.perturb_scale > 0.0:
             raise ValueError(
                 f"perturb_scale must be positive, got {self.perturb_scale}")
-        if self.ridge_strength < 0.0:
+        if not self.ridge_strength >= 0.0:
             raise ValueError(
                 f"ridge_strength must be non-negative, got {self.ridge_strength}")
         if self.seed < 0:
@@ -220,7 +220,6 @@ def explain_action(target_fn, x: np.ndarray, action_dims: tuple[int, ...],
     Returns one Explanation per entry of ``action_dims``, in order, each
     from one weighted ridge fit over all six features.
     """
-    cfg.validate()
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (N_FEATURES,) or not np.isfinite(x).all():
         raise ValueError(f"instance must have {N_FEATURES} finite features")

@@ -132,7 +132,4 @@ def read_train_metrics_csv(path: str | os.PathLike) -> list[TrainStats]:
     file, the 1-based data row and the column.  Float cells are not
     range-checked: mean_reward_norm and RI stay NaN until an episode ends."""
     table = LAYOUT.read(path)
-    # Digits only, by the layout; from 2**53 on float64 merges neighbours.
-    LAYOUT.reject(path, table[:, :1], ~(table[:, :1] < 2.0 ** 53),
-                  "{:g} is not a whole number in [0, 2**53)")
     return [TrainStats(int(update), *rest) for update, *rest in table.tolist()]

@@ -279,7 +279,7 @@ def policy_action(mean: np.ndarray, std: np.ndarray | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Parameter flattening shared by the optimizer and checkpoints
+# Parameter lists, and the one flat vector the optimizer updates
 
 def policy_params(p: GaussianPolicy) -> list:
     """Live parameter arrays of the actor, in a fixed order."""

@@ -89,18 +89,18 @@ class PpoConfig:
     init_log_std: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError(
                 f"gae_lambda must lie in [0, 1], got {self.gae_lambda}")
-        if self.clip_eps <= 0.0:
+        if not self.clip_eps > 0.0:
             raise ValueError(f"clip_eps must be positive, got {self.clip_eps}")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ValueError(
                 f"learning_rate must be positive, got {self.learning_rate}")
-        if self.c1 < 0.0 or self.c2 < 0.0:
+        if not (self.c1 >= 0.0 and self.c2 >= 0.0):
             raise ValueError("loss coefficients c1, c2 must be non-negative")
         if self.rollout_steps <= 0 or self.n_envs <= 0:
             raise ValueError("rollout_steps and n_envs must be positive")
@@ -202,7 +202,6 @@ class EnvBatch:
 
     def __init__(self, cfg: EnvConfig, scn: Scenario, n_envs: int,
                  seed: int):
-        cfg.validate()
         self.cfg = cfg
         self.rows = scenario_rows(scn)
         self.loads = scn.loads
@@ -455,8 +454,6 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
     preallocated :class:`UpdateWorkspace`, so a minibatch allocates only
     the loss head's (B,) and (B, N_ACTIONS) temporaries.
     """
-    cfg.validate()
-    env_cfg.validate()
     obs_mean, obs_scale = obs_stats_from_scenario(env_cfg, scn)
     policy = make_policy(N_FEATURES, N_ACTIONS, cfg.hidden_sizes,
                          derive_rng(cfg.seed, "policy-init"),
@@ -535,7 +532,6 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
     last hour, and refuses a non-finite weight."""
     if n_episodes <= 0:
         raise ValueError(f"n_episodes must be positive, got {n_episodes}")
-    env_cfg.validate()
     rows = scenario_rows(scn)
     states = features(0.0, scn.loads, scn.p_re)
     actions = np.empty((len(rows), N_ACTIONS))

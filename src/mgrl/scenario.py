@@ -27,8 +27,8 @@ STEP_HOURS = 1.0
 # Largest magnitude, in kW, of any power in a scenario or trajectory CSV:
 # 1 GW, far below where sums and squares of powers overflow.  A scenario
 # hour's total load is capped too: with the generation it bounds every flow
-# of the step, so eval's trajectory passes the cap.  ScenarioConfig.validate
-# refuses ratings and loads the generator could push past it.
+# of the step, so eval's trajectory passes the cap.  A ScenarioConfig with
+# ratings or loads the generator could push past it cannot be made.
 MAX_KW = 1e6
 KW_CAP = f"{{!r}} kW beyond the {MAX_KW:g} kW cap"
 
@@ -69,7 +69,7 @@ class ScenarioConfig:
     cyclone_depression: float = 0.8
     rng_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.horizon_steps < 1:
             raise ValueError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
         if not 0 <= self.start_hour < 24:
@@ -82,9 +82,9 @@ class ScenarioConfig:
         if not 0.0 <= self.cyclone_depression <= 1.0:
             raise ValueError(
                 f"cyclone_depression must be in [0, 1], got {self.cyclone_depression}")
-        if self.solar_capacity_kw < 0 or self.wind_capacity_kw < 0:
+        if not (self.solar_capacity_kw >= 0 and self.wind_capacity_kw >= 0):
             raise ValueError("generation capacities must be >= 0")
-        if len(self.base_loads_kw) != 3 or any(b < 0 for b in self.base_loads_kw):
+        if len(self.base_loads_kw) != 3 or any(not b >= 0 for b in self.base_loads_kw):
             raise ValueError(f"base_loads_kw must be three values >= 0, "
                              f"got {self.base_loads_kw}")
         # Solar peaks at its capacity, wind is clipped to its own and a
@@ -132,7 +132,6 @@ def synth_cyclone_scenario(cfg: ScenarioConfig) -> Scenario:
     RNG draw order is fixed (wind walk start, wind walk steps, load noise)
     so equal configs produce bitwise-identical scenarios.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.rng_seed)
     T = cfg.horizon_steps
     hours = (cfg.start_hour + np.arange(T)) % 24
@@ -182,7 +181,6 @@ def load_scenario_csv(path: str | os.PathLike) -> Scenario:
     if not len(a):
         raise TableError(f"{path}: no data rows, expected one "
                          f"per hour after the header")
-    LAYOUT.check_order(path, a)
     LAYOUT.reject(path, a, ~np.isfinite(a), "non-finite value {!r}")
     LAYOUT.reject(path, a, a < 0, "negative value {!r}")
     LAYOUT.reject(path, a, (a > MAX_KW) & _KW, KW_CAP)

@@ -5,8 +5,7 @@
 Scenario, trajectory and training-metrics CSVs share one ``Layout``: a
 header naming the columns, then per row a decimal integer index and floats
 written with repr, so a read-back reproduces every value bit for bit.
-The scenario and trajectory indices must run 0..n-1 (``check_order``);
-the metrics index is free.
+Every artifact's index must run 0..n-1.
 """
 
 import contextlib
@@ -91,17 +90,9 @@ class Layout:
             self.fail(path, i, self.columns[j],
                       detail.format(float(table[i, j])))
 
-    def check_order(self, path, table) -> None:
-        """Fail at the first row whose index is not its position 0..n-1."""
-        bad = np.flatnonzero(table[:, 0] != np.arange(len(table)))
-        if len(bad):
-            i = bad[0]
-            self.fail(path, i, self.columns[0], f"expected {i}, got "
-                      f"{table[i, 0]:.0f} (rows must be sorted with no gaps)")
-
     def read(self, path) -> np.ndarray:
-        """The body as a (rows, columns) float64 table, column 0 the index;
-        a bad header, line, cell or index raises TableError."""
+        """The body as a (rows, columns) float64 table, column 0 the index
+        0..n-1; a bad header, line, cell or index raises TableError."""
         lines = read_text(path).split("\n")
         if lines[-1] == "":
             lines.pop()
@@ -123,6 +114,11 @@ class Layout:
                 or not "".join([ln.partition(",")[0]
                                 for ln in body]).isdecimal()):
             self._locate(path, body)
+        bad = np.flatnonzero(table[:, 0] != np.arange(len(table)))
+        if len(bad):
+            i = bad[0]
+            self.fail(path, i, self.columns[0], f"expected {i}, got "
+                      f"{table[i, 0]:.0f} (rows must be sorted with no gaps)")
         return table
 
     def _locate(self, path, body: list[str]):

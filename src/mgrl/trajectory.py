@@ -83,7 +83,6 @@ def read_trajectory_csv(path: str | os.PathLike) -> Trajectory:
     allocation or shortage, an SOC or reward outside [0, 1], or a power
     beyond ``MAX_KW`` kW."""
     a = LAYOUT.read(path)
-    LAYOUT.check_order(path, a)
     LAYOUT.reject(path, a, ~np.isfinite(a), "non-finite value {!r}")
     LAYOUT.reject(path, a, (a < 0) & _NON_NEGATIVE, "negative value {!r}")
     LAYOUT.reject(path, a, (a > 1) & _FRACTION, "value {!r} above 1")

@@ -614,11 +614,10 @@ class TestMetricsBoundary:
          "data row 2, column RI: not a number: 'abc'"),
         (lambda f: f[:-2], "data row 2: column entropy missing"),
         (lambda f: ["9" * 400, *f[1:]],
-         "data row 2, column update: inf is not a whole number in "
-         "[0, 2**53)"),
+         "data row 2, column update: expected 1, got inf"),
         (lambda f: ["9" * 25, *f[1:]],
-         "data row 2, column update: 1e+25 is not a whole number in "
-         "[0, 2**53)"),
+         "data row 2, column update: expected 1, got "
+         "10000000000000000905969664"),
     ], ids=["non-numeric", "ragged-row", "update-400-digits",
             "update-25-digits"])
     def test_corrupt_metrics_report_is_user_error(self, conf, tmp_path,
@@ -629,6 +628,36 @@ class TestMetricsBoundary:
         capsys.readouterr()
         assert run("report", "--config", conf, "--out", out) == 1
         assert f"metrics.csv: {detail}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda rows: rows[::-1], "data row 1, column update: expected 0, "
+                                  "got 15"),
+        (lambda rows: [r for r in rows[:5] for _ in "ab"] + rows[5:],
+         "data row 2, column update: expected 1, got 0"),
+        (lambda rows: rows[:5] + rows[6:],
+         "data row 6, column update: expected 5, got 6"),
+    ], ids=["reversed", "five-duplicated", "gap"])
+    def test_metrics_rows_out_of_order_are_refused(self, tmp_path, capsys,
+                                                   edit, detail):
+        """Read as they stand, reversed rows would report the curve as
+        stabilized from update 3 (update 12 as written), and five
+        duplicated rows a training of 21 updates; the report refuses
+        both, and a gap, with one line naming the row."""
+        conf = tmp_path / "run.conf"
+        conf.write_text(TINY_CONF.replace("ppo.total_updates = 2",
+                                          "ppo.total_updates = 16"))
+        out = str(tmp_path / "out")
+        run_pipeline(str(conf), out)
+        path = os.path.join(out, "metrics.csv")
+        with open(path) as fh:
+            header, *rows = fh.read().splitlines(keepends=True)
+        with open(path, "w") as fh:
+            fh.write(header + "".join(edit(rows)))
+        capsys.readouterr()
+        assert run("report", "--config", str(conf), "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"metrics.csv: {detail} (rows must be sorted" in err
 
 
 class TestScenarioBoundary:
@@ -832,11 +861,10 @@ CHECKPOINT_EDITS = {
 # Python's 4,300-digit conversion limit.
 CHECKPOINT_TEXTS = {"deep-nesting": "[" * 200_000 + "]" * 200_000,
                     "huge-integer": '{"format": ' + "1" * 5_000 + "}"}
-# Edits the metrics layout allows: its update index is free, and losses
-# may be negative or NaN.
+# Edits the metrics layout allows: dropping the last row leaves updates
+# 0..n-1, and losses may be negative or NaN.
 FUZZ_ACCEPTED = {("metrics.csv", m) for m in
-                 ("dropped-row", "duplicated-row", "nan-cell",
-                  "negative-cell")}
+                 ("dropped-row", "nan-cell", "negative-cell")}
 
 
 def mutate_csv(text, mutation, col, n=FUZZ_ROW):

@@ -1,17 +1,26 @@
+import math
+from dataclasses import replace
+
 import pytest
 
 from mgrl.config import (
     ConfigError,
+    RunConfig,
     build_run_config,
     config_summary,
     load_run_config,
     parse_config_text,
 )
+from mgrl.env import EnvConfig
+from mgrl.explain import ExplainConfig
+from mgrl.ppo import PpoConfig
+from mgrl.scenario import ScenarioConfig
 from mgrl.seeding import derive_seed
 from mgrl.table import TableError
 
-# Non-finite values that each section's own validation lets through: NaN
-# fails every comparison, and inf passes "positive" and "non-negative".
+# Non-finite values a config file cannot carry: the reader refuses them
+# before any section sees them, and inf passes "positive" and
+# "non-negative" in the sections' own checks.
 NON_FINITE = [
     ("explain.kernel_sigma", "nan"),
     ("explain.ridge_strength", "nan"),
@@ -200,6 +209,59 @@ class TestBuildRunConfig:
     def test_zero_lowest_reward_weight_accepted(self):
         cfg = build_run_config({"env.reward_weights": "2, 1, 0"})
         assert cfg.env.reward_weights == (2.0, 1.0, 0.0)
+
+
+class TestConfigsAreCheckedWhenMade:
+    """Each config class checks its fields in its constructor, so every
+    instance that exists is valid and no consumer checks it again."""
+
+    DEFAULTS = {"scenario": ScenarioConfig(), "env": EnvConfig(),
+                "ppo": PpoConfig(), "explain": ExplainConfig(),
+                "run": build_run_config({})}
+
+    @pytest.mark.parametrize("key, value", [
+        ("env.e_max_kwh", math.nan),
+        ("env.p_conv_kw", math.nan),
+        ("ppo.clip_eps", math.nan),
+        ("ppo.c1", math.nan),
+        ("ppo.c2", math.nan),
+        ("ppo.learning_rate", math.nan),
+        ("explain.kernel_sigma", math.nan),
+        ("explain.perturb_scale", math.nan),
+        ("explain.ridge_strength", math.nan),
+        ("scenario.solar_capacity_kw", math.nan),
+        ("scenario.wind_capacity_kw", math.nan),
+        pytest.param("scenario.base_loads_kw", (math.nan, 24.0, 12.0),
+                     id="scenario.base_loads_kw-l1-nan"),
+        pytest.param("scenario.base_loads_kw", (30.0, math.nan, 12.0),
+                     id="scenario.base_loads_kw-l2-nan"),
+        pytest.param("scenario.base_loads_kw", (30.0, 24.0, math.nan),
+                     id="scenario.base_loads_kw-l3-nan"),
+        ("run.rated_cycles", math.nan),
+    ])
+    def test_nan_field_is_refused_when_made(self, key, value):
+        """NaN fails every comparison, so each check is written to fail
+        on it rather than to pass."""
+        section, _, name = key.partition(".")
+        with pytest.raises(ValueError):
+            replace(self.DEFAULTS[section], **{name: value})
+
+    @pytest.mark.parametrize("section, changes, message", [
+        ("scenario", dict(start_hour=24), "start_hour must be in [0, 24)"),
+        ("env", dict(soc_min=0.0), "need 0 < soc_min < soc_max <= 1"),
+        ("ppo", dict(gamma=2.0), "gamma must lie in [0, 1]"),
+        ("explain", dict(n_samples=5), "n_samples must be at least 10"),
+        ("run", dict(checkpoint_every=-1),
+         "run.checkpoint_every must be >= 0"),
+    ], ids=["scenario", "env", "ppo", "explain", "run"])
+    def test_replace_checks_the_new_config(self, section, changes, message):
+        with pytest.raises(ValueError) as exc:
+            replace(self.DEFAULTS[section], **changes)
+        assert str(exc.value).startswith(message)
+
+    def test_no_config_class_has_a_validate_method(self):
+        for cfg in self.DEFAULTS.values():
+            assert not hasattr(type(cfg), "validate"), type(cfg).__name__
 
 
 class TestSeedFanOut:

@@ -67,7 +67,7 @@ def small_scenario(horizon=24, seed=0):
 
 class TestEnvConfig:
     def test_defaults_validate(self):
-        EnvConfig().validate()
+        EnvConfig()
 
     @pytest.mark.parametrize("kwargs", [
         dict(soc_min=0.0),
@@ -82,7 +82,7 @@ class TestEnvConfig:
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
-            EnvConfig(**kwargs).validate()
+            EnvConfig(**kwargs)
 
 
 class TestReset:

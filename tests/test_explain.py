@@ -38,7 +38,7 @@ def linear_oracle(z):
 
 class TestExplainConfig:
     def test_defaults_validate(self):
-        ExplainConfig().validate()
+        ExplainConfig()
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_samples=5),
@@ -50,7 +50,7 @@ class TestExplainConfig:
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
-            ExplainConfig(**kwargs).validate()
+            ExplainConfig(**kwargs)
 
 
 class TestFeatureStats:

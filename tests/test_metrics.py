@@ -267,17 +267,22 @@ class TestTrainMetricsCsv:
         write_train_metrics_csv([], path)
         assert read_train_metrics_csv(path) == []
 
-    def test_update_index_reads_back_exactly_or_is_refused(self, tmp_path):
-        """Below 2**53 every index reads back as written; 2**53 itself is
-        refused, as 2**53 + 1 would parse to it."""
+    @pytest.mark.parametrize("updates, row, expected, got", [
+        ((1, 0), 1, 0, 1),
+        ((0, 0), 2, 1, 0),
+        ((0, 2), 2, 1, 2),
+        ((2 ** 53,), 1, 0, 2 ** 53),
+    ], ids=["reversed", "duplicated", "gap", "huge"])
+    def test_update_index_must_run_0_to_n_minus_1(self, tmp_path, updates,
+                                                  row, expected, got):
+        """``train`` writes updates 0..n-1; any other index is refused at
+        its first wrong row, as in the scenario and trajectory CSVs."""
         path = tmp_path / "m.csv"
-        stats = self.make_stats()
-        for update in (2 ** 53 - 1, 2 ** 53):
-            write_train_metrics_csv(
-                [TrainStats(update, *astuple(stats[1])[1:])], path)
-            if update < 2 ** 53:
-                assert read_train_metrics_csv(path)[0].update == update
-            else:
-                with pytest.raises(ValueError, match="column update: "
-                                   r"9.0072e\+15 is not a whole number"):
-                    read_train_metrics_csv(path)
+        values = astuple(self.make_stats()[1])[1:]
+        write_train_metrics_csv([TrainStats(u, *values) for u in updates],
+                                path)
+        with pytest.raises(ValueError, match=(
+                rf"m.csv: data row {row}, column update: expected "
+                rf"{expected}, got {got} \(rows must be sorted with no "
+                rf"gaps\)$")):
+            read_train_metrics_csv(path)

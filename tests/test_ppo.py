@@ -104,7 +104,7 @@ def gae_recursion(r, v, d, boot, gamma, lam):
 
 class TestPpoConfig:
     def test_defaults_validate(self):
-        PpoConfig().validate()
+        PpoConfig()
 
     @pytest.mark.parametrize("kwargs", [
         dict(gamma=1.5),
@@ -125,7 +125,7 @@ class TestPpoConfig:
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
-            tiny_config(**kwargs).validate()
+            tiny_config(**kwargs)
 
 
 class TestComputeGae:

@@ -14,7 +14,7 @@ from mgrl.table import TableError
 
 class TestScenarioConfig:
     def test_defaults_validate(self):
-        ScenarioConfig().validate()
+        ScenarioConfig()
 
     @pytest.mark.parametrize("kwargs,fragment", [
         (dict(horizon_steps=0), "horizon_steps"),
@@ -32,12 +32,12 @@ class TestScenarioConfig:
     ])
     def test_rejects_bad_fields(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
-            ScenarioConfig(**kwargs).validate()
+            ScenarioConfig(**kwargs)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_generator_near_the_kw_cap_writes_a_readable_scenario(
             self, tmp_path, seed):
-        """Ratings that pass validate give powers that the scenario
+        """Ratings a ScenarioConfig accepts give powers that the scenario
         reader accepts: generation and hourly total load within MAX_KW."""
         cfg = ScenarioConfig(solar_capacity_kw=MAX_KW - 80.0,
                              wind_capacity_kw=80.0,

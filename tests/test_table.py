@@ -79,15 +79,15 @@ def read_metrics(path):
 
 
 # name: (columns, cell strategies after the index, writer, reader,
-#        minimum rows, index free (metrics) or 0..n-1)
+#        minimum rows); every index runs 0..n-1
 ARTIFACTS = {
     "scenario": (CSV_COLUMNS, [KW_NON_NEGATIVE] + [LOAD] * 3, write_scenario,
-                 read_scenario, 1, False),
+                 read_scenario, 1),
     "trajectory": (CSV_HEADER, [FRACTION] + [KW_NON_NEGATIVE] * 10
                    + [KW] * 3 + [KW_NON_NEGATIVE] * 3 + [FRACTION],
-                   write_trajectory, read_trajectory, 0, False),
+                   write_trajectory, read_trajectory, 0),
     "metrics": (TRAIN_CSV_HEADER, [NULLABLE] * 2 + [ANY] * 4, write_metrics,
-                read_metrics, 0, True),
+                read_metrics, 0),
 }
 
 
@@ -107,14 +107,12 @@ def reference_bytes(columns, index, rows) -> bytes:
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_writer_matches_reference_and_reads_back_bitwise(name, data):
-    columns, strategies, write, read, min_rows, free_index = ARTIFACTS[name]
+    columns, strategies, write, read, min_rows = ARTIFACTS[name]
     rows = data.draw(st.lists(st.tuples(*strategies), min_size=min_rows,
                               max_size=6))
     table = np.array(rows, dtype=np.float64).reshape(len(rows),
                                                      len(strategies))
-    index = (data.draw(st.lists(st.integers(0, 10**9), min_size=len(rows),
-                                max_size=len(rows)))
-             if free_index else list(range(len(rows))))
+    index = list(range(len(rows)))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, f"{name}.csv")
         write(path, index, table)
@@ -180,12 +178,10 @@ DEFECTS = (blank_line, hash_in_cell, trailing_comma, ragged_row,
 @pytest.mark.parametrize("name, defect", [
     pytest.param(name, defect, id=f"{name}-{defect.__name__}")
     for name in ARTIFACTS for defect in DEFECTS
-    # NaN and inf are legal metrics values (no episode scored yet), and
-    # the metrics index is a free update number.
-    if not (name == "metrics"
-            and defect in (non_finite, shifted_index, huge_index))])
+    # NaN and inf are legal metrics values (no episode scored yet).
+    if not (name == "metrics" and defect is non_finite)])
 def test_malformed_body_names_file_row_and_column(tmp_path, name, defect):
-    columns, _, write, read, _, _ = ARTIFACTS[name]
+    columns, _, write, read, _ = ARTIFACTS[name]
     path = tmp_path / f"{name}.csv"
     write(path, [0, 1, 2], np.full((3, len(columns) - 1), 0.5))
     read(path)
@@ -208,7 +204,7 @@ def test_malformed_body_names_file_row_and_column(tmp_path, name, defect):
 ])
 def test_power_beyond_the_kw_cap_names_file_row_and_column(
         tmp_path, name, column, value):
-    columns, _, write, read, _, _ = ARTIFACTS[name]
+    columns, _, write, read, _ = ARTIFACTS[name]
     path = tmp_path / f"{name}.csv"
     table = np.full((3, len(columns) - 1), 0.5)
     table[1, columns.index(column) - 1] = value
@@ -231,7 +227,7 @@ def test_scenario_total_load_beyond_the_kw_cap_names_the_row(tmp_path):
 
 @pytest.mark.parametrize("name", ARTIFACTS)
 def test_blank_only_body_names_the_row(tmp_path, name):
-    columns, _, _, read, _, _ = ARTIFACTS[name]
+    columns, _, _, read, _ = ARTIFACTS[name]
     path = tmp_path / f"{name}.csv"
     path.write_text(",".join(columns) + "\n\n")
     with pytest.raises(TableError, match=f"{name}.csv: {row(0)}: "

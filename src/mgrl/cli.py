@@ -3,7 +3,8 @@
 Every command reads one optional config file (``--config``), honors a
 master seed (``--seed``) and writes its artifacts into an output
 directory (``--out``, default from config).  Exit codes: 0 success,
-1 user error (bad input, missing file), 2 internal error.
+1 user error (bad input, missing file), 2 internal error or a command
+line that argparse refuses (unknown command, bad ``--mode`` choice).
 """
 
 import argparse

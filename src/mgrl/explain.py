@@ -104,9 +104,8 @@ def perturb(x: np.ndarray, stats: FeatureStats, n: int, scale: float,
 
 def proximity_weights(x: np.ndarray, samples: np.ndarray,
                       stats: FeatureStats, sigma: float) -> np.ndarray:
-    """exp(-D^2 / sigma^2) with D Euclidean over std-standardized features."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    """exp(-D^2 / sigma^2) with D Euclidean over std-standardized features;
+    sigma > 0, as ``ExplainConfig.kernel_sigma`` enforces."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d = samples - x  # fit_surrogate refuses what overflows here
         d /= stats.std
@@ -130,7 +129,7 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
     the intercept decouple (solved in closed form) and leaves a
     symmetric positive-definite system for any positive ridge.  Weights
     are normalized to sum to one, so duplicating the whole sample set
-    changes nothing.
+    changes nothing.  ``ExplainConfig.n_samples`` gives at least 10 samples.
 
     ``targets`` of shape (n, k) give one fit per column, all from the
     same standardized design and normal matrix.
@@ -138,8 +137,6 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
     z_raw = np.asarray(samples, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if len(z_raw) < 10:
-        raise ValueError(f"need at least 10 samples, got {len(z_raw)}")
     if not np.all(np.isfinite(y)):
         raise NonFiniteActionError("targets must be finite")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -257,10 +254,8 @@ def explain_action(target_fn, x: np.ndarray, action_dims: tuple[int, ...],
 def explain_step(policy: GaussianPolicy, traj: Trajectory, t: int,
                  env_cfg: EnvConfig,
                  cfg: ExplainConfig) -> dict[str, Explanation]:
-    """Charging-dim and discharging-dim explanations for one logged step."""
-    if not 0 <= t < len(traj):
-        raise ValueError(
-            f"step {t} outside trajectory of length {len(traj)}")
+    """Charging-dim and discharging-dim explanations for one logged step,
+    ``0 <= t < len(traj)`` (``mgrl explain`` refuses any other)."""
     stats = FeatureStats.from_trajectory(traj, env_cfg)
     dims = (0, 1)
     # take() returns C order: each target column is strided like a column

@@ -14,6 +14,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import RunConfig
+from .env import EnvConfig
 from .ppo import TrainStats
 from .scenario import STEP_HOURS
 from .table import Layout
@@ -44,22 +46,20 @@ class BatteryLifeEstimate:
 
 def annualize_throughput(episode_throughput_kwh: float,
                          episode_hours: float) -> float:
-    if episode_hours <= 0.0:
-        raise ValueError(f"episode_hours must be positive, got {episode_hours}")
+    """Per-year throughput; episode_hours > 0 (``mgrl report`` checks)."""
     return episode_throughput_kwh * (HOURS_PER_YEAR / episode_hours)
 
 
 def estimate_battery_life(annual_throughput_kwh: float,
-                          rated_cycles: float = 3000.0,
-                          e_max: float = 780.0) -> BatteryLifeEstimate:
+                          rated_cycles: float = RunConfig.rated_cycles,
+                          e_max: float = EnvConfig.e_max_kwh
+                          ) -> BatteryLifeEstimate:
     """Lifespan from equivalent-full-cycle counting.
 
     The battery is assumed to survive rated_cycles full cycles, i.e. a
     lifetime throughput of rated_cycles * e_max; dividing by the annual
-    throughput gives calendar years.
+    throughput (never negative: flows are read >= 0) gives calendar years.
     """
-    if annual_throughput_kwh < 0.0:
-        raise ValueError("annual throughput cannot be negative")
     lifetime = rated_cycles * e_max
     years = math.inf if annual_throughput_kwh == 0.0 \
         else lifetime / annual_throughput_kwh
@@ -81,17 +81,9 @@ def reward_curve_summary(updates, rewards, window: int = 10,
     ``converged_at`` is the earliest update from which the rolling mean
     (over the last ``window`` points, fewer at the start) never again
     leaves a +-band (relative) envelope around its final value; -1 if
-    even the last point is outside.
+    even the last point is outside.  ``mgrl report`` passes >= 2 finite points.
     """
-    updates = np.asarray(updates, dtype=np.int64)
     rewards = np.asarray(rewards, dtype=np.float64)
-    if updates.shape != rewards.shape:
-        raise ValueError("updates and rewards must have equal length")
-    if len(rewards) < 2:
-        raise ValueError("need at least 2 updates to summarize a curve")
-    if not np.all(np.isfinite(rewards)):
-        raise ValueError("rewards must be finite; filter missing entries out")
-
     n = len(rewards)
     rolling_mean = np.empty(n)
     for i in range(min(window - 1, n)):  # the warm-up, over fewer points

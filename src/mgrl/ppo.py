@@ -240,14 +240,9 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
     gives the values, each hour bit for bit its own call, and one
     :func:`mgrl.neural.gaussian_log_prob` call the draws' log-densities.
     The critic reads the actor's inputs: both nets share one normalizer,
-    as train's do.
+    as train's do.  :class:`PpoConfig` makes n_steps a multiple of n_envs.
     """
     n_envs = len(envs.rngs)
-    if n_envs == 0:
-        raise ValueError("need at least one environment")
-    if n_steps % n_envs != 0:
-        raise ValueError(
-            f"n_steps ({n_steps}) must be divisible by n_envs ({n_envs})")
     steps = n_steps // n_envs
 
     buf = RolloutBuffer(np.zeros((steps, n_envs, ROLLOUT_WIDTH)))
@@ -521,17 +516,16 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
 
 def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
                      n_episodes: int = 1, seed: int = 0) -> EvalResult:
-    """Score a policy, given as its action function, over n_episodes; the
-    first is kept in full.  Episode ``ep`` starts at the SOC drawn from
-    ``eval-reset-{ep}``, and each hour ``act(t, obs, rng)`` maps the hour,
-    the (1, 6) raw state and the ``eval-action-{ep}`` stream to the clipped
-    action, a (5,) row or a (1, 5) batch, stored alike.  ``obs`` is row t
-    of one raw state block whose SOC column the loop writes before each
-    call, so it holds its values only for that call.  One
-    :func:`mgrl.env.allocate` call per episode splits the supply after its
-    last hour, and refuses a non-finite weight."""
-    if n_episodes <= 0:
-        raise ValueError(f"n_episodes must be positive, got {n_episodes}")
+    """Score a policy, given as its action function, over n_episodes >= 1
+    (``mgrl eval`` refuses fewer); the first is kept in full.  Episode
+    ``ep`` starts at the SOC drawn from ``eval-reset-{ep}``, and each hour
+    ``act(t, obs, rng)`` maps the hour, the (1, 6) raw state and the
+    ``eval-action-{ep}`` stream to the clipped action, a (5,) row or a
+    (1, 5) batch, stored alike.  ``obs`` is row t of one raw state block
+    whose SOC column the loop writes before each call, so it holds its
+    values only for that call.  One :func:`mgrl.env.allocate` call per
+    episode splits the supply after its last hour, and refuses a
+    non-finite weight."""
     rows = scenario_rows(scn)
     states = features(0.0, scn.loads, scn.p_re)
     actions = np.empty((len(rows), N_ACTIONS))

@@ -114,11 +114,11 @@ class Layout:
                 or not "".join([ln.partition(",")[0]
                                 for ln in body]).isdecimal()):
             self._locate(path, body)
-        bad = np.flatnonzero(table[:, 0] != np.arange(len(table)))
-        if len(bad):
-            i = bad[0]
+        i = np.argmax(table[:, 0] != np.arange(len(table)))  # 0 if none
+        if table[i, 0] != i:  # named by its text, which may not fit a float
             self.fail(path, i, self.columns[0], f"expected {i}, got "
-                      f"{table[i, 0]:.0f} (rows must be sorted with no gaps)")
+                      f"{body[i].partition(',')[0]} (rows must be sorted "
+                      "with no gaps)")
         return table
 
     def _locate(self, path, body: list[str]):

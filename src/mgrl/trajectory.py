@@ -65,9 +65,7 @@ class Trajectory:
         return "idle"
 
     def find_mode_step(self, mode: str) -> int:
-        """First step operating in the given mode; -1 when none matches."""
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+        """First step in ``mode`` (a --mode choice); -1 when none matches."""
         return next((t for t in range(len(self)) if self.mode_at(t) == mode),
                     -1)
 

@@ -333,6 +333,22 @@ class TestExplainCommand:
                    "--step", "999") == 1
         assert "outside trajectory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_step_just_outside_either_end_is_user_error(
+            self, pristine, tmp_path, capsys, end):
+        """explain_step has no range check: --step -1 and --step T (one
+        past the last hour) stop here."""
+        conf, src = pristine
+        out = tmp_path / "out"
+        shutil.copytree(src, out)
+        n = len(read_trajectory_csv(out / "trajectory.csv"))
+        step = -1 if end == "first" else n
+        assert run("explain", "--config", conf, "--out", str(out),
+                   "--step", str(step)) == 1
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"step {step} outside trajectory [0, {n})")
+        assert not list(out.glob("explain_step*"))
+
     def test_missing_trajectory_is_user_error(self, conf, tmp_path, capsys):
         out = str(tmp_path / "out")
         run_pipeline(conf, out, through="train")
@@ -378,6 +394,16 @@ class TestExplainCommand:
             run("explain", "--config", conf, "--step", "1",
                 "--mode", "charge")
 
+    def test_unknown_mode_is_a_usage_error(self, conf, capsys):
+        """argparse's choices are the only check of --mode."""
+        with pytest.raises(SystemExit) as exc:
+            run("explain", "--config", conf, "--mode", "bogus")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mgrl explain")
+        assert "argument --mode: invalid choice: 'bogus'" in \
+            err.splitlines()[-1]
+
 
 class TestReportCommand:
     def test_full_report_artifacts(self, conf, tmp_path, capsys):
@@ -413,6 +439,29 @@ class TestReportCommand:
         assert "nan" not in svg.lower()
         [points] = re.findall(r'<polyline points="([^"]*)"', svg)
         assert len(points.split()) == 2
+
+    def test_one_scored_update_draws_a_point_and_no_summary(self, tmp_path):
+        """Only update 2 of 3 ends an episode: the curve is one point, too
+        few to summarize, so report.txt and report.csv carry no training
+        summary."""
+        conf = tmp_path / "curve.conf"
+        conf.write_text(TINY_CONF.replace("ppo.total_updates = 2",
+                                          "ppo.total_updates = 3"))
+        out = str(tmp_path / "out")
+        run_pipeline(str(conf), out)
+        stats = read_train_metrics_csv(os.path.join(out, "metrics.csv"))
+        assert [math.isnan(s.mean_reward_norm) for s in stats] == \
+            [True, True, False]
+        assert run("report", "--config", str(conf), "--out", out) == 0
+        with open(os.path.join(out, "reward_curve.svg")) as fh:
+            [points] = re.findall(r'<polyline points="([^"]*)"', fh.read())
+        assert len(points.split()) == 1
+        text = open(os.path.join(out, "report.txt")).read()
+        assert "Training:" not in text
+        keys = [line.split(",", 1)[0] for line in
+                open(os.path.join(out, "report.csv")).read().splitlines()]
+        assert "n_updates" in keys
+        assert "converged_at_update" not in keys
 
     def test_explanations_listed_when_out_holds_glob_metacharacters(
             self, conf, tmp_path):
@@ -614,10 +663,11 @@ class TestMetricsBoundary:
          "data row 2, column RI: not a number: 'abc'"),
         (lambda f: f[:-2], "data row 2: column entropy missing"),
         (lambda f: ["9" * 400, *f[1:]],
-         "data row 2, column update: expected 1, got inf"),
+         f"data row 2, column update: expected 1, got {'9' * 400} "
+         "(rows must be sorted with no gaps)"),
         (lambda f: ["9" * 25, *f[1:]],
-         "data row 2, column update: expected 1, got "
-         "10000000000000000905969664"),
+         f"data row 2, column update: expected 1, got {'9' * 25} "
+         "(rows must be sorted with no gaps)"),
     ], ids=["non-numeric", "ragged-row", "update-400-digits",
             "update-25-digits"])
     def test_corrupt_metrics_report_is_user_error(self, conf, tmp_path,

@@ -43,6 +43,10 @@ class TestExplainConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(n_samples=5),
         dict(kernel_sigma=0.0),
+        # fit_surrogate and proximity_weights rely on these: no own check
+        dict(n_samples=9),
+        dict(kernel_sigma=-1.0),
+        dict(kernel_sigma=math.nan),
         dict(perturb_scale=-0.1),
         dict(ridge_strength=-1e-6),
         dict(seed=-3),
@@ -129,11 +133,6 @@ class TestProximityWeights:
         w = proximity_weights(np.zeros(6), samples, stats, 1.0)
         assert w[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            proximity_weights(np.zeros(6), np.zeros((2, 6)), flat_stats(),
-                              0.0)
-
 
 class TestFitSurrogate:
     def fit_linear(self, n=2000, ridge=1e-3, seed=4):
@@ -185,11 +184,6 @@ class TestFitSurrogate:
             fit_surrogate(z, y, np.ones(50), 0.0)
         fit, = fit_surrogate(z, y, np.ones(50), 1e-3)  # ridge rescues it
         assert np.isfinite(fit.coefficients).all()
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            fit_surrogate(np.zeros((5, 6)), np.zeros((5, 1)), np.ones(5),
-                          1e-3)
 
     def test_non_finite_targets_rejected(self):
         z = np.random.default_rng(7).standard_normal((20, 6))
@@ -364,13 +358,6 @@ class TestExplainStep:
                                           single.contributions)
             assert e.intercept == single.intercept
             assert e.fidelity == single.fidelity
-
-    def test_step_bounds_checked(self):
-        policy, traj = self.make_policy_and_traj()
-        with pytest.raises(ValueError):
-            explain_step(policy, traj, 12, EnvConfig(), ExplainConfig())
-        with pytest.raises(ValueError):
-            explain_step(policy, traj, -1, EnvConfig(), ExplainConfig())
 
 
 class TestRendering:

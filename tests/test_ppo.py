@@ -113,6 +113,10 @@ class TestPpoConfig:
         dict(learning_rate=0.0),
         dict(c1=-1.0),
         dict(rollout_steps=10, n_envs=3),
+        # collect_rollouts relies on these three: it has no check of its own
+        dict(n_envs=0),
+        dict(n_envs=-2),
+        dict(rollout_steps=0),
         dict(minibatch_size=0),
         dict(total_updates=-1),
         dict(hidden_sizes=()),
@@ -704,16 +708,6 @@ class TestCollectRollouts:
                                      for k in segments]
         assert len(buf.episode_summaries) == 3 * ends
 
-    def test_divisibility_enforced(self):
-        policy, value, envs = self.make_parts(n_envs=2)
-        with pytest.raises(ValueError):
-            collect_rollouts(policy, value, envs, 7,
-                             np.random.default_rng(0))
-        no_envs = EnvBatch(EnvConfig(), small_scenario(), 0, seed=0)
-        with pytest.raises(ValueError):
-            collect_rollouts(policy, value, no_envs, 4,
-                             np.random.default_rng(0))
-
     def test_episode_summaries_match_replay_through_step(self):
         """Each finished episode, replayed from its stored clipped actions
         through step and allocate, gives the RI and normalized reward
@@ -988,11 +982,6 @@ class TestEvaluation:
         np.testing.assert_array_equal(a.trajectory.reward,
                                       b.trajectory.reward)
         assert not np.array_equal(a.trajectory.reward, c.trajectory.reward)
-
-    def test_bad_episode_count_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_policy(self.trained(), EnvConfig(), small_scenario(),
-                            n_episodes=0)
 
     def test_mode_steps_recoverable_from_trajectory(self):
         policy = self.trained()

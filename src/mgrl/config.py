@@ -55,10 +55,11 @@ class RunConfig:
             raise ConfigError(
                 f"run.rated_cycles must be positive, got {self.rated_cycles}")
         for key, value in _settings(self):
-            if isinstance(value, str) and "#" in value:
-                raise ConfigError(
-                    f"{key} must not contain '#', which a config file "
-                    f"reads as the start of a comment: got {value!r}")
+            if isinstance(value, str) and ("#" in value or len(
+                    value.splitlines()) > 1 or value != value.strip()):
+                raise ConfigError(f"{key} must not contain '#' or a line "
+                                  f"break or start or end with whitespace, "
+                                  f"which a config file loses: got {value!r}")
         if "," in self.run_id or '"' in self.run_id:
             raise ConfigError(
                 f"run.run_id must not contain ',' or '\"', which would "

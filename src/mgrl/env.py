@@ -108,16 +108,8 @@ def scenario_rows(scn: Scenario) -> tuple[tuple[float, ...], ...]:
     """The scenario as one row per hour: (l1, l2, l3, p_re, p_net).
 
     A row is the exogenous part of that hour's observation; prefixed with
-    the SOC it is the feature vector, in FEATURE_NAMES order.  A NaN or
-    infinite load or generation is refused here, naming its first hour.
+    the SOC it is the feature vector, in FEATURE_NAMES order.
     """
-    if scn.horizon < 1:
-        raise ValueError("cannot run an episode on an empty scenario")
-    for name in ("loads", "p_re"):
-        finite = np.isfinite(getattr(scn, name)).reshape(scn.horizon, -1)
-        if not finite.all():
-            hour = int(np.argmin(finite.all(axis=1)))
-            raise ValueError(f"non-finite {name} at scenario hour {hour}")
     return tuple(map(tuple,
                      features(0.0, scn.loads, scn.p_re)[:, 1:].tolist()))
 

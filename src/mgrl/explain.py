@@ -120,6 +120,7 @@ class SurrogateFit:
     r2: float                 # weighted coefficient of determination
 
 
+@np.errstate(all="ignore")  # an overflow's non-finite result is refused
 def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
                   weights: np.ndarray, ridge_strength: float
                   ) -> tuple[SurrogateFit, ...]:
@@ -139,16 +140,15 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
     w = np.asarray(weights, dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise NonFiniteActionError("targets must be finite")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        omega = w / w.sum()
-        mu = omega @ z_raw
-        z = z_raw - mu
-        zw = np.square(z)
-        sd = np.maximum(np.sqrt(omega @ zw), 1e-9)
-        z /= sd
-        zw = np.multiply(z, omega[:, None], out=zw)
-        a = zw.T @ z
-        a[np.diag_indices_from(a)] += ridge_strength
+    omega = w / w.sum()
+    mu = omega @ z_raw
+    z = z_raw - mu
+    zw = np.square(z)
+    sd = np.maximum(np.sqrt(omega @ zw), 1e-9)
+    z /= sd
+    zw = np.multiply(z, omega[:, None], out=zw)
+    a = zw.T @ z
+    a[np.diag_indices_from(a)] += ridge_strength
     if not np.isfinite(a).all():  # np.linalg.cond's SVD would not converge
         raise SurrogateFitError(
             "surrogate system is not finite: the perturbation cloud or its "
@@ -176,6 +176,9 @@ def fit_surrogate(samples: np.ndarray, targets: np.ndarray,
         r2 = 1.0 if ss_tot <= 1e-18 else 1.0 - ss_res / ss_tot
         coef_raw = beta / sd
         intercept = y_bar - float(coef_raw @ mu)
+        if not np.isfinite([r2, intercept, *coef_raw]).all():
+            raise SurrogateFitError(f"surrogate fit is not finite (R^2 {r2!r})"
+                                    f": the explained outputs overflow it")
         fits.append(SurrogateFit(intercept=intercept, coefficients=coef_raw,
                                  r2=r2))
     return tuple(fits)

@@ -208,12 +208,10 @@ def make_value(n_features: int, hidden, rng, obs_mean, obs_scale) -> ValueNet:
         obs_scale=np.array(obs_scale, dtype=np.float64).reshape(n_features))
 
 
-def normalize(net: GaussianPolicy | ValueNet, x,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """The network's input: raw states under its fixed affine map, written
-    into ``out`` when given (``x`` itself included); unchecked, as each
-    state is checked where it enters the program."""
-    out = np.subtract(x, net.obs_mean, out=out)
+def normalize(net: GaussianPolicy | ValueNet, x) -> np.ndarray:
+    """The network's input, a fresh array: raw states under its fixed
+    affine map, unchecked, as each state is checked where it enters."""
+    out = x - net.obs_mean  # the one temporary, divided in place
     out /= net.obs_scale
     return out
 

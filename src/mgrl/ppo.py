@@ -3,14 +3,13 @@
 The trainer is deliberately self-contained: rollouts come from a small
 ensemble of lockstep episodes whose batteries :func:`mgrl.env.step`
 moves hour by hour as one SOC array, while the critic and
-:func:`mgrl.env.allocate` run once over many hours.  Each state is
-normalized once, into the rollout table, which holds both nets' inputs
-for its whole life; advantages use generalized advantage estimation, and
-updates apply the clipped surrogate objective with analytic gradients
-through the numpy networks in :mod:`mgrl.neural`.  Evaluation steps one
-episode's battery at a time through the same :func:`mgrl.env.step` on a
-float SOC, and normalizes the scenario's states once per call and only
-the SOC per hour; each hour runs the actor on its 1-D normalized row.
+:func:`mgrl.env.allocate` run once over many hours; evaluation steps
+one episode's float SOC through the same :func:`mgrl.env.step`.  Both
+normalize the scenario's states once per call and per hour only the
+SOC, into the rollout table, which holds both nets' inputs for its whole
+life, or a 1-D row for the evaluation actor.  Advantages use generalized
+advantage estimation, and updates apply the clipped surrogate objective
+with analytic gradients through the numpy networks in :mod:`mgrl.neural`.
 
 Training optimizes the per-step reward stream only; the episode-level
 resilience bonus enters the normalized episode score that is *reported*
@@ -204,7 +203,7 @@ class EnvBatch:
                  seed: int):
         self.cfg = cfg
         self.rows = scenario_rows(scn)
-        self.loads = scn.loads
+        self.loads, self.p_re = scn.loads, scn.p_re
         self.shortages = np.empty((scn.horizon, n_envs, 3))
         self.rewards = np.empty((scn.horizon, n_envs))
         self.rngs = [derive_rng(seed, f"env-{i}") for i in range(n_envs)]
@@ -214,30 +213,25 @@ class EnvBatch:
         self.t = 0
         self.soc = np.array([self.cfg.initial_soc(rng) for rng in self.rngs])
 
-    def observe(self, out: np.ndarray) -> np.ndarray:
-        """Write the (n_envs, N_FEATURES) observations at the shared clock
-        into ``out`` and return it."""
-        out[:, 0] = self.soc
-        out[:, 1:] = self.rows[self.t]
-        return out
-
 
 def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
                      envs: EnvBatch, n_steps: int,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Advance every env in lockstep until exactly n_steps transitions exist.
 
-    An hour keeps only what feeds the next hour's SOC: its observations,
-    normalized in place into the table's state rows (the network inputs
-    the buffer keeps), one actor forward on those rows, whose means
-    :func:`mgrl.neural.policy_action` turns into draws at the rollout's
-    one std, and one :func:`mgrl.env.step` call on the envs' SOC array.  One
-    :func:`mgrl.env.allocate` call per episode segment (the rollout's
-    hours within one episode) fills the rewards and the envs' hour log;
-    an episode that ends is then summarized and restarted in place, so a
-    buffer may span several (possibly partial) episodes per env.  One
-    stacked critic forward over the table's states after the last hour
-    gives the values, each hour bit for bit its own call, and one
+    The scenario's states are normalized once per call, as in evaluation.
+    An hour keeps only what feeds the next hour's SOC: its row of that
+    block in the table's state rows (the network inputs the buffer keeps)
+    with the envs' normalized SOC, one actor forward on those rows, whose
+    means :func:`mgrl.neural.policy_action` turns into draws at the
+    rollout's one std, and one :func:`mgrl.env.step` call on the envs' SOC
+    array.  One :func:`mgrl.env.allocate` call per episode segment (the
+    rollout's hours within one episode) fills the rewards and the envs'
+    hour log; an episode that ends is then summarized and restarted in
+    place, so a buffer may span several (possibly partial) episodes per
+    env.  One stacked critic forward over the table's states after the last
+    hour gives the values, each hour bit for bit its own call, one on the
+    block's inputs at the final clock the bootstrap, and one
     :func:`mgrl.neural.gaussian_log_prob` call the draws' log-densities.
     The critic reads the actor's inputs: both nets share one normalizer,
     as train's do.  :class:`PpoConfig` makes n_steps a multiple of n_envs.
@@ -256,14 +250,17 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
     z = rng.standard_normal((steps, n_envs, N_ACTIONS))
     log_std = policy.clamped_log_std()
     std = np.exp(log_std)
+    x = normalize(policy, features(0.0, envs.loads, envs.p_re))
+    soc_mean, soc_scale = policy.obs_mean[0], policy.obs_scale[0]
 
     start = 0
     while start < steps:  # one episode segment per pass
         n = min(steps - start, len(envs.rows) - envs.t)
         seg, hours = slice(start, start + n), slice(envs.t, envs.t + n)
         for t in range(seg.start, seg.stop):
-            x = normalize(policy, envs.observe(states[t]), out=states[t])
-            means[t] = mlp_forward(policy.trunk, x)[0]
+            states[t] = x[envs.t]
+            states[t, :, 0] = (envs.soc - soc_mean) / soc_scale
+            means[t] = mlp_forward(policy.trunk, states[t])[0]
             clipped[t], actions[t] = policy_action(means[t], std, z[t])
             envs.soc, _, _, supply[t] = step(
                 envs.cfg, envs.rows[envs.t], envs.soc, clipped[t].T)
@@ -282,9 +279,9 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
         start += n
 
     buf.values[...] = blocked_forward(value.net, states)[..., 0]
-    obs = envs.observe(np.empty((n_envs, N_FEATURES)))
-    buf.bootstrap = blocked_forward(
-        value.net, normalize(value, obs, out=obs))[:, 0]
+    last = np.tile(x[envs.t], (n_envs, 1))
+    last[:, 0] = (envs.soc - soc_mean) / soc_scale
+    buf.bootstrap = blocked_forward(value.net, last)[:, 0]
     buf.log_probs[...] = gaussian_log_prob(means, log_std, actions)
     return buf
 
@@ -557,12 +554,11 @@ def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
                     deterministic: bool = True, seed: int = 0) -> EvalResult:
     """:func:`evaluate_actions` on the clipped policy mean, or on samples
     drawn from each episode's action stream when not ``deterministic``.
-    The scenario's states are normalized once, unchecked (a non-finite
-    scenario is refused by :func:`evaluate_actions` before the first
-    hour); each hour then normalizes only its SOC, feature 0, into its
-    row of that block and runs the actor on the 1-D row, NumPy's
-    vector-matrix path (the bits of the row's (1, 6) batch, at less
-    cost), drawing (5,) normals when stochastic."""
+    The scenario's states are normalized once per call, as in a rollout;
+    each hour then normalizes only its SOC, feature 0, into its row of that
+    block and runs the actor on the 1-D row, NumPy's vector-matrix path
+    (the bits of the row's (1, 6) batch, at less cost), drawing (5,)
+    normals when stochastic."""
     x = normalize(policy, features(0.0, scn.loads, scn.p_re))
     soc_mean, soc_scale = policy.obs_mean[0], policy.obs_scale[0]
     std = np.exp(policy.clamped_log_std())

@@ -104,8 +104,8 @@ class ScenarioConfig:
 class Scenario:
     """Hourly renewable generation and the three tiered load series.
 
-    p_re has shape (horizon,), loads has shape (horizon, 3); both kW.
-    Immutable after construction and safe to share across workers.
+    p_re (horizon,) and loads (horizon, 3): finite kW over at least one
+    hour, checked when made.  Immutable and safe to share across workers.
     """
 
     p_re: np.ndarray
@@ -114,6 +114,13 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "p_re", np.asarray(self.p_re, dtype=np.float64))
         object.__setattr__(self, "loads", np.asarray(self.loads, dtype=np.float64))
+        if self.horizon < 1:
+            raise ValueError("cannot run an episode on an empty scenario")
+        for name in ("loads", "p_re"):
+            ok = np.isfinite(getattr(self, name).reshape(self.horizon, -1))
+            if not ok.all():
+                raise ValueError(f"non-finite {name} at scenario hour "
+                                 f"{ok.all(axis=1).argmin()}")
 
     @property
     def horizon(self) -> int:

@@ -388,6 +388,25 @@ class TestExplainCommand:
                    "--step", "1") == 1
         assert "increase ridge_strength" in capsys.readouterr().err
 
+    def test_overflowing_surrogate_fit_is_user_error(self, pristine,
+                                                     tmp_path, capsys):
+        """An actor whose last layer is scaled by 1e290 gives finite
+        outputs whose weighted sums of squares overflow: the NaN-fidelity
+        fit is refused with one error line, and nothing is written."""
+        conf, src = pristine
+        out = tmp_path / "out"
+        shutil.copytree(src, out)
+        edit_checkpoint(out / "checkpoint_final.json", lambda p, v, d: _set(
+            p["weights"], -1,
+            [[1e290 * w for w in row] for row in p["weights"][-1]]))
+        capsys.readouterr()
+        assert run("explain", "--config", conf, "--out", str(out),
+                   "--step", "3") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: surrogate fit is not finite")
+        assert not list(out.glob("explain_step*"))
+
     def test_step_and_mode_are_mutually_exclusive(self, conf, tmp_path,
                                                   capsys):
         with pytest.raises(SystemExit):

@@ -206,6 +206,19 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError, match=rf"^{key} must not contain"):
             build_run_config(entries, output_override=out)
 
+    @pytest.mark.parametrize("value", [
+        " runs/a", "runs/a ", "runs/a\n", "runs\na", "runs/a\r\nb",
+        "runs\x0ba", "runs\x1ca", "runs\x85a", "runs\u2028a",
+    ])
+    @pytest.mark.parametrize("field", ["output_dir", "run_id"])
+    def test_string_that_would_not_read_back_names_the_key(self, field,
+                                                           value):
+        """The reader strips each value and splits the file into lines,
+        so ``config_summary`` could not write such a string back."""
+        with pytest.raises(ConfigError, match=rf"^run.{field} must not "
+                                              rf"contain '#' or a line break"):
+            replace(build_run_config({}), **{field: value})
+
     def test_zero_lowest_reward_weight_accepted(self):
         cfg = build_run_config({"env.reward_weights": "2, 1, 0"})
         assert cfg.env.reward_weights == (2.0, 1.0, 0.0)

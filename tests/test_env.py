@@ -106,9 +106,8 @@ class TestReset:
             assert 0.3 <= cfg.initial_soc(np.random.default_rng(seed)) <= 0.4
 
     def test_empty_scenario_rejected(self):
-        scn = Scenario(p_re=np.empty(0), loads=np.empty((0, 3)))
-        with pytest.raises(ValueError):
-            scenario_rows(scn)
+        with pytest.raises(ValueError, match="empty scenario"):
+            Scenario(p_re=np.empty(0), loads=np.empty((0, 3)))
 
 
 class TestNormalizeWeights:

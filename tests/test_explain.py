@@ -192,6 +192,16 @@ class TestFitSurrogate:
         with pytest.raises(ValueError):
             fit_surrogate(z, y, np.ones(20), 1e-3)
 
+    def test_overflowing_fit_refused_without_a_warning(self):
+        """Finite targets near 1e300 overflow the weighted sums of squares,
+        so R^2 is NaN: the fit is refused, not returned, and no NumPy
+        warning comes first (the suite makes one an error)."""
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((50, 6))
+        y = 1e300 * np.column_stack([linear_oracle(z), z[:, 0]])
+        with pytest.raises(SurrogateFitError, match="not finite"):
+            fit_surrogate(z, y, np.ones(50), 1e-3)
+
 
 class TestExplainAction:
     def test_linear_oracle_recovered_through_pipeline(self):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from collections import namedtuple
 from dataclasses import astuple
 
@@ -61,6 +62,29 @@ def small_scenario(horizon=10, seed=0):
     return synth_cyclone_scenario(ScenarioConfig(
         horizon_steps=horizon, cyclone_window=(horizon // 2, horizon // 2),
         rng_seed=seed))
+
+
+def unmakeable_series():
+    """pytest params (series, message): the series of scenarios that
+    cannot be made, with the match of the refusal.  None of them may get
+    as far as a NumPy warning: no hours ("Mean of empty slice" in the
+    scenario statistics), an infinite generation hour (inf - inf in its
+    standard deviation) and an hour whose generation and last load are
+    both infinite (inf - inf in its net energy)."""
+    scn = small_scenario(horizon=12)
+    gen = scn.p_re.copy()
+    gen[7] = np.inf
+    both = scn.loads.copy()
+    both[7, 2] = np.inf
+    return [
+        pytest.param({"p_re": np.empty(0), "loads": np.empty((0, 3))},
+                     "^cannot run an episode on an empty scenario$",
+                     id="empty"),
+        pytest.param({"p_re": gen, "loads": scn.loads},
+                     "^non-finite p_re at scenario hour 7$", id="inf-p_re"),
+        pytest.param({"p_re": gen, "loads": both},
+                     "^non-finite loads at scenario hour 7$", id="inf-both"),
+    ]
 
 
 def tiny_config(**overrides):
@@ -666,11 +690,11 @@ class TestCollectRollouts:
         (4, [4], 0), (5, [5], 1), (7, [5, 2], 1), (12, [5, 5, 2], 2)])
     def test_goes_through_the_public_batch_calls(self, monkeypatch, hours,
                                                  segments, ends):
-        """Per hour one normalize call in place on the (n_envs,
-        N_FEATURES) observations and one mlp_forward call on them; one
-        stacked critic blocked_forward call on all hours' states, then
-        the bootstrap observations normalized in place by the critic and
-        one critic blocked_forward call on them; one allocate
+        """One normalize call per rollout, by the actor on the scenario's
+        (horizon, N_FEATURES) states; per hour one mlp_forward call on the
+        (n_envs, N_FEATURES) network inputs; one stacked critic
+        blocked_forward call on all hours' states, then one on the
+        bootstrap's inputs; one allocate
         call per episode segment, on that segment's (k, n_envs) supplies
         and (k, 1, 3) loads.  On a 5-hour scenario the rollouts end 0, 1
         (at their last hour or inside) and 2 episodes."""
@@ -678,17 +702,16 @@ class TestCollectRollouts:
 
         for gone in ("forward_policy", "forward_value", "net_input"):
             assert not hasattr(ppo_mod, gone)
+        assert not hasattr(EnvBatch, "observe")
         names = ("normalize", "mlp_forward", "blocked_forward")
         calls = {name: [] for name in (*names, "allocate")}
         nets = {name: [] for name in names}
         for name in names:
             def counted(net, x, *rest, _name=name,
-                        _fn=getattr(ppo_mod, name), **kw):
-                calls[_name].append(
-                    (x.shape, np.shares_memory(kw["out"], x))
-                    if kw else x.shape)
+                        _fn=getattr(ppo_mod, name)):
+                calls[_name].append(x.shape)
                 nets[_name].append(id(net))
-                return _fn(net, x, *rest, **kw)
+                return _fn(net, x, *rest)
             monkeypatch.setattr(ppo_mod, name, counted)
 
         def allocate(cfg, loads, p_supply, w, _fn=ppo_mod.allocate):
@@ -698,8 +721,8 @@ class TestCollectRollouts:
         policy, value, envs = self.make_parts(horizon=5, n_envs=3)
         buf = collect_rollouts(policy, value, envs, 3 * hours,
                                np.random.default_rng(4))
-        assert calls["normalize"] == [((3, N_FEATURES), True)] * (hours + 1)
-        assert nets["normalize"] == [id(policy)] * hours + [id(value)]
+        assert calls["normalize"] == [(5, N_FEATURES)]
+        assert nets["normalize"] == [id(policy)]
         assert calls["mlp_forward"] == [(3, N_FEATURES)] * hours
         assert calls["blocked_forward"] == [(hours, 3, N_FEATURES),
                                             (3, N_FEATURES)]
@@ -938,6 +961,14 @@ class TestTrain:
                   checkpoint_fn=lambda u, p, v, s: seen.append(u))
         assert seen == []
 
+    @pytest.mark.parametrize("series, message", unmakeable_series())
+    def test_unmakeable_scenario_refused_without_a_warning(self, series,
+                                                           message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                train(tiny_config(), EnvConfig(), Scenario(**series))
+
     def test_divergence_raises_with_diagnostic(self, monkeypatch):
         import mgrl.ppo as ppo_mod
 
@@ -1064,7 +1095,6 @@ class TestEvaluation:
         scn = small_scenario(horizon=12)
         series = {"loads": scn.loads.copy(), "p_re": scn.p_re.copy()}
         series[field][7] = np.nan
-        bad = Scenario(**series)
         policy = self.trained()
 
         def no_step(*args):
@@ -1074,8 +1104,18 @@ class TestEvaluation:
         for deterministic in (True, False):
             with pytest.raises(ValueError,
                                match=f"non-finite {field} at scenario hour 7$"):
-                evaluate_policy(policy, EnvConfig(), bad,
+                evaluate_policy(policy, EnvConfig(), Scenario(**series),
                                 deterministic=deterministic)
+
+
+    @pytest.mark.parametrize("series, message", unmakeable_series())
+    def test_unmakeable_scenario_refused_without_a_warning(self, series,
+                                                           message):
+        policy = self.trained()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                evaluate_policy(policy, EnvConfig(), Scenario(**series))
 
 
 def idle_action(t, obs, rng):
@@ -1135,8 +1175,8 @@ class TestEvaluateActions:
     def test_non_finite_scenario_refused_naming_series_and_hour(
             self, field, value, monkeypatch):
         """An act that never looks at the state (criterion 7's baselines)
-        cannot carry a NaN scenario into the summary: scenario_rows
-        refuses it before any hour is stepped."""
+        cannot carry a NaN scenario into the summary: such a Scenario
+        cannot be made, so no hour is stepped."""
         import mgrl.ppo as ppo_mod
 
         def no_step(*args):

@@ -4,12 +4,39 @@ import pytest
 from mgrl.scenario import (
     CSV_COLUMNS,
     MAX_KW,
+    Scenario,
     ScenarioConfig,
     load_scenario_csv,
     synth_cyclone_scenario,
     write_scenario_csv,
 )
 from mgrl.table import TableError
+
+
+class TestScenario:
+    """A Scenario checks itself when it is made, so every instance has
+    at least one hour and only finite loads and generation."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["loads", "p_re"])
+    def test_non_finite_value_refused_naming_series_and_hour(self, field,
+                                                             value):
+        series = {"p_re": np.full(6, 50.0), "loads": np.full((6, 3), 10.0)}
+        series[field].reshape(6, -1)[4, -1] = value
+        with pytest.raises(ValueError,
+                           match=f"^non-finite {field} at scenario hour 4$"):
+            Scenario(**series)
+
+    def test_first_non_finite_hour_is_named(self):
+        loads = np.full((6, 3), 10.0)
+        loads[5, 0] = loads[2, 1] = np.nan
+        with pytest.raises(ValueError, match="hour 2$"):
+            Scenario(p_re=np.full(6, 50.0), loads=loads)
+
+    def test_empty_scenario_refused(self):
+        with pytest.raises(ValueError, match="^cannot run an episode on an "
+                                             "empty scenario$"):
+            Scenario(p_re=np.empty(0), loads=np.empty((0, 3)))
 
 
 class TestScenarioConfig:

@@ -393,6 +393,3 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return EXIT_INTERNAL_ERROR
 
-
-if __name__ == "__main__":
-    sys.exit(main())

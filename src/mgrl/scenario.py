@@ -114,6 +114,10 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "p_re", np.asarray(self.p_re, dtype=np.float64))
         object.__setattr__(self, "loads", np.asarray(self.loads, dtype=np.float64))
+        if self.p_re.ndim != 1 or self.loads.shape != (self.horizon, 3):
+            raise ValueError(f"p_re must be (horizon,) and loads (horizon, "
+                             f"3), got {self.p_re.shape} and "
+                             f"{self.loads.shape}")
         if self.horizon < 1:
             raise ValueError("cannot run an episode on an empty scenario")
         for name in ("loads", "p_re"):

@@ -331,7 +331,9 @@ class TestExplainCommand:
         run_pipeline(conf, out)
         assert run("explain", "--config", conf, "--out", out,
                    "--step", "999") == 1
-        assert "outside trajectory" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "outside trajectory" in err
 
     @pytest.mark.parametrize("end", ["first", "last"])
     def test_step_just_outside_either_end_is_user_error(
@@ -661,7 +663,9 @@ class TestTrajectoryBoundary:
             fh.write(header)
         capsys.readouterr()
         assert run("report", "--config", conf, "--out", out) == 1
-        assert "trajectory.csv: no data rows" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "trajectory.csv: no data rows" in err
 
     def test_powers_at_the_kw_cap_explain_and_report(self, conf, tmp_path):
         out = str(tmp_path / "out")

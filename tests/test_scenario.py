@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,20 @@ class TestScenario:
         loads[5, 0] = loads[2, 1] = np.nan
         with pytest.raises(ValueError, match="hour 2$"):
             Scenario(p_re=np.full(6, 50.0), loads=loads)
+
+    @pytest.mark.parametrize("p_re, loads", [
+        ((6,), (4, 3)),
+        ((4,), (4, 2)),
+        ((4, 1), (4, 3)),
+    ], ids=["loads-shorter-than-p_re", "two-tiers", "column-p_re"])
+    def test_wrong_shapes_refused_naming_both(self, p_re, loads):
+        """Made, each would fail only inside train or evaluate_policy,
+        with a NumPy broadcast or reshape error; a column p_re would give
+        a (4, 9) feature matrix."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"p_re must be (horizon,) and loads (horizon, 3), "
+                f"got {p_re} and {loads}")):
+            Scenario(p_re=np.full(p_re, 50.0), loads=np.full(loads, 10.0))
 
     def test_empty_scenario_refused(self):
         with pytest.raises(ValueError, match="^cannot run an episode on an "

@@ -12,6 +12,7 @@ import contextlib
 import functools
 import glob
 import json
+import math
 import os
 import sys
 import traceback
@@ -129,7 +130,11 @@ def cmd_train(args) -> int:
         result = train(cfg.ppo, cfg.env, scn, checkpoint_fn=on_update)
     except TrainingDivergedError as exc:
         diag_path = os.path.join(cfg.output_dir, DIAGNOSTIC_FILE)
-        write_text(diag_path, json.dumps(exc.diagnostic, indent=2) + "\n")
+        # Strict JSON: a non-finite loss is written as its repr string
+        diag = {k: repr(v) if isinstance(v, float) and not math.isfinite(v)
+                else v for k, v in exc.diagnostic.items()}
+        write_text(diag_path,
+                   json.dumps(diag, indent=2, allow_nan=False) + "\n")
         print(f"error: {exc} (diagnostic written to {diag_path})",
               file=sys.stderr)
         return EXIT_INTERNAL_ERROR

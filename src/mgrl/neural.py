@@ -4,9 +4,10 @@ Plain numpy multilayer perceptrons (tanh hidden layers, identity output)
 with hand-written reverse-mode gradients, a diagonal-Gaussian policy head
 with state-independent log-std, a scalar value head, an Adam optimizer, and
 a JSON checkpoint format shared by training, evaluation and explanation.
-Each net keeps a fixed input normalizer (:func:`normalize`), applied
+The actor keeps a fixed input normalizer (:func:`normalize`), applied
 once where a state enters; :func:`mlp_forward` and :func:`blocked_forward`
-run on the network inputs it gives.
+run on the network inputs it gives, the critic (a bare :class:`Mlp`)
+included.
 
 Everything here is deterministic for fixed inputs and RNG state; gradient
 correctness against central finite differences is the load-bearing test.
@@ -180,15 +181,6 @@ class GaussianPolicy:
         return np.minimum(np.maximum(self.log_std, LOG_STD_MIN), LOG_STD_MAX)
 
 
-@dataclass
-class ValueNet:
-    """Critic: MLP trunk to a single scalar, same input normalization."""
-
-    net: Mlp
-    obs_mean: np.ndarray
-    obs_scale: np.ndarray
-
-
 def make_policy(n_features: int, n_actions: int, hidden, rng,
                 obs_mean, obs_scale,
                 init_log_std: float = 0.0) -> GaussianPolicy:
@@ -200,19 +192,12 @@ def make_policy(n_features: int, n_actions: int, hidden, rng,
         obs_scale=np.array(obs_scale, dtype=np.float64).reshape(n_features))
 
 
-def make_value(n_features: int, hidden, rng, obs_mean, obs_scale) -> ValueNet:
-    sizes = [n_features, *hidden, 1]
-    return ValueNet(
-        net=mlp_init(sizes, rng, out_gain=1.0),
-        obs_mean=np.array(obs_mean, dtype=np.float64).reshape(n_features),
-        obs_scale=np.array(obs_scale, dtype=np.float64).reshape(n_features))
-
-
-def normalize(net: GaussianPolicy | ValueNet, x) -> np.ndarray:
-    """The network's input, a fresh array: raw states under its fixed
-    affine map, unchecked, as each state is checked where it enters."""
-    out = x - net.obs_mean  # the one temporary, divided in place
-    out /= net.obs_scale
+def normalize(policy: GaussianPolicy, x) -> np.ndarray:
+    """The networks' input, a fresh array: raw states under the actor's
+    fixed affine map, unchecked, as each state is checked where it
+    enters."""
+    out = x - policy.obs_mean  # the one temporary, divided in place
+    out /= policy.obs_scale
     return out
 
 
@@ -284,8 +269,8 @@ def policy_params(p: GaussianPolicy) -> list:
     return [*p.trunk.weights, *p.trunk.biases, p.log_std]
 
 
-def value_params(v: ValueNet) -> list:
-    return [*v.net.weights, *v.net.biases]
+def value_params(v: Mlp) -> list:
+    return [*v.weights, *v.biases]
 
 
 def flat_views(flat: np.ndarray, like: list) -> list:
@@ -297,7 +282,7 @@ def flat_views(flat: np.ndarray, like: list) -> list:
     return views
 
 
-def pack_params(policy: GaussianPolicy, value: ValueNet) -> np.ndarray:
+def pack_params(policy: GaussianPolicy, value: Mlp) -> np.ndarray:
     """Move both networks' parameters into one flat vector and return it.
 
     Every weight, bias and the log-std become views into the vector, in
@@ -310,8 +295,8 @@ def pack_params(policy: GaussianPolicy, value: ValueNet) -> np.ndarray:
     policy.trunk.weights = [next(views) for _ in policy.trunk.weights]
     policy.trunk.biases = [next(views) for _ in policy.trunk.biases]
     policy.log_std = next(views)
-    value.net.weights = [next(views) for _ in value.net.weights]
-    value.net.biases = [next(views) for _ in value.net.biases]
+    value.weights = [next(views) for _ in value.weights]
+    value.biases = [next(views) for _ in value.biases]
     return flat
 
 
@@ -388,9 +373,8 @@ def _floats(name: str, value, shape: tuple) -> np.ndarray:
     return a
 
 
-def _mlp_from_json(d: dict, name: str) -> tuple[Mlp, np.ndarray, np.ndarray]:
-    """A net's layers and input normalization, checked against the stored
-    layer sizes."""
+def _mlp_from_json(d: dict, name: str) -> Mlp:
+    """A net's layers, checked against the stored layer sizes."""
     if not isinstance(d, dict):
         raise CheckpointError(f"{name} is not an object")
     sizes = d["sizes"]
@@ -403,18 +387,13 @@ def _mlp_from_json(d: dict, name: str) -> tuple[Mlp, np.ndarray, np.ndarray]:
     if not len(d["weights"]) == len(d["biases"]) == len(shapes) > 0:
         raise CheckpointError(f"{name} needs one weight matrix and one bias "
                               f"per layer of the stored sizes {sizes}")
-    m = Mlp(weights=[_floats(f"{name}.weights[{i}]", w, s)
-                     for i, (w, s) in enumerate(zip(d["weights"], shapes))],
-            biases=[_floats(f"{name}.biases[{i}]", b, s[1:])
-                    for i, (b, s) in enumerate(zip(d["biases"], shapes))])
-    obs_mean, obs_scale = (_floats(f"{name}.{key}", d[key], (sizes[0],))
-                           for key in ("obs_mean", "obs_scale"))
-    if np.any(obs_scale <= 0.0):
-        raise CheckpointError(f"{name}.obs_scale holds a non-positive value")
-    return m, obs_mean, obs_scale
+    return Mlp(weights=[_floats(f"{name}.weights[{i}]", w, s)
+                        for i, (w, s) in enumerate(zip(d["weights"], shapes))],
+               biases=[_floats(f"{name}.biases[{i}]", b, s[1:])
+                       for i, (b, s) in enumerate(zip(d["biases"], shapes))])
 
 
-def save_checkpoint(policy: GaussianPolicy, value: ValueNet,
+def save_checkpoint(policy: GaussianPolicy, value: Mlp,
                     path: str | os.PathLike) -> None:
     """Persist actor and critic as JSON (row-major arrays, exact floats)."""
     doc = {
@@ -424,15 +403,13 @@ def save_checkpoint(policy: GaussianPolicy, value: ValueNet,
                    "log_std": policy.log_std.tolist(),
                    "obs_mean": policy.obs_mean.tolist(),
                    "obs_scale": policy.obs_scale.tolist()},
-        "value": {**_mlp_to_json(value.net),
-                  "obs_mean": value.obs_mean.tolist(),
-                  "obs_scale": value.obs_scale.tolist()},
+        "value": _mlp_to_json(value),
     }
     write_text(path, json.dumps(doc) + "\n")
 
 
 def load_checkpoint(path: str | os.PathLike
-                    ) -> tuple[GaussianPolicy, ValueNet]:
+                    ) -> tuple[GaussianPolicy, Mlp]:
     text = read_text(path)
     try:
         doc = json.loads(text)
@@ -447,22 +424,26 @@ def load_checkpoint(path: str | os.PathLike
         raise CheckpointError(f"{path}: unsupported checkpoint version "
                               f"{doc.get('version')}")
     try:
-        pd, vd = doc["policy"], doc["value"]
-        trunk, p_mean, p_scale = _mlp_from_json(pd, "policy")
-        net, v_mean, v_scale = _mlp_from_json(vd, "value")
-        # The critic's input width is free: only the actor is pinned to
-        # the environment's features and actions.
+        pd = doc["policy"]
+        trunk = _mlp_from_json(pd, "policy")
+        value = _mlp_from_json(doc["value"], "value")
+        # The critic's input width stays free, unchecked: only the actor
+        # is pinned to the environment's features and actions.
         if (trunk.sizes[0], trunk.sizes[-1]) != (N_FEATURES, N_ACTIONS):
             raise CheckpointError(f"policy.sizes {trunk.sizes} does not map "
                                   f"{N_FEATURES} features to {N_ACTIONS} "
                                   f"actions")
-        if net.sizes[-1] != 1:
-            raise CheckpointError(f"value.sizes {net.sizes} does not end in "
-                                  f"one output")
+        if value.sizes[-1] != 1:
+            raise CheckpointError(f"value.sizes {value.sizes} does not end "
+                                  f"in one output")
         log_std = _floats("policy.log_std", pd["log_std"], (N_ACTIONS,))
+        obs_mean, obs_scale = (_floats(f"policy.{k}", pd[k], (N_FEATURES,))
+                               for k in ("obs_mean", "obs_scale"))
+        if np.any(obs_scale <= 0.0):
+            raise CheckpointError("policy.obs_scale holds a non-positive "
+                                  "value")
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing field {exc}") from None
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    return (GaussianPolicy(trunk, log_std, p_mean, p_scale),
-            ValueNet(net, v_mean, v_scale))
+    return GaussianPolicy(trunk, log_std, obs_mean, obs_scale), value

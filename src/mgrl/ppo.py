@@ -36,7 +36,7 @@ from .neural import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     GaussianPolicy,
-    ValueNet,
+    Mlp,
     adam_init,
     adam_step,
     blocked_forward,
@@ -44,9 +44,9 @@ from .neural import (
     gaussian_entropy,
     gaussian_log_prob,
     make_policy,
-    make_value,
     mlp_backward,
     mlp_forward,
+    mlp_init,
     normalize,
     pack_params,
     policy_action,
@@ -160,7 +160,7 @@ class TrainStats:
 @dataclass
 class TrainResult:
     policy: GaussianPolicy
-    value: ValueNet
+    value: Mlp
     stats: list[TrainStats]
 
 
@@ -214,7 +214,7 @@ class EnvBatch:
         self.soc = np.array([self.cfg.initial_soc(rng) for rng in self.rngs])
 
 
-def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
+def collect_rollouts(policy: GaussianPolicy, value: Mlp,
                      envs: EnvBatch, n_steps: int,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Advance every env in lockstep until exactly n_steps transitions exist.
@@ -233,8 +233,8 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
     hour gives the values, each hour bit for bit its own call, one on the
     block's inputs at the final clock the bootstrap, and one
     :func:`mgrl.neural.gaussian_log_prob` call the draws' log-densities.
-    The critic reads the actor's inputs: both nets share one normalizer,
-    as train's do.  :class:`PpoConfig` makes n_steps a multiple of n_envs.
+    The critic reads the actor's normalized inputs, as in train.
+    :class:`PpoConfig` makes n_steps a multiple of n_envs.
     """
     n_envs = len(envs.rngs)
     steps = n_steps // n_envs
@@ -278,10 +278,10 @@ def collect_rollouts(policy: GaussianPolicy, value: ValueNet,
             envs.reset()
         start += n
 
-    buf.values[...] = blocked_forward(value.net, states)[..., 0]
+    buf.values[...] = blocked_forward(value, states)[..., 0]
     last = np.tile(x[envs.t], (n_envs, 1))
     last[:, 0] = (envs.soc - soc_mean) / soc_scale
-    buf.bootstrap = blocked_forward(value.net, last)[:, 0]
+    buf.bootstrap = blocked_forward(value, last)[:, 0]
     buf.log_probs[...] = gaussian_log_prob(means, log_std, actions)
     return buf
 
@@ -360,14 +360,14 @@ class UpdateWorkspace:
     parameter vector of :func:`mgrl.neural.pack_params`.
     """
 
-    def __init__(self, policy: GaussianPolicy, value: ValueNet, rows: int):
+    def __init__(self, policy: GaussianPolicy, value: Mlp, rows: int):
         p_params = policy_params(policy)
         params = p_params + value_params(value)
         self.grad = np.empty(sum(a.size for a in params))
         views = flat_views(self.grad, params)
         self.policy_grads = views[:len(p_params)]
         self.value_grads = views[len(p_params):]
-        p_sizes, v_sizes = policy.trunk.sizes[1:], value.net.sizes[1:]
+        p_sizes, v_sizes = policy.trunk.sizes[1:], value.sizes[1:]
         layers = [np.empty(rows * max(k))
                   for k in zip_longest(p_sizes, v_sizes, fillvalue=0)]
         self.policy_outs = [a[:rows * k].reshape(rows, k)
@@ -375,20 +375,21 @@ class UpdateWorkspace:
         self.value_outs = [a[:rows * k].reshape(rows, k)
                            for a, k in zip(layers, v_sizes)]
         self.residual = np.empty((rows, policy.trunk.sizes[-1]))
-        width = max(*policy.trunk.sizes, *value.net.sizes)
+        width = max(*policy.trunk.sizes, *value.sizes)
         self.scratch = np.empty(rows * width)
 
 
-def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
+def ppo_loss_and_grads(policy: GaussianPolicy, value: Mlp,
                        batch: RolloutBuffer, cfg: PpoConfig,
                        ws: UpdateWorkspace) -> LossReport:
     """Evaluate the PPO objective on a minibatch, with analytic gradients.
 
-    ``batch`` is a minibatch :class:`RolloutBuffer`: both networks read
-    its normalized ``states`` (they share one normalizer), the loss its
-    ``actions``, ``log_probs``, ``advantages`` and ``returns``.  Every
-    activation and gradient goes into the workspace ``ws``, and the
-    gradient of the total loss fills ``ws.grad``.  The two networks'
+    ``batch`` is a minibatch :class:`RolloutBuffer`: the actor reads its
+    normalized ``states``, and so does the critic, which reads the
+    actor's normalized inputs; the loss reads its ``actions``,
+    ``log_probs``, ``advantages`` and ``returns``.  Every activation and
+    gradient goes into the workspace ``ws``, and the gradient of the
+    total loss fills ``ws.grad``.  The two networks'
     terms are independent, so the actor's forward, loss head and backward
     finish before the critic's forward reuses the same layer buffers.
     The min() in the surrogate routes gradient to the unclipped branch on
@@ -417,11 +418,11 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value: ValueNet,
     mlp_backward(policy.trunk, cache, g_mean, ws.policy_grads[:-1],
                  ws.scratch, input_grad=False)
 
-    out, vcache = mlp_forward(value.net, x, ws.value_outs, ws.scratch)
+    out, vcache = mlp_forward(value, x, ws.value_outs, ws.scratch)
     vals = out[:, 0]
     val_loss = value_loss(vals, ret)
     g_val = (cfg.c1 * 2.0 * (vals - ret) / n)[:, None]
-    mlp_backward(value.net, vcache, g_val, ws.value_grads, ws.scratch,
+    mlp_backward(value, vcache, g_val, ws.value_grads, ws.scratch,
                  input_grad=False)
     entropy = gaussian_entropy(log_std)
     total = total_loss(pol_loss, val_loss, entropy, cfg.c1, cfg.c2)
@@ -450,9 +451,8 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
     policy = make_policy(N_FEATURES, N_ACTIONS, cfg.hidden_sizes,
                          derive_rng(cfg.seed, "policy-init"),
                          obs_mean, obs_scale, init_log_std=cfg.init_log_std)
-    value = make_value(N_FEATURES, cfg.hidden_sizes,
-                       derive_rng(cfg.seed, "value-init"),
-                       obs_mean, obs_scale)
+    value = mlp_init([N_FEATURES, *cfg.hidden_sizes, 1],
+                     derive_rng(cfg.seed, "value-init"))
     envs = EnvBatch(env_cfg, scn, cfg.n_envs, cfg.seed)
     rollout_rng = derive_rng(cfg.seed, "rollout")
     shuffle_rng = derive_rng(cfg.seed, "minibatch")

@@ -30,7 +30,7 @@ from mgrl.metrics import estimate_battery_life
 from mgrl.neural import (
     gaussian_log_prob,
     make_policy,
-    make_value,
+    mlp_init,
 )
 from mgrl.ppo import (
     PpoConfig,
@@ -185,7 +185,7 @@ def test_criterion_03_reward_accounting(capsys):
                  f"hand cases 0.7/0.8 exact")
 
 
-def make_safe_batch(policy, value, rng, n=8):
+def make_safe_batch(policy, rng, n=8):
     """Minibatch whose ratios sit >=0.03 from both clip kinks."""
     obs = rng.standard_normal((n, N_FEATURES))
     mean, log_std = raw_forward(policy, obs), policy.clamped_log_std()
@@ -194,7 +194,7 @@ def make_safe_batch(policy, value, rng, n=8):
     pick = bands[rng.integers(0, 3, n)]
     ratio = rng.uniform(pick[:, 0], pick[:, 1])
     return loss_batch(
-        policy, value, obs, actions=act,
+        policy, obs, actions=act,
         log_probs=gaussian_log_prob(mean, log_std, act) - np.log(ratio),
         advantages=rng.standard_normal(n), returns=rng.standard_normal(n))
 
@@ -214,9 +214,8 @@ def test_criterion_04_gradient_correctness(capsys):
             policy = make_policy(N_FEATURES, N_ACTIONS, hidden, rng,
                                  *raw_inputs(N_FEATURES),
                                  init_log_std=float(rng.uniform(-1.0, 0.5)))
-            value = make_value(N_FEATURES, hidden, rng,
-                               *raw_inputs(N_FEATURES))
-            batch = make_safe_batch(policy, value, rng)
+            value = mlp_init([N_FEATURES, *hidden, 1], rng)
+            batch = make_safe_batch(policy, rng)
             max_err = max(max_err, fd_max_rel_err(policy, value, batch, cfg,
                                                   h=1e-5))
         dt = time.time() - t0

@@ -14,7 +14,7 @@ from mgrl.env import (
     step,
     summarize_episode,
 )
-from mgrl.neural import make_policy, make_value
+from mgrl.neural import make_policy, mlp_init
 from mgrl.ppo import EnvBatch, collect_rollouts, evaluate_policy
 from mgrl.scenario import Scenario, ScenarioConfig, synth_cyclone_scenario
 
@@ -541,7 +541,7 @@ class TestMicrogridEnv:
         scn = small_scenario(horizon=5)
         policy = make_policy(6, 5, (8,), np.random.default_rng(0),
                              *raw_inputs(6))
-        value = make_value(6, (8,), np.random.default_rng(1), *raw_inputs(6))
+        value = mlp_init([6, 8, 1], np.random.default_rng(1))
         envs = EnvBatch(EnvConfig(), scn, 1, seed=0)
         buf = collect_rollouts(policy, value, envs, 10,
                                np.random.default_rng(2))

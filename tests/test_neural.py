@@ -15,7 +15,6 @@ from mgrl.neural import (
     CheckpointError,
     GaussianPolicy,
     Mlp,
-    ValueNet,
     adam_init,
     adam_step,
     blocked_forward,
@@ -23,7 +22,6 @@ from mgrl.neural import (
     gaussian_log_prob,
     load_checkpoint,
     make_policy,
-    make_value,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -42,13 +40,14 @@ def raw_inputs(n):
     return np.zeros(n), np.ones(n)
 
 
-def raw_forward(net, x):
-    """A net's outputs on raw states, as the program computes them: its
-    normalizer into a fresh array, then ``blocked_forward``; a critic's
-    one output column is dropped."""
-    if isinstance(net, ValueNet):
-        return blocked_forward(net.net, normalize(net, x))[..., 0]
-    return blocked_forward(net.trunk, normalize(net, x))
+def raw_forward(policy, x, critic=None):
+    """The actor's means, or with ``critic`` that net's values (its one
+    output column), on raw states, as the program computes them: the
+    actor's normalizer into a fresh array, then ``blocked_forward``."""
+    x = normalize(policy, x)
+    if critic is None:
+        return blocked_forward(policy.trunk, x)
+    return blocked_forward(critic, x)[..., 0]
 
 
 def rel_err(a, b, floor=1e-8):
@@ -306,7 +305,7 @@ class TestBlockedForward:
         rng = np.random.default_rng(31)
         norm = rng.normal(size=N_FEATURES), rng.uniform(0.5, 2.0, N_FEATURES)
         return (make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng, *norm),
-                make_value(N_FEATURES, (64, 64), rng, *norm))
+                mlp_init([N_FEATURES, 64, 64, 1], rng))
 
     @pytest.mark.parametrize("n", [1, 3, BLOCK_ROWS - 1, BLOCK_ROWS,
                                    BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3,
@@ -314,7 +313,7 @@ class TestBlockedForward:
     def test_blocks_give_the_unblocked_pass_bit_for_bit(self, n):
         p, v = self.nets()
         x = np.random.default_rng(n).normal(size=(n, N_FEATURES)) * 3.0
-        for m in (p.trunk, v.net):
+        for m in (p.trunk, v):
             np.testing.assert_array_equal(bits(blocked_forward(m, x)),
                                           bits(mlp_forward(m, x)[0]))
 
@@ -327,13 +326,13 @@ class TestBlockedForward:
         p, v = self.nets()
         t = 2 * BLOCK_ROWS // b + 3 if above else max(1, BLOCK_ROWS // b - 1)
         x = np.random.default_rng(b).normal(size=(t, b, N_FEATURES)) * 3.0
-        means, values = blocked_forward(p.trunk, x), blocked_forward(v.net, x)
+        means, values = blocked_forward(p.trunk, x), blocked_forward(v, x)
         assert means.shape == (t, b, N_ACTIONS) and values.shape == (t, b, 1)
         for k in range(t):
             np.testing.assert_array_equal(
                 bits(means[k]), bits(blocked_forward(p.trunk, x[k])))
             np.testing.assert_array_equal(
-                bits(values[k]), bits(blocked_forward(v.net, x[k])))
+                bits(values[k]), bits(blocked_forward(v, x[k])))
 
     def test_explainer_cloud_allocates_no_full_activation(self):
         """5,000 states through a 6 -> 64 -> 64 -> 5 actor raise the
@@ -384,30 +383,18 @@ class TestObservationNormalization:
         np.testing.assert_array_equal(bits(got), bits(want))
         assert not np.shares_memory(got, x)
 
-    def test_value_normalizes_inputs(self):
-        rng = np.random.default_rng(14)
-        v = make_value(3, (5,), rng, obs_mean=np.array([1.0, 2.0, 3.0]),
-                       obs_scale=np.array([1.0, 2.0, 0.5]))
-        raw = make_value(3, (5,), np.random.default_rng(14), *raw_inputs(3))
-        np.testing.assert_allclose(
-            raw_forward(v, np.array([[1.0, 2.0, 3.0]])),
-            raw_forward(raw, np.zeros((1, 3))), rtol=1e-14)
-
     def test_bad_normalization_shape_rejected(self):
         with pytest.raises(ValueError):
             make_policy(3, 2, (4,), np.random.default_rng(0),
                         obs_mean=np.zeros(4), obs_scale=np.ones(3))
-        with pytest.raises(ValueError):
-            make_value(3, (4,), np.random.default_rng(0),
-                       obs_mean=np.zeros(3), obs_scale=np.ones(2))
 
     def test_value_scalar_vs_batch(self):
         """One state is a one-row batch: its (1,) value is the value of
         that state in any larger batch."""
-        v = make_value(2, (4,), np.random.default_rng(15), *raw_inputs(2))
+        v = mlp_init([2, 4, 1], np.random.default_rng(15))
         s = np.array([[0.4, -0.1]])
-        single = raw_forward(v, s)
-        batch = raw_forward(v, np.concatenate([s, s]))
+        single = blocked_forward(v, s)[:, 0]
+        batch = blocked_forward(v, np.concatenate([s, s]))[:, 0]
         assert single.shape == (1,) and batch.shape == (2,)
         assert batch[0] == single[0] == batch[1]
 
@@ -462,8 +449,8 @@ class TestParamViews:
         assert p.trunk.weights[0][0, 0] == 123.0
 
     def test_value_params_cover_all_layers(self):
-        v = make_value(3, (4, 4), np.random.default_rng(18), *raw_inputs(3))
-        assert len(value_params(v)) == 2 * len(v.net.weights)
+        v = mlp_init([3, 4, 4, 1], np.random.default_rng(18))
+        assert len(value_params(v)) == 2 * len(v.weights)
 
 
 class TestCheckpoints:
@@ -472,9 +459,7 @@ class TestCheckpoints:
         p = make_policy(6, 5, (8, 8), rng, obs_mean=rng.standard_normal(6),
                         obs_scale=rng.uniform(0.5, 2.0, 6),
                         init_log_std=-0.5)
-        v = make_value(6, (8, 8), rng, obs_mean=p.obs_mean,
-                       obs_scale=p.obs_scale)
-        return p, v
+        return p, mlp_init([6, 8, 8, 1], rng)
 
     def test_round_trip_exact(self, tmp_path):
         p, v = self.make_pair()
@@ -487,7 +472,29 @@ class TestCheckpoints:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(p.obs_mean, p2.obs_mean)
         np.testing.assert_array_equal(p.obs_scale, p2.obs_scale)
-        np.testing.assert_array_equal(v.obs_mean, v2.obs_mean)
+
+    def test_critic_is_stored_as_its_layers_only(self, tmp_path):
+        p, v = self.make_pair()
+        save_checkpoint(p, v, tmp_path / "ck.json")
+        doc = json.loads((tmp_path / "ck.json").read_text())
+        assert set(doc["value"]) == {"sizes", "weights", "biases"}
+
+    def test_loads_the_layout_with_a_critic_normalizer(self, tmp_path):
+        """A checkpoint whose critic also stores obs_mean and obs_scale,
+        the layout written before the critic became a bare Mlp, loads to
+        the same actor and critic bit for bit: the loader skips them."""
+        p, v = self.make_pair()
+        save_checkpoint(p, v, tmp_path / "ck.json")
+        doc = json.loads((tmp_path / "ck.json").read_text())
+        doc["value"].update(obs_mean=p.obs_mean.tolist(),
+                            obs_scale=p.obs_scale.tolist())
+        (tmp_path / "old.json").write_text(json.dumps(doc) + "\n")
+        p2, v2 = load_checkpoint(tmp_path / "old.json")
+        for a, b in zip(
+                [*policy_params(p), p.obs_mean, p.obs_scale, *value_params(v)],
+                [*policy_params(p2), p2.obs_mean, p2.obs_scale,
+                 *value_params(v2)], strict=True):
+            np.testing.assert_array_equal(bits(a), bits(b))
 
     def test_round_trip_preserves_policy_output(self, tmp_path):
         p, v = self.make_pair(seed=20)

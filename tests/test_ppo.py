@@ -24,7 +24,7 @@ from mgrl.neural import (
     gaussian_log_prob,
     load_checkpoint,
     make_policy,
-    make_value,
+    mlp_init,
     normalize,
     pack_params,
     policy_action,
@@ -255,14 +255,13 @@ class TestLossHelpers:
             pytest.approx(1.0 + 1.0 - 0.03, abs=1e-15)
 
 
-def loss_batch(policy, value, states, actions, log_probs, advantages,
-               returns):
+def loss_batch(policy, states, actions, log_probs, advantages, returns):
     """The batch ppo_loss_and_grads takes: a (B, ROLLOUT_WIDTH) table
-    holding the normalized states, which both nets read, the actions, old
-    log-probs, advantages and returns; its other columns are NaN."""
+    holding the actor-normalized states, which both nets read, the
+    actions, old log-probs, advantages and returns; its other columns are
+    NaN."""
     batch = RolloutBuffer(np.full((len(states), ROLLOUT_WIDTH), np.nan))
     batch.states[:] = normalize(policy, states)
-    np.testing.assert_array_equal(batch.states, normalize(value, states))
     batch.actions[:], batch.log_probs[:] = actions, log_probs
     batch.advantages[:], batch.returns[:] = advantages, returns
     return batch
@@ -291,7 +290,7 @@ def fd_max_rel_err(policy, value, batch, cfg, h=1e-5):
 
 
 class TestPpoLossAndGrads:
-    def make_batch(self, policy, value, n=24, seed=2):
+    def make_batch(self, policy, n=24, seed=2):
         """(states, loss batch) whose ratios sit safely away from the clip
         kinks, so the objective is smooth at every finite-difference
         evaluation."""
@@ -304,7 +303,7 @@ class TestPpoLossAndGrads:
         pick = bands[rng.integers(0, 3, n)]
         ratio = rng.uniform(pick[:, 0], pick[:, 1])
         lp_old = lp_now - np.log(ratio)
-        return obs, loss_batch(policy, value, obs, actions=act,
+        return obs, loss_batch(policy, obs, actions=act,
                                log_probs=lp_old,
                                advantages=rng.standard_normal(n),
                                returns=rng.standard_normal(n))
@@ -314,7 +313,7 @@ class TestPpoLossAndGrads:
         policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng,
                              *raw_inputs(N_FEATURES),
                              init_log_std=init_log_std)
-        value = make_value(N_FEATURES, (8,), rng, *raw_inputs(N_FEATURES))
+        value = mlp_init([N_FEATURES, 8, 1], rng)
         return policy, value
 
     def grad_ws(self, policy, value, batch, cfg=None):
@@ -325,7 +324,7 @@ class TestPpoLossAndGrads:
 
     def test_parts_match_helpers(self):
         policy, value = self.make_nets()
-        states, batch = self.make_batch(policy, value)
+        states, batch = self.make_batch(policy)
         cfg = tiny_config()
         ws = UpdateWorkspace(policy, value, len(states))
         rep = ppo_loss_and_grads(policy, value, batch, cfg, ws)
@@ -336,7 +335,7 @@ class TestPpoLossAndGrads:
         loss, _, _ = clipped_policy_loss(np.exp(lp_new - batch.log_probs),
                                          batch.advantages, cfg.clip_eps)
         assert rep.policy_loss == pytest.approx(loss, rel=1e-12)
-        vals = raw_forward(value, states)
+        vals = raw_forward(policy, states, value)
         assert rep.value_loss == pytest.approx(
             value_loss(vals, batch.returns), rel=1e-12)
         assert rep.entropy == gaussian_entropy(log_std)
@@ -347,7 +346,7 @@ class TestPpoLossAndGrads:
     def test_clip_frac_counts_clipped_ratios(self):
         policy, value = self.make_nets()
         cfg = tiny_config()
-        states, batch = self.make_batch(policy, value, n=40)
+        states, batch = self.make_batch(policy, n=40)
         rep = ppo_loss_and_grads(policy, value, batch, cfg,
                                  UpdateWorkspace(policy, value, 40))
         mean, log_std = raw_forward(policy, states), \
@@ -361,7 +360,7 @@ class TestPpoLossAndGrads:
         """Analytic PPO gradients vs central differences, h = 1e-5."""
         policy, value = self.make_nets()
         cfg = tiny_config()
-        states, batch = self.make_batch(policy, value)
+        states, batch = self.make_batch(policy)
 
         mean, log_std = raw_forward(policy, states), \
             policy.clamped_log_std()
@@ -372,14 +371,14 @@ class TestPpoLossAndGrads:
 
     def test_log_std_gradient_gated_at_clamp(self):
         policy, value = self.make_nets(init_log_std=-10.0)  # below the clamp
-        ws = self.grad_ws(policy, value, self.make_batch(policy, value)[1])
+        ws = self.grad_ws(policy, value, self.make_batch(policy)[1])
         np.testing.assert_array_equal(ws.policy_grads[-1],
                                       np.zeros(N_ACTIONS))
 
     def test_entropy_bonus_pushes_log_std_up(self):
         policy, value = self.make_nets()
         cfg = tiny_config()
-        _, batch = self.make_batch(policy, value)
+        _, batch = self.make_batch(policy)
         batch.advantages[:] = 0.0
         ws = self.grad_ws(policy, value, batch, cfg)
         # With zero advantages the surrogate term vanishes and only the
@@ -395,7 +394,7 @@ class TestPpoLossAndGrads:
         policy, value = self.make_nets()
         pack_params(policy, value)
         cfg = tiny_config(rollout_steps=40, minibatch_size=16)
-        _, rollout = self.make_batch(policy, value, n=40)
+        _, rollout = self.make_batch(policy, n=40)
         ws = UpdateWorkspace(policy, value, cfg.minibatch_size)
         ws.grad[:] = np.nan  # stale contents must never leak through
         for lo in range(0, 40, cfg.minibatch_size):
@@ -410,7 +409,7 @@ class TestPpoLossAndGrads:
 
     def test_workspace_gradients_are_views_of_one_vector(self):
         policy, value = self.make_nets()
-        ws = self.grad_ws(policy, value, self.make_batch(policy, value)[1])
+        ws = self.grad_ws(policy, value, self.make_batch(policy)[1])
         grads = ws.policy_grads + ws.value_grads
         assert all(g.base is ws.grad for g in grads)
         assert sum(g.size for g in grads) == ws.grad.size
@@ -428,11 +427,11 @@ class TestPpoLossAndGrads:
         rng = np.random.default_rng(21)
         policy = make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng,
                              *raw_inputs(N_FEATURES), init_log_std=-0.4)
-        value = make_value(N_FEATURES, (64, 64), rng, *raw_inputs(N_FEATURES))
+        value = mlp_init([N_FEATURES, 64, 64, 1], rng)
         pack_params(policy, value)
         policy.log_std[:2] = (LOG_STD_MIN - 1.0, LOG_STD_MAX)
         cfg = PpoConfig(minibatch_size=48)
-        _, rollout = self.make_batch(policy, value, n=300, seed=22)
+        _, rollout = self.make_batch(policy, n=300, seed=22)
         rollout.log_probs[:] += rng.uniform(-0.6, 0.6, 300)  # leave the bands
         ws = UpdateWorkspace(policy, value, cfg.minibatch_size)
         clipped = []
@@ -456,11 +455,11 @@ class TestPpoLossAndGrads:
         rng = np.random.default_rng(7)
         policy = make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng,
                              *raw_inputs(N_FEATURES))
-        value = make_value(N_FEATURES, (64, 64), rng, *raw_inputs(N_FEATURES))
+        value = mlp_init([N_FEATURES, 64, 64, 1], rng)
         theta = pack_params(policy, value)
         opt = adam_init(theta, 3e-4)
         ws = UpdateWorkspace(policy, value, 256)
-        _, batch = self.make_batch(policy, value, n=256)
+        _, batch = self.make_batch(policy, n=256)
         cfg = PpoConfig()
 
         def update():
@@ -485,7 +484,7 @@ class TestPpoLossAndGrads:
         rng = np.random.default_rng(8)
         policy = make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng,
                              *raw_inputs(N_FEATURES))
-        value = make_value(N_FEATURES, (64, 64), rng, *raw_inputs(N_FEATURES))
+        value = mlp_init([N_FEATURES, 64, 64, 1], rng)
         tracemalloc.start()
         try:
             ws = UpdateWorkspace(policy, value, 2048)
@@ -506,10 +505,10 @@ class TestPpoLossAndGrads:
         rng = np.random.default_rng(23)
         policy = make_policy(N_FEATURES, N_ACTIONS, p_hidden, rng,
                              *raw_inputs(N_FEATURES), init_log_std=-0.3)
-        value = make_value(N_FEATURES, v_hidden, rng, *raw_inputs(N_FEATURES))
+        value = mlp_init([N_FEATURES, *v_hidden, 1], rng)
         pack_params(policy, value)
         cfg = tiny_config(rollout_steps=40, minibatch_size=16)
-        _, rollout = self.make_batch(policy, value, n=40, seed=24)
+        _, rollout = self.make_batch(policy, n=40, seed=24)
         ws = UpdateWorkspace(policy, value, cfg.minibatch_size)
         for lo in range(0, 40, cfg.minibatch_size):
             batch = RolloutBuffer(rollout.table[lo:lo + cfg.minibatch_size])
@@ -525,7 +524,7 @@ class TestPpoLossAndGrads:
         the two calls agree bit for bit, in the gradient and the report."""
         policy, value = self.make_nets()
         cfg = tiny_config()
-        _, batch = self.make_batch(policy, value, n=4)
+        _, batch = self.make_batch(policy, n=4)
         batch.advantages[:] = 1.0
         got = []
         for shift in (50.0, 800.0):
@@ -567,7 +566,7 @@ def loss_oracle(policy, value, batch, cfg):
     act, lp_old = batch.actions, batch.log_probs
     adv, ret, n = batch.advantages, batch.returns, len(act)
     hp = forward(policy.trunk, batch.states)
-    hv = forward(value.net, batch.states)
+    hv = forward(value, batch.states)
     mean, vals = hp[-1], hv[-1][:, 0]
     log_std = np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)
     lp = -0.5 * (((act - mean) / np.exp(log_std)) ** 2).sum(axis=-1) \
@@ -589,13 +588,13 @@ def loss_oracle(policy, value, batch, cfg):
     g_mean = g_lp[:, None] * (z / sigma)
     g_val = (cfg.c1 * 2.0 * (vals - ret) / n)[:, None]
     grads = [*backward(policy.trunk, hp, g_mean), g_log_std,
-             *backward(value.net, hv, g_val)]
+             *backward(value, hv, g_val)]
     return ((total, pol_loss, val_loss, entropy, clip_frac),
             np.concatenate([g.ravel() for g in grads]), ratio)
 
 
 def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
-    """collect_rollouts rebuilt from raw_forward (each net's normalizer,
+    """collect_rollouts rebuilt from raw_forward (the actor's normalizer,
     then blocked_forward), policy_action and whole hours of step and
     allocate.
 
@@ -628,15 +627,16 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
         clock += 1
         done = clock == len(rows)
         hours.append((obs, preclip, log_prob, rewards,
-                      raw_forward(value, obs), [float(done)] * n_envs))
+                      raw_forward(policy, obs, value),
+                      [float(done)] * n_envs))
         if done:
             summaries += [summarize_episode(cfg, scn.loads, np.array(sh),
                                             np.array(r)) for sh, r in logs]
             clock = 0
             soc = [cfg.initial_soc(r) for r in rngs]
             logs = [([], []) for _ in range(n_envs)]
-    bootstrap = raw_forward(value,
-                              np.array([(s, *rows[clock]) for s in soc]))
+    bootstrap = raw_forward(policy,
+                            np.array([(s, *rows[clock]) for s in soc]), value)
     return [np.array(col) for col in zip(*hours)], bootstrap, summaries
 
 
@@ -647,7 +647,7 @@ class TestCollectRollouts:
         env_cfg = EnvConfig()
         rng = np.random.default_rng(seed)
         policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng, *norm)
-        value = make_value(N_FEATURES, (8,), rng, *norm)
+        value = mlp_init([N_FEATURES, 8, 1], rng)
         envs = EnvBatch(env_cfg, scn, n_envs, seed=0)
         return policy, value, envs
 
@@ -679,7 +679,8 @@ class TestCollectRollouts:
                                       bits(normalize(policy, raw)))
         for t in range(4):
             np.testing.assert_allclose(
-                buf.values[t], raw_forward(value, raw[t]), rtol=1e-12)
+                buf.values[t], raw_forward(policy, raw[t], value),
+                rtol=1e-12)
             np.testing.assert_allclose(
                 buf.log_probs[t],
                 gaussian_log_prob(raw_forward(policy, raw[t]),
@@ -726,7 +727,7 @@ class TestCollectRollouts:
         assert calls["mlp_forward"] == [(3, N_FEATURES)] * hours
         assert calls["blocked_forward"] == [(hours, 3, N_FEATURES),
                                             (3, N_FEATURES)]
-        assert nets["blocked_forward"] == [id(value.net)] * 2
+        assert nets["blocked_forward"] == [id(value)] * 2
         assert calls["allocate"] == [((k, 1, 3), (k, 3), (k, 3, 3))
                                      for k in segments]
         assert len(buf.episode_summaries) == 3 * ends
@@ -775,7 +776,7 @@ class TestCollectRollouts:
         rng = np.random.default_rng(11)
         policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng,
                              *raw_inputs(N_FEATURES))
-        value = make_value(N_FEATURES, (8,), rng, *raw_inputs(N_FEATURES))
+        value = mlp_init([N_FEATURES, 8, 1], rng)
         ref, ref_bootstrap, ref_summaries = reference_rollout(
             policy, value, cfg, scn, n_envs, 3, 2 * hours,
             np.random.default_rng(12))
@@ -791,7 +792,8 @@ class TestCollectRollouts:
                 np.testing.assert_array_equal(
                     bits(got), bits(want[hours * k:hours * (k + 1)]))
         np.testing.assert_array_equal(
-            bits(bufs[0].bootstrap), bits(raw_forward(value, ref[0][hours])))
+            bits(bufs[0].bootstrap),
+            bits(raw_forward(policy, ref[0][hours], value)))
         np.testing.assert_array_equal(bits(bufs[1].bootstrap),
                                       bits(ref_bootstrap))
         got = [np.hstack(astuple(s))
@@ -847,9 +849,8 @@ def reference_train(cfg, env_cfg, scn):
     policy = make_policy(N_FEATURES, N_ACTIONS, cfg.hidden_sizes,
                          derive_rng(cfg.seed, "policy-init"), obs_mean,
                          obs_scale, init_log_std=cfg.init_log_std)
-    value = make_value(N_FEATURES, cfg.hidden_sizes,
-                       derive_rng(cfg.seed, "value-init"), obs_mean,
-                       obs_scale)
+    value = mlp_init([N_FEATURES, *cfg.hidden_sizes, 1],
+                     derive_rng(cfg.seed, "value-init"))
     envs = EnvBatch(env_cfg, scn, cfg.n_envs, cfg.seed)
     rollout_rng = derive_rng(cfg.seed, "rollout")
     shuffle_rng = derive_rng(cfg.seed, "minibatch")
@@ -1156,7 +1157,7 @@ class TestEvaluateActions:
         rng = np.random.default_rng(9)
         policy = make_policy(N_FEATURES, N_ACTIONS, (8,), rng,
                              *raw_inputs(N_FEATURES))
-        value = make_value(N_FEATURES, (8,), rng, *raw_inputs(N_FEATURES))
+        value = mlp_init([N_FEATURES, 8, 1], rng)
         buf = collect_rollouts(policy, value, EnvBatch(env_cfg, scn, 2, 0),
                                24, np.random.default_rng(10))
         hours = iter(np.clip(buf.actions[:, 1], -1.0, 1.0))

@@ -2,8 +2,9 @@
 and its bytes across processes.
 
 The in-process tests call ``cli.main`` on the smoke config.  The module
-entry tests and the cross-process test start Python with only ``src`` on
-its path, so they need no install.
+entry tests, the cross-process test and the single-thread rerun of the
+bit-pinning modules start Python with only ``src`` on its path, so they
+need no install.
 """
 
 import json
@@ -22,7 +23,8 @@ from mgrl.config import config_summary, load_run_config
 
 from test_cli import corrupt
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # A 48-hour storm, 4 PPO updates of 4 envs x 64 steps in 32-row
 # minibatches, 200 explainer samples.
@@ -246,3 +248,14 @@ def test_chain_is_byte_identical_across_processes(tmp_path):
     for name, data in files["a"].items():
         assert data == files["b"][name], name
     assert printed["a"] == printed["b"]
+
+
+def test_pinned_bits_hold_on_single_threaded_blas():
+    """The modules that pin the networks', the update's and the
+    explainer's bits pass in a process whose BLAS runs one thread, as
+    the suite itself runs at the host's default thread count."""
+    proc = _python("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                   "tests/test_ppo.py", "tests/test_neural.py",
+                   "tests/test_explain.py", cwd=ROOT,
+                   env={"OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stdout[-4000:]

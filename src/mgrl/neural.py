@@ -13,6 +13,7 @@ Everything here is deterministic for fixed inputs and RNG state; gradient
 correctness against central finite differences is the load-bearing test.
 """
 
+import base64
 import json
 import math
 import os
@@ -27,7 +28,9 @@ LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 
 CHECKPOINT_FORMAT = "mgrl-checkpoint"
-CHECKPOINT_VERSION = 1
+# Version 2 stores each array as base64 float64 bytes; version 1, nested
+# lists of decimal floats, still loads.
+CHECKPOINT_VERSION = 2
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -352,33 +355,69 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
 # Checkpoints
 
 
+def _encode(a: np.ndarray) -> dict:
+    """An array as stored in a version-2 checkpoint: its shape and the
+    base64 of its C-order little-endian float64 bytes."""
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(
+                np.ascontiguousarray(a, dtype="<f8").tobytes()).decode()}
+
+
 def _mlp_to_json(m: Mlp) -> dict:
     return {"sizes": m.sizes,
-            "weights": [w.tolist() for w in m.weights],
-            "biases": [b.tolist() for b in m.biases]}
+            "weights": [_encode(w) for w in m.weights],
+            "biases": [_encode(b) for b in m.biases]}
 
 
-def _floats(name: str, value, shape: tuple) -> np.ndarray:
-    """A stored field as a finite float64 array of the given shape."""
-    try:
-        a = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise CheckpointError(f"{name} is not a rectangular array of "
-                              f"numbers") from None
-    if a.shape != shape:
-        raise CheckpointError(f"{name} has shape {a.shape}; the stored "
+def _ints(value) -> bool:
+    """A list of integers, bools and floats such as 6.0 excluded."""
+    return isinstance(value, list) and all(type(k) is int for k in value)
+
+
+def _floats(name: str, value, shape: tuple, version: int) -> np.ndarray:
+    """A stored field as a finite float64 array of the given shape: a
+    nested list in a version-1 checkpoint, an ``_encode`` object in a
+    version-2 one."""
+    if version == 1:
+        try:
+            a = np.array(value, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise CheckpointError(f"{name} is not a rectangular array of "
+                                  f"numbers") from None
+        stored = a.shape
+    else:
+        if not (isinstance(value, dict) and "shape" in value
+                and "data" in value):
+            raise CheckpointError(f"{name} is not an object with shape and "
+                                  f"data")
+        if not _ints(value["shape"]):
+            raise CheckpointError(f"{name}.shape is not a list of integers")
+        stored = tuple(value["shape"])
+    if stored != shape:
+        raise CheckpointError(f"{name} has shape {stored}; the stored "
                               f"sizes give {shape}")
+    if version != 1:
+        try:
+            raw = base64.b64decode(value["data"], validate=True)
+        except (TypeError, ValueError):  # binascii.Error is a ValueError
+            raise CheckpointError(f"{name}.data is not base64") from None
+        size = 8 * math.prod(shape)
+        if len(raw) != size:
+            raise CheckpointError(f"{name}.data holds {len(raw)} bytes; "
+                                  f"shape {shape} needs {size}")
+        # A fresh native array: aligned and writable, as the list path's
+        a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     if not np.all(np.isfinite(a)):
         raise CheckpointError(f"{name} holds a non-finite value")
     return a
 
 
-def _mlp_from_json(d: dict, name: str) -> Mlp:
+def _mlp_from_json(d: dict, name: str, version: int) -> Mlp:
     """A net's layers, checked against the stored layer sizes."""
     if not isinstance(d, dict):
         raise CheckpointError(f"{name} is not an object")
     sizes = d["sizes"]
-    if not (isinstance(sizes, list) and all(type(k) is int for k in sizes)):
+    if not _ints(sizes):
         raise CheckpointError(f"{name}.sizes is not a list of integers")
     for key in ("weights", "biases"):
         if not isinstance(d[key], list):
@@ -387,22 +426,23 @@ def _mlp_from_json(d: dict, name: str) -> Mlp:
     if not len(d["weights"]) == len(d["biases"]) == len(shapes) > 0:
         raise CheckpointError(f"{name} needs one weight matrix and one bias "
                               f"per layer of the stored sizes {sizes}")
-    return Mlp(weights=[_floats(f"{name}.weights[{i}]", w, s)
+    return Mlp(weights=[_floats(f"{name}.weights[{i}]", w, s, version)
                         for i, (w, s) in enumerate(zip(d["weights"], shapes))],
-               biases=[_floats(f"{name}.biases[{i}]", b, s[1:])
+               biases=[_floats(f"{name}.biases[{i}]", b, s[1:], version)
                        for i, (b, s) in enumerate(zip(d["biases"], shapes))])
 
 
 def save_checkpoint(policy: GaussianPolicy, value: Mlp,
                     path: str | os.PathLike) -> None:
-    """Persist actor and critic as JSON (row-major arrays, exact floats)."""
+    """Persist actor and critic as JSON, each array as its exact float64
+    bytes (``_encode``)."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "policy": {**_mlp_to_json(policy.trunk),
-                   "log_std": policy.log_std.tolist(),
-                   "obs_mean": policy.obs_mean.tolist(),
-                   "obs_scale": policy.obs_scale.tolist()},
+                   "log_std": _encode(policy.log_std),
+                   "obs_mean": _encode(policy.obs_mean),
+                   "obs_scale": _encode(policy.obs_scale)},
         "value": _mlp_to_json(value),
     }
     write_text(path, json.dumps(doc) + "\n")
@@ -420,13 +460,15 @@ def load_checkpoint(path: str | os.PathLike
         raise CheckpointError(f"{path}: cannot parse JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
+    version = doc.get("version")
+    # type(): True and 1.0 equal 1 but are not versions
+    if type(version) is not int or not 1 <= version <= CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version "
-                              f"{doc.get('version')}")
+                              f"{version}")
     try:
         pd = doc["policy"]
-        trunk = _mlp_from_json(pd, "policy")
-        value = _mlp_from_json(doc["value"], "value")
+        trunk = _mlp_from_json(pd, "policy", version)
+        value = _mlp_from_json(doc["value"], "value", version)
         # The critic's input width stays free, unchecked: only the actor
         # is pinned to the environment's features and actions.
         if (trunk.sizes[0], trunk.sizes[-1]) != (N_FEATURES, N_ACTIONS):
@@ -436,8 +478,10 @@ def load_checkpoint(path: str | os.PathLike
         if value.sizes[-1] != 1:
             raise CheckpointError(f"value.sizes {value.sizes} does not end "
                                   f"in one output")
-        log_std = _floats("policy.log_std", pd["log_std"], (N_ACTIONS,))
-        obs_mean, obs_scale = (_floats(f"policy.{k}", pd[k], (N_FEATURES,))
+        log_std = _floats("policy.log_std", pd["log_std"], (N_ACTIONS,),
+                          version)
+        obs_mean, obs_scale = (_floats(f"policy.{k}", pd[k], (N_FEATURES,),
+                                       version)
                                for k in ("obs_mean", "obs_scale"))
         if np.any(obs_scale <= 0.0):
             raise CheckpointError("policy.obs_scale holds a non-positive "

@@ -1,9 +1,11 @@
+import base64
 import json
 import math
 import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 import mgrl.cli as cli
@@ -11,7 +13,7 @@ from mgrl.cli import main
 from mgrl.config import load_run_config
 from mgrl.env import summarize_episode
 from mgrl.metrics import read_train_metrics_csv
-from mgrl.neural import load_checkpoint
+from mgrl.neural import load_checkpoint, save_checkpoint
 from mgrl.ppo import evaluate_policy
 from mgrl.scenario import MAX_KW, load_scenario_csv
 from mgrl.seeding import derive_seed
@@ -779,11 +781,47 @@ class TestScenarioBoundary:
             assert run(*cmd, "--config", conf, "--out", out) == 0, cmd
 
 
-def edit_checkpoint(path, edit):
-    """Apply ``edit(policy, value, doc)`` to the checkpoint at ``path``."""
+def _lists(a):
+    """A version-2 stored array as the nested lists version 1 stores."""
+    raw = np.frombuffer(base64.b64decode(a["data"]), "<f8")
+    return raw.reshape(a["shape"]).tolist()
+
+
+def _stored(lists):
+    """Nested lists as a version-2 stored array of their own shape."""
+    a = np.array(lists, dtype="<f8")
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode()}
+
+
+def _map_arrays(doc, f):
+    """Replace each array of both nets by f of it, wherever the doc still
+    holds one where a checkpoint does."""
+    for net in (doc["policy"], doc["value"]):
+        if not isinstance(net, dict):
+            continue
+        for key in ("weights", "biases"):
+            if isinstance(net.get(key), list):
+                net[key] = [f(a) for a in net[key]]
+        for key in ("log_std", "obs_mean", "obs_scale"):
+            if key in net:
+                net[key] = f(net[key])
+
+
+def edit_checkpoint(path, edit, as_lists=True):
+    """Apply ``edit(policy, value, doc)`` to the checkpoint at ``path``.
+
+    With ``as_lists`` the edit sees each array as nested lists, and each
+    is stored again with the edited list's shape, in the version-2 form,
+    or as the lists where the edit set version 1; without it the edit
+    sees the file's JSON as it is."""
     with open(path) as fh:
         doc = json.load(fh)
+    if as_lists:
+        _map_arrays(doc, _lists)
     edit(doc["policy"], doc["value"], doc)
+    if as_lists and doc["version"] == 2:
+        _map_arrays(doc, _stored)
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
@@ -814,7 +852,9 @@ class TestCheckpointBoundary:
          "policy.weights[1] has shape (7, 5)"),
         (lambda p, v, d: _set(p["biases"], 0, p["biases"][0][:1]),
          "policy.biases[0] has shape (1,)"),
-        (lambda p, v, d: _set(p["weights"][0], 2, p["weights"][0][2][:-1]),
+        # A version-1 file: version 2 stores no ragged array
+        (lambda p, v, d: (_set(d, "version", 1), _set(
+            p["weights"][0], 2, p["weights"][0][2][:-1])),
          "policy.weights[0] is not a rectangular array"),
         (lambda p, v, d: _resize_output(p, 4),
          "policy.sizes [6, 8, 4] does not map 6 features to 5 actions"),
@@ -844,6 +884,32 @@ class TestCheckpointBoundary:
         capsys.readouterr()
         assert run(*command, "--config", conf, "--out", out) == 1
         assert f"checkpoint_final.json: {detail}" in capsys.readouterr().err
+
+
+def test_version_1_checkpoint_gives_eval_and_explain_the_same_bytes(
+        pristine, tmp_path):
+    """A checkpoint in version 1's nested lists, the layout mgrl wrote
+    before version 2, and its version-2 re-save give eval and explain
+    the same files byte for byte; the re-save is the file train wrote."""
+    conf, src = pristine
+    written = {}
+    for version in (1, 2):
+        out = tmp_path / f"v{version}"
+        shutil.copytree(src, out)
+        path = out / "checkpoint_final.json"
+        edit_checkpoint(path, lambda p, v, d: _set(d, "version", 1))
+        if version == 2:
+            save_checkpoint(*load_checkpoint(path), path)
+            assert path.read_bytes() == \
+                (src / "checkpoint_final.json").read_bytes()
+        os.remove(out / "trajectory.csv")
+        for command in (("eval",), ("explain", "--step", "3")):
+            assert run(*command, "--config", conf, "--out", str(out)) == 0
+        written[version] = {f.name: f.read_bytes() for f in out.iterdir()
+                            if f.name == "trajectory.csv"
+                            or f.name.startswith("explain_")}
+    assert len(written[1]) > 1 and "trajectory.csv" in written[1]
+    assert written[1] == written[2]
 
 
 def _out_under_file(conf, tmp_path):
@@ -934,6 +1000,24 @@ CHECKPOINT_EDITS = {
     # Finite, but the actor's normalized inputs overflow and 0 * inf is NaN.
     "tiny-obs-scale": lambda p, v, d: _set(p, "obs_scale", [1e-308] * 6),
 }
+# Edits of the version-2 form itself, made on the file's JSON, and the
+# field each refusal names.
+CHECKPOINT_V2_EDITS = {
+    "non-base64-data": (lambda p, v, d: _set(
+        p["weights"][0], "data", "*" + p["weights"][0]["data"][1:]),
+        "policy.weights[0].data"),
+    "data-one-value-short": (lambda p, v, d: _set(
+        p["weights"][0], "data", base64.b64encode(base64.b64decode(
+            p["weights"][0]["data"])[:-8]).decode()),
+        "policy.weights[0].data"),
+    "shape-off-sizes": (lambda p, v, d: _set(
+        p["weights"][0], "shape", p["weights"][0]["shape"][::-1]),
+        "policy.weights[0]"),
+    "list-in-v2": (lambda p, v, d: _set(
+        p["weights"], 0, _lists(p["weights"][0])), "policy.weights[0]"),
+    "v2-array-in-v1": (lambda p, v, d: _set(d, "version", 1),
+                       "policy.weights[0]"),
+}
 # Checkpoint texts that json.dumps cannot write, so each is raw text: an
 # array nested past the recursion limit, and an integer literal past
 # Python's 4,300-digit conversion limit.
@@ -970,7 +1054,7 @@ def _fuzz_cases():
     for artifact, commands in FUZZ_READERS.items():
         mutations = (CSV_MUTATIONS if artifact.endswith(".csv") else
                      ("truncated-mid-row", *CHECKPOINT_EDITS,
-                      *CHECKPOINT_TEXTS))
+                      *CHECKPOINT_V2_EDITS, *CHECKPOINT_TEXTS))
         for mutation in mutations:
             for command in commands:
                 yield pytest.param(artifact, mutation, command,
@@ -1006,6 +1090,9 @@ def test_mutated_artifact_never_crashes(pristine, tmp_path, capsys, artifact,
         path.write_text(text[:len(text) // 2])
     elif mutation in CHECKPOINT_TEXTS:
         path.write_text(CHECKPOINT_TEXTS[mutation])
+    elif mutation in CHECKPOINT_V2_EDITS:
+        edit_checkpoint(path, CHECKPOINT_V2_EDITS[mutation][0],
+                        as_lists=False)
     else:
         edit_checkpoint(path, CHECKPOINT_EDITS[mutation])
     capsys.readouterr()
@@ -1018,6 +1105,9 @@ def test_mutated_artifact_never_crashes(pristine, tmp_path, capsys, artifact,
         assert code == 1
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
+        if mutation in CHECKPOINT_V2_EDITS:
+            field = CHECKPOINT_V2_EDITS[mutation][1]
+            assert err.startswith(f"error: {path}: {field} ")
 
 
 # Mutations of the tiny config: (file bytes from its text, the key a

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -453,6 +454,28 @@ class TestParamViews:
         assert len(value_params(v)) == 2 * len(v.weights)
 
 
+# Values a decimal round trip could lose: a signed zero, the smallest
+# subnormal and the largest finite floats.
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def all_arrays(p, v):
+    return [*policy_params(p), p.obs_mean, p.obs_scale, *value_params(v)]
+
+
+def v1_doc(p, v):
+    """The nets as a version-1 checkpoint, the reference layout: each
+    array as nested lists of floats, as mgrl wrote it before version 2."""
+    def net(m):
+        return {"sizes": m.sizes, "weights": [w.tolist() for w in m.weights],
+                "biases": [b.tolist() for b in m.biases]}
+    return {"format": "mgrl-checkpoint", "version": 1,
+            "policy": {**net(p.trunk), "log_std": p.log_std.tolist(),
+                       "obs_mean": p.obs_mean.tolist(),
+                       "obs_scale": p.obs_scale.tolist()},
+            "value": net(v)}
+
+
 class TestCheckpoints:
     def make_pair(self, seed=19):
         rng = np.random.default_rng(seed)
@@ -461,17 +484,28 @@ class TestCheckpoints:
                         init_log_std=-0.5)
         return p, mlp_init([6, 8, 8, 1], rng)
 
-    def test_round_trip_exact(self, tmp_path):
+    def extreme_pair(self):
         p, v = self.make_pair()
+        p.trunk.weights[0][0, :len(EXTREMES)] = EXTREMES
+        v.weights[-1][:len(EXTREMES), 0] = EXTREMES
+        return p, v
+
+    def test_round_trip_exact(self, tmp_path):
+        p, v = self.extreme_pair()
         path = tmp_path / "ck.json"
         save_checkpoint(p, v, path)
         p2, v2 = load_checkpoint(path)
-        for a, b in zip(policy_params(p), policy_params(p2)):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(value_params(v), value_params(v2)):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(p.obs_mean, p2.obs_mean)
-        np.testing.assert_array_equal(p.obs_scale, p2.obs_scale)
+        for a, b in zip(all_arrays(p, v), all_arrays(p2, v2), strict=True):
+            np.testing.assert_array_equal(bits(a), bits(b))
+
+    def test_versions_1_and_2_load_to_the_same_bits(self, tmp_path):
+        p, v = self.extreme_pair()
+        save_checkpoint(p, v, tmp_path / "v2.json")
+        (tmp_path / "v1.json").write_text(json.dumps(v1_doc(p, v)) + "\n")
+        for a, b in zip(all_arrays(*load_checkpoint(tmp_path / "v1.json")),
+                        all_arrays(*load_checkpoint(tmp_path / "v2.json")),
+                        strict=True):
+            np.testing.assert_array_equal(bits(a), bits(b))
 
     def test_critic_is_stored_as_its_layers_only(self, tmp_path):
         p, v = self.make_pair()
@@ -480,20 +514,17 @@ class TestCheckpoints:
         assert set(doc["value"]) == {"sizes", "weights", "biases"}
 
     def test_loads_the_layout_with_a_critic_normalizer(self, tmp_path):
-        """A checkpoint whose critic also stores obs_mean and obs_scale,
-        the layout written before the critic became a bare Mlp, loads to
-        the same actor and critic bit for bit: the loader skips them."""
-        p, v = self.make_pair()
-        save_checkpoint(p, v, tmp_path / "ck.json")
-        doc = json.loads((tmp_path / "ck.json").read_text())
+        """A version-1 checkpoint whose critic also stores obs_mean and
+        obs_scale, the layout written before the critic became a bare
+        Mlp, loads to the same actor and critic bit for bit: the loader
+        skips them."""
+        p, v = self.extreme_pair()
+        doc = v1_doc(p, v)
         doc["value"].update(obs_mean=p.obs_mean.tolist(),
                             obs_scale=p.obs_scale.tolist())
         (tmp_path / "old.json").write_text(json.dumps(doc) + "\n")
         p2, v2 = load_checkpoint(tmp_path / "old.json")
-        for a, b in zip(
-                [*policy_params(p), p.obs_mean, p.obs_scale, *value_params(v)],
-                [*policy_params(p2), p2.obs_mean, p2.obs_scale,
-                 *value_params(v2)], strict=True):
+        for a, b in zip(all_arrays(p, v), all_arrays(p2, v2), strict=True):
             np.testing.assert_array_equal(bits(a), bits(b))
 
     def test_round_trip_preserves_policy_output(self, tmp_path):
@@ -524,6 +555,31 @@ class TestCheckpoints:
         doc["version"] = 999
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2", None],
+                             ids=repr)
+    def test_rejects_a_version_that_is_not_an_int(self, tmp_path, version):
+        """True and 1.0 equal 1 in Python, yet neither is a version."""
+        p, v = self.make_pair()
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({**v1_doc(p, v), "version": version}))
+        with pytest.raises(CheckpointError,
+                           match=f"unsupported checkpoint version {version}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[6.0, 8], [True, 8], 48, None],
+                             ids=repr)
+    def test_rejects_a_shape_that_is_not_a_list_of_ints(self, tmp_path,
+                                                        shape):
+        p, v = self.make_pair()
+        path = tmp_path / "ck.json"
+        save_checkpoint(p, v, path)
+        doc = json.loads(path.read_text())
+        doc["policy"]["weights"][0]["shape"] = shape
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=re.escape(
+                "policy.weights[0].shape is not a list of integers")):
             load_checkpoint(path)
 
     def test_rejects_missing_field(self, tmp_path):

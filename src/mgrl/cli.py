@@ -55,25 +55,30 @@ class UserError(Exception):
     """Input problem the operator can fix; reported without a traceback."""
 
 
-def _load(args) -> RunConfig:
-    return load_run_config(args.config, seed_override=args.seed,
-                           output_override=args.out)
+# Each input file: the flag that names another path for it, and the
+# command that writes it into the output directory.
+INPUTS = {SCENARIO_FILE: ("scenario", "scenario"),
+          CHECKPOINT_FINAL: ("checkpoint", "train"),
+          TRAJECTORY_FILE: ("trajectory", "eval"),
+          METRICS_FILE: (None, "train")}
 
 
-def _load_scenario(cfg: RunConfig, explicit: str | None):
-    path = explicit or os.path.join(cfg.output_dir, SCENARIO_FILE)
-    if not os.path.exists(path):
-        raise UserError(f"scenario file not found: {path} "
-                        f"(generate one with 'mgrl scenario')")
-    return load_scenario_csv(path), path
-
-
-def _load_policy(cfg: RunConfig, explicit: str | None):
-    path = explicit or os.path.join(cfg.output_dir, CHECKPOINT_FINAL)
-    if not os.path.exists(path):
-        raise UserError(f"checkpoint not found: {path} "
-                        f"(train one with 'mgrl train')")
-    return load_checkpoint(path), path
+def _inputs(args, cfg: RunConfig, *files: str) -> list[str]:
+    """The path of each input file: its flag's value if given, otherwise
+    ``<out>/<file>``.  An empty flag is refused, and so, in one line, is
+    every missing file, each named with the command that writes it."""
+    paths, missing = [], []
+    for name in files:
+        flag, writer = INPUTS[name]
+        given = flag and getattr(args, flag, None)
+        if given == "":
+            raise UserError(f"--{flag} must not be empty")
+        paths.append(given or os.path.join(cfg.output_dir, name))
+        if not os.path.exists(paths[-1]):
+            missing.append(f"{paths[-1]} (written by 'mgrl {writer}')")
+    if missing:
+        raise UserError("input not found: " + ", ".join(missing))
+    return paths
 
 
 @contextlib.contextmanager
@@ -92,8 +97,7 @@ def _running_actor(ck_path: str):
 # Commands
 
 
-def cmd_scenario(args) -> int:
-    cfg = _load(args)
+def cmd_scenario(args, cfg: RunConfig) -> int:
     scn = synth_cyclone_scenario(cfg.scenario)
     path = os.path.join(cfg.output_dir, SCENARIO_FILE)
     write_scenario_csv(scn, path)
@@ -107,9 +111,9 @@ def cmd_scenario(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _load(args)
-    scn, scn_path = _load_scenario(cfg, args.scenario)
+def cmd_train(args, cfg: RunConfig) -> int:
+    scn_path, = _inputs(args, cfg, SCENARIO_FILE)
+    scn = load_scenario_csv(scn_path)
     make_dir(cfg.output_dir)  # an unwritable --out fails before training
     total = cfg.ppo.total_updates
     report_every = max(1, total // 10) if total else 1
@@ -148,12 +152,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg: RunConfig) -> int:
     if args.episodes < 1:
         raise UserError(f"--episodes must be at least 1, got {args.episodes}")
-    cfg = _load(args)
-    (policy, _value), ck_path = _load_policy(cfg, args.checkpoint)
-    scn, _ = _load_scenario(cfg, args.scenario)
+    ck_path, scn_path = _inputs(args, cfg, CHECKPOINT_FINAL, SCENARIO_FILE)
+    policy, _value = load_checkpoint(ck_path)
+    scn = load_scenario_csv(scn_path)
     with _running_actor(ck_path):
         res = evaluate_policy(policy, cfg.env, scn,
                               n_episodes=args.episodes,
@@ -174,14 +178,10 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_explain(args) -> int:
-    cfg = _load(args)
-    (policy, _value), ck_path = _load_policy(cfg, args.checkpoint)
-    traj_path = args.trajectory or os.path.join(cfg.output_dir,
-                                                TRAJECTORY_FILE)
-    if not os.path.exists(traj_path):
-        raise UserError(f"trajectory file not found: {traj_path} "
-                        f"(produce one with 'mgrl eval')")
+def cmd_explain(args, cfg: RunConfig) -> int:
+    ck_path, traj_path = _inputs(args, cfg, CHECKPOINT_FINAL,
+                                 TRAJECTORY_FILE)
+    policy, _value = load_checkpoint(ck_path)
     traj = read_trajectory_csv(traj_path)
     if args.step is not None:
         if not 0 <= args.step < len(traj):
@@ -212,20 +212,14 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    cfg = _load(args)
+def cmd_report(args, cfg: RunConfig) -> int:
     out = cfg.output_dir
-    required = {"training metrics": os.path.join(out, METRICS_FILE),
-                "evaluation trajectory": os.path.join(out, TRAJECTORY_FILE)}
-    missing = [f"{kind} ({path})" for kind, path in required.items()
-               if not os.path.exists(path)]
-    if missing:
-        raise UserError("missing required artifacts: " + ", ".join(missing))
-
-    stats = read_train_metrics_csv(required["training metrics"])
-    traj = read_trajectory_csv(required["evaluation trajectory"])
+    metrics_path, traj_path = _inputs(args, cfg, METRICS_FILE,
+                                      TRAJECTORY_FILE)
+    stats = read_train_metrics_csv(metrics_path)
+    traj = read_trajectory_csv(traj_path)
     if not len(traj):
-        raise UserError(f"{required['evaluation trajectory']}: no data rows")
+        raise UserError(f"{traj_path}: no data rows")
     rep = summarize_episode(cfg.env, traj.loads, traj.shortages,
                             traj.reward)
     hours = len(traj) * STEP_HOURS
@@ -313,8 +307,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_config(args) -> int:
-    cfg = _load(args)
+def cmd_config(args, cfg: RunConfig) -> int:
     print(config_summary(cfg), end="")
     return EXIT_OK
 
@@ -336,6 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR",
                         help="output directory overriding run.output_dir")
 
+    def input_flag(name: str, what: str) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(f"--{INPUTS[name][0]}", metavar="PATH",
+                            help=f"{what} (default: <out>/{name})")
+        return parent
+    scenario = input_flag(SCENARIO_FILE, "scenario CSV")
+    checkpoint = input_flag(CHECKPOINT_FINAL, "checkpoint file")
+    trajectory = input_flag(TRAJECTORY_FILE, "trajectory CSV")
+
     parser = argparse.ArgumentParser(
         prog="mgrl",
         description="Microgrid dispatch: train, evaluate and explain a "
@@ -347,28 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("scenario", parents=[common],
                    help="generate the synthetic cyclone scenario CSV")
 
-    p = sub.add_parser("train", parents=[common],
-                       help="train the dispatch policy")
-    p.add_argument("--scenario", metavar="PATH",
-                   help="scenario CSV (default: <out>/scenario.csv)")
+    sub.add_parser("train", parents=[common, scenario],
+                   help="train the dispatch policy")
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[common, checkpoint, scenario],
                        help="roll out a trained policy and log a trajectory")
-    p.add_argument("--checkpoint", metavar="PATH",
-                   help="checkpoint file (default: <out>/checkpoint_final.json)")
-    p.add_argument("--scenario", metavar="PATH",
-                   help="scenario CSV (default: <out>/scenario.csv)")
     p.add_argument("--episodes", type=int, default=1, metavar="N",
                    help="episodes to average over (default 1)")
     p.add_argument("--stochastic", action="store_true",
                    help="sample actions instead of using the policy mean")
 
-    p = sub.add_parser("explain", parents=[common],
+    p = sub.add_parser("explain", parents=[common, checkpoint, trajectory],
                        help="explain the actor's decision at one logged step")
-    p.add_argument("--checkpoint", metavar="PATH",
-                   help="checkpoint file (default: <out>/checkpoint_final.json)")
-    p.add_argument("--trajectory", metavar="PATH",
-                   help="trajectory CSV (default: <out>/trajectory.csv)")
     sel = p.add_mutually_exclusive_group()
     sel.add_argument("--step", type=int, metavar="T",
                      help="explicit step index to explain")
@@ -387,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        cfg = load_run_config(args.config, seed_override=args.seed,
+                              output_override=args.out)
+        return globals()[f"cmd_{args.command}"](args, cfg)
     except (UserError, ConfigError, TableError, CheckpointError,
             SurrogateFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

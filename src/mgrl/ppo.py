@@ -26,6 +26,7 @@ from .env import (
     EpisodeSummary,
     N_ACTIONS,
     N_FEATURES,
+    NonFiniteActionError,
     allocate,
     features,
     scenario_rows,
@@ -558,13 +559,21 @@ def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
     each hour then normalizes only its SOC, feature 0, into its row of that
     block and runs the actor on the 1-D row, NumPy's vector-matrix path
     (the bits of the row's (1, 6) batch, at less cost), drawing (5,)
-    normals when stochastic."""
+    normals when stochastic.  The clip would turn an infinite mean into a
+    finite action, so each episode's means are checked at its last hour."""
     x = normalize(policy, features(0.0, scn.loads, scn.p_re))
     soc_mean, soc_scale = policy.obs_mean[0], policy.obs_scale[0]
     std = np.exp(policy.clamped_log_std())
+    means = np.empty((len(x), N_ACTIONS))
+    last = len(x) - 1
 
     def act(t, obs, rng):
         x[t, 0] = (obs[0, 0] - soc_mean) / soc_scale
         z = None if deterministic else rng.standard_normal(N_ACTIONS)
-        return policy_action(mlp_forward(policy.trunk, x[t])[0], std, z)[0]
+        mean = means[t] = mlp_forward(policy.trunk, x[t])[0]
+        if t == last and not np.isfinite(means).all():
+            bad = np.isfinite(means).all(axis=1).argmin()
+            raise NonFiniteActionError(f"non-finite action mean at hour "
+                                       f"{bad}: {means[bad].tolist()}")
+        return policy_action(mean, std, z)[0]
     return evaluate_actions(act, env_cfg, scn, n_episodes, seed)

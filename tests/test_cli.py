@@ -186,13 +186,6 @@ class TestTrainCommand:
         assert os.path.exists(os.path.join(out, "metrics.csv"))
         assert "update 2/2" in capsys.readouterr().out
 
-    def test_missing_scenario_is_user_error(self, conf, tmp_path, capsys):
-        out = str(tmp_path / "out")
-        assert run("train", "--config", conf, "--out", out) == 1
-        err = capsys.readouterr().err
-        assert "scenario file not found" in err
-        assert "mgrl scenario" in err
-
     def test_unwritable_out_fails_before_training(self, conf, tmp_path,
                                                   capsys):
         scenario = str(tmp_path / "scn" / "scenario.csv")
@@ -261,12 +254,6 @@ class TestEvalCommand:
         traj = read_trajectory_csv(os.path.join(out, "trajectory.csv"))
         assert len(traj) == 24
         assert "resilience index" in capsys.readouterr().out
-
-    def test_missing_checkpoint_is_user_error(self, conf, tmp_path, capsys):
-        out = str(tmp_path / "out")
-        run_pipeline(conf, out, through="scenario")
-        assert run("eval", "--config", conf, "--out", out) == 1
-        assert "checkpoint not found" in capsys.readouterr().err
 
     def test_deterministic_eval_is_repeatable(self, conf, tmp_path):
         out = str(tmp_path / "out")
@@ -359,12 +346,6 @@ class TestExplainCommand:
         assert capsys.readouterr().err.splitlines()[-1].endswith(
             f"step {step} outside trajectory [0, {n})")
         assert not list(out.glob("explain_step*"))
-
-    def test_missing_trajectory_is_user_error(self, conf, tmp_path, capsys):
-        out = str(tmp_path / "out")
-        run_pipeline(conf, out, through="train")
-        assert run("explain", "--config", conf, "--out", out) == 1
-        assert "mgrl eval" in capsys.readouterr().err
 
     @pytest.mark.parametrize("soc", ["0.1", "0.95"])
     def test_soc_outside_the_band_is_user_error(self, conf, tmp_path, capsys,
@@ -514,14 +495,6 @@ class TestReportCommand:
         for key in ("resilience_index", "battery_throughput_kwh",
                     "battery_life_estimate", "n_updates"):
             assert key in keys
-
-    def test_missing_artifacts_enumerated(self, conf, tmp_path, capsys):
-        out = str(tmp_path / "out")
-        run_pipeline(conf, out, through="scenario")
-        assert run("report", "--config", conf, "--out", out) == 1
-        err = capsys.readouterr().err
-        assert "training metrics" in err
-        assert "evaluation trajectory" in err
 
     def test_report_ri_uses_configured_reward_weights(self, tmp_path):
         """report.csv's RI is the episode RI evaluate_policy computes under
@@ -842,9 +815,9 @@ class TestCheckpointBoundary:
     """A corrupt checkpoint is bad input (exit 1) for every command that
     reads it, and the message names the file and the field."""
 
-    @pytest.mark.parametrize("command",
-                             [("eval",), ("explain", "--step", "1")],
-                             ids=["eval", "explain"])
+    @pytest.mark.parametrize("command", [
+        ("eval",), ("eval", "--stochastic", "--episodes", "2"),
+        ("explain", "--step", "1")], ids=["eval", "stochastic", "explain"])
     @pytest.mark.parametrize("edit, detail", [
         (lambda p, v, d: _set(p["weights"][0][2], 3, float("nan")),
          "policy.weights[0] holds a non-finite value"),
@@ -872,10 +845,17 @@ class TestCheckpointBoundary:
          "policy is not an object"),
         (lambda p, v, d: _set(v, "weights", 7),
          "value.weights is not a list"),
+        # Finite, but the actor gives +inf on every state, which the action
+        # clip would turn into 1.0.
+        (lambda p, v, d: (
+            _set(p["biases"], -2, [1e3] * len(p["biases"][-2])),
+            _set(p["weights"], -1,
+                 [[1e308] * len(row) for row in p["weights"][-1]])),
+         "the actor's output is not finite on this run's states"),
     ], ids=["nan-weight", "mis-chained-layer", "short-bias", "ragged-weight",
             "policy-width", "short-log_std", "short-obs_mean",
             "value-output-width", "zero-obs_scale",
-            "int-sizes", "list-policy", "int-weights"])
+            "int-sizes", "list-policy", "int-weights", "infinite-output"])
     def test_corrupt_checkpoint_is_user_error(self, conf, tmp_path, capsys,
                                               command, edit, detail):
         out = str(tmp_path / "out")
@@ -910,6 +890,85 @@ def test_version_1_checkpoint_gives_eval_and_explain_the_same_bytes(
                             or f.name.startswith("explain_")}
     assert len(written[1]) > 1 and "trajectory.csv" in written[1]
     assert written[1] == written[2]
+
+
+# The command that writes each input file into the output directory.
+WRITERS = {"scenario.csv": "scenario", "checkpoint_final.json": "train",
+           "trajectory.csv": "eval", "metrics.csv": "train"}
+
+
+def _snapshot(out):
+    return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+class TestMissingInput:
+    """A command refuses its missing inputs in one line, each path named
+    with the command that writes it, and writes nothing."""
+
+    def refuse(self, capsys, out, *argv):
+        before = _snapshot(out)
+        capsys.readouterr()
+        assert run(*argv, "--out", str(out)) == 1
+        assert _snapshot(out) == before
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    @staticmethod
+    def named(out, *files):
+        return "error: input not found: " + ", ".join(
+            f"{out / name} (written by 'mgrl {WRITERS[name]}')"
+            for name in files) + "\n"
+
+    @pytest.mark.parametrize("command, missing", [
+        (("train",), "scenario.csv"),
+        (("eval",), "checkpoint_final.json"),
+        (("eval",), "scenario.csv"),
+        (("explain", "--step", "1"), "checkpoint_final.json"),
+        (("explain", "--step", "1"), "trajectory.csv"),
+        (("report",), "metrics.csv"),
+        (("report",), "trajectory.csv"),
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else v)
+    def test_one_missing_input(self, pristine, tmp_path, capsys, command,
+                               missing):
+        conf, src = pristine
+        out = tmp_path / "out"
+        shutil.copytree(src, out)
+        os.remove(out / missing)
+        err = self.refuse(capsys, out, *command, "--config", conf)
+        assert err == self.named(out, missing)
+
+    def test_eval_in_an_empty_out_names_both_inputs(self, conf, tmp_path,
+                                                    capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        err = self.refuse(capsys, out, "eval", "--config", conf)
+        assert err == self.named(out, "checkpoint_final.json",
+                                 "scenario.csv")
+
+    def test_report_after_scenario_names_both_inputs(self, conf, tmp_path,
+                                                     capsys):
+        out = tmp_path / "out"
+        run_pipeline(conf, str(out), through="scenario")
+        err = self.refuse(capsys, out, "report", "--config", conf)
+        assert err == self.named(out, "metrics.csv", "trajectory.csv")
+
+    @pytest.mark.parametrize("command, flag", [
+        (("train",), "--scenario"),
+        (("eval",), "--scenario"),
+        (("eval",), "--checkpoint"),
+        (("explain", "--step", "1"), "--checkpoint"),
+        (("explain", "--step", "1"), "--trajectory"),
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else v.lstrip("-"))
+    def test_empty_flag_is_refused(self, pristine, tmp_path, capsys,
+                                   command, flag):
+        """The flag is refused, not read as absent: the default file the
+        output directory holds is not used in its place."""
+        conf, src = pristine
+        out = tmp_path / "out"
+        shutil.copytree(src, out)
+        err = self.refuse(capsys, out, *command, "--config", conf, flag, "")
+        assert err == f"error: {flag} must not be empty\n"
 
 
 def _out_under_file(conf, tmp_path):

@@ -11,6 +11,7 @@ from mgrl.env import (
     EnvConfig,
     N_ACTIONS,
     N_FEATURES,
+    NonFiniteActionError,
     scenario_rows,
     summarize_episode,
 )
@@ -1087,6 +1088,19 @@ class TestEvaluation:
                 assert obs[0, 0] == EnvConfig().initial_soc(
                     derive_rng(8, f"eval-reset-{i // 12}"))
         assert np.ptp(ev.trajectory.soc) > 0.0
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_infinite_action_mean_is_refused(self, deterministic):
+        """The clip would turn an actor's +inf into the finite action 1.0;
+        the episode's means are checked before it is scored."""
+        policy = self.trained()
+        policy.trunk.biases[-2][:] = 1e3
+        policy.trunk.weights[-1][:] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteActionError,
+                match=r"^non-finite action mean at hour 0: \[inf, "):
+            evaluate_policy(policy, EnvConfig(), small_scenario(horizon=10),
+                            n_episodes=2, deterministic=deterministic)
 
     @pytest.mark.parametrize("field", ["loads", "p_re"])
     def test_non_finite_scenario_refused_before_first_hour(self, field,

@@ -26,17 +26,9 @@ from test_cli import corrupt
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-# A 48-hour storm, 4 PPO updates of 4 envs x 64 steps in 32-row
-# minibatches, 200 explainer samples.
-SMOKE_CONF = """\
-scenario.horizon_steps = 48
-scenario.cyclone_window = 20, 30
-ppo.total_updates = 4
-ppo.rollout_steps = 64
-ppo.n_envs = 4
-ppo.minibatch_size = 32
-explain.n_samples = 200
-"""
+# The smoke config, which the installed-script smoke in CI runs too.
+SMOKE_PATH = ROOT / "tests" / "smoke.conf"
+SMOKE_CONF = SMOKE_PATH.read_text()
 # The chain of the installed-script smoke, in one output directory.
 CHAIN = ("scenario", "train", "eval", "eval --stochastic --episodes 2",
          "explain --step 3", "report")
@@ -50,12 +42,10 @@ def run(*argv):
 def smoke(tmp_path_factory):
     """(config, output dir) after the smoke chain, made once; tests that
     write give their own ``--out``."""
-    root = tmp_path_factory.mktemp("smoke")
-    conf = root / "smoke.conf"
-    conf.write_text(SMOKE_CONF)
+    out = tmp_path_factory.mktemp("smoke") / "out"
     for cmd in CHAIN:
-        assert run(*cmd.split(), "--config", conf, "--out", root / "out") == 0
-    return conf, root / "out"
+        assert run(*cmd.split(), "--config", SMOKE_PATH, "--out", out) == 0
+    return SMOKE_PATH, out
 
 
 def test_report_rewrites_its_files_unchanged(smoke, tmp_path):

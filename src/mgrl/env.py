@@ -53,8 +53,8 @@ PRIORITY_WEIGHTS = (7.0, 2.0, 1.0)
 
 
 class NonFiniteActionError(ValueError):
-    """A non-finite allocation weight or explained actor output, which a
-    finite checkpoint gives where its actor overflows on the run's states."""
+    """A non-finite action or explained actor output, which a finite
+    checkpoint gives where its actor overflows on the run's states."""
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,10 @@ def step(cfg: EnvConfig, row, soc, action):
 
     ``soc`` is a float, or an (n,) array of n lockstep envs' SOCs at the
     same hour; the requests ``action[0]`` (charge) and ``action[1]``
-    (discharge) are then floats or (n,) arrays, in [-1, 1] as the policy
-    clips them, NaN asking for nothing.  They are clamped, never
-    rejected: mutual exclusion by the sign of net power, then the
-    converter rating, the SOC-headroom cap and the surplus/deficit cap.
+    (discharge) are then floats or (n,) arrays, any real or NaN (no
+    request).  They are clamped, never rejected: mutual exclusion by the
+    sign of net power, then the converter rating (the requests' clip to
+    [-1, 1]), the SOC-headroom cap and the surplus/deficit cap.
 
     Returns (soc_next, p_ch, p_dis, p_supply), floats or (n,) arrays, each
     env's bit for bit its float call, but for the flow that the hour's
@@ -184,18 +184,18 @@ def allocate(cfg: EnvConfig, loads: np.ndarray, p_supply: np.ndarray,
     ``p_supply`` is (n,), ``w`` the (n, 3) finite raw weights and ``loads``
     (n, 3) or one (3,) row for all n; or for k hours of n envs (k, n),
     (k, n, 3) and the hours' (k, 1, 3) rows.  The split is the
-    max-subtracted softmax of the weights, through ``math.exp``, whose
-    results ``np.exp`` does not always match.  Returns the allocations,
-    imbalances and shortages, shaped like ``w``, and the rewards, each
-    row's :func:`resilience_index`; every row is bit for bit its own call.
+    max-subtracted softmax of the weights clipped to [-1, 1], through
+    ``math.exp``, whose results ``np.exp`` does not always match.  Returns
+    the allocations, imbalances and shortages, shaped like ``w``, and the
+    rewards, each row's :func:`resilience_index`; every row is bit for bit
+    its own call.
     """
     if not np.isfinite(w).all():
         bad = w[~np.isfinite(w).all(axis=-1)][0].tolist()
         raise NonFiniteActionError(f"non-finite allocation weights: {bad}")
+    w = np.minimum(np.maximum(w, -1.0), 1.0)
     m = np.maximum(np.maximum(w[..., 0], w[..., 1]), w[..., 2])
-    # A spread wider than the float range gives offset -inf and share 0.0.
-    with np.errstate(over="ignore"):
-        offsets = (w - m[..., None]).ravel().tolist()
+    offsets = (w - m[..., None]).ravel().tolist()
     e = np.fromiter(map(math.exp, offsets), float, w.size).reshape(w.shape)
     s = e[..., 0] + e[..., 1] + e[..., 2]
     alloc = e / s[..., None] * p_supply[..., None]

@@ -240,7 +240,7 @@ def blocked_forward(m: Mlp, x: np.ndarray) -> np.ndarray:
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, a: np.ndarray,
                       z: np.ndarray | None = None) -> np.ndarray:
-    """Diagonal-Gaussian log density of pre-clip actions, per batch row;
+    """Diagonal-Gaussian log density of actions as drawn, per batch row;
     ``z`` (shaped like ``a``) receives the residual (a - mean) / std."""
     z = np.subtract(a, mean, out=z)
     z /= np.exp(log_std)
@@ -253,15 +253,12 @@ def gaussian_entropy(log_std: np.ndarray) -> float:
 
 
 def policy_action(mean: np.ndarray, std: np.ndarray | None = None,
-                  z: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(action, preclip) at action means ``mean``.  The pre-clip action
-    is the mean, or with standard normal draws ``z`` the draw
-    mean + std * z; the action is it clipped to [-1, 1] for the
-    environment."""
-    preclip = mean if z is None else mean + std * z
-    # Ufuncs, not np.clip, whose Python wrapper costs as much again
-    return np.minimum(np.maximum(preclip, -1.0), 1.0), preclip
+                  z: np.ndarray | None = None) -> np.ndarray:
+    """The action at action means ``mean``: the mean, or with standard
+    normal draws ``z`` the draw mean + std * z, as the environment takes
+    it and the log-density scores it (:func:`mgrl.env.step` and
+    :func:`mgrl.env.allocate` clamp it to the actions' range)."""
+    return mean if z is None else mean + std * z
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ class RolloutBuffer:
     episode_summaries: list[EpisodeSummary] = field(default_factory=list)
 
     states = column_view(slice(N_FEATURES))  # normalized: network inputs
-    actions = column_view(slice(N_FEATURES, _LOG_PROB))  # pre-clip draws
+    actions = column_view(slice(N_FEATURES, _LOG_PROB))  # as drawn
     log_probs = column_view(_LOG_PROB)
     advantages = column_view(_LOG_PROB + 1)  # filled by train, normalized
     returns = column_view(_LOG_PROB + 2)  # filled by train
@@ -226,14 +226,15 @@ def collect_rollouts(policy: GaussianPolicy, value: Mlp,
     with the envs' normalized SOC, one actor forward on those rows, whose
     means :func:`mgrl.neural.policy_action` turns into draws at the
     rollout's one std, and one :func:`mgrl.env.step` call on the envs' SOC
-    array.  One :func:`mgrl.env.allocate` call per episode segment (the
-    rollout's hours within one episode) fills the rewards and the envs'
-    hour log; an episode that ends is then summarized and restarted in
-    place, so a buffer may span several (possibly partial) episodes per
-    env.  One stacked critic forward over the table's states after the last
-    hour gives the values, each hour bit for bit its own call, one on the
-    block's inputs at the final clock the bootstrap, and one
-    :func:`mgrl.neural.gaussian_log_prob` call the draws' log-densities.
+    array and the draws as stored.  One :func:`mgrl.env.allocate` call per
+    episode segment (the rollout's hours within one episode) fills the
+    rewards and the envs' hour log; an episode that ends is then
+    summarized and restarted in place, so a buffer may span several
+    (possibly partial) episodes per env.  One stacked critic forward over
+    the table's states after the last hour gives the values, each hour bit
+    for bit its own call, one on the block's inputs at the final clock the
+    bootstrap, and one :func:`mgrl.neural.gaussian_log_prob` call the
+    draws' log-densities.
     The critic reads the actor's normalized inputs, as in train.
     :class:`PpoConfig` makes n_steps a multiple of n_envs.
     """
@@ -244,7 +245,6 @@ def collect_rollouts(policy: GaussianPolicy, value: Mlp,
     states, actions, rewards, dones = (
         buf.states, buf.actions, buf.rewards, buf.dones)
     means = np.empty((steps, n_envs, N_ACTIONS))
-    clipped = np.empty((steps, n_envs, N_ACTIONS))
     supply = np.empty((steps, n_envs))
     # One draw for the whole rollout: the same numbers, in the same order,
     # as one (n_envs, N_ACTIONS) draw per hour.
@@ -262,13 +262,13 @@ def collect_rollouts(policy: GaussianPolicy, value: Mlp,
             states[t] = x[envs.t]
             states[t, :, 0] = (envs.soc - soc_mean) / soc_scale
             means[t] = mlp_forward(policy.trunk, states[t])[0]
-            clipped[t], actions[t] = policy_action(means[t], std, z[t])
+            actions[t] = policy_action(means[t], std, z[t])
             envs.soc, _, _, supply[t] = step(
-                envs.cfg, envs.rows[envs.t], envs.soc, clipped[t].T)
+                envs.cfg, envs.rows[envs.t], envs.soc, actions[t].T)
             envs.t += 1
         *_, envs.shortages[hours], rewards[seg] = allocate(
             envs.cfg, envs.loads[hours, None], supply[seg],
-            clipped[seg, :, 2:])
+            actions[seg, :, 2:])
         envs.rewards[hours] = rewards[seg]
         if envs.t == len(envs.rows):
             dones[seg.stop - 1] = 1.0
@@ -518,12 +518,13 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
     (``mgrl eval`` refuses fewer); the first is kept in full.  Episode
     ``ep`` starts at the SOC drawn from ``eval-reset-{ep}``, and each hour
     ``act(t, obs, rng)`` maps the hour, the (1, 6) raw state and the
-    ``eval-action-{ep}`` stream to the clipped action, a (5,) row or a
-    (1, 5) batch, stored alike.  ``obs`` is row t of one raw state block
-    whose SOC column the loop writes before each call, so it holds its
-    values only for that call.  One :func:`mgrl.env.allocate` call per
-    episode splits the supply after its last hour, and refuses a
-    non-finite weight."""
+    ``eval-action-{ep}`` stream to the action as drawn, a (5,) row or a
+    (1, 5) batch, stored alike; :func:`mgrl.env.step` and
+    :func:`mgrl.env.allocate` clamp it.  ``obs`` is row t of one raw state
+    block whose SOC column the loop writes before each call, so it holds
+    its values only for that call.  After an episode's last hour a
+    non-finite action is refused, naming its hour; then one
+    :func:`mgrl.env.allocate` call splits the episode's supply."""
     rows = scenario_rows(scn)
     states = features(0.0, scn.loads, scn.p_re)
     actions = np.empty((len(rows), N_ACTIONS))
@@ -538,6 +539,10 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
             states[t, 0] = socs[t] = soc
             actions[t] = act(t, states[t:t + 1], rng)
             soc, *flows[t] = step(env_cfg, row, soc, actions[t].tolist())
+        if not np.isfinite(actions).all():
+            bad = np.isfinite(actions).all(axis=1).argmin()
+            raise NonFiniteActionError(f"non-finite action at hour {bad}: "
+                                       f"{actions[bad].tolist()}")
         (traj.allocations[:], traj.imbalances[:], traj.shortages[:],
          traj.reward[:]) = allocate(env_cfg, traj.loads, traj.p_supply,
                                     actions[:, 2:])
@@ -553,27 +558,19 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
 def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
                     scn: Scenario, n_episodes: int = 1,
                     deterministic: bool = True, seed: int = 0) -> EvalResult:
-    """:func:`evaluate_actions` on the clipped policy mean, or on samples
-    drawn from each episode's action stream when not ``deterministic``.
+    """:func:`evaluate_actions` on the policy mean, or on samples drawn
+    from each episode's action stream when not ``deterministic``.
     The scenario's states are normalized once per call, as in a rollout;
     each hour then normalizes only its SOC, feature 0, into its row of that
     block and runs the actor on the 1-D row, NumPy's vector-matrix path
     (the bits of the row's (1, 6) batch, at less cost), drawing (5,)
-    normals when stochastic.  The clip would turn an infinite mean into a
-    finite action, so each episode's means are checked at its last hour."""
+    normals when stochastic."""
     x = normalize(policy, features(0.0, scn.loads, scn.p_re))
     soc_mean, soc_scale = policy.obs_mean[0], policy.obs_scale[0]
     std = np.exp(policy.clamped_log_std())
-    means = np.empty((len(x), N_ACTIONS))
-    last = len(x) - 1
 
     def act(t, obs, rng):
         x[t, 0] = (obs[0, 0] - soc_mean) / soc_scale
         z = None if deterministic else rng.standard_normal(N_ACTIONS)
-        mean = means[t] = mlp_forward(policy.trunk, x[t])[0]
-        if t == last and not np.isfinite(means).all():
-            bad = np.isfinite(means).all(axis=1).argmin()
-            raise NonFiniteActionError(f"non-finite action mean at hour "
-                                       f"{bad}: {means[bad].tolist()}")
-        return policy_action(mean, std, z)[0]
+        return policy_action(mlp_forward(policy.trunk, x[t])[0], std, z)
     return evaluate_actions(act, env_cfg, scn, n_episodes, seed)

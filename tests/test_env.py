@@ -294,8 +294,8 @@ class TestStep:
     def test_balanced_zero_action_rewards_one(self):
         """Generation exactly covers loads and weights match shares."""
         loads = (50.0, 30.0, 20.0)
-        # Raw weights whose softmax equals the load shares.
-        w_raw = tuple(math.log(l / 100.0) for l in loads)
+        # Raw weights in [-1, 1] whose softmax equals the load shares.
+        w_raw = tuple(math.log(l / max(loads)) for l in loads)
         out = hour(make_row(loads, 100.0), 0.5, (0.0, 0.0, *w_raw))
         assert out[7] == pytest.approx(1.0, abs=1e-12)
         assert out[0] == 0.5
@@ -415,12 +415,39 @@ class TestStepOnFloatsAndArrays:
             assert [type(a) for a in one] == [float] * 4
             assert bits(one) == want
 
+    @pytest.mark.parametrize("p_re", [200.0, 60.0, 0.0],
+                             ids=["surplus", "zero-net", "deficit"])
+    def test_request_beyond_the_range_steps_as_its_clip(self, p_re):
+        """step's rating cap is the battery requests' clamp: a request
+        beyond [-1, 1] (or -0.0 or NaN) moves the battery, bit for bit, as
+        its clip does, in the float form and the array form, at SOCs where
+        the rating or the headroom binds."""
+        cfg = EnvConfig()
+        row = make_row((30.0, 20.0, 10.0), p_re)  # p_net 140, 0 or -60 kW
+        beyond = [1.0 + 2.0 ** -52, 1.3, 40.0, -1.0 - 2.0 ** -52, -3.0,
+                  -0.0, math.nan]
+        pairs = [(a, b) for a in beyond for b in beyond]
+        clipped = np.clip(np.array(pairs), -1.0, 1.0)
+        for soc in (cfg.soc_min, 0.5, cfg.soc_max):
+            socs = np.full(len(pairs), soc)
+            got = step(cfg, row, socs, np.array(pairs).T)
+            want = step(cfg, row, socs, clipped.T)
+            assert [bits(a) for a in got] == [bits(a) for a in want]
+            for pair, one in zip(pairs, clipped.tolist()):
+                assert bits(step(cfg, row, soc, pair)) == \
+                    bits(step(cfg, row, soc, one))
+        if row[4] != 0.0:  # the rating binds a request above 1 at mid SOC
+            flow = step(cfg, row, 0.5, (1.3, 1.3))[1 if row[4] > 0 else 2]
+            assert flow == cfg.p_conv_kw
+
 
 def scalar_allocation(cfg, loads, p_supply, w):
     """One supply's allocate outputs in Python floats, tier by tier: the
-    max-subtracted softmax split, imbalances, shortages and reward."""
+    weights clipped to [-1, 1], the max-subtracted softmax split,
+    imbalances, shortages and reward."""
+    w = [min(max(x, -1.0), 1.0) for x in w]
     m = max(w)
-    e = [math.exp(x - m) for x in w]  # float overflow gives -inf, share 0
+    e = [math.exp(x - m) for x in w]
     s = e[0] + e[1] + e[2]
     alloc = [x / s * p_supply for x in e]
     imb = [a - l for a, l in zip(alloc, loads)]
@@ -477,11 +504,25 @@ class TestAllocate:
                                     w[t].tolist())
             assert [bits(a[t]) for a in out] == [bits(r) for r in ref]
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_weights_beyond_the_range_split_as_their_clip(self, data):
+        """allocate clips the weights to [-1, 1] itself: any finite spread
+        gives, bit for bit, what its clip gives, in one call and row by
+        row."""
+        cfg, loads, supplies, w = data.draw(allocation_hours())
+        want = allocate(cfg, loads, supplies, np.clip(w, -1.0, 1.0))
+        got = allocate(cfg, loads, supplies, w)
+        assert [bits(a) for a in got] == [bits(a) for a in want]
+        for t in range(len(w)):
+            one = allocate(cfg, loads[t], supplies[t:t + 1], w[t:t + 1])
+            assert [bits(a[0]) for a in one] == [bits(a[t]) for a in want]
+
     def test_edge_rows(self):
         """A zero-load hour pays exactly 1.0, a weight spread beyond the
-        float range gives share 0.0 without a warning (warnings fail the
-        suite), and a tier with no shortage reads -0.0, in one call and
-        row by row."""
+        float range splits as its clip to [-1, 1] does, without a warning
+        (warnings fail the suite), and a tier with no shortage reads -0.0,
+        in one call and row by row."""
         cfg = EnvConfig()
         loads = np.array([[0.0, 0.0, 0.0], [30.0, 20.0, 10.0],
                           [30.0, 20.0, 10.0]])
@@ -490,11 +531,15 @@ class TestAllocate:
         w = np.array([[0.0, 0.0, 0.0], [-big, big, 0.0], [0.0, 0.0, 0.0]])
         alloc, imb, short, reward = allocate(cfg, loads, supplies, w)
         assert reward[0] == 1.0
-        assert alloc[1].tolist() == [0.0, 90.0, 0.0]
-        assert short.tolist() == [[0.0] * 3, [30.0, 0.0, 10.0],
-                                  [10.0, 0.0, 0.0]]
+        clipped = allocate(cfg, loads[1], supplies[1:2],
+                           np.array([[-1.0, 1.0, 0.0]]))
+        assert ([bits(a[1]) for a in (alloc, imb, short, reward)]
+                == [bits(a[0]) for a in clipped])
+        assert short[0].tolist() == [0.0] * 3
+        assert short[1].tolist() == [30.0 - alloc[1, 0], 0.0, 0.0]
+        assert short[2].tolist() == [10.0, 0.0, 0.0]
         assert np.signbit(short).tolist() == [[True] * 3,
-                                              [False, True, False],
+                                              [False, True, True],
                                               [False, True, True]]
         for t in range(3):
             one = allocate(cfg, loads[t], supplies[t:t + 1], w[t:t + 1])

@@ -262,24 +262,27 @@ class TestGaussianHead:
         s, z = np.zeros((1, 2)), np.ones((1, 3))
         for bound in (LOG_STD_MAX, LOG_STD_MIN):
             assert np.all(p.clamped_log_std() == bound)
-            _, preclip = policy_action(raw_forward(p, s),
-                                       np.exp(p.clamped_log_std()), z)
+            action = policy_action(raw_forward(p, s),
+                                   np.exp(p.clamped_log_std()), z)
             np.testing.assert_allclose(
-                preclip, raw_forward(p, s) + math.exp(bound), rtol=1e-14)
+                action, raw_forward(p, s) + math.exp(bound), rtol=1e-14)
             p.log_std[:] = -50.0
 
-    def test_sample_scored_before_clipping(self):
+    def test_sample_is_scored_as_drawn(self):
+        """The action is the draw itself, beyond [-1, 1] too (the
+        environment clamps it), and gaussian_log_prob scores that draw."""
         rng = np.random.default_rng(6)
         p = make_policy(3, 2, (8,), rng, *raw_inputs(3), init_log_std=1.5)
         s = np.array([[0.3, -0.2, 0.9], [1.0, 0.5, -2.0]])
         mean, std = raw_forward(p, s), np.exp(p.clamped_log_std())
         z = np.random.default_rng(7).standard_normal((2, 2))
-        action, preclip = policy_action(mean, std, z)
-        # The draw is scored by gaussian_log_prob(mean, log_std, preclip),
-        # so the pre-clip draw comes back next to the clipped action.
-        np.testing.assert_array_equal(preclip, mean + std * z)
-        assert np.abs(preclip).max() > 1.0  # some draws do get clipped
-        np.testing.assert_array_equal(action, np.clip(preclip, -1, 1))
+        action = policy_action(mean, std, z)
+        np.testing.assert_array_equal(action, mean + std * z)
+        assert np.abs(action).max() > 1.0  # draws beyond [-1, 1]
+        want = stats.norm.logpdf(action, loc=mean, scale=std).sum(axis=1)
+        np.testing.assert_allclose(
+            gaussian_log_prob(mean, p.clamped_log_std(), action), want,
+            rtol=1e-12)
 
     def test_sample_reproducible(self):
         """The draw is mean + exp(log_std) * z for the caller's z."""
@@ -290,15 +293,13 @@ class TestGaussianHead:
         std = np.exp(p.clamped_log_std())
         a = policy_action(raw_forward(p, s), std, z)
         b = policy_action(raw_forward(p, s), std, z.copy())
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-        np.testing.assert_array_equal(a[1], raw_forward(p, s) + std * z)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, raw_forward(p, s) + std * z)
 
-    def test_mean_action_is_the_clipped_mean(self):
+    def test_mean_action_is_the_mean(self):
+        """Without draws the action is the mean itself, unclipped."""
         mean = np.array([[-3.0, -0.25, 0.0, 0.5, 2.0]])
-        action, preclip = policy_action(mean)
-        assert preclip is mean
-        np.testing.assert_array_equal(action, np.clip(mean, -1.0, 1.0))
+        assert policy_action(mean) is mean
 
 
 class TestBlockedForward:

@@ -597,7 +597,8 @@ def loss_oracle(policy, value, batch, cfg):
 def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
     """collect_rollouts rebuilt from raw_forward (the actor's normalizer,
     then blocked_forward), policy_action and whole hours of step and
-    allocate.
+    allocate on the draws clipped to [-1, 1], the clamp that step and
+    allocate apply themselves.
 
     The nets see the whole env batch each hour, as BLAS rounding depends on
     the batch shape, with that hour's (n_envs, N_ACTIONS) standard normal
@@ -614,10 +615,10 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
     for _ in range(steps):
         obs = np.array([(s, *rows[clock]) for s in soc])
         mean = raw_forward(policy, obs)
-        actions, preclip = policy_action(
-            mean, np.exp(policy.clamped_log_std()),
-            rng.standard_normal((n_envs, N_ACTIONS)))
-        log_prob = gaussian_log_prob(mean, policy.clamped_log_std(), preclip)
+        drawn = policy_action(mean, np.exp(policy.clamped_log_std()),
+                              rng.standard_normal((n_envs, N_ACTIONS)))
+        actions = np.clip(drawn, -1.0, 1.0)
+        log_prob = gaussian_log_prob(mean, policy.clamped_log_std(), drawn)
         rewards = []
         for i, action in enumerate(actions.tolist()):
             soc[i], *_, short, reward = hour(rows[clock], soc[i], action,
@@ -627,7 +628,7 @@ def reference_rollout(policy, value, cfg, scn, n_envs, seed, steps, rng):
             logs[i][1].append(reward)
         clock += 1
         done = clock == len(rows)
-        hours.append((obs, preclip, log_prob, rewards,
+        hours.append((obs, drawn, log_prob, rewards,
                       raw_forward(policy, obs, value),
                       [float(done)] * n_envs))
         if done:
@@ -734,9 +735,9 @@ class TestCollectRollouts:
         assert len(buf.episode_summaries) == 3 * ends
 
     def test_episode_summaries_match_replay_through_step(self):
-        """Each finished episode, replayed from its stored clipped actions
-        through step and allocate, gives the RI and normalized reward
-        collected."""
+        """Each finished episode, replayed from its stored actions clipped
+        to [-1, 1] through step and allocate, gives the RI and normalized
+        reward collected."""
         cfg = EnvConfig()
         policy, value, envs = self.make_parts(horizon=5, n_envs=3)
         rows = scenario_rows(small_scenario(horizon=5))
@@ -1027,7 +1028,7 @@ class TestEvaluation:
     def test_matches_per_hour_reference_loop(self, deterministic):
         """Bit for bit the loop that builds each hour's state afresh and
         runs the actor on it through raw_forward (and policy_action on its
-        draws)."""
+        draws), then steps and splits the action clipped to [-1, 1]."""
         policy = self.trained()
         policy.log_std[:] = -0.5  # draws that move the SOC both ways
         env_cfg = EnvConfig()
@@ -1044,10 +1045,10 @@ class TestEvaluation:
                 if deterministic:
                     action = np.clip(raw_forward(policy, obs), -1.0, 1.0)
                 else:
-                    action = policy_action(
+                    action = np.clip(policy_action(
                         raw_forward(policy, obs),
                         np.exp(policy.clamped_log_std()),
-                        rng.standard_normal((1, N_ACTIONS)))[0]
+                        rng.standard_normal((1, N_ACTIONS))), -1.0, 1.0)
                 out = hour(row, soc, action[0].tolist(), env_cfg)
                 log.append((soc, *out[1:4], *out[4], *out[5], *out[6],
                             out[7]))
@@ -1091,14 +1092,14 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("deterministic", [True, False])
     def test_infinite_action_mean_is_refused(self, deterministic):
-        """The clip would turn an actor's +inf into the finite action 1.0;
-        the episode's means are checked before it is scored."""
+        """An actor's +inf, which step would run as a full request, is
+        refused before the episode is scored."""
         policy = self.trained()
         policy.trunk.biases[-2][:] = 1e3
         policy.trunk.weights[-1][:] = 1e308
         with np.errstate(over="ignore"), pytest.raises(
                 NonFiniteActionError,
-                match=r"^non-finite action mean at hour 0: \[inf, "):
+                match=r"^non-finite action at hour 0: \[inf, "):
             evaluate_policy(policy, EnvConfig(), small_scenario(horizon=10),
                             n_episodes=2, deterministic=deterministic)
 
@@ -1163,9 +1164,9 @@ class TestEvaluateActions:
         assert ev.summaries == [rep]
 
     def test_training_episode_replays_to_one_summary(self, tmp_path):
-        """One training episode, replayed from its stored clipped actions,
-        is summarized alike by the rollout, by evaluation and from the
-        trajectory written and read back."""
+        """One training episode, replayed from its stored actions clipped
+        to [-1, 1], is summarized alike by the rollout, by evaluation and
+        from the trajectory written and read back."""
         env_cfg = EnvConfig(init_soc_range=(0.5, 0.5))
         scn = small_scenario(horizon=12, seed=4)
         rng = np.random.default_rng(9)
@@ -1222,7 +1223,7 @@ class TestEvaluateActions:
     def test_non_finite_weight_refused_after_the_battery_loop(self,
                                                               monkeypatch):
         """A NaN weight at hour 5 is refused once all 12 hours' batteries
-        have moved, naming the hour's weights."""
+        have moved, naming the hour and its action."""
         import mgrl.ppo as ppo_mod
 
         stepped = []
@@ -1240,9 +1241,37 @@ class TestEvaluateActions:
         with pytest.raises(ValueError) as err:
             evaluate_actions(act, EnvConfig(), small_scenario(horizon=12),
                              n_episodes=2)
-        assert str(err.value) == ("non-finite allocation weights: "
-                                  "[0.0, nan, 0.0]")
+        assert str(err.value) == ("non-finite action at hour 5: "
+                                  "[-1.0, -1.0, 0.0, nan, 0.0]")
         assert len(stepped) == 12
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_request_refused_before_allocate(self, monkeypatch,
+                                                        bad):
+        """Any action function, not only the policy's, is refused a
+        non-finite battery request: at hour 3 of 12, with finite weights,
+        once all 12 hours are stepped and before any allocate call."""
+        import mgrl.ppo as ppo_mod
+
+        stepped, allocated = [], []
+
+        def counted(*args, _fn=ppo_mod.step):
+            stepped.append(args[0])
+            return _fn(*args)
+
+        def act(t, obs, rng):
+            charge = bad if t == 3 else 0.5
+            return np.array([charge, -1.0, 0.25, 0.0, -0.25])
+
+        monkeypatch.setattr(ppo_mod, "step", counted)
+        monkeypatch.setattr(ppo_mod, "allocate",
+                            lambda *args: allocated.append(args))
+        with pytest.raises(NonFiniteActionError) as err:
+            evaluate_actions(act, EnvConfig(), small_scenario(horizon=12))
+        assert str(err.value) == (f"non-finite action at hour 3: "
+                                  f"{[bad, -1.0, 0.25, 0.0, -0.25]}")
+        assert len(stepped) == 12
+        assert allocated == []
 
     def test_each_episode_acts_on_its_own_action_stream(self):
         def draws(seed):

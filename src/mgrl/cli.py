@@ -130,8 +130,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
     print(f"training on {scn_path} ({scn.horizon} steps) "
           f"for {total} updates")
-    try:
-        result = train(cfg.ppo, cfg.env, scn, checkpoint_fn=on_update)
+    try:  # a diverging run is refused in one line, with no NumPy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = train(cfg.ppo, cfg.env, scn, checkpoint_fn=on_update)
     except TrainingDivergedError as exc:
         diag_path = os.path.join(cfg.output_dir, DIAGNOSTIC_FILE)
         # Strict JSON: a non-finite loss is written as its repr string
@@ -156,7 +157,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     if args.episodes < 1:
         raise UserError(f"--episodes must be at least 1, got {args.episodes}")
     ck_path, scn_path = _inputs(args, cfg, CHECKPOINT_FINAL, SCENARIO_FILE)
-    policy, _value = load_checkpoint(ck_path)
+    policy = load_checkpoint(ck_path)
     scn = load_scenario_csv(scn_path)
     with _running_actor(ck_path):
         res = evaluate_policy(policy, cfg.env, scn,
@@ -181,7 +182,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def cmd_explain(args, cfg: RunConfig) -> int:
     ck_path, traj_path = _inputs(args, cfg, CHECKPOINT_FINAL,
                                  TRAJECTORY_FILE)
-    policy, _value = load_checkpoint(ck_path)
+    policy = load_checkpoint(ck_path)
     traj = read_trajectory_csv(traj_path)
     if args.step is not None:
         if not 0 <= args.step < len(traj):

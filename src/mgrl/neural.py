@@ -3,7 +3,7 @@
 Plain numpy multilayer perceptrons (tanh hidden layers, identity output)
 with hand-written reverse-mode gradients, a diagonal-Gaussian policy head
 with state-independent log-std, a scalar value head, an Adam optimizer, and
-a JSON checkpoint format shared by training, evaluation and explanation.
+a JSON checkpoint format whose loader reads the actor and skips the critic.
 The actor keeps a fixed input normalizer (:func:`normalize`), applied
 once where a state enters; :func:`mlp_forward` and :func:`blocked_forward`
 run on the network inputs it gives, the critic (a bare :class:`Mlp`)
@@ -409,26 +409,6 @@ def _floats(name: str, value, shape: tuple, version: int) -> np.ndarray:
     return a
 
 
-def _mlp_from_json(d: dict, name: str, version: int) -> Mlp:
-    """A net's layers, checked against the stored layer sizes."""
-    if not isinstance(d, dict):
-        raise CheckpointError(f"{name} is not an object")
-    sizes = d["sizes"]
-    if not _ints(sizes):
-        raise CheckpointError(f"{name}.sizes is not a list of integers")
-    for key in ("weights", "biases"):
-        if not isinstance(d[key], list):
-            raise CheckpointError(f"{name}.{key} is not a list")
-    shapes = list(zip(sizes[:-1], sizes[1:]))
-    if not len(d["weights"]) == len(d["biases"]) == len(shapes) > 0:
-        raise CheckpointError(f"{name} needs one weight matrix and one bias "
-                              f"per layer of the stored sizes {sizes}")
-    return Mlp(weights=[_floats(f"{name}.weights[{i}]", w, s, version)
-                        for i, (w, s) in enumerate(zip(d["weights"], shapes))],
-               biases=[_floats(f"{name}.biases[{i}]", b, s[1:], version)
-                       for i, (b, s) in enumerate(zip(d["biases"], shapes))])
-
-
 def save_checkpoint(policy: GaussianPolicy, value: Mlp,
                     path: str | os.PathLike) -> None:
     """Persist actor and critic as JSON, each array as its exact float64
@@ -445,8 +425,8 @@ def save_checkpoint(policy: GaussianPolicy, value: Mlp,
     write_text(path, json.dumps(doc) + "\n")
 
 
-def load_checkpoint(path: str | os.PathLike
-                    ) -> tuple[GaussianPolicy, Mlp]:
+def load_checkpoint(path: str | os.PathLike) -> GaussianPolicy:
+    """The actor a checkpoint stores; a stored critic is never read."""
     text = read_text(path)
     try:
         doc = json.loads(text)
@@ -464,17 +444,28 @@ def load_checkpoint(path: str | os.PathLike
                               f"{version}")
     try:
         pd = doc["policy"]
-        trunk = _mlp_from_json(pd, "policy", version)
-        value = _mlp_from_json(doc["value"], "value", version)
-        # The critic's input width stays free, unchecked: only the actor
-        # is pinned to the environment's features and actions.
-        if (trunk.sizes[0], trunk.sizes[-1]) != (N_FEATURES, N_ACTIONS):
-            raise CheckpointError(f"policy.sizes {trunk.sizes} does not map "
+        if not isinstance(pd, dict):
+            raise CheckpointError("policy is not an object")
+        sizes = pd["sizes"]
+        if not _ints(sizes):
+            raise CheckpointError("policy.sizes is not a list of integers")
+        for key in ("weights", "biases"):
+            if not isinstance(pd[key], list):
+                raise CheckpointError(f"policy.{key} is not a list")
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        if not len(pd["weights"]) == len(pd["biases"]) == len(shapes) > 0:
+            raise CheckpointError(f"policy needs one weight matrix and one "
+                                  f"bias per layer of the stored sizes "
+                                  f"{sizes}")
+        trunk = Mlp(
+            weights=[_floats(f"policy.weights[{i}]", w, s, version)
+                     for i, (w, s) in enumerate(zip(pd["weights"], shapes))],
+            biases=[_floats(f"policy.biases[{i}]", b, s[1:], version)
+                    for i, (b, s) in enumerate(zip(pd["biases"], shapes))])
+        if (sizes[0], sizes[-1]) != (N_FEATURES, N_ACTIONS):
+            raise CheckpointError(f"policy.sizes {sizes} does not map "
                                   f"{N_FEATURES} features to {N_ACTIONS} "
                                   f"actions")
-        if value.sizes[-1] != 1:
-            raise CheckpointError(f"value.sizes {value.sizes} does not end "
-                                  f"in one output")
         log_std = _floats("policy.log_std", pd["log_std"], (N_ACTIONS,),
                           version)
         obs_mean, obs_scale = (_floats(f"policy.{k}", pd[k], (N_FEATURES,),
@@ -487,4 +478,4 @@ def load_checkpoint(path: str | os.PathLike
         raise CheckpointError(f"{path}: missing field {exc}") from None
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    return GaussianPolicy(trunk, log_std, obs_mean, obs_scale), value
+    return GaussianPolicy(trunk, log_std, obs_mean, obs_scale)

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mgrl.cli import main
 from mgrl.config import load_run_config
 from mgrl.env import summarize_episode
 from mgrl.metrics import read_train_metrics_csv
-from mgrl.neural import load_checkpoint, save_checkpoint
+from mgrl.neural import load_checkpoint
 from mgrl.ppo import evaluate_policy
 from mgrl.scenario import MAX_KW, load_scenario_csv
 from mgrl.seeding import derive_seed
@@ -246,6 +247,24 @@ class TestTrainCommand:
                         "value_loss": "inf", "entropy": 1.0}
         assert "diagnostic" in capsys.readouterr().err
 
+    def test_diverging_run_is_refused_in_one_line(self, tmp_path, capsys):
+        """A learning rate of 1e300 overflows the first update's losses
+        and gradients: exit 2 and one stderr line, with no NumPy
+        warning before it."""
+        conf = tmp_path / "diverge.conf"
+        conf.write_text(TINY_CONF + "ppo.learning_rate = 1e300\n")
+        out = str(tmp_path / "out")
+        run_pipeline(str(conf), out, through="scenario")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("train", "--config", str(conf), "--out", out) == 2
+        assert [str(w.message) for w in caught] == []
+        diag = os.path.join(out, "training_diagnostic.json")
+        assert capsys.readouterr().err == (
+            f"error: non-finite loss at update 0 (diagnostic written to "
+            f"{diag})\n")
+
 
 class TestEvalCommand:
     def test_writes_trajectory(self, conf, tmp_path, capsys):
@@ -284,7 +303,7 @@ class TestEvalCommand:
         out = str(tmp_path / "out")
         run_pipeline(conf, out, through="train")
         cfg = load_run_config(conf, output_override=out)
-        policy, _ = load_checkpoint(os.path.join(out, "checkpoint_final.json"))
+        policy = load_checkpoint(os.path.join(out, "checkpoint_final.json"))
         scn = load_scenario_csv(os.path.join(out, "scenario.csv"))
         ev = evaluate_policy(policy, cfg.env, scn, n_episodes=3,
                              seed=derive_seed(cfg.seed, "eval"))
@@ -388,7 +407,7 @@ class TestExplainCommand:
         conf, src = pristine
         out = tmp_path / "out"
         shutil.copytree(src, out)
-        edit_checkpoint(out / "checkpoint_final.json", lambda p, v, d: _set(
+        edit_checkpoint(out / "checkpoint_final.json", lambda p, d: _set(
             p["weights"], -1,
             [[1e290 * w for w in row] for row in p["weights"][-1]]))
         capsys.readouterr()
@@ -508,7 +527,7 @@ class TestReportCommand:
         report = dict(line.split(",", 1) for line in lines[1:])
 
         cfg = load_run_config(str(conf), output_override=out)
-        policy, _ = load_checkpoint(os.path.join(out, "checkpoint_final.json"))
+        policy = load_checkpoint(os.path.join(out, "checkpoint_final.json"))
         scn = load_scenario_csv(os.path.join(out, "scenario.csv"))
         ev = evaluate_policy(policy, cfg.env, scn,
                              seed=derive_seed(cfg.seed, "eval"))
@@ -770,7 +789,7 @@ def _stored(lists):
 def _map_arrays(doc, f):
     """Replace each array of both nets by f of it, wherever the doc still
     holds one where a checkpoint does."""
-    for net in (doc["policy"], doc["value"]):
+    for net in (doc["policy"], doc.get("value")):
         if not isinstance(net, dict):
             continue
         for key in ("weights", "biases"):
@@ -782,7 +801,7 @@ def _map_arrays(doc, f):
 
 
 def edit_checkpoint(path, edit, as_lists=True):
-    """Apply ``edit(policy, value, doc)`` to the checkpoint at ``path``.
+    """Apply ``edit(policy, doc)`` to the checkpoint at ``path``.
 
     With ``as_lists`` the edit sees each array as nested lists, and each
     is stored again with the edited list's shape, in the version-2 form,
@@ -792,7 +811,7 @@ def edit_checkpoint(path, edit, as_lists=True):
         doc = json.load(fh)
     if as_lists:
         _map_arrays(doc, _lists)
-    edit(doc["policy"], doc["value"], doc)
+    edit(doc["policy"], doc)
     if as_lists and doc["version"] == 2:
         _map_arrays(doc, _stored)
     with open(path, "w") as fh:
@@ -819,43 +838,38 @@ class TestCheckpointBoundary:
         ("eval",), ("eval", "--stochastic", "--episodes", "2"),
         ("explain", "--step", "1")], ids=["eval", "stochastic", "explain"])
     @pytest.mark.parametrize("edit, detail", [
-        (lambda p, v, d: _set(p["weights"][0][2], 3, float("nan")),
+        (lambda p, d: _set(p["weights"][0][2], 3, float("nan")),
          "policy.weights[0] holds a non-finite value"),
-        (lambda p, v, d: _set(p["weights"], 1, p["weights"][1][:-1]),
+        (lambda p, d: _set(p["weights"], 1, p["weights"][1][:-1]),
          "policy.weights[1] has shape (7, 5)"),
-        (lambda p, v, d: _set(p["biases"], 0, p["biases"][0][:1]),
+        (lambda p, d: _set(p["biases"], 0, p["biases"][0][:1]),
          "policy.biases[0] has shape (1,)"),
         # A version-1 file: version 2 stores no ragged array
-        (lambda p, v, d: (_set(d, "version", 1), _set(
+        (lambda p, d: (_set(d, "version", 1), _set(
             p["weights"][0], 2, p["weights"][0][2][:-1])),
          "policy.weights[0] is not a rectangular array"),
-        (lambda p, v, d: _resize_output(p, 4),
+        (lambda p, d: _resize_output(p, 4),
          "policy.sizes [6, 8, 4] does not map 6 features to 5 actions"),
-        (lambda p, v, d: _set(p, "log_std", p["log_std"][:3]),
+        (lambda p, d: _set(p, "log_std", p["log_std"][:3]),
          "policy.log_std has shape (3,)"),
-        (lambda p, v, d: _set(p, "obs_mean", p["obs_mean"][:4]),
+        (lambda p, d: _set(p, "obs_mean", p["obs_mean"][:4]),
          "policy.obs_mean has shape (4,)"),
-        (lambda p, v, d: _resize_output(v, 2),
-         "value.sizes [6, 8, 2] does not end in one output"),
-        (lambda p, v, d: _set(p["obs_scale"], 0, 0.0),
+        (lambda p, d: _set(p["obs_scale"], 0, 0.0),
          "policy.obs_scale holds a non-positive value"),
-        (lambda p, v, d: _set(p, "sizes", 5),
+        (lambda p, d: _set(p, "sizes", 5),
          "policy.sizes is not a list of integers"),
-        (lambda p, v, d: _set(d, "policy", []),
+        (lambda p, d: _set(d, "policy", []),
          "policy is not an object"),
-        (lambda p, v, d: _set(v, "weights", 7),
-         "value.weights is not a list"),
         # Finite, but the actor gives +inf on every state, which the action
         # clip would turn into 1.0.
-        (lambda p, v, d: (
+        (lambda p, d: (
             _set(p["biases"], -2, [1e3] * len(p["biases"][-2])),
             _set(p["weights"], -1,
                  [[1e308] * len(row) for row in p["weights"][-1]])),
          "the actor's output is not finite on this run's states"),
     ], ids=["nan-weight", "mis-chained-layer", "short-bias", "ragged-weight",
             "policy-width", "short-log_std", "short-obs_mean",
-            "value-output-width", "zero-obs_scale",
-            "int-sizes", "list-policy", "int-weights", "infinite-output"])
+            "zero-obs_scale", "int-sizes", "list-policy", "infinite-output"])
     def test_corrupt_checkpoint_is_user_error(self, conf, tmp_path, capsys,
                                               command, edit, detail):
         out = str(tmp_path / "out")
@@ -866,30 +880,69 @@ class TestCheckpointBoundary:
         assert f"checkpoint_final.json: {detail}" in capsys.readouterr().err
 
 
-def test_version_1_checkpoint_gives_eval_and_explain_the_same_bytes(
-        pristine, tmp_path):
-    """A checkpoint in version 1's nested lists, the layout mgrl wrote
-    before version 2, and its version-2 re-save give eval and explain
-    the same files byte for byte; the re-save is the file train wrote."""
+# The commands that read a checkpoint, by name.
+CHECKPOINT_READERS = {"eval": ("eval",), "explain": ("explain", "--step", "3")}
+
+
+def _outputs(conf, out, reader):
+    """Every file but the checkpoint in ``out`` after ``reader`` ran
+    there, by name; eval's trajectory.csv is removed first, so that eval
+    must write it again."""
+    if reader == "eval":
+        os.remove(out / "trajectory.csv")
+    assert run(*CHECKPOINT_READERS[reader], "--config", conf,
+               "--out", str(out)) == 0
+    return {f.name: f.read_bytes() for f in out.iterdir()
+            if f.name != "checkpoint_final.json"}
+
+
+@pytest.fixture(scope="module")
+def pristine_outputs(pristine, tmp_path_factory):
+    """What each reader writes from the checkpoint train wrote."""
     conf, src = pristine
     written = {}
-    for version in (1, 2):
-        out = tmp_path / f"v{version}"
+    for reader in CHECKPOINT_READERS:
+        out = tmp_path_factory.mktemp("untouched") / "out"
         shutil.copytree(src, out)
-        path = out / "checkpoint_final.json"
-        edit_checkpoint(path, lambda p, v, d: _set(d, "version", 1))
-        if version == 2:
-            save_checkpoint(*load_checkpoint(path), path)
-            assert path.read_bytes() == \
-                (src / "checkpoint_final.json").read_bytes()
-        os.remove(out / "trajectory.csv")
-        for command in (("eval",), ("explain", "--step", "3")):
-            assert run(*command, "--config", conf, "--out", str(out)) == 0
-        written[version] = {f.name: f.read_bytes() for f in out.iterdir()
-                            if f.name == "trajectory.csv"
-                            or f.name.startswith("explain_")}
-    assert len(written[1]) > 1 and "trajectory.csv" in written[1]
-    assert written[1] == written[2]
+        written[reader] = _outputs(conf, out, reader)
+    assert any(name.startswith("explain_") for name in written["explain"])
+    return written
+
+
+def _copy_and_edit(pristine, tmp_path, edit):
+    """(config, dir): a copy of the pristine run, its checkpoint edited."""
+    conf, src = pristine
+    out = tmp_path / "out"
+    shutil.copytree(src, out)
+    edit_checkpoint(out / "checkpoint_final.json", edit)
+    return conf, out
+
+
+def test_version_1_checkpoint_gives_eval_and_explain_the_same_bytes(
+        pristine, pristine_outputs, tmp_path):
+    """A checkpoint in version 1's nested lists, the layout mgrl wrote
+    before version 2, gives eval and explain the same files byte for
+    byte as the version-2 file train wrote."""
+    conf, out = _copy_and_edit(pristine, tmp_path,
+                               lambda p, d: _set(d, "version", 1))
+    for reader in CHECKPOINT_READERS:
+        assert _outputs(conf, out, reader) == pristine_outputs[reader]
+
+
+@pytest.mark.parametrize("reader", CHECKPOINT_READERS)
+@pytest.mark.parametrize("edit", [
+    lambda p, d: d.pop("value"),
+    lambda p, d: _set(d, "value", None),
+    lambda p, d: _resize_output(d["value"], 2),
+    lambda p, d: _set(d["value"], "weights", 7),
+], ids=["deleted", "null", "two-outputs", "int-weights"])
+def test_critic_is_ignored(pristine, pristine_outputs, tmp_path, edit,
+                           reader):
+    """eval and explain read the actor alone: a checkpoint whose critic
+    is missing, null or corrupt gives each the same files byte for byte
+    as the file train wrote."""
+    conf, out = _copy_and_edit(pristine, tmp_path, edit)
+    assert _outputs(conf, out, reader) == pristine_outputs[reader]
 
 
 # The command that writes each input file into the output directory.
@@ -1047,34 +1100,34 @@ FUZZ_CELL = {"scenario.csv": 1, "trajectory.csv": 6, "metrics.csv": 3}
 CSV_MUTATIONS = ("truncated-mid-row", "dropped-row", "duplicated-row",
                  "nan-cell", "negative-cell", "wrong-header", "extra-cell")
 CHECKPOINT_EDITS = {
-    "dropped-row": lambda p, v, d: p["weights"][0].pop(),
-    "duplicated-row": lambda p, v, d: p["weights"][0].append(
+    "dropped-row": lambda p, d: p["weights"][0].pop(),
+    "duplicated-row": lambda p, d: p["weights"][0].append(
         p["weights"][0][0]),
-    "nan-cell": lambda p, v, d: _set(p["weights"][0][2], 3, float("nan")),
-    "negative-cell": lambda p, v, d: _set(p["obs_scale"], 1, -1.0),
-    "wrong-header": lambda p, v, d: _set(d, "format", "csv"),
-    "transposed-weights": lambda p, v, d: _set(
+    "nan-cell": lambda p, d: _set(p["weights"][0][2], 3, float("nan")),
+    "negative-cell": lambda p, d: _set(p["obs_scale"], 1, -1.0),
+    "wrong-header": lambda p, d: _set(d, "format", "csv"),
+    "transposed-weights": lambda p, d: _set(
         p["weights"], 0, [list(c) for c in zip(*p["weights"][0])]),
-    "swapped-sizes": lambda p, v, d: _set(p, "sizes", p["sizes"][::-1]),
+    "swapped-sizes": lambda p, d: _set(p, "sizes", p["sizes"][::-1]),
     # Finite, but the actor's normalized inputs overflow and 0 * inf is NaN.
-    "tiny-obs-scale": lambda p, v, d: _set(p, "obs_scale", [1e-308] * 6),
+    "tiny-obs-scale": lambda p, d: _set(p, "obs_scale", [1e-308] * 6),
 }
 # Edits of the version-2 form itself, made on the file's JSON, and the
 # field each refusal names.
 CHECKPOINT_V2_EDITS = {
-    "non-base64-data": (lambda p, v, d: _set(
+    "non-base64-data": (lambda p, d: _set(
         p["weights"][0], "data", "*" + p["weights"][0]["data"][1:]),
         "policy.weights[0].data"),
-    "data-one-value-short": (lambda p, v, d: _set(
+    "data-one-value-short": (lambda p, d: _set(
         p["weights"][0], "data", base64.b64encode(base64.b64decode(
             p["weights"][0]["data"])[:-8]).decode()),
         "policy.weights[0].data"),
-    "shape-off-sizes": (lambda p, v, d: _set(
+    "shape-off-sizes": (lambda p, d: _set(
         p["weights"][0], "shape", p["weights"][0]["shape"][::-1]),
         "policy.weights[0]"),
-    "list-in-v2": (lambda p, v, d: _set(
+    "list-in-v2": (lambda p, d: _set(
         p["weights"], 0, _lists(p["weights"][0])), "policy.weights[0]"),
-    "v2-array-in-v1": (lambda p, v, d: _set(d, "version", 1),
+    "v2-array-in-v1": (lambda p, d: _set(d, "version", 1),
                        "policy.weights[0]"),
 }
 # Checkpoint texts that json.dumps cannot write, so each is raw text: an

@@ -100,14 +100,19 @@ def mlp_forward(m: Mlp, x: np.ndarray, outs: list | None = None,
     ``scratch`` (a flat array of at least x's rows x the widest layer,
     given together) layer i writes its output into the front of
     ``outs[i]`` and allocates nothing; without them each layer output is
-    a fresh array.
+    a fresh array.  That form multiplies a row or a batch with
+    ``ndarray.dot``: the BLAS call of ``@``, with its bits, at about half
+    its per-call dispatch, which an evaluation or rollout hour's small
+    products pay in full.  A stack keeps ``@``, as ``dot`` on a stack is
+    another product, slower and with other bits.
     """
     inputs = [x]
     h = x
     last = len(m.weights) - 1
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
         if outs is None:
-            h = h @ w  # a fresh array, so the bias and tanh can go in place
+            # A fresh array, so the bias and tanh can go in place
+            h = h @ w if h.ndim > 2 else h.dot(w)
             h += b
         else:
             h = np.matmul(h, w, out=outs[i][:len(x)])

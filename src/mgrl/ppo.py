@@ -522,9 +522,11 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
     (1, 5) batch, stored alike; :func:`mgrl.env.step` and
     :func:`mgrl.env.allocate` clamp it.  ``obs`` is row t of one raw state
     block whose SOC column the loop writes before each call, so it holds
-    its values only for that call.  After an episode's last hour a
-    non-finite action is refused, naming its hour; then one
-    :func:`mgrl.env.allocate` call splits the episode's supply."""
+    its values only for that call.  The hours' SOCs and battery flows
+    are Python floats, collected in lists and written to the trajectory
+    once.  After an episode's last hour a non-finite action is refused,
+    naming its hour; then one :func:`mgrl.env.allocate` call splits the
+    episode's supply."""
     rows = scenario_rows(scn)
     states = features(0.0, scn.loads, scn.p_re)
     actions = np.empty((len(rows), N_ACTIONS))
@@ -534,11 +536,14 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
         rng = derive_rng(seed, f"eval-action-{ep}")
         traj = Trajectory.empty(len(rows))
         traj.p_re[:], traj.loads[:] = scn.p_re, scn.loads
-        socs, flows = traj.soc, traj.flows
+        socs, flows = [], []
         for t, row in enumerate(rows):
-            states[t, 0] = socs[t] = soc
+            states[t, 0] = soc
+            socs.append(soc)
             actions[t] = act(t, states[t:t + 1], rng)
-            soc, *flows[t] = step(env_cfg, row, soc, actions[t].tolist())
+            soc, *flow = step(env_cfg, row, soc, actions[t].tolist())
+            flows.append(flow)
+        traj.soc[:], traj.flows[:] = socs, flows
         if not np.isfinite(actions).all():
             bad = np.isfinite(actions).all(axis=1).argmin()
             raise NonFiniteActionError(f"non-finite action at hour {bad}: "
@@ -562,15 +567,15 @@ def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
     from each episode's action stream when not ``deterministic``.
     The scenario's states are normalized once per call, as in a rollout;
     each hour then normalizes only its SOC, feature 0, into its row of that
-    block and runs the actor on the 1-D row, NumPy's vector-matrix path
-    (the bits of the row's (1, 6) batch, at less cost), drawing (5,)
-    normals when stochastic."""
+    block, in Python floats, and runs the actor on the 1-D row (the
+    bits of the row's (1, 6) batch, at less cost), drawing (5,) normals
+    when stochastic."""
     x = normalize(policy, features(0.0, scn.loads, scn.p_re))
-    soc_mean, soc_scale = policy.obs_mean[0], policy.obs_scale[0]
+    soc_mean, soc_scale = policy.obs_mean.item(0), policy.obs_scale.item(0)
     std = np.exp(policy.clamped_log_std())
 
     def act(t, obs, rng):
-        x[t, 0] = (obs[0, 0] - soc_mean) / soc_scale
+        x[t, 0] = (obs.item(0) - soc_mean) / soc_scale
         z = None if deterministic else rng.standard_normal(N_ACTIONS)
         return policy_action(mlp_forward(policy.trunk, x[t])[0], std, z)
     return evaluate_actions(act, env_cfg, scn, n_episodes, seed)

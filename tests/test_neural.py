@@ -32,7 +32,7 @@ from mgrl.neural import (
     save_checkpoint,
     value_params,
 )
-from mgrl.ppo import obs_stats_from_scenario
+from mgrl.ppo import ROLLOUT_WIDTH, obs_stats_from_scenario
 from mgrl.scenario import ScenarioConfig, synth_cyclone_scenario
 
 
@@ -202,34 +202,69 @@ class TestMlpForwardBackward:
         for got, was in zip(cache[1:-1], kept[1:-1]):
             assert not np.array_equal(got, was)
 
-    def test_row_gives_its_batch_and_stack_rows_bit_for_bit(self):
-        """An evaluation hour runs the actor on one 1-D normalized row:
-        over a synthetic scenario's 720 rows (random SOCs, an actor with
-        non-trivial weights) it gives the bits of its (1, n) batch and
-        of its slice of a (K, 1, n) stack, K = 8.  A flat (K, n) batch
-        rounds some rows differently, so it is not covered."""
+    def eval_nets(self):
+        """An actor and a one-column critic with non-trivial weights, and
+        a synthetic scenario's 720 states (random SOCs) under the actor's
+        normalizer."""
         env_cfg = EnvConfig()
         scn = synth_cyclone_scenario(ScenarioConfig())
         rng = np.random.default_rng(8)
         p = make_policy(N_FEATURES, N_ACTIONS, (64, 64), rng,
                         *obs_stats_from_scenario(env_cfg, scn))
-        for a in [*p.trunk.weights, *p.trunk.biases]:
+        critic = mlp_init([N_FEATURES, 64, 64, 1], rng)
+        for a in [*p.trunk.weights, *p.trunk.biases, *critic.weights,
+                  *critic.biases]:
             a += rng.normal(0.0, 0.3, a.shape)
         states = features(0.0, scn.loads, scn.p_re)
         states[:, 0] = rng.uniform(env_cfg.soc_min, env_cfg.soc_max,
                                    len(states))
         x = normalize(p, states)
         assert x.shape == (720, N_FEATURES)
-        rows = np.array([mlp_forward(p.trunk, row)[0] for row in x])
-        assert rows.shape == (720, N_ACTIONS)
-        batches = np.array([mlp_forward(p.trunk, x[t:t + 1])[0][0]
+        return p.trunk, critic, x
+
+    @pytest.mark.parametrize("net", ["actor", "critic"])
+    def test_row_gives_its_batch_and_stack_rows_bit_for_bit(self, net):
+        """An evaluation hour runs the actor on one 1-D normalized row:
+        over the 720 rows it gives the bits of its (1, n) batch, both
+        through ``ndarray.dot``, and of its slice of a (K, 1, n) stack,
+        K = 8, through ``@``, the other entry into BLAS; the critic
+        alike.  A flat (K, n) batch rounds some rows differently, so it
+        is not covered."""
+        actor, critic, x = self.eval_nets()
+        m = actor if net == "actor" else critic
+        rows = np.array([mlp_forward(m, row)[0] for row in x])
+        assert rows.shape == (720, m.sizes[-1])
+        batches = np.array([mlp_forward(m, x[t:t + 1])[0][0]
                             for t in range(len(x))])
         np.testing.assert_array_equal(bits(rows), bits(batches))
         k = 8
         stacks = np.concatenate([
-            mlp_forward(p.trunk, x[t:t + k, None, :])[0][:, 0]
+            mlp_forward(m, x[t:t + k, None, :])[0][:, 0]
             for t in range(0, len(x), k)])
         np.testing.assert_array_equal(bits(rows), bits(stacks))
+
+    @pytest.mark.parametrize("n_envs", [1, 3, 8, 64])
+    def test_strided_batch_gives_its_stack_slice_bit_for_bit(self, n_envs):
+        """A rollout hour runs the actor on its (n_envs, n) state rows, a
+        strided view of the (T, n_envs, 17) rollout table, through
+        ``ndarray.dot``; the rollout's critic runs once on the (T,
+        n_envs, n) stack of those views through ``@``.  Each hour's
+        call gives the bits of its slice of the stack, for the actor
+        and the one-column critic."""
+        actor, critic, x = self.eval_nets()
+        rng = np.random.default_rng(n_envs)
+        hours = 24
+        table = np.zeros((hours, n_envs, ROLLOUT_WIDTH))
+        table[..., :N_FEATURES] = x[rng.integers(len(x),
+                                                 size=(hours, n_envs))]
+        table[..., 0] = rng.uniform(-1.0, 1.0, (hours, n_envs))
+        states = table[..., :N_FEATURES]
+        for m in (actor, critic):
+            stack = mlp_forward(m, states)[0]
+            assert stack.shape == (hours, n_envs, m.sizes[-1])
+            for t in range(hours):
+                np.testing.assert_array_equal(
+                    bits(mlp_forward(m, states[t])[0]), bits(stack[t]))
 
 
 class TestGaussianHead:

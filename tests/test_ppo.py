@@ -1029,46 +1029,47 @@ class TestEvaluation:
     def test_matches_per_hour_reference_loop(self, deterministic):
         """Bit for bit the loop that builds each hour's state afresh and
         runs the actor on it through raw_forward (and policy_action on its
-        draws), then steps and splits the action clipped to [-1, 1]."""
+        draws), then steps and splits the action clipped to [-1, 1].  The
+        reference runs the actor on the hour's (1, 6) batch, which takes
+        ``ndarray.dot`` as evaluation's 1-D row does, and again on its
+        (1, 1, 6) stack, which takes ``@``."""
         policy = self.trained()
         policy.log_std[:] = -0.5  # draws that move the SOC both ways
         env_cfg = EnvConfig()
         scn = small_scenario(horizon=48, seed=2)
         ev = evaluate_policy(policy, env_cfg, scn, n_episodes=2,
                              deterministic=deterministic, seed=4)
-        summaries = []
-        for ep in range(2):
-            soc = env_cfg.initial_soc(derive_rng(4, f"eval-reset-{ep}"))
-            rng = derive_rng(4, f"eval-action-{ep}")
-            log = []
-            for row in scenario_rows(scn):
-                obs = np.array([(soc, *row)])
-                if deterministic:
-                    action = np.clip(raw_forward(policy, obs), -1.0, 1.0)
-                else:
-                    action = np.clip(policy_action(
-                        raw_forward(policy, obs),
-                        np.exp(policy.clamped_log_std()),
-                        rng.standard_normal((1, N_ACTIONS))), -1.0, 1.0)
-                out = hour(row, soc, action[0].tolist(), env_cfg)
-                log.append((soc, *out[1:4], *out[4], *out[5], *out[6],
-                            out[7]))
-                soc = out[0]
-            log = np.array(log)
-            summaries.append(summarize_episode(env_cfg, scn.loads,
-                                               log[:, 10:13], log[:, 13]))
-            if ep == 0:
-                first = log
         traj = ev.trajectory
-        for col, got in enumerate([traj.soc, traj.p_ch, traj.p_dis,
-                                   traj.p_supply]):
-            np.testing.assert_array_equal(got, first[:, col])
-        np.testing.assert_array_equal(traj.allocations, first[:, 4:7])
-        np.testing.assert_array_equal(traj.imbalances, first[:, 7:10])
-        np.testing.assert_array_equal(traj.shortages, first[:, 10:13])
-        np.testing.assert_array_equal(traj.reward, first[:, 13])
         assert np.ptp(traj.soc) > 0.0
-        assert ev.summaries == summaries
+        logged = np.column_stack([traj.soc, traj.flows, traj.allocations,
+                                  traj.imbalances, traj.shortages,
+                                  traj.reward])
+        forwards = {"batch": lambda obs: raw_forward(policy, obs),
+                    "stack": lambda obs: raw_forward(policy, obs[:, None])[0]}
+        for name, forward in forwards.items():
+            summaries = []
+            for ep in range(2):
+                soc = env_cfg.initial_soc(derive_rng(4, f"eval-reset-{ep}"))
+                rng = derive_rng(4, f"eval-action-{ep}")
+                log = []
+                for row in scenario_rows(scn):
+                    obs = np.array([(soc, *row)])
+                    if deterministic:
+                        action = np.clip(forward(obs), -1.0, 1.0)
+                    else:
+                        action = np.clip(policy_action(
+                            forward(obs), np.exp(policy.clamped_log_std()),
+                            rng.standard_normal((1, N_ACTIONS))), -1.0, 1.0)
+                    out = hour(row, soc, action[0].tolist(), env_cfg)
+                    log.append((soc, *out[1:4], *out[4], *out[5], *out[6],
+                                out[7]))
+                    soc = out[0]
+                log = np.array(log)
+                summaries.append(summarize_episode(env_cfg, scn.loads,
+                                                   log[:, 10:13], log[:, 13]))
+                if ep == 0:
+                    np.testing.assert_array_equal(logged, log, name)
+            assert ev.summaries == summaries, name
 
     def test_act_sees_each_hour_and_its_state_in_order(self):
         scn = small_scenario(horizon=12, seed=1)

@@ -28,8 +28,8 @@ LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 
 CHECKPOINT_FORMAT = "mgrl-checkpoint"
-# Version 2 stores each array as base64 float64 bytes; version 1, nested
-# lists of decimal floats, still loads.
+# Each array is stored as base64 float64 bytes.  Version 1 (nested lists
+# of decimal floats) no longer loads: retrain with ``mgrl train``.
 CHECKPOINT_VERSION = 2
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -376,39 +376,27 @@ def _ints(value) -> bool:
     return isinstance(value, list) and all(type(k) is int for k in value)
 
 
-def _floats(name: str, value, shape: tuple, version: int) -> np.ndarray:
-    """A stored field as a finite float64 array of the given shape: a
-    nested list in a version-1 checkpoint, an ``_encode`` object in a
-    version-2 one."""
-    if version == 1:
-        try:
-            a = np.array(value, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise CheckpointError(f"{name} is not a rectangular array of "
-                                  f"numbers") from None
-        stored = a.shape
-    else:
-        if not (isinstance(value, dict) and "shape" in value
-                and "data" in value):
-            raise CheckpointError(f"{name} is not an object with shape and "
-                                  f"data")
-        if not _ints(value["shape"]):
-            raise CheckpointError(f"{name}.shape is not a list of integers")
-        stored = tuple(value["shape"])
+def _floats(name: str, value, shape: tuple) -> np.ndarray:
+    """A stored field, an ``_encode`` object, as a finite float64 array
+    of the given shape."""
+    if not (isinstance(value, dict) and "shape" in value and "data" in value):
+        raise CheckpointError(f"{name} is not an object with shape and data")
+    if not _ints(value["shape"]):
+        raise CheckpointError(f"{name}.shape is not a list of integers")
+    stored = tuple(value["shape"])
     if stored != shape:
         raise CheckpointError(f"{name} has shape {stored}; the stored "
                               f"sizes give {shape}")
-    if version != 1:
-        try:
-            raw = base64.b64decode(value["data"], validate=True)
-        except (TypeError, ValueError):  # binascii.Error is a ValueError
-            raise CheckpointError(f"{name}.data is not base64") from None
-        size = 8 * math.prod(shape)
-        if len(raw) != size:
-            raise CheckpointError(f"{name}.data holds {len(raw)} bytes; "
-                                  f"shape {shape} needs {size}")
-        # A fresh native array: aligned and writable, as the list path's
-        a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    try:
+        raw = base64.b64decode(value["data"], validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise CheckpointError(f"{name}.data is not base64") from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise CheckpointError(f"{name}.data holds {len(raw)} bytes; "
+                              f"shape {shape} needs {size}")
+    # A fresh native array: aligned and writable
+    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     if not np.all(np.isfinite(a)):
         raise CheckpointError(f"{name} holds a non-finite value")
     return a
@@ -443,8 +431,8 @@ def load_checkpoint(path: str | os.PathLike) -> GaussianPolicy:
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     version = doc.get("version")
-    # type(): True and 1.0 equal 1 but are not versions
-    if type(version) is not int or not 1 <= version <= CHECKPOINT_VERSION:
+    # type(): 2.0 equals 2 but is not a version
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version "
                               f"{version}")
     try:
@@ -454,6 +442,8 @@ def load_checkpoint(path: str | os.PathLike) -> GaussianPolicy:
         sizes = pd["sizes"]
         if not _ints(sizes):
             raise CheckpointError("policy.sizes is not a list of integers")
+        if min(sizes, default=1) < 1:
+            raise CheckpointError(f"policy.sizes {sizes} has a width below 1")
         for key in ("weights", "biases"):
             if not isinstance(pd[key], list):
                 raise CheckpointError(f"policy.{key} is not a list")
@@ -463,18 +453,16 @@ def load_checkpoint(path: str | os.PathLike) -> GaussianPolicy:
                                   f"bias per layer of the stored sizes "
                                   f"{sizes}")
         trunk = Mlp(
-            weights=[_floats(f"policy.weights[{i}]", w, s, version)
+            weights=[_floats(f"policy.weights[{i}]", w, s)
                      for i, (w, s) in enumerate(zip(pd["weights"], shapes))],
-            biases=[_floats(f"policy.biases[{i}]", b, s[1:], version)
+            biases=[_floats(f"policy.biases[{i}]", b, s[1:])
                     for i, (b, s) in enumerate(zip(pd["biases"], shapes))])
         if (sizes[0], sizes[-1]) != (N_FEATURES, N_ACTIONS):
             raise CheckpointError(f"policy.sizes {sizes} does not map "
                                   f"{N_FEATURES} features to {N_ACTIONS} "
                                   f"actions")
-        log_std = _floats("policy.log_std", pd["log_std"], (N_ACTIONS,),
-                          version)
-        obs_mean, obs_scale = (_floats(f"policy.{k}", pd[k], (N_FEATURES,),
-                                       version)
+        log_std = _floats("policy.log_std", pd["log_std"], (N_ACTIONS,))
+        obs_mean, obs_scale = (_floats(f"policy.{k}", pd[k], (N_FEATURES,))
                                for k in ("obs_mean", "obs_scale"))
         if np.any(obs_scale <= 0.0):
             raise CheckpointError("policy.obs_scale holds a non-positive "

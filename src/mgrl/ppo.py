@@ -61,10 +61,10 @@ from .trajectory import Trajectory
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a minibatch's total loss stops being finite.
+    """Raised when a minibatch's loss or a rollout's action stops being finite.
 
-    ``diagnostic`` carries enough context (update index, loss parts) to
-    write a post-mortem record.
+    ``diagnostic`` carries enough context (update index, loss parts or
+    the rollout's error) to write a post-mortem record.
     """
 
     def __init__(self, message: str, diagnostic: dict):
@@ -437,7 +437,7 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
 
     ``checkpoint_fn(update, policy, value, stats)`` is invoked after each
     completed update when given.  Raises TrainingDivergedError the moment
-    any loss component stops being finite.
+    any loss component, or an action of a rollout, stops being finite.
 
     Both networks' parameters live in one flat vector (see
     :func:`mgrl.neural.pack_params`) that one Adam step per minibatch
@@ -468,7 +468,12 @@ def train(cfg: PpoConfig, env_cfg: EnvConfig, scn: Scenario,
     last_reward_norm = float("nan")
     last_ri = float("nan")
     for update in range(cfg.total_updates):
-        buf = collect_rollouts(policy, value, envs, n, rollout_rng)
+        try:  # the last Adam step can overflow the actor
+            buf = collect_rollouts(policy, value, envs, n, rollout_rng)
+        except NonFiniteActionError as exc:
+            raise TrainingDivergedError(
+                f"non-finite action in the rollout of update {update}",
+                diagnostic={"update": update, "rollout": str(exc)}) from None
         adv, ret = compute_gae(buf.rewards, buf.values, buf.dones,
                                buf.bootstrap, cfg.gamma, cfg.gae_lambda)
         buf.advantages[...] = (adv - adv.mean()) / (adv.std() + 1e-8)

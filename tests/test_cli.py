@@ -265,6 +265,39 @@ class TestTrainCommand:
             f"error: non-finite loss at update 0 (diagnostic written to "
             f"{diag})\n")
 
+    def test_divergence_in_a_rollout_is_refused_in_one_line(self, tmp_path,
+                                                            capsys):
+        """At a learning rate of 1e307 with one minibatch per update,
+        update 0's loss is finite but its Adam step overflows the actor,
+        so update 1's rollout meets a non-finite action first: exit 2,
+        one stderr line and a strict-JSON diagnostic naming the update."""
+        with open(os.path.join(os.path.dirname(__file__), "smoke.conf")) as f:
+            smoke = f.read()
+        conf = tmp_path / "diverge.conf"
+        conf.write_text(smoke + "ppo.learning_rate = 1e307\n"
+                        "ppo.epochs_per_update = 1\n"
+                        "ppo.minibatch_size = 64\n")
+        out = str(tmp_path / "out")
+        run_pipeline(str(conf), out, through="scenario")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("train", "--config", str(conf), "--out", out) == 2
+        assert [str(w.message) for w in caught] == []
+        diag = os.path.join(out, "training_diagnostic.json")
+        assert capsys.readouterr().err == (
+            f"error: non-finite action in the rollout of update 1 "
+            f"(diagnostic written to {diag})\n")
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        with open(diag) as f:
+            doc = json.loads(f.read(), parse_constant=refuse)
+        assert doc.keys() == {"update", "rollout"}
+        assert doc["update"] == 1
+        assert doc["rollout"].startswith("non-finite allocation weights: ")
+
 
 class TestEvalCommand:
     def test_writes_trajectory(self, conf, tmp_path, capsys):
@@ -774,13 +807,13 @@ class TestScenarioBoundary:
 
 
 def _lists(a):
-    """A version-2 stored array as the nested lists version 1 stores."""
+    """A stored array as nested lists."""
     raw = np.frombuffer(base64.b64decode(a["data"]), "<f8")
     return raw.reshape(a["shape"]).tolist()
 
 
 def _stored(lists):
-    """Nested lists as a version-2 stored array of their own shape."""
+    """Nested lists, or an array, stored as an array of their shape."""
     a = np.array(lists, dtype="<f8")
     return {"shape": list(a.shape),
             "data": base64.b64encode(a.tobytes()).decode()}
@@ -804,15 +837,15 @@ def edit_checkpoint(path, edit, as_lists=True):
     """Apply ``edit(policy, doc)`` to the checkpoint at ``path``.
 
     With ``as_lists`` the edit sees each array as nested lists, and each
-    is stored again with the edited list's shape, in the version-2 form,
-    or as the lists where the edit set version 1; without it the edit
-    sees the file's JSON as it is."""
+    is stored again with the edited list's shape (an array the edit puts
+    in keeps its own); without it the edit sees the file's JSON as it
+    is."""
     with open(path) as fh:
         doc = json.load(fh)
     if as_lists:
         _map_arrays(doc, _lists)
     edit(doc["policy"], doc)
-    if as_lists and doc["version"] == 2:
+    if as_lists:
         _map_arrays(doc, _stored)
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -830,6 +863,14 @@ def _resize_output(d, width):
     d["sizes"][-1] = width
 
 
+def _zero_width(p, d):
+    """A hidden layer of width 0, each array of the shape the sizes give
+    it, as no trainer writes."""
+    p["sizes"][1] = 0
+    p["weights"] = [np.empty((6, 0)), np.empty((0, 5))]
+    p["biases"][0] = np.empty(0)
+
+
 class TestCheckpointBoundary:
     """A corrupt checkpoint is bad input (exit 1) for every command that
     reads it, and the message names the file and the field."""
@@ -844,10 +885,6 @@ class TestCheckpointBoundary:
          "policy.weights[1] has shape (7, 5)"),
         (lambda p, d: _set(p["biases"], 0, p["biases"][0][:1]),
          "policy.biases[0] has shape (1,)"),
-        # A version-1 file: version 2 stores no ragged array
-        (lambda p, d: (_set(d, "version", 1), _set(
-            p["weights"][0], 2, p["weights"][0][2][:-1])),
-         "policy.weights[0] is not a rectangular array"),
         (lambda p, d: _resize_output(p, 4),
          "policy.sizes [6, 8, 4] does not map 6 features to 5 actions"),
         (lambda p, d: _set(p, "log_std", p["log_std"][:3]),
@@ -858,6 +895,9 @@ class TestCheckpointBoundary:
          "policy.obs_scale holds a non-positive value"),
         (lambda p, d: _set(p, "sizes", 5),
          "policy.sizes is not a list of integers"),
+        (_zero_width, "policy.sizes [6, 0, 5] has a width below 1"),
+        (lambda p, d: _set(p["sizes"], 1, -2),
+         "policy.sizes [6, -2, 5] has a width below 1"),
         (lambda p, d: _set(d, "policy", []),
          "policy is not an object"),
         # Finite, but the actor gives +inf on every state, which the action
@@ -867,9 +907,9 @@ class TestCheckpointBoundary:
             _set(p["weights"], -1,
                  [[1e308] * len(row) for row in p["weights"][-1]])),
          "the actor's output is not finite on this run's states"),
-    ], ids=["nan-weight", "mis-chained-layer", "short-bias", "ragged-weight",
-            "policy-width", "short-log_std", "short-obs_mean",
-            "zero-obs_scale", "int-sizes", "list-policy", "infinite-output"])
+    ], ids=["nan-weight", "mis-chained-layer", "short-bias", "policy-width",
+            "short-log_std", "short-obs_mean", "zero-obs_scale", "int-sizes",
+            "zero-width", "negative-width", "list-policy", "infinite-output"])
     def test_corrupt_checkpoint_is_user_error(self, conf, tmp_path, capsys,
                                               command, edit, detail):
         out = str(tmp_path / "out")
@@ -877,7 +917,9 @@ class TestCheckpointBoundary:
         edit_checkpoint(os.path.join(out, "checkpoint_final.json"), edit)
         capsys.readouterr()
         assert run(*command, "--config", conf, "--out", out) == 1
-        assert f"checkpoint_final.json: {detail}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"checkpoint_final.json: {detail}" in err
 
 
 # The commands that read a checkpoint, by name.
@@ -918,15 +960,45 @@ def _copy_and_edit(pristine, tmp_path, edit):
     return conf, out
 
 
-def test_version_1_checkpoint_gives_eval_and_explain_the_same_bytes(
-        pristine, pristine_outputs, tmp_path):
-    """A checkpoint in version 1's nested lists, the layout mgrl wrote
-    before version 2, gives eval and explain the same files byte for
-    byte as the version-2 file train wrote."""
-    conf, out = _copy_and_edit(pristine, tmp_path,
-                               lambda p, d: _set(d, "version", 1))
-    for reader in CHECKPOINT_READERS:
-        assert _outputs(conf, out, reader) == pristine_outputs[reader]
+def _as_version_1(p, d):
+    """The checkpoint in version 1's layout: each array as nested lists
+    of decimal floats, as mgrl wrote before version 2."""
+    _map_arrays(d, _lists)
+    d["version"] = 1
+
+
+# Version 1's lists took any numbers JSON can spell, strings and true
+# included.
+VERSION_1_EDITS = {
+    "plain": _as_version_1,
+    "strings-and-true": lambda p, d: (
+        _as_version_1(p, d), _set(p, "log_std", list(map(str, p["log_std"]))),
+        _set(p["biases"][0], 0, True)),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ("eval",), ("eval", "--stochastic", "--episodes", "2"),
+    ("explain", "--step", "3")], ids=["eval", "stochastic", "explain"])
+@pytest.mark.parametrize("edit", VERSION_1_EDITS.values(),
+                         ids=VERSION_1_EDITS)
+def test_version_1_checkpoint_is_refused(pristine, tmp_path, capsys, edit,
+                                         command):
+    """A version-1 checkpoint no longer loads: each reader refuses it in
+    one line, naming the version, and writes nothing."""
+    conf, src = pristine
+    out = tmp_path / "out"
+    shutil.copytree(src, out)
+    path = out / "checkpoint_final.json"
+    edit_checkpoint(path, edit, as_lists=False)
+    if command[0] == "eval":  # a run that eval finished would write it
+        os.remove(out / "trajectory.csv")
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert run(*command, "--config", conf, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: unsupported checkpoint version 1\n")
+    assert _snapshot(out) == before
 
 
 @pytest.mark.parametrize("reader", CHECKPOINT_READERS)
@@ -1127,8 +1199,6 @@ CHECKPOINT_V2_EDITS = {
         "policy.weights[0]"),
     "list-in-v2": (lambda p, d: _set(
         p["weights"], 0, _lists(p["weights"][0])), "policy.weights[0]"),
-    "v2-array-in-v1": (lambda p, d: _set(d, "version", 1),
-                       "policy.weights[0]"),
 }
 # Checkpoint texts that json.dumps cannot write, so each is raw text: an
 # array nested past the recursion limit, and an integer literal past

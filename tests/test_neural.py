@@ -499,19 +499,6 @@ def actor_arrays(p):
     return [*policy_params(p), p.obs_mean, p.obs_scale]
 
 
-def v1_doc(p, v):
-    """The nets as a version-1 checkpoint, the reference layout: each
-    array as nested lists of floats, as mgrl wrote it before version 2."""
-    def net(m):
-        return {"sizes": m.sizes, "weights": [w.tolist() for w in m.weights],
-                "biases": [b.tolist() for b in m.biases]}
-    return {"format": "mgrl-checkpoint", "version": 1,
-            "policy": {**net(p.trunk), "log_std": p.log_std.tolist(),
-                       "obs_mean": p.obs_mean.tolist(),
-                       "obs_scale": p.obs_scale.tolist()},
-            "value": net(v)}
-
-
 class TestCheckpoints:
     def make_pair(self, seed=19):
         rng = np.random.default_rng(seed)
@@ -530,15 +517,6 @@ class TestCheckpoints:
         path = tmp_path / "ck.json"
         save_checkpoint(p, v, path)
         for a, b in zip(actor_arrays(p), actor_arrays(load_checkpoint(path)),
-                        strict=True):
-            np.testing.assert_array_equal(bits(a), bits(b))
-
-    def test_versions_1_and_2_load_to_the_same_bits(self, tmp_path):
-        p, v = self.extreme_pair()
-        save_checkpoint(p, v, tmp_path / "v2.json")
-        (tmp_path / "v1.json").write_text(json.dumps(v1_doc(p, v)) + "\n")
-        for a, b in zip(actor_arrays(load_checkpoint(tmp_path / "v1.json")),
-                        actor_arrays(load_checkpoint(tmp_path / "v2.json")),
                         strict=True):
             np.testing.assert_array_equal(bits(a), bits(b))
 
@@ -593,13 +571,16 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2", None],
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2", None, 1, 3],
                              ids=repr)
     def test_rejects_a_version_that_is_not_an_int(self, tmp_path, version):
-        """True and 1.0 equal 1 in Python, yet neither is a version."""
+        """Only the int 2 is a version that loads: 2.0 equals it in
+        Python, yet is not a version, and version 1 is no longer read."""
         p, v = self.make_pair()
         path = tmp_path / "ck.json"
-        path.write_text(json.dumps({**v1_doc(p, v), "version": version}))
+        save_checkpoint(p, v, path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "version": version}))
         with pytest.raises(CheckpointError,
                            match=f"unsupported checkpoint version {version}$"):
             load_checkpoint(path)

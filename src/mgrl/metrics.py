@@ -111,6 +111,7 @@ def reward_curve_summary(updates, rewards, window: int = 10,
 TRAIN_CSV_HEADER = ("update", "mean_reward_norm", "RI", "policy_loss",
                     "value_loss", "entropy", "clip_frac")
 LAYOUT = Layout("metrics", TRAIN_CSV_HEADER)
+_FRACTION = np.isin(TRAIN_CSV_HEADER, ("mean_reward_norm", "RI"))
 
 
 def write_train_metrics_csv(stats: list[TrainStats],
@@ -120,8 +121,11 @@ def write_train_metrics_csv(stats: list[TrainStats],
 
 
 def read_train_metrics_csv(path: str | os.PathLike) -> list[TrainStats]:
-    """Parse a metrics CSV; a malformed table raises ValueError naming the
-    file, the 1-based data row and the column.  Float cells are not
-    range-checked: mean_reward_norm and RI stay NaN until an episode ends."""
+    """Parse a metrics CSV; bad input raises ValueError naming the file,
+    the 1-based data row and the column: a malformed table, or a finite
+    mean_reward_norm or RI outside [0, 1].  Both stay NaN until an episode
+    ends, so NaN is read as is; the losses are not range-checked."""
     table = LAYOUT.read(path)
+    LAYOUT.reject(path, table, ((table < 0) | (table > 1)) & _FRACTION,
+                  "value {!r} outside [0, 1]")
     return [TrainStats(int(update), *rest) for update, *rest in table.tolist()]

@@ -522,18 +522,15 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
     """Score a policy, given as its action function, over n_episodes >= 1
     (``mgrl eval`` refuses fewer); the first is kept in full.  Episode
     ``ep`` starts at the SOC drawn from ``eval-reset-{ep}``, and each hour
-    ``act(t, obs, rng)`` maps the hour, the (1, 6) raw state and the
+    ``act(t, soc, rng)`` maps the hour, its SOC as a Python float and the
     ``eval-action-{ep}`` stream to the action as drawn, a (5,) row or a
     (1, 5) batch, stored alike; :func:`mgrl.env.step` and
-    :func:`mgrl.env.allocate` clamp it.  ``obs`` is row t of one raw state
-    block whose SOC column the loop writes before each call, so it holds
-    its values only for that call.  The hours' SOCs and battery flows
+    :func:`mgrl.env.allocate` clamp it.  The hours' SOCs and battery flows
     are Python floats, collected in lists and written to the trajectory
     once.  After an episode's last hour a non-finite action is refused,
     naming its hour; then one :func:`mgrl.env.allocate` call splits the
     episode's supply."""
     rows = scenario_rows(scn)
-    states = features(0.0, scn.loads, scn.p_re)
     actions = np.empty((len(rows), N_ACTIONS))
     summaries = []
     for ep in range(n_episodes):
@@ -543,9 +540,8 @@ def evaluate_actions(act, env_cfg: EnvConfig, scn: Scenario,
         traj.p_re[:], traj.loads[:] = scn.p_re, scn.loads
         socs, flows = [], []
         for t, row in enumerate(rows):
-            states[t, 0] = soc
             socs.append(soc)
-            actions[t] = act(t, states[t:t + 1], rng)
+            actions[t] = act(t, soc, rng)
             soc, *flow = step(env_cfg, row, soc, actions[t].tolist())
             flows.append(flow)
         traj.soc[:], traj.flows[:] = socs, flows
@@ -579,8 +575,8 @@ def evaluate_policy(policy: GaussianPolicy, env_cfg: EnvConfig,
     soc_mean, soc_scale = policy.obs_mean.item(0), policy.obs_scale.item(0)
     std = np.exp(policy.clamped_log_std())
 
-    def act(t, obs, rng):
-        x[t, 0] = (obs.item(0) - soc_mean) / soc_scale
+    def act(t, soc, rng):
+        x[t, 0] = (soc - soc_mean) / soc_scale
         z = None if deterministic else rng.standard_normal(N_ACTIONS)
         return policy_action(mlp_forward(policy.trunk, x[t])[0], std, z)
     return evaluate_actions(act, env_cfg, scn, n_episodes, seed)

@@ -21,6 +21,7 @@ from mgrl.env import (
     N_FEATURES,
     PRIORITY_WEIGHTS,
     allocate,
+    features,
     resilience_index,
     scenario_rows,
     step,
@@ -281,10 +282,11 @@ def test_criterion_07_learning_smoke(capsys):
         # episode-start SOCs, so each comparison is paired.
         rand_rng = derive_rng(0, "acc-random-policy")
 
-        def random_action(t, obs, rng):
+        def random_action(t, soc, rng):
             return rand_rng.uniform(-1, 1, (1, N_ACTIONS))
 
-        def idle(t, obs, rng):
+        def idle(t, soc, rng):
+            obs = features(soc, scn.loads[t:t + 1], scn.p_re[t:t + 1])
             a = np.clip(raw_forward(res_b.policy, obs), -1.0, 1.0)
             a[:, :2] = -1.0  # battery forced idle
             return a

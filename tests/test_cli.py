@@ -674,8 +674,19 @@ class TestTrajectoryBoundary:
          "column l1: 1e+300 kW beyond the 1e+06 kW cap"),
         (("report",), lambda f: [*f[:14], "-2e6", *f[15:]],
          "column imb3: -2000000.0 kW beyond the 1e+06 kW cap"),
+        # Read as is, a shortage above its load scores a negative RI, and
+        # an hour that charges and discharges counts twice in the
+        # throughput and hides the discharge from explain --mode.
+        *[(command, lambda f: [*f[:15], repr(50.0 * float(f[3]) + 1.0),
+                               *f[16:]], "column sh1: shortage ")
+          for command in (("report",), ("explain", "--mode", "discharge"))],
+        *[(command, lambda f: [*f[:6], "10.0", "10.0", *f[8:]],
+           "column p_dis: discharge 10.0 in an hour that charges")
+          for command in (("report",), ("explain", "--mode", "discharge"))],
     ], ids=["negative-p_ch-report", "soc-above-1-explain",
-            "huge-l1-explain", "huge-l1-report", "huge-imb3-report"])
+            "huge-l1-explain", "huge-l1-report", "huge-imb3-report",
+            "shortage-above-load-report", "shortage-above-load-explain",
+            "charge-and-discharge-report", "charge-and-discharge-explain"])
     def test_physically_impossible_value_is_user_error(
             self, conf, tmp_path, capsys, command, edit, detail):
         out = str(tmp_path / "out")
@@ -683,8 +694,9 @@ class TestTrajectoryBoundary:
         corrupt(os.path.join(out, "trajectory.csv"), edit)
         capsys.readouterr()
         assert run(*command, "--config", conf, "--out", out) == 1
-        assert f"trajectory.csv: data row 4, {detail}" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"trajectory.csv: data row 4, {detail}" in err
 
     def test_header_only_trajectory_report_is_user_error(self, conf, tmp_path,
                                                          capsys):
@@ -705,8 +717,11 @@ class TestTrajectoryBoundary:
         out = str(tmp_path / "out")
         run_pipeline(conf, out)
         path = os.path.join(out, "trajectory.csv")
-        for n in (2, 3, 4):
-            corrupt(path, lambda f: [f[0], f[1], *[repr(MAX_KW)] * 10,
+        for n, flows in ((2, (MAX_KW, 0.0)), (3, (MAX_KW, 0.0)),
+                         (4, (0.0, MAX_KW))):
+            corrupt(path, lambda f: [f[0], f[1], *[repr(MAX_KW)] * 4,
+                                     *map(repr, flows),
+                                     *[repr(MAX_KW)] * 4,
                                      *[repr(-MAX_KW)] * 3,
                                      *[repr(MAX_KW)] * 3, f[-1]], n=n)
         assert run("explain", "--config", conf, "--out", out,
@@ -725,8 +740,12 @@ class TestMetricsBoundary:
         (lambda f: ["9" * 25, *f[1:]],
          f"data row 2, column update: expected 1, got {'9' * 25} "
          "(rows must be sorted with no gaps)"),
+        (lambda f: [f[0], "7.0", *f[2:]],
+         "data row 2, column mean_reward_norm: value 7.0 outside [0, 1]"),
+        (lambda f: [*f[:2], "-3.0", *f[3:]],
+         "data row 2, column RI: value -3.0 outside [0, 1]"),
     ], ids=["non-numeric", "ragged-row", "update-400-digits",
-            "update-25-digits"])
+            "update-25-digits", "reward-above-1", "negative-RI"])
     def test_corrupt_metrics_report_is_user_error(self, conf, tmp_path,
                                                   capsys, edit, detail):
         out = str(tmp_path / "out")
@@ -734,7 +753,9 @@ class TestMetricsBoundary:
         corrupt(os.path.join(out, "metrics.csv"), edit, n=2)
         capsys.readouterr()
         assert run("report", "--config", conf, "--out", out) == 1
-        assert f"metrics.csv: {detail}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"metrics.csv: {detail}" in err
 
     @pytest.mark.parametrize("edit, detail", [
         (lambda rows: rows[::-1], "data row 1, column update: expected 0, "

@@ -1071,25 +1071,22 @@ class TestEvaluation:
                     np.testing.assert_array_equal(logged, log, name)
             assert ev.summaries == summaries, name
 
-    def test_act_sees_each_hour_and_its_state_in_order(self):
+    def test_act_sees_each_hour_and_its_soc_in_order(self):
         scn = small_scenario(horizon=12, seed=1)
-        rows = scenario_rows(scn)
         seen = []
 
-        def act(t, obs, rng):
-            seen.append((t, obs.copy()))
+        def act(t, soc, rng):
+            seen.append((t, soc))
             return rng.uniform(-1.0, 1.0, (1, N_ACTIONS))
 
         ev = evaluate_actions(act, EnvConfig(), scn, n_episodes=3, seed=8)
         assert [t for t, _ in seen] == list(range(12)) * 3
-        for i, (t, obs) in enumerate(seen):
-            assert obs.shape == (1, N_FEATURES)
-            assert obs[0, 1:].tolist() == list(rows[t])
-            if i < 12:  # the first episode's SOCs are logged
-                assert obs[0, 0] == ev.trajectory.soc[t]
-            elif t == 0:
-                assert obs[0, 0] == EnvConfig().initial_soc(
-                    derive_rng(8, f"eval-reset-{i // 12}"))
+        assert all(type(soc) is float for _, soc in seen)
+        # The first episode's SOCs are logged.
+        assert [soc for _, soc in seen[:12]] == ev.trajectory.soc.tolist()
+        assert [soc for t, soc in seen if t == 0] == [
+            EnvConfig().initial_soc(derive_rng(8, f"eval-reset-{ep}"))
+            for ep in range(3)]
         assert np.ptp(ev.trajectory.soc) > 0.0
 
     @pytest.mark.parametrize("deterministic", [True, False])
@@ -1136,7 +1133,7 @@ class TestEvaluation:
                 evaluate_policy(policy, EnvConfig(), Scenario(**series))
 
 
-def idle_action(t, obs, rng):
+def idle_action(t, soc, rng):
     """Battery requests off, equal allocation weights."""
     a = np.zeros((1, N_ACTIONS))
     a[:, :2] = -1.0
@@ -1178,7 +1175,7 @@ class TestEvaluateActions:
         buf = collect_rollouts(policy, value, EnvBatch(env_cfg, scn, 2, 0),
                                24, np.random.default_rng(10))
         hours = iter(np.clip(buf.actions[:, 1], -1.0, 1.0))
-        ev = evaluate_actions(lambda t, obs, rng: next(hours)[None], env_cfg,
+        ev = evaluate_actions(lambda t, soc, rng: next(hours)[None], env_cfg,
                               scn)
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(ev.trajectory, path)
@@ -1234,8 +1231,8 @@ class TestEvaluateActions:
             stepped.append(args[0])
             return _fn(*args)
 
-        def act(t, obs, rng):
-            a = idle_action(t, obs, rng)
+        def act(t, soc, rng):
+            a = idle_action(t, soc, rng)
             a[0, 3] = math.nan if t == 5 else 0.25
             return a
 
@@ -1261,7 +1258,7 @@ class TestEvaluateActions:
             stepped.append(args[0])
             return _fn(*args)
 
-        def act(t, obs, rng):
+        def act(t, soc, rng):
             charge = bad if t == 3 else 0.5
             return np.array([charge, -1.0, 0.25, 0.0, -0.25])
 
@@ -1279,9 +1276,9 @@ class TestEvaluateActions:
         def draws(seed):
             seen = []
 
-            def act(t, obs, rng):
+            def act(t, soc, rng):
                 seen.append(rng.random())
-                return idle_action(t, obs, rng)
+                return idle_action(t, soc, rng)
 
             evaluate_actions(act, EnvConfig(), small_scenario(horizon=4),
                              n_episodes=3, seed=seed)

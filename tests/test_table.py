@@ -42,7 +42,8 @@ def cells(lo=-1e300, hi=1e300):
 
 
 ANY, FRACTION = cells(), cells(0.0, 1.0)
-NULLABLE = st.one_of(ANY, st.just(math.nan))
+# A metrics fraction is NaN until the first episode ends.
+NULLABLE_FRACTION = st.one_of(FRACTION, st.just(math.nan))
 # Powers stay within the readers' kW cap; a scenario's three loads within
 # a third of it each, so their total does too.
 KW, KW_NON_NEGATIVE = cells(-MAX_KW, MAX_KW), cells(0.0, MAX_KW)
@@ -56,6 +57,25 @@ def write_scenario(path, index, table):
 def read_scenario(path):
     scn = load_scenario_csv(path)
     return list(range(scn.horizon)), np.column_stack([scn.p_re, scn.loads])
+
+
+def evaluated(row):
+    """A trajectory row as evaluation writes it: each shortage at most its
+    tier's load, and no hour that both charges and discharges."""
+    row = list(row)
+    row[14:17] = map(min, row[14:17], row[2:5])  # sh1..sh3 <= l1..l3
+    if row[5] > 0:  # p_ch
+        row[6] = 0.0  # p_dis
+    return tuple(row)
+
+
+def plain_table(columns, n):
+    """n rows of 0.5 that every reader takes; a trajectory's hours charge
+    and do not discharge."""
+    table = np.full((n, len(columns) - 1), 0.5)
+    if "p_dis" in columns:
+        table[:, columns.index("p_dis") - 1] = 0.0
+    return table
 
 
 def write_trajectory(path, index, table):
@@ -78,16 +98,16 @@ def read_metrics(path):
             np.array([astuple(s)[1:] for s in stats]).reshape(-1, 6))
 
 
-# name: (columns, cell strategies after the index, writer, reader,
-#        minimum rows); every index runs 0..n-1
+# name: (columns, row strategy after the index, writer, reader, minimum
+#        rows); every index runs 0..n-1
 ARTIFACTS = {
-    "scenario": (CSV_COLUMNS, [KW_NON_NEGATIVE] + [LOAD] * 3, write_scenario,
-                 read_scenario, 1),
-    "trajectory": (CSV_HEADER, [FRACTION] + [KW_NON_NEGATIVE] * 10
-                   + [KW] * 3 + [KW_NON_NEGATIVE] * 3 + [FRACTION],
-                   write_trajectory, read_trajectory, 0),
-    "metrics": (TRAIN_CSV_HEADER, [NULLABLE] * 2 + [ANY] * 4, write_metrics,
-                read_metrics, 0),
+    "scenario": (CSV_COLUMNS, st.tuples(KW_NON_NEGATIVE, *[LOAD] * 3),
+                 write_scenario, read_scenario, 1),
+    "trajectory": (CSV_HEADER, st.tuples(
+        FRACTION, *[KW_NON_NEGATIVE] * 10, *[KW] * 3, *[KW_NON_NEGATIVE] * 3,
+        FRACTION).map(evaluated), write_trajectory, read_trajectory, 0),
+    "metrics": (TRAIN_CSV_HEADER, st.tuples(*[NULLABLE_FRACTION] * 2, *[ANY] * 4),
+                write_metrics, read_metrics, 0),
 }
 
 
@@ -107,11 +127,10 @@ def reference_bytes(columns, index, rows) -> bytes:
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_writer_matches_reference_and_reads_back_bitwise(name, data):
-    columns, strategies, write, read, min_rows = ARTIFACTS[name]
-    rows = data.draw(st.lists(st.tuples(*strategies), min_size=min_rows,
-                              max_size=6))
+    columns, rows_of, write, read, min_rows = ARTIFACTS[name]
+    rows = data.draw(st.lists(rows_of, min_size=min_rows, max_size=6))
     table = np.array(rows, dtype=np.float64).reshape(len(rows),
-                                                     len(strategies))
+                                                     len(columns) - 1)
     index = list(range(len(rows)))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, f"{name}.csv")
@@ -177,13 +196,11 @@ DEFECTS = (blank_line, hash_in_cell, trailing_comma, ragged_row,
 
 @pytest.mark.parametrize("name, defect", [
     pytest.param(name, defect, id=f"{name}-{defect.__name__}")
-    for name in ARTIFACTS for defect in DEFECTS
-    # NaN and inf are legal metrics values (no episode scored yet).
-    if not (name == "metrics" and defect is non_finite)])
+    for name in ARTIFACTS for defect in DEFECTS])
 def test_malformed_body_names_file_row_and_column(tmp_path, name, defect):
     columns, _, write, read, _ = ARTIFACTS[name]
     path = tmp_path / f"{name}.csv"
-    write(path, [0, 1, 2], np.full((3, len(columns) - 1), 0.5))
+    write(path, [0, 1, 2], plain_table(columns, 3))
     read(path)
     lines = path.read_text().splitlines()
     col = columns[defect(lines)]
@@ -206,7 +223,7 @@ def test_power_beyond_the_kw_cap_names_file_row_and_column(
         tmp_path, name, column, value):
     columns, _, write, read, _ = ARTIFACTS[name]
     path = tmp_path / f"{name}.csv"
-    table = np.full((3, len(columns) - 1), 0.5)
+    table = plain_table(columns, 3)
     table[1, columns.index(column) - 1] = value
     write(path, [0, 1, 2], table)
     with pytest.raises(TableError, match=re.escape(
@@ -239,7 +256,7 @@ def test_blank_only_body_names_the_row(tmp_path, name):
 def test_header_cells_are_stripped(tmp_path, name):
     columns, _, write, read = ARTIFACTS[name][:4]
     path = tmp_path / f"{name}.csv"
-    write(path, [0, 1], np.full((2, len(columns) - 1), 0.5))
+    write(path, [0, 1], plain_table(columns, 2))
     want = read(path)
     lines = path.read_text().split("\n")
     lines[0] = ", ".join(columns) + " "
@@ -255,7 +272,7 @@ def test_leading_byte_order_mark_is_dropped(tmp_path, name):
     not taken into the first header cell."""
     columns, _, write, read = ARTIFACTS[name][:4]
     plain, bom = tmp_path / "plain.csv", tmp_path / f"{name}.csv"
-    write(plain, [0, 1], np.full((2, len(columns) - 1), 0.5))
+    write(plain, [0, 1], plain_table(columns, 2))
     bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     want, got = read(plain), read(bom)
     assert got[0] == want[0]

@@ -51,7 +51,7 @@ def evaluated_trajectory():
     scn = synth_cyclone_scenario(ScenarioConfig(horizon_steps=30,
                                                 cyclone_window=(10, 16)))
     return evaluate_actions(
-        lambda t, obs, rng: rng.uniform(-1.0, 1.0, (1, 5)), EnvConfig(), scn,
+        lambda t, soc, rng: rng.uniform(-1.0, 1.0, (1, 5)), EnvConfig(), scn,
         n_episodes=2, seed=6).trajectory
 
 

@@ -119,10 +119,6 @@ def cmd_train(args, cfg: RunConfig) -> int:
     report_every = max(1, total // 10) if total else 1
 
     def on_update(update, policy, value, stat):
-        if (cfg.checkpoint_every and (update + 1) % cfg.checkpoint_every == 0
-                and update != total - 1):
-            save_checkpoint(policy, value, os.path.join(
-                cfg.output_dir, f"checkpoint_{update:05d}.json"))
         if (update + 1) % report_every == 0 or update == total - 1:
             print(f"  update {update + 1}/{total}  "
                   f"reward_norm {stat.mean_reward_norm:.4f}  "

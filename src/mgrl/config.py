@@ -41,16 +41,11 @@ class RunConfig:
     output_dir: str = "runs/default"
     run_id: str = "run"
     seed: int = 0
-    checkpoint_every: int = 0  # 0 -> only the final checkpoint
     rated_cycles: float = 3000.0  # battery full cycles for lifespan estimate
 
     def __post_init__(self):
         if not self.output_dir:
             raise ConfigError("run.output_dir must not be empty")
-        if self.checkpoint_every < 0:
-            raise ConfigError(
-                f"run.checkpoint_every must be >= 0, "
-                f"got {self.checkpoint_every}")
         if not self.rated_cycles > 0:
             raise ConfigError(
                 f"run.rated_cycles must be positive, got {self.rated_cycles}")

@@ -25,6 +25,7 @@ LAYOUT = Layout("trajectory", CSV_HEADER)
 _NON_NEGATIVE = ~np.isin(CSV_HEADER, ("imb1", "imb2", "imb3"))
 _FRACTION = np.isin(CSV_HEADER, ("soc", "reward"))
 _KW = ~np.isin(CSV_HEADER, ("t", "soc", "reward"))
+_ALLOCATIONS = np.isin(CSV_HEADER, ("alloc1", "alloc2", "alloc3"))
 _SHORTAGES = np.isin(CSV_HEADER, ("sh1", "sh2", "sh3"))
 _P_DIS = CSV_HEADER.index("p_dis")
 
@@ -81,10 +82,12 @@ def read_trajectory_csv(path: str | os.PathLike) -> Trajectory:
     file, the 1-based data row and the column: a malformed table, a ``t``
     index other than 0..n-1, a non-finite value, a negative flow, load,
     allocation or shortage, an SOC or reward outside [0, 1], a power
-    beyond ``MAX_KW`` kW, a shortage above its tier's load, or an hour
-    that both charges and discharges.  Evaluation writes neither of the
-    last two: ``step`` returns the ruled-out flow as 0.0, and a shortage
-    is the load less a non-negative allocation."""
+    beyond ``MAX_KW`` kW, an allocation above its hour's supply, a
+    shortage above its tier's load, or an hour that both charges and
+    discharges.  Evaluation writes none of the last three: an allocation
+    is a softmax share, at most 1, of the supply, a shortage is the
+    load less a non-negative allocation, and ``step`` returns the
+    ruled-out flow as 0.0."""
     a = LAYOUT.read(path)
     LAYOUT.reject(path, a, ~np.isfinite(a), "non-finite value {!r}")
     LAYOUT.reject(path, a, (a < 0) & _NON_NEGATIVE, "negative value {!r}")
@@ -92,6 +95,8 @@ def read_trajectory_csv(path: str | os.PathLike) -> Trajectory:
     LAYOUT.reject(path, a, (abs(a) > MAX_KW) & _KW, KW_CAP)
     traj = Trajectory(a[:, 1:])
     bad = np.zeros(a.shape, dtype=bool)
+    bad[:, _ALLOCATIONS] = traj.allocations > traj.p_supply[:, None]
+    LAYOUT.reject(path, a, bad, "allocation {!r} above its hour's supply")
     bad[:, _SHORTAGES] = traj.shortages > traj.loads
     LAYOUT.reject(path, a, bad, "shortage {!r} above its tier's load")
     bad[:, _P_DIS] = (traj.p_ch > 0) & (traj.p_dis > 0)

@@ -200,19 +200,6 @@ class TestTrainCommand:
         assert f"error: {out}: cannot write: " in captured.err
         assert "update 1/" not in captured.out
 
-    def test_checkpoint_schedule(self, tmp_path):
-        conf_path = tmp_path / "run.conf"
-        conf_path.write_text(TINY_CONF + "ppo.total_updates = 3\n"
-                             "run.checkpoint_every = 1\n")
-        out = str(tmp_path / "out")
-        run_pipeline(str(conf_path), out, through="train")
-        names = sorted(os.listdir(out))
-        assert "checkpoint_00000.json" in names
-        assert "checkpoint_00001.json" in names
-        # the last update is covered by checkpoint_final.json instead
-        assert "checkpoint_00002.json" not in names
-        assert "checkpoint_final.json" in names
-
     def test_metrics_are_byte_identical_across_runs(self, conf, tmp_path):
         """Same master seed, same command sequence, same bytes out."""
         outs = [str(tmp_path / d) for d in ("a", "b")]
@@ -609,11 +596,9 @@ class TestReportCommand:
         assert first == open(os.path.join(out, "report.csv"), "rb").read()
 
 
-def test_every_artifact_is_written_atomically(tmp_path, monkeypatch):
+def test_every_artifact_is_written_atomically(conf, tmp_path, monkeypatch):
     """The whole scenario -> report chain, with os.replace recorded: every
     file in the output directory arrived by an atomic rename."""
-    conf = tmp_path / "run.conf"
-    conf.write_text(TINY_CONF + "run.checkpoint_every = 1\n")
     out = tmp_path / "out"
     renamed = []
     real_replace = os.replace
@@ -625,9 +610,9 @@ def test_every_artifact_is_written_atomically(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", recording_replace)
     for cmd in (["scenario"], ["train"], ["eval"], ["explain", "--step", "3"],
                 ["report"]):
-        assert run(*cmd, "--config", str(conf), "--out", str(out)) == 0
+        assert run(*cmd, "--config", conf, "--out", str(out)) == 0
     written = sorted(os.listdir(out))
-    assert len(written) == 15  # no reward_curve.svg: no episode ends
+    assert len(written) == 14  # no reward_curve.svg: no episode ends
     assert written == sorted({os.path.basename(p) for p in renamed})
     assert {os.path.dirname(p) for p in renamed} == {str(out)}
 
@@ -674,9 +659,14 @@ class TestTrajectoryBoundary:
          "column l1: 1e+300 kW beyond the 1e+06 kW cap"),
         (("report",), lambda f: [*f[:14], "-2e6", *f[15:]],
          "column imb3: -2000000.0 kW beyond the 1e+06 kW cap"),
-        # Read as is, a shortage above its load scores a negative RI, and
+        # Read as is, an allocation above its hour's supply is plotted as
+        # delivered, a shortage above its load scores a negative RI, and
         # an hour that charges and discharges counts twice in the
         # throughput and hides the discharge from explain --mode.
+        *[(command, lambda f: [*f[:9], repr(50.0 * float(f[9]) + 100.0),
+                               *f[10:]],
+           "column alloc1: allocation ")
+          for command in (("report",), ("explain", "--step", "1"))],
         *[(command, lambda f: [*f[:15], repr(50.0 * float(f[3]) + 1.0),
                                *f[16:]], "column sh1: shortage ")
           for command in (("report",), ("explain", "--mode", "discharge"))],
@@ -685,6 +675,7 @@ class TestTrajectoryBoundary:
           for command in (("report",), ("explain", "--mode", "discharge"))],
     ], ids=["negative-p_ch-report", "soc-above-1-explain",
             "huge-l1-explain", "huge-l1-report", "huge-imb3-report",
+            "alloc-above-supply-report", "alloc-above-supply-explain",
             "shortage-above-load-report", "shortage-above-load-explain",
             "charge-and-discharge-report", "charge-and-discharge-explain"])
     def test_physically_impossible_value_is_user_error(

@@ -36,12 +36,11 @@ NON_FINITE = [
     ("scenario.base_loads_kw", "30, -inf, 12"),
 ]
 
-# Every one of the 40 settable keys, each away from its default.
+# Every one of the 39 settable keys, each away from its default.
 EVERY_KEY = """\
 run.output_dir = runs/every
 run.run_id = every-key
 run.seed = 5
-run.checkpoint_every = 3
 run.rated_cycles = 4500
 scenario.horizon_steps = 96
 scenario.start_hour = 6
@@ -180,8 +179,6 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError):
             build_run_config({"env.soc_min": "0.95"})  # above soc_max
         with pytest.raises(ConfigError):
-            build_run_config({"run.checkpoint_every": "-1"})
-        with pytest.raises(ConfigError):
             build_run_config({"run.rated_cycles": "0"})
 
     @pytest.mark.parametrize("weights", ["1, -1, -5", "2, 1, -0.5"])
@@ -264,8 +261,7 @@ class TestConfigsAreCheckedWhenMade:
         ("env", dict(soc_min=0.0), "need 0 < soc_min < soc_max <= 1"),
         ("ppo", dict(gamma=2.0), "gamma must lie in [0, 1]"),
         ("explain", dict(n_samples=5), "n_samples must be at least 10"),
-        ("run", dict(checkpoint_every=-1),
-         "run.checkpoint_every must be >= 0"),
+        ("run", dict(rated_cycles=0), "run.rated_cycles must be positive"),
     ], ids=["scenario", "env", "ppo", "explain", "run"])
     def test_replace_checks_the_new_config(self, section, changes, message):
         with pytest.raises(ValueError) as exc:
@@ -326,11 +322,14 @@ class TestLoadRunConfig:
         ("env.soc_min = 0.95", "env: need 0 < soc_min < soc_max <= 1"),
         ("ppo.nosuchfield = 1", "unknown config key 'ppo.nosuchfield'"),
         ("explain.top_k = 6", "unknown config key 'explain.top_k'"),
+        ("run.checkpoint_every = 1",
+         "unknown config key 'run.checkpoint_every'"),
         ('run.run_id = storm,"v2"', "run.run_id must not contain"),
         ("run.run_id = storm,v2", "run.run_id must not contain"),
         ('run.run_id = "v2"', "run.run_id must not contain"),
     ], ids=["bad-value", "bad-validation", "unknown-key", "removed-key",
-            "run-id-comma-quote", "run-id-comma", "run-id-quote"])
+            "removed-run-key", "run-id-comma-quote", "run-id-comma",
+            "run-id-quote"])
     def test_error_names_the_file(self, tmp_path, line, message):
         path = tmp_path / "run.conf"
         path.write_text(f"run.seed = 1\n{line}\n")
@@ -362,7 +361,7 @@ class TestConfigSummary:
         cfg = build_run_config(parse_config_text(text))
         summary = config_summary(cfg)
         assert build_run_config(parse_config_text(summary)) == cfg
-        assert len(parse_config_text(summary)) == 40
+        assert len(parse_config_text(summary)) == 39
 
     def test_every_key_config_sets_every_key(self):
         entries = parse_config_text(EVERY_KEY)

@@ -60,9 +60,11 @@ def read_scenario(path):
 
 
 def evaluated(row):
-    """A trajectory row as evaluation writes it: each shortage at most its
-    tier's load, and no hour that both charges and discharges."""
+    """A trajectory row as evaluation writes it: each allocation at most
+    its hour's supply, each shortage at most its tier's load, and no hour
+    that both charges and discharges."""
     row = list(row)
+    row[8:11] = (min(a, row[7]) for a in row[8:11])  # alloc <= p_supply
     row[14:17] = map(min, row[14:17], row[2:5])  # sh1..sh3 <= l1..l3
     if row[5] > 0:  # p_ch
         row[6] = 0.0  # p_dis
